@@ -81,20 +81,25 @@ def _build_reconstructor(config: PipelineConfig):
 def _local_map_for(dataset_dir, entry, interval, config: PipelineConfig,
                    reconstructor, scenario) -> RadioMap:
     base = Path(dataset_dir)
+    rel = entry["samples"].get(str(interval))
+    if rel is None:
+        raise KeyError(f"dataset has no samples at interval {interval}")
     if config.local_map_dir is not None:
         ext = Path(config.local_map_dir)
         for name in (f"{entry['id']}_{interval}.pgm", f"{entry['id']}.pgm"):
             candidate = ext / name
             if candidate.is_file():
-                return RadioMap(read_pgm(candidate), "local", "bitmap")
+                values = read_pgm(candidate)
+                expected = scenario.layout.cells.shape
+                if values.shape != expected:
+                    raise ValueError(f"{candidate}: local map shape {values.shape} "
+                                     f"differs from layout shape {expected}")
+                return RadioMap(values, "local", "bitmap")
         raise FileNotFoundError(
             f"no external local map for {entry['id']} interval {interval} "
             f"in {config.local_map_dir}")
     if config.reconstructor == "oracle":
         return RadioMap(read_pgm(base / entry["local_map"]), "local", "bitmap")
-    rel = entry["samples"].get(str(interval))
-    if rel is None:
-        raise KeyError(f"dataset has no samples at interval {interval}")
     meta = json.loads((base / entry["scenario"]).read_text()).get("sampling", {})
     samples = samples_from_csv((base / rel).read_text(), interval_s=float(interval),
                                speed=meta.get("speed", 1.0),

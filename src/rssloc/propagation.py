@@ -100,75 +100,142 @@ def path_loss(d, params: PropagationParams):
     return float(out) if out.ndim == 0 else out
 
 
+# Segments traversed together. Smaller blocks keep the per-slab temporaries
+# closer to cache; larger ones spend less time in per-call numpy overhead.
+_SEGMENTS_PER_BLOCK = 2048
+
+
 def segment_building_lengths(start, ends, cells: np.ndarray) -> np.ndarray:
     """Exact meters of building interior crossed by each segment start->ends[k].
 
     Each segment is split at its column crossings (one slab per column, in
     traversal order by construction, so no sorting is needed); the occupied
     row span inside a slab comes from per-column cumulative occupancy, which
-    is exact because occupancy is constant on unit cells. Vectorized over all
-    segments at once.
+    is exact because occupancy is constant on unit cells. Lookups clip to the
+    grid, so the parts of a segment outside it are charged to the edge row or
+    column. Vectorized over blocks of segments.
+
+    Slabs are built only where a building can be. A summed-area table over
+    the segment's clipped cell bounding box skips segments with no building
+    there, and the remaining ones keep only the crossings that bound the
+    first to last building column of their row band. Every slab that is left
+    out would add an exact zero, and the kept ones are summed in traversal
+    order, so the result is bit-identical to traversing every column.
     """
     a = np.asarray(start, dtype=np.float64).reshape(2)
     b = np.atleast_2d(np.asarray(ends, dtype=np.float64))
-    n = b.shape[0]
     h, w = cells.shape
+    sat = np.zeros((h + 1, w + 1), dtype=np.int64)
+    np.cumsum(np.cumsum(cells != 0, axis=0), axis=1, out=sat[1:, 1:])
+    csum = np.zeros((h + 1, w))
+    np.cumsum(cells, axis=0, out=csum[1:])
+    tables = (sat.ravel(), csum.ravel(), cells.astype(np.float64).ravel())
+    out = np.empty(len(b))
+    for i in range(0, len(b), _SEGMENTS_PER_BLOCK):
+        out[i:i + _SEGMENTS_PER_BLOCK] = _block_lengths(
+            a, b[i:i + _SEGMENTS_PER_BLOCK], h, w, *tables)
+    return out
+
+
+def _block_lengths(a, b, h, w, sat, csum, occ):
+    """segment_building_lengths for one block of segments, given the flat
+    summed-area, per-column cumulative and occupancy tables of the grid."""
+    out = np.zeros(len(b))
+
+    # clipped cell bounding box of every lookup a + t * (b - a), t in [0, 1]
+    # (rounding is monotone, so its ends at t = 0 and t = 1 bound it); r0 and
+    # r1 are the flat offsets of the summed-area rows that bound its rows
     dx = b[:, 0] - a[0]
     dy = b[:, 1] - a[1]
-    seg_len = np.hypot(dx, dy)
+    x1 = a[0] + dx
+    y1 = a[1] + dy
+    c0 = np.clip(np.floor(np.minimum(a[0], x1)).astype(np.int64), 0, w - 1)
+    c1 = np.clip(np.floor(np.maximum(a[0], x1)).astype(np.int64), 0, w - 1)
+    r0 = np.clip(np.floor(np.minimum(a[1], y1)).astype(np.int64), 0, h - 1) * (w + 1)
+    r1 = (np.clip(np.floor(np.maximum(a[1], y1)).astype(np.int64), 0, h - 1) + 1) * (w + 1)
 
-    # column-boundary crossings per segment, ascending in the ray parameter
-    lo = np.minimum(a[0], b[:, 0])
-    hi = np.maximum(a[0], b[:, 0])
-    m0 = np.ceil(lo)
-    counts = np.where(dx == 0.0, 0,
-                      np.maximum((np.floor(hi) - m0 + 1).astype(np.int64), 0))
-    total = int(counts.sum())
-    ray = np.repeat(np.arange(n), counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    down = np.repeat(dx < 0, counts)
-    lines = np.where(down,
-                     np.repeat(np.floor(hi), counts) - offsets,
-                     np.repeat(m0, counts) + offsets)
-    tc = np.clip((lines - a[0]) / np.repeat(np.where(dx == 0.0, 1.0, dx), counts),
-                 0.0, 1.0)
+    def occupied(lo, hi):
+        # building cells in columns lo..hi of each segment's row band
+        return sat[r1 + hi + 1] - sat[r0 + hi + 1] - sat[r1 + lo] + sat[r0 + lo]
 
-    # slab boundaries: 0, crossings..., 1 per segment, already in order
-    bound_counts = counts + 2
-    starts = np.cumsum(bound_counts) - bound_counts
-    ts = np.empty(total + 2 * n)
-    ts[starts] = 0.0
-    ts[starts + bound_counts - 1] = 1.0
-    inner = np.ones(total + 2 * n, dtype=bool)
-    inner[starts] = False
-    inner[starts + bound_counts - 1] = False
-    ts[inner] = tc
+    hit = np.flatnonzero(occupied(c0, c1) > 0)
+    if len(hit) == 0:
+        return out
+    b, dx, dy = b[hit], dx[hit], dy[hit]
+    c0, c1, r0, r1 = c0[hit], c1[hit], r0[hit], r1[hit]
+    n = len(hit)
 
-    pair = np.ones(total + 2 * n, dtype=bool)
-    pair[starts + bound_counts - 1] = False   # no slab begins at the last boundary
-    ta = ts[pair]
-    tb = ts[np.nonzero(pair)[0] + 1]
-    slab_ray = np.repeat(np.arange(n), bound_counts - 1)
+    # first (cl) and last (cr) building column of the row band, by bisection
+    cl, hi = c0.copy(), c1.copy()
+    cr, lo = c1.copy(), c0.copy()
+    for _ in range(int(w).bit_length()):
+        mid = (cl + hi) // 2
+        left = occupied(c0, mid) > 0
+        hi = np.where(left, mid, hi)
+        cl = np.where(left, cl, mid + 1)
+        mid = (lo + cr + 1) // 2
+        right = occupied(mid, c1) > 0
+        lo = np.where(right, mid, lo)
+        cr = np.where(right, cr, mid - 1)
+
+    # crossing lines bounding columns cl..cr, ascending; an edge column also
+    # stands for everything beyond the grid on its side
+    m_lo = np.ceil(np.minimum(a[0], b[:, 0]))
+    m_hi = np.floor(np.maximum(a[0], b[:, 0]))
+    first = np.where(cl > 0, np.maximum(m_lo, cl), m_lo)
+    last = np.where(cr < w - 1, np.minimum(m_hi, cr + 1), m_hi)
+    crosses = (dx != 0.0) & (m_lo <= m_hi)
+    cut_lo = crosses & (first > m_lo)
+    cut_hi = crosses & (last < m_hi)
+    counts = np.where(crosses, np.maximum(last - first + 1, 0), 0).astype(np.int64)
+
+    # slab boundaries in traversal order: 0 and 1 stay unless lines were cut
+    # on that side; y and its clipped row are computed once per boundary
+    down = dx < 0
+    keep0 = np.where(down, ~cut_hi, ~cut_lo)
+    keep1 = np.where(down, ~cut_lo, ~cut_hi)
+    nb = counts + keep0 + keep1
+    bstart = np.cumsum(nb) - nb
+    bend = bstart + nb - 1
+    step = np.where(down, -1.0, 1.0)
+    origin = np.where(down, last, first) - step * (bstart + keep0)
+    lines = np.repeat(origin, nb) + np.repeat(step, nb) * np.arange(nb.sum())
+    ts = (lines - a[0]) / np.repeat(np.where(dx == 0.0, 1.0, dx), nb)
+    np.clip(ts, 0.0, 1.0, out=ts)
+    ts[bstart[keep0]] = 0.0
+    ts[bend[keep1]] = 1.0
+    ys = a[1] + ts * np.repeat(dy, nb)
+    iy = np.clip(np.floor(ys).astype(np.int64), 0, h - 1)
+
+    # one slab per pair of consecutive boundaries; the pairs that straddle
+    # two segments get dt = 0 and so add nothing
+    ta = ts[:-1]
+    tb = ts[1:]
     dt = tb - ta
+    dt[bend[:-1]] = 0.0
+    slab_dx = np.repeat(dx, nb)[:-1]
 
     # column of each slab from its midpoint; rows via cumulative occupancy
     tm = 0.5 * (ta + tb)
-    cj = np.clip(np.floor(a[0] + tm * dx[slab_ray]).astype(np.int64), 0, w - 1)
-    ya = a[1] + ta * dy[slab_ray]
-    yb = a[1] + tb * dy[slab_ray]
-    ia = np.clip(np.floor(ya).astype(np.int64), 0, h - 1)
-    ib = np.clip(np.floor(yb).astype(np.int64), 0, h - 1)
-    csum = np.zeros((h + 1, w))
-    np.cumsum(cells, axis=0, out=csum[1:])
-    occ_a = cells[ia, cj].astype(np.float64)
-    occ_b = cells[ib, cj].astype(np.float64)
-    fa = csum[ia, cj] + occ_a * (ya - ia)
-    fb = csum[ib, cj] + occ_b * (yb - ib)
+    cj = np.clip(np.floor(a[0] + tm * slab_dx).astype(np.int64), 0, w - 1)
+    ya = ys[:-1]
+    yb = ys[1:]
+    ia = iy[:-1]
+    ib = iy[1:]
+    row = iy * w
+    ka = row[:-1] + cj
+    kb = row[1:] + cj
+    occ_a = occ[ka]
+    fa = csum[ka] + occ_a * (ya - ia)
+    fb = csum[kb] + occ[kb] * (yb - ib)
     span = yb - ya
     with np.errstate(invalid="ignore", divide="ignore"):
         frac = np.where(span != 0.0, (fb - fa) / span, occ_a)
-    lengths = np.where(dt > 0.0, dt * seg_len[slab_ray] * frac, 0.0)
-    return np.bincount(slab_ray, weights=lengths, minlength=n)
+    seg_len = np.repeat(np.hypot(dx, dy), nb)[:-1]
+    lengths = np.where(dt > 0.0, dt * seg_len * frac, 0.0)
+    out[hit] = np.bincount(np.repeat(np.arange(n), nb)[:-1], weights=lengths,
+                           minlength=n)
+    return out
 
 
 def penetration_loss(a, b, layout: BuildingLayout, params: PropagationParams) -> float:

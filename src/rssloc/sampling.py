@@ -200,32 +200,19 @@ def build_routes(layout: BuildingLayout) -> Route:
     return Route(waypoints=waypoints, total_length=length)
 
 
-def _point_along(route: Route, cum: np.ndarray, arc: float) -> tuple[float, float]:
-    pts = route.waypoints
-    if arc <= 0:
-        return pts[0]
-    if arc >= cum[-1]:
-        return pts[-1]
-    k = int(np.searchsorted(cum, arc, side="right")) - 1
-    seg = cum[k + 1] - cum[k]
-    frac = (arc - cum[k]) / seg
-    x0, y0 = pts[k]
-    x1, y1 = pts[k + 1]
-    return (x0 + frac * (x1 - x0), y0 + frac * (y1 - y0))
-
-
 def _merge_duplicates(positions, values) -> tuple[np.ndarray, np.ndarray]:
-    seen: dict[tuple[float, float], list[float]] = {}
-    order: list[tuple[float, float]] = []
-    for (x, y), v in zip(positions, values):
-        key = (float(x), float(y))
-        if key not in seen:
-            seen[key] = []
-            order.append(key)
-        seen[key].append(float(v))
-    merged_pos = np.asarray(order, dtype=np.float64)
-    merged_val = np.asarray([np.mean(seen[k]) for k in order])
-    return merged_pos, merged_val
+    """Merge exact duplicate positions by the mean of their values, keeping
+    the groups in order of first occurrence."""
+    positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
+    values = np.asarray(values, dtype=np.float64)
+    _, first, inverse, counts = np.unique(positions, axis=0, return_index=True,
+                                          return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    merged_val = values[first[order]]
+    inverse = inverse.ravel()
+    for g in np.flatnonzero(counts[order] > 1):
+        merged_val[g] = np.mean(values[inverse == order[g]])
+    return positions[first[order]], merged_val
 
 
 def sample_along(route: Route, global_map: RadioMap, interval_s: float,
@@ -244,13 +231,18 @@ def sample_along(route: Route, global_map: RadioMap, interval_s: float,
     cum = route.cumulative_lengths()
     step = interval_s * speed
     count = int(math.floor((cum[-1] + 1e-9) / step)) + 1
-    positions = np.empty((count, 2))
-    values = np.empty(count)
-    grid = global_map.values
-    for k in range(count):
-        x, y = _point_along(route, cum, k * step)
-        positions[k] = (x, y)
-        values[k] = grid[int(math.floor(y)), int(math.floor(x))]
+    arcs = np.arange(count) * step
+    pts = np.asarray(route.waypoints, dtype=np.float64)
+    # arcs past either end of the route clamp to its first or last waypoint
+    positions = np.where((arcs <= 0)[:, None], pts[0], pts[-1])
+    inside = np.flatnonzero((arcs > 0) & (arcs < cum[-1]))
+    arc = arcs[inside]
+    k = np.searchsorted(cum, arc, side="right") - 1
+    frac = (arc - cum[k]) / (cum[k + 1] - cum[k])
+    p0 = pts[k]
+    positions[inside] = p0 + frac[:, None] * (pts[k + 1] - p0)
+    cells = np.floor(positions).astype(np.int64)
+    values = global_map.values[cells[:, 1], cells[:, 0]].astype(np.float64)
     if noise_sigma > 0:
         rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF,
                                                             _SAMPLE_TAG]))

@@ -3,7 +3,8 @@
 Each oracle deliberately takes a different algorithmic route than the code
 under test: flood fill instead of union-find, per-cell segment clipping
 instead of grid traversal, factorial enumeration instead of the Hungarian
-solver.
+solver. The exception is `traverse_all_columns`, the unpruned column
+traversal that the package's pruned one must match bit for bit.
 """
 
 import itertools
@@ -84,6 +85,116 @@ def clip_building_length(a, b, cells):
         if ok and t1 > t0:
             total += (t1 - t0) * seg_len
     return total
+
+
+def traverse_all_columns(start, ends, cells):
+    """rssloc.propagation.segment_building_lengths without its slab pruning.
+
+    The same float expressions, with a slab for every column each segment
+    crosses, so the package's pruned traversal must match it bit for bit.
+
+    Each segment is split at its column crossings (one slab per column, in
+    traversal order by construction, so no sorting is needed); the occupied
+    row span inside a slab comes from per-column cumulative occupancy, which
+    is exact because occupancy is constant on unit cells. Vectorized over all
+    segments at once.
+    """
+    a = np.asarray(start, dtype=np.float64).reshape(2)
+    b = np.atleast_2d(np.asarray(ends, dtype=np.float64))
+    n = b.shape[0]
+    h, w = cells.shape
+    dx = b[:, 0] - a[0]
+    dy = b[:, 1] - a[1]
+    seg_len = np.hypot(dx, dy)
+
+    # column-boundary crossings per segment, ascending in the ray parameter
+    lo = np.minimum(a[0], b[:, 0])
+    hi = np.maximum(a[0], b[:, 0])
+    m0 = np.ceil(lo)
+    counts = np.where(dx == 0.0, 0,
+                      np.maximum((np.floor(hi) - m0 + 1).astype(np.int64), 0))
+    total = int(counts.sum())
+    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    down = np.repeat(dx < 0, counts)
+    lines = np.where(down,
+                     np.repeat(np.floor(hi), counts) - offsets,
+                     np.repeat(m0, counts) + offsets)
+    tc = np.clip((lines - a[0]) / np.repeat(np.where(dx == 0.0, 1.0, dx), counts),
+                 0.0, 1.0)
+
+    # slab boundaries: 0, crossings..., 1 per segment, already in order
+    bound_counts = counts + 2
+    starts = np.cumsum(bound_counts) - bound_counts
+    ts = np.empty(total + 2 * n)
+    ts[starts] = 0.0
+    ts[starts + bound_counts - 1] = 1.0
+    inner = np.ones(total + 2 * n, dtype=bool)
+    inner[starts] = False
+    inner[starts + bound_counts - 1] = False
+    ts[inner] = tc
+
+    pair = np.ones(total + 2 * n, dtype=bool)
+    pair[starts + bound_counts - 1] = False   # no slab begins at the last boundary
+    ta = ts[pair]
+    tb = ts[np.nonzero(pair)[0] + 1]
+    slab_ray = np.repeat(np.arange(n), bound_counts - 1)
+    dt = tb - ta
+
+    # column of each slab from its midpoint; rows via cumulative occupancy
+    tm = 0.5 * (ta + tb)
+    cj = np.clip(np.floor(a[0] + tm * dx[slab_ray]).astype(np.int64), 0, w - 1)
+    ya = a[1] + ta * dy[slab_ray]
+    yb = a[1] + tb * dy[slab_ray]
+    ia = np.clip(np.floor(ya).astype(np.int64), 0, h - 1)
+    ib = np.clip(np.floor(yb).astype(np.int64), 0, h - 1)
+    csum = np.zeros((h + 1, w))
+    np.cumsum(cells, axis=0, out=csum[1:])
+    occ_a = cells[ia, cj].astype(np.float64)
+    occ_b = cells[ib, cj].astype(np.float64)
+    fa = csum[ia, cj] + occ_a * (ya - ia)
+    fb = csum[ib, cj] + occ_b * (yb - ib)
+    span = yb - ya
+    with np.errstate(invalid="ignore", divide="ignore"):
+        frac = np.where(span != 0.0, (fb - fa) / span, occ_a)
+    lengths = np.where(dt > 0.0, dt * seg_len[slab_ray] * frac, 0.0)
+    return np.bincount(slab_ray, weights=lengths, minlength=n)
+
+
+def sample_along_loop(route, grid, interval_s, speed=1.0):
+    """Noise-free route sampling one arc at a time: the per-sample loop that
+    rssloc.sampling.sample_along vectorizes. Returns unmerged positions and
+    readings."""
+    pts = route.waypoints
+    cum = route.cumulative_lengths()
+    step = interval_s * speed
+    count = int(math.floor((cum[-1] + 1e-9) / step)) + 1
+    positions = np.empty((count, 2))
+    values = np.empty(count)
+    for k in range(count):
+        arc = k * step
+        if arc <= 0:
+            x, y = pts[0]
+        elif arc >= cum[-1]:
+            x, y = pts[-1]
+        else:
+            i = int(np.searchsorted(cum, arc, side="right")) - 1
+            frac = (arc - cum[i]) / (cum[i + 1] - cum[i])
+            x0, y0 = pts[i]
+            x1, y1 = pts[i + 1]
+            x, y = x0 + frac * (x1 - x0), y0 + frac * (y1 - y0)
+        positions[k] = (x, y)
+        values[k] = grid[int(math.floor(y)), int(math.floor(x))]
+    return positions, values
+
+
+def merge_duplicates_loop(positions, values):
+    """Exact duplicate positions merged by np.mean through a dict, in order
+    of first occurrence."""
+    seen = {}
+    for (x, y), v in zip(positions, values):
+        seen.setdefault((float(x), float(y)), []).append(float(v))
+    return (np.asarray(list(seen), dtype=np.float64),
+            np.asarray([np.mean(group) for group in seen.values()]))
 
 
 def brute_force_assignment_cost(pred, true, cutoff=math.inf):

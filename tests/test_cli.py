@@ -130,6 +130,37 @@ class TestPipeline:
         rb = json.loads((run_b / "report.json").read_text())["results"]
         assert ra == rb
 
+    def test_wrong_shape_local_map_rejected(self, dataset, tmp_path):
+        _, _, out = dataset
+        ext = tmp_path / "ext"
+        ext.mkdir()
+        index = read_dataset_index(out)
+        from rssloc.dataset_io import write_pgm
+        for entry in index["entries"]:
+            write_pgm(ext / f"{entry['id']}.pgm", np.zeros((40, 80), dtype=np.uint8))
+        run = tmp_path / "run"
+        code = cli.main(["pipeline", "--dataset", str(out), "--out", str(run),
+                         "--local-map-dir", str(ext), "--intervals", "4"])
+        assert code == 3
+        report = json.loads((run / "report.json").read_text())
+        assert not [r for r in report["results"] if "error" not in r]
+        for err, entry in zip(report["errors"], index["entries"]):
+            assert f"{entry['id']}.pgm" in err["error"]
+            assert "(40, 80)" in err["error"] and "(80, 80)" in err["error"]
+
+    def test_oracle_rejects_unknown_interval(self, dataset, tmp_path):
+        _, _, out = dataset
+        run = tmp_path / "run"
+        code = cli.main(["pipeline", "--dataset", str(out), "--out", str(run),
+                         "--reconstructor", "oracle", "--intervals", "4,3"])
+        assert code == 3
+        report = json.loads((run / "report.json").read_text())
+        assert {r["interval"] for r in report["results"] if "error" not in r} == {"4"}
+        assert report["errors"]
+        for err in report["errors"]:
+            assert err["interval"] == "3"
+            assert "no samples at interval 3" in err["error"]
+
     def test_jobs_parallel_matches_serial(self, dataset, tmp_path):
         _, _, out = dataset
         run_a = tmp_path / "s"

@@ -10,7 +10,7 @@ from rssloc import (BitmapEncoding, BuildingLayout, PropagationParams, RadioMap,
 from rssloc.propagation import local_disk_mask, segment_building_lengths
 
 from conftest import make_flat_scenario
-from oracles import clip_building_length
+from oracles import clip_building_length, traverse_all_columns
 
 
 class TestPathLoss:
@@ -70,7 +70,77 @@ class TestPenetration:
         ends = rng.random((50, 2)) * 30
         batched = segment_building_lengths(a, ends, cells)
         singles = [segment_building_lengths(a, [e], cells)[0] for e in ends]
-        assert np.allclose(batched, singles, atol=1e-12)
+        assert batched.tobytes() == np.array(singles).tobytes()
+
+
+def assert_same_bits(start, ends, cells):
+    fast = segment_building_lengths(start, ends, cells)
+    full = traverse_all_columns(start, ends, cells)
+    assert fast.tobytes() == full.tobytes()
+
+
+class TestPrunedTraversal:
+    """The pruned traversal against the full column traversal, bit for bit."""
+
+    @pytest.mark.parametrize("density", [0.0, 0.02, 0.1, 0.3, 0.8])
+    def test_random_layouts(self, density):
+        rng = np.random.default_rng(int(density * 100) + 3)
+        for _ in range(40):
+            h, w = rng.integers(8, 40, size=2)
+            cells = (rng.random((h, w)) < density).astype(np.uint8)
+            assert_same_bits(rng.random(2) * (w, h), rng.random((60, 2)) * (w, h),
+                             cells)
+
+    def test_generated_layout_every_cell(self):
+        # more segments than one block, as rasterize_global sends them
+        sc = generate_scenario(70, 70, 3, 2, seed=23)
+        rows, cols = np.nonzero(sc.layout.cells == 0)
+        ends = np.column_stack([cols + 0.5, rows + 0.5])
+        for src in sc.sources:
+            assert_same_bits(src.position, ends, sc.layout.cells)
+
+    def test_integer_endpoints(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            cells = (rng.random((20, 20)) < 0.25).astype(np.uint8)
+            assert_same_bits(rng.integers(0, 21, size=2).astype(float),
+                             rng.integers(0, 21, size=(60, 2)).astype(float), cells)
+
+    def test_axis_aligned_rays(self):
+        rng = np.random.default_rng(32)
+        cells = (rng.random((25, 30)) < 0.2).astype(np.uint8)
+        a = np.array([12.3, 7.8])
+        t = rng.random(40) * 30
+        vertical = np.column_stack([np.full(40, a[0]), t * 25 / 30])
+        horizontal = np.column_stack([t, np.full(40, a[1])])
+        assert_same_bits(a, np.vstack([vertical, horizontal]), cells)
+
+    def test_start_on_grid_line(self):
+        rng = np.random.default_rng(33)
+        cells = (rng.random((24, 24)) < 0.3).astype(np.uint8)
+        for start in [(6.0, 9.5), (6.5, 9.0), (6.0, 9.0),
+                      (np.nextafter(6.0, 0.0), 9.5), (np.nextafter(6.0, 7.0), 9.5)]:
+            ends = np.vstack([rng.random((40, 2)) * 24,
+                              rng.integers(0, 25, size=(20, 2))])
+            assert_same_bits(start, ends, cells)
+
+    def test_out_of_grid_endpoints(self):
+        # clipped lookups charge the outside parts to the edge row or column
+        rng = np.random.default_rng(34)
+        for _ in range(40):
+            cells = (rng.random((16, 22)) < 0.2).astype(np.uint8)
+            cells[:, 0] |= rng.random(16) < 0.5
+            cells[:, -1] |= rng.random(16) < 0.5
+            assert_same_bits(rng.random(2) * (42, 36) - 10,
+                             rng.random((60, 2)) * (42, 36) - 10, cells)
+
+    def test_out_of_grid_charges_edge_column(self):
+        cells = np.zeros((10, 10), dtype=np.uint8)
+        cells[4, 0] = 1
+        cells[4, 6] = 1
+        length = segment_building_lengths((-3.0, 4.5), [(8.0, 4.5)], cells)[0]
+        # 3 m left of the grid, column 0 and column 6
+        assert length == pytest.approx(5.0, abs=1e-12)
 
 
 class TestReceivedPower:

@@ -9,6 +9,8 @@ from rssloc import (BitmapEncoding, BuildingLayout, PropagationParams, RadioMap,
                     sample_uniform, to_sampled_map)
 
 from conftest import make_flat_scenario
+from oracles import merge_duplicates_loop, sample_along_loop
+from rssloc.sampling import _merge_duplicates
 
 
 def straight_route(n_cells=101, row=5):
@@ -129,6 +131,30 @@ class TestSampleAlong:
                       total_length=8.0)
         ss = sample_along(route, flat_global, 2)
         assert len(ss) == 4  # 0, 2, 4, 6; arc 8 merged into arc 0
+
+    @pytest.mark.parametrize("interval,speed", [(1, 1.0), (4, 1.0), (3, 0.7),
+                                                (10, 1.3)])
+    def test_bit_identical_to_loop(self, params, interval, speed):
+        sc = generate_scenario(90, 90, 4, 2, seed=36)
+        g = rasterize_global(sc, params)
+        route = build_routes(sc.layout)
+        ss = sample_along(route, g, interval, speed)
+        positions, values = merge_duplicates_loop(
+            *sample_along_loop(route, g.values, interval, speed))
+        assert ss.positions.tobytes() == positions.tobytes()
+        assert ss.values.tobytes() == values.tobytes()
+
+    def test_merge_bit_identical_to_loop(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            # few distinct positions, so most groups hold several readings
+            grid = rng.random((6, 2)) * 10
+            positions = grid[rng.integers(0, 6, size=40)]
+            values = rng.normal(-60.0, 15.0, size=40)
+            pos, val = _merge_duplicates(positions, values)
+            ref_pos, ref_val = merge_duplicates_loop(positions, values)
+            assert pos.tobytes() == ref_pos.tobytes()
+            assert val.tobytes() == ref_val.tobytes()
 
     def test_rejects_bad_interval(self, flat_global):
         with pytest.raises(ValueError):
