@@ -164,13 +164,7 @@ def cmd_evaluate(args) -> int:
     if not rows:
         print("no prediction files matched the dataset", file=sys.stderr)
         return EXIT_DATA
-    agg = aggregate(evals)
-    report = {"results": rows,
-              "aggregate": {"mle": agg.mle, "ospa": agg.ospa, "far": agg.far,
-                            "mdr": agg.mdr, "far_macro": agg.far_macro,
-                            "mdr_macro": agg.mdr_macro,
-                            "total_true": agg.total_true,
-                            "total_pred": agg.total_pred}}
+    report = {"results": rows, "aggregate": aggregate(evals).as_dict()}
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagation import RadioMap
+from .propagation import _grid
 from .separation import SeparationResult
 
 
@@ -27,12 +27,6 @@ class PredictionSet:
 
     def __len__(self) -> int:
         return len(self.points)
-
-
-def _grid(map_or_values) -> np.ndarray:
-    if isinstance(map_or_values, RadioMap):
-        return map_or_values.values
-    return np.asarray(map_or_values)
 
 
 def _peak_index(vals: np.ndarray) -> tuple[int, int]:

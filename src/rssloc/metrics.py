@@ -48,6 +48,13 @@ class EvalReport:
     total_pred: int
     per_scenario: list[ScenarioEval] = field(default_factory=list)
 
+    def as_dict(self) -> dict:
+        """The aggregate metrics, without the per-scenario evaluations."""
+        return {"mle": self.mle, "ospa": self.ospa, "far": self.far,
+                "mdr": self.mdr, "far_macro": self.far_macro,
+                "mdr_macro": self.mdr_macro, "total_true": self.total_true,
+                "total_pred": self.total_pred}
+
 
 def _cost_matrix(pred, true, cutoff: float) -> np.ndarray:
     p = np.asarray(pred, dtype=np.float64).reshape(-1, 2)

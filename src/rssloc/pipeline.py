@@ -83,7 +83,7 @@ def _local_map_for(dataset_dir, entry, interval, config: PipelineConfig,
     base = Path(dataset_dir)
     rel = entry["samples"].get(str(interval))
     if rel is None:
-        raise KeyError(f"dataset has no samples at interval {interval}")
+        raise ValueError(f"dataset has no samples at interval {interval}")
     if config.local_map_dir is not None:
         ext = Path(config.local_map_dir)
         for name in (f"{entry['id']}_{interval}.pgm", f"{entry['id']}.pgm"):
@@ -174,11 +174,7 @@ def run_pipeline(dataset_dir, config: PipelineConfig,
                                          mle=row["mle"], far=row["far"],
                                          mdr=row["mdr"], ospa=row["ospa"])
                             for row in selected])
-        return {"mle": report.mle, "ospa": report.ospa,
-                "far": report.far, "mdr": report.mdr,
-                "far_macro": report.far_macro, "mdr_macro": report.mdr_macro,
-                "total_true": report.total_true, "total_pred": report.total_pred,
-                "scenarios": len(selected)}
+        return {**report.as_dict(), "scenarios": len(selected)}
 
     by_interval = {}
     for interval in sorted({row["interval"] for row in ok_rows}, key=float):

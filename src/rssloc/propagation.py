@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import BuildingLayout, Scenario, Source
+from .scenario import BuildingLayout, Scenario, Source, disk_cells
 
 MAP_KINDS = ("global", "local", "binarized", "single_source")
 
@@ -91,6 +91,13 @@ class RadioMap:
     @property
     def width(self) -> int:
         return self.values.shape[1]
+
+
+def _grid(map_or_values) -> np.ndarray:
+    """The value grid of a RadioMap, or the argument as an array."""
+    if isinstance(map_or_values, RadioMap):
+        return map_or_values.values
+    return np.asarray(map_or_values)
 
 
 def path_loss(d, params: PropagationParams):
@@ -325,18 +332,9 @@ def rasterize_global(scenario: Scenario, params: PropagationParams,
 
 def local_disk_mask(scenario: Scenario, r: float) -> np.ndarray:
     """Boolean mask of cells whose center is within r of at least one source."""
-    layout = scenario.layout
-    mask = np.zeros((layout.height, layout.width), dtype=bool)
+    mask = np.zeros(scenario.layout.cells.shape, dtype=bool)
     for src in scenario.sources:
-        i0 = max(0, int(math.floor(src.y - r - 0.5)))
-        i1 = min(layout.height - 1, int(math.ceil(src.y + r)))
-        j0 = max(0, int(math.floor(src.x - r - 0.5)))
-        j1 = min(layout.width - 1, int(math.ceil(src.x + r)))
-        if i1 < i0 or j1 < j0:
-            continue
-        jj, ii = np.meshgrid(np.arange(j0, j1 + 1), np.arange(i0, i1 + 1))
-        within = ((jj + 0.5 - src.x) ** 2 + (ii + 0.5 - src.y) ** 2) <= r * r
-        mask[i0:i1 + 1, j0:j1 + 1] |= within
+        mask[disk_cells(src.x, src.y, r, mask.shape)] = True
     return mask
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .propagation import (BitmapEncoding, PropagationParams, RadioMap,
                           ground_truth_local)
 from .sampling import SampleSet
-from .scenario import BuildingLayout, Scenario
+from .scenario import BuildingLayout, Scenario, disk_cells
 
 DEFAULT_BUILDING_FILL_DBM = -110.0
 _CHUNK = 4096
@@ -190,15 +190,14 @@ def proxy_local_map(dense: RadioMap, delta_db: float = 9.0,
     work = vals.copy()
     keep = np.zeros((h, w), dtype=bool)
     floor = vals.max() - delta_db
-    jj, ii = np.meshgrid(np.arange(w), np.arange(h))
     for _ in range(max_peaks):
         flat = int(np.argmax(work))
         pi, pj = flat // w, flat % w
         peak = work[pi, pj]
         if not np.isfinite(peak) or peak < floor:
             break
-        disk = (jj - pj) ** 2 + (ii - pi) ** 2 <= (3.0 * r) ** 2
-        keep |= disk & (vals >= peak - delta_db)
+        disk = disk_cells(pj + 0.5, pi + 0.5, 3.0 * r, (h, w))
+        keep[disk] |= vals[disk] >= peak - delta_db
         work[disk] = -np.inf
     bitmap = np.where(keep, enc.encode(vals), 0).astype(np.uint8)
     return RadioMap(bitmap, "local", "bitmap")

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import ndimage
 
 from .propagation import BitmapEncoding, RadioMap
-from .scenario import BuildingLayout
+from .scenario import EIGHT_CONNECTED, BuildingLayout
 
 STANDARD_INTERVALS = (1, 2, 4, 6, 8, 10)
 
@@ -169,9 +169,8 @@ def build_routes(layout: BuildingLayout) -> Route:
     if not occ.any():
         cells = _border_loop(h, w)
     else:
-        structure = np.ones((3, 3), dtype=bool)
-        region_labels, n_regions = ndimage.label(occ, structure=structure)
-        free_labels, _ = ndimage.label(free, structure=structure)
+        region_labels, n_regions = ndimage.label(occ, structure=EIGHT_CONNECTED)
+        free_labels, _ = ndimage.label(free, structure=EIGHT_CONNECTED)
         border = np.concatenate([free_labels[0, :], free_labels[-1, :],
                                  free_labels[:, 0], free_labels[:, -1]])
         outside = np.isin(free_labels, np.unique(border[border > 0]))
@@ -182,7 +181,8 @@ def build_routes(layout: BuildingLayout) -> Route:
         cells = []
         for rid in order:
             region = region_labels == rid
-            ring = ndimage.binary_dilation(region, structure=structure) & free & outside
+            ring = (ndimage.binary_dilation(region, structure=EIGHT_CONNECTED)
+                    & free & outside)
             if not ring.any():
                 raise RouteError(f"building region {rid} is unreachable")
             ys, xs = np.nonzero(ring)

@@ -12,10 +12,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import ndimage
 
 MAX_SOURCES = 16
 DEFAULT_TX_POWER_DBM = 24.0
 DEFAULT_ANTENNA_GAIN_DBI = 10.0
+
+# structuring element of 8-connectivity, shared by every labeling and dilation
+EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 
 
 class LayoutError(RuntimeError):
@@ -129,62 +133,62 @@ def generate_layout(width: int, height: int, n_buildings: int, seed,
         f"{n_buildings} buildings after {max_retries} retries")
 
 
-def disk_pixels(x: float, y: float, r: float, layout: BuildingLayout,
-                free_only: bool = True) -> set[tuple[int, int]]:
-    """In-bounds cells whose center lies within r meters of (x, y)."""
-    out = set()
-    i0 = max(0, int(math.floor(y - r - 0.5)))
-    i1 = min(layout.height - 1, int(math.ceil(y + r)))
-    j0 = max(0, int(math.floor(x - r - 0.5)))
-    j1 = min(layout.width - 1, int(math.ceil(x + r)))
-    for i in range(i0, i1 + 1):
-        for j in range(j0, j1 + 1):
-            if (j + 0.5 - x) ** 2 + (i + 0.5 - y) ** 2 <= r * r:
-                if not free_only or layout.cells[i, j] == 0:
-                    out.add((i, j))
-    return out
+def disk_cells(x: float, y: float, r: float, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices, in row-major order, of the cells of a grid of
+    the given shape whose center lies within r meters of (x, y)."""
+    h, w = shape
+    i0, i1 = max(0, math.floor(y - r - 0.5)), min(h, math.ceil(y + r) + 1)
+    j0, j1 = max(0, math.floor(x - r - 0.5)), min(w, math.ceil(x + r) + 1)
+    ii = np.arange(i0, i1)[:, None]   # empty ranges when the disk misses the grid
+    jj = np.arange(j0, j1)[None, :]
+    rows, cols = np.nonzero((jj + 0.5 - x) ** 2 + (ii + 0.5 - y) ** 2 <= r * r)
+    return rows + i0, cols + j0
 
 
-def _connected8(cells: set[tuple[int, int]]) -> bool:
-    if not cells:
+def expected_disk_area(r: float) -> int:
+    """Pixel count of a radius-r disk centered on a pixel center."""
+    n = math.floor(r)
+    return len(disk_cells(n + 0.5, n + 0.5, r, (2 * n + 1, 2 * n + 1))[0])
+
+
+def _connected(rows: np.ndarray, cols: np.ndarray) -> bool:
+    """True when the cells form exactly one 8-connected region."""
+    if len(rows) == 0:
         return False
-    start = next(iter(cells))
-    seen = {start}
-    stack = [start]
-    while stack:
-        i, j = stack.pop()
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                nb = (i + di, j + dj)
-                if nb in cells and nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-    return len(seen) == len(cells)
+    i0, j0 = rows.min(), cols.min()
+    window = np.zeros((rows.max() - i0 + 1, cols.max() - j0 + 1), dtype=bool)
+    window[rows - i0, cols - j0] = True
+    return ndimage.label(window, structure=EIGHT_CONNECTED)[1] == 1
 
 
-def _adjacent8(a: set[tuple[int, int]], b: set[tuple[int, int]]) -> bool:
-    for i, j in a:
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                if (i + di, j + dj) in b:
-                    return True
-    return False
+def _free_disk(x, y, r, layout: BuildingLayout) -> tuple[np.ndarray, np.ndarray]:
+    rows, cols = disk_cells(x, y, r, layout.cells.shape)
+    free = layout.cells[rows, cols] == 0
+    return rows[free], cols[free]
 
 
-def _disk_ok(x, y, r, layout, others: list[set]) -> set | None:
+def _disk_ok(x, y, r, layout,
+             blocked: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Validity check for one candidate source; returns its disk or None.
 
     The free pixels of the candidate's radius-r disk must be non-empty and
-    8-connected (so the rasterized local area is a single component), and the
-    disk must not touch any previously placed source's disk.
+    8-connected (so the rasterized local area is a single component), and
+    none may be ``blocked``, i.e. touch a previously placed source's disk.
     """
-    disk = disk_pixels(x, y, r, layout, free_only=True)
-    if not disk or not _connected8(disk):
+    disk = _free_disk(x, y, r, layout)
+    if not _connected(*disk) or blocked[disk].any():
         return None
-    for other in others:
-        if _adjacent8(disk, other):
-            return None
     return disk
+
+
+def _block(blocked: np.ndarray, disk) -> None:
+    """Mark the disk's cells and their 8-neighbours as taken."""
+    rows, cols = disk
+    i0, j0 = max(rows.min() - 1, 0), max(cols.min() - 1, 0)
+    window = blocked[i0:rows.max() + 2, j0:cols.max() + 2]   # a view into blocked
+    cells = np.zeros_like(window)
+    cells[rows - i0, cols - j0] = True
+    window |= ndimage.binary_dilation(cells, structure=EIGHT_CONNECTED)
 
 
 def place_sources(layout: BuildingLayout, m: int, min_spacing: float, seed,
@@ -204,7 +208,7 @@ def place_sources(layout: BuildingLayout, m: int, min_spacing: float, seed,
         raise PlacementError("layout has no free cells")
     rng = np.random.default_rng(seed)
     placed: list[Source] = []
-    disks: list[set] = []
+    blocked = np.zeros(layout.cells.shape, dtype=bool)
     attempts = 0
     while len(placed) < m:
         attempts += 1
@@ -217,10 +221,10 @@ def place_sources(layout: BuildingLayout, m: int, min_spacing: float, seed,
         if any(math.hypot(x - s.x, y - s.y) < min_spacing for s in placed):
             continue
         if clear_radius is not None:
-            disk = _disk_ok(x, y, clear_radius, layout, disks)
+            disk = _disk_ok(x, y, clear_radius, layout, blocked)
             if disk is None:
                 continue
-            disks.append(disk)
+            _block(blocked, disk)
         placed.append(Source(x, y))
     return placed
 
@@ -241,9 +245,7 @@ def place_sources_dense(layout: BuildingLayout, m: int, seed,
         raise ValueError("pair_spacing must be < 2r for the disks to overlap")
     rng = np.random.default_rng(seed)
     free = np.argwhere(layout.cells == 0)
-    full_disk = sum(1 for di in range(-int(r), int(r) + 1)
-                    for dj in range(-int(r), int(r) + 1)
-                    if di * di + dj * dj <= r * r)
+    min_area = expected_disk_area(r)
     attempts = 0
     while True:
         attempts += 1
@@ -257,18 +259,19 @@ def place_sources_dense(layout: BuildingLayout, m: int, seed,
         by = ay + pair_spacing * math.sin(theta)
         if not layout.is_free(ax, ay) or not layout.is_free(bx, by):
             continue
-        disk_a = disk_pixels(ax, ay, r, layout, free_only=True)
-        disk_b = disk_pixels(bx, by, r, layout, free_only=True)
+        disk_a = _free_disk(ax, ay, r, layout)
+        disk_b = _free_disk(bx, by, r, layout)
         # fully free unclipped disks keep the merged area comfortably above
         # the single-disk flagging threshold
-        if len(disk_a) < full_disk or len(disk_b) < full_disk:
+        if len(disk_a[0]) < min_area or len(disk_b[0]) < min_area:
             continue
-        union = disk_a | disk_b
-        if not _connected8(union):
+        union = tuple(np.concatenate(axis) for axis in zip(disk_a, disk_b))
+        if not _connected(*union):
             continue
         pair = [Source(ax, ay), Source(bx, by)]
         rest: list[Source] = []
-        rest_disks: list[set] = []
+        blocked = np.zeros(layout.cells.shape, dtype=bool)
+        _block(blocked, union)
         ok = True
         for _ in range(m - 2):
             placed_one = False
@@ -279,11 +282,11 @@ def place_sources_dense(layout: BuildingLayout, m: int, seed,
                 if any(math.hypot(x - s.x, y - s.y) < min_spacing
                        for s in pair + rest):
                     continue
-                disk = _disk_ok(x, y, r, layout, [union] + rest_disks)
+                disk = _disk_ok(x, y, r, layout, blocked)
                 if disk is None:
                     continue
                 rest.append(Source(x, y))
-                rest_disks.append(disk)
+                _block(blocked, disk)
                 placed_one = True
                 break
             if not placed_one:

@@ -1,18 +1,19 @@
 """Multi-source separation on local radio maps.
 
 Binarize the 8-bit map at a fixed threshold, label the foreground's
-connected components (two-pass union-find), cut one single-source map per
+connected components (scipy.ndimage.label), cut one single-source map per
 component, and flag components whose area says two local areas merged.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import ndimage
 
-from .propagation import RadioMap
+from .propagation import RadioMap, _grid
+from .scenario import EIGHT_CONNECTED, expected_disk_area
 
 DEFAULT_GAMMA = 127
 DEFAULT_CONNECTIVITY = 8
@@ -42,12 +43,6 @@ class SeparationResult:
     merged_flags: list[bool] = field(default_factory=list)
 
 
-def _grid(map_or_values) -> np.ndarray:
-    if isinstance(map_or_values, RadioMap):
-        return map_or_values.values
-    return np.asarray(map_or_values)
-
-
 def binarize(bitmap, gamma: int = DEFAULT_GAMMA) -> RadioMap:
     """255 where the pixel exceeds gamma, 0 otherwise (gamma itself maps to 0)."""
     vals = _grid(bitmap)
@@ -59,78 +54,36 @@ def connected_components(binary, connectivity: int = DEFAULT_CONNECTIVITY) -> La
     """Label foreground regions; any nonzero pixel counts as foreground.
 
     Components are renumbered 1..n ordered by (top, left) of their bounding
-    boxes so downstream output is stable regardless of scan order.
+    boxes so downstream output is stable regardless of scan order; ties keep
+    scan order.
     """
     if connectivity not in (4, 8):
         raise ValueError("connectivity must be 4 or 8")
     vals = _grid(binary)
-    fg = vals != 0
-    h, w = fg.shape
-    labels = np.zeros((h, w), dtype=np.int32)
-    parent: list[int] = [0]
-
-    def find(a: int) -> int:
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    if connectivity == 8:
-        back = ((-1, -1), (-1, 0), (-1, 1), (0, -1))
-    else:
-        back = ((-1, 0), (0, -1))
-
-    pixels = np.argwhere(fg).tolist()
-    for i, j in pixels:
-        neigh = []
-        for di, dj in back:
-            ni, nj = i + di, j + dj
-            if 0 <= ni < h and 0 <= nj < w and labels[ni, nj]:
-                neigh.append(find(labels[ni, nj]))
-        if not neigh:
-            parent.append(len(parent))
-            labels[i, j] = len(parent) - 1
-        else:
-            root = min(neigh)
-            labels[i, j] = root
-            for other in neigh:
-                parent[other] = root
-
-    # second pass: resolve every provisional label to its root, vectorized
-    resolved = np.array([find(k) for k in range(len(parent))], dtype=np.int32)
-    labels = resolved[labels]
-
-    ii, jj = np.nonzero(labels)
-    if len(ii) == 0:
+    # structure None is ndimage's default cross, i.e. 4-connectivity
+    structure = EIGHT_CONNECTED if connectivity == 8 else None
+    labels, n = ndimage.label(vals != 0, structure=structure)
+    if n == 0:
         return Labeling(labels=labels, components=[])
+    ii, jj = np.nonzero(labels)
     lab = labels[ii, jj]
-    nroot = len(parent)
-    area = np.bincount(lab, minlength=nroot)
+    area = np.bincount(lab)
     weights = vals[ii, jj].astype(np.float64)
-    sw = np.bincount(lab, weights=weights, minlength=nroot)
-    swx = np.bincount(lab, weights=weights * (jj + 0.5), minlength=nroot)
-    swy = np.bincount(lab, weights=weights * (ii + 0.5), minlength=nroot)
-    top = np.full(nroot, h, dtype=np.int64)
-    left = np.full(nroot, w, dtype=np.int64)
-    bottom = np.full(nroot, -1, dtype=np.int64)
-    right = np.full(nroot, -1, dtype=np.int64)
-    np.minimum.at(top, lab, ii)
-    np.minimum.at(left, lab, jj)
-    np.maximum.at(bottom, lab, ii)
-    np.maximum.at(right, lab, jj)
-
-    roots = np.nonzero(area)[0]
-    order = sorted(roots, key=lambda k: (top[k], left[k]))
-    remap = np.zeros(nroot, dtype=np.int32)
+    sw = np.bincount(lab, weights=weights)
+    swx = np.bincount(lab, weights=weights * (jj + 0.5))
+    swy = np.bincount(lab, weights=weights * (ii + 0.5))
+    boxes = ndimage.find_objects(labels)
+    order = sorted(range(1, n + 1),
+                   key=lambda k: (boxes[k - 1][0].start, boxes[k - 1][1].start))
+    remap = np.zeros(n + 1, dtype=np.int32)
     components = []
-    for new_id, root in enumerate(order, 1):
-        remap[root] = new_id
+    for new_id, k in enumerate(order, 1):
+        rows, cols = boxes[k - 1]
+        remap[k] = new_id
         components.append(Component(
-            id=new_id, area=int(area[root]),
-            bbox=(int(top[root]), int(left[root]), int(bottom[root]), int(right[root])),
-            centroid=(float(swx[root] / sw[root]), float(swy[root] / sw[root]))))
+            id=new_id, area=int(area[k]),
+            bbox=(rows.start, cols.start, rows.stop - 1, cols.stop - 1),
+            centroid=(float(swx[k] / sw[k]), float(swy[k] / sw[k]))))
     return Labeling(labels=remap[labels], components=components)
 
 
@@ -143,13 +96,6 @@ def extract_single_source_maps(i_ms, labeling: Labeling) -> SeparationResult:
         maps.append(RadioMap(single, "single_source", "bitmap"))
     return SeparationResult(single_source_maps=maps, labeling=labeling,
                             merged_flags=[False] * len(maps))
-
-
-def expected_disk_area(r: float) -> int:
-    """Pixel count of a radius-r disk centered on a pixel center."""
-    n = int(math.floor(r))
-    return sum(1 for di in range(-n, n + 1) for dj in range(-n, n + 1)
-               if di * di + dj * dj <= r * r)
 
 
 def flag_merged(labeling: Labeling, r: float,

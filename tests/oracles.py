@@ -1,10 +1,11 @@
 """Independent reference implementations used only to check the package.
 
 Each oracle deliberately takes a different algorithmic route than the code
-under test: flood fill instead of union-find, per-cell segment clipping
-instead of grid traversal, factorial enumeration instead of the Hungarian
-solver. The exception is `traverse_all_columns`, the unpruned column
-traversal that the package's pruned one must match bit for bit.
+under test: flood fill instead of scipy.ndimage.label, a test of every grid
+cell instead of a clipped bounding box, per-cell segment clipping instead of
+grid traversal, factorial enumeration instead of the Hungarian solver. The
+exception is `traverse_all_columns`, the unpruned column traversal that the
+package's pruned one must match bit for bit.
 """
 
 import itertools
@@ -56,6 +57,14 @@ def labeling_partition(labels):
         ii, jj = np.nonzero(labels == lab)
         parts.add(frozenset(zip(ii.tolist(), jj.tolist())))
     return parts
+
+
+def disk_cells_every_cell(x, y, r, shape):
+    """(row, col) of every grid cell whose center lies within r of (x, y),
+    testing each cell of the grid in row-major order."""
+    h, w = shape
+    return [(i, j) for i in range(h) for j in range(w)
+            if (j + 0.5 - x) ** 2 + (i + 0.5 - y) ** 2 <= r * r]
 
 
 def clip_building_length(a, b, cells):

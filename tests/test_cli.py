@@ -148,7 +148,7 @@ class TestPipeline:
             assert f"{entry['id']}.pgm" in err["error"]
             assert "(40, 80)" in err["error"] and "(80, 80)" in err["error"]
 
-    def test_oracle_rejects_unknown_interval(self, dataset, tmp_path):
+    def test_oracle_rejects_unknown_interval(self, dataset, tmp_path, capsys):
         _, _, out = dataset
         run = tmp_path / "run"
         code = cli.main(["pipeline", "--dataset", str(out), "--out", str(run),
@@ -157,9 +157,12 @@ class TestPipeline:
         report = json.loads((run / "report.json").read_text())
         assert {r["interval"] for r in report["results"] if "error" not in r} == {"4"}
         assert report["errors"]
+        stderr = capsys.readouterr().err.splitlines()
         for err in report["errors"]:
             assert err["interval"] == "3"
-            assert "no samples at interval 3" in err["error"]
+            assert err["error"] == "dataset has no samples at interval 3"
+            assert (f"failed: {err['id']} interval 3: "
+                    "dataset has no samples at interval 3") in stderr
 
     def test_jobs_parallel_matches_serial(self, dataset, tmp_path):
         _, _, out = dataset

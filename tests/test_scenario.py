@@ -6,7 +6,9 @@ import pytest
 from rssloc import (BuildingLayout, PlacementError, Source, Scenario,
                     generate_layout, generate_scenario, place_sources,
                     place_sources_dense)
-from rssloc.scenario import disk_pixels
+from rssloc.scenario import _connected, disk_cells
+
+from oracles import disk_cells_every_cell, flood_fill_partition
 
 
 def test_empty_world():
@@ -107,9 +109,51 @@ def test_rasterization_convention():
 
 
 def test_disk_pixels_count():
-    layout = BuildingLayout(np.zeros((40, 40), dtype=np.uint8))
-    disk = disk_pixels(20.5, 20.5, 2.0, layout)
-    assert len(disk) == 13
+    rows, cols = disk_cells(20.5, 20.5, 2.0, (40, 40))
+    assert len(rows) == len(cols) == 13
+
+
+def test_disk_cells_match_every_cell_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        h, w = (int(v) for v in rng.integers(1, 25, size=2))
+        # centres up to 8 m outside the grid on every side
+        x, y = rng.uniform(-8, w + 8), rng.uniform(-8, h + 8)
+        r = rng.uniform(0.3, 6.0)
+        rows, cols = disk_cells(x, y, r, (h, w))
+        assert list(zip(rows.tolist(), cols.tolist())) == \
+            disk_cells_every_cell(x, y, r, (h, w))
+    # pixel-centred radii hit the predicate's boundary exactly
+    for r in (1.0, 2.0, 5 ** 0.5, 3.0):
+        rows, cols = disk_cells(6.5, 6.5, r, (13, 13))
+        assert list(zip(rows.tolist(), cols.tolist())) == \
+            disk_cells_every_cell(6.5, 6.5, r, (13, 13))
+
+
+def test_connected_uses_eight_connectivity():
+    assert _connected(np.array([3, 4]), np.array([5, 6]))       # diagonal neighbours
+    assert not _connected(np.array([3, 5]), np.array([5, 5]))   # a row between
+    assert not _connected(np.array([], dtype=int), np.array([], dtype=int))
+
+
+def test_clear_disks_connected_and_pairwise_apart():
+    # one-cell walls split the free part of any radius-2 disk that straddles them
+    cells = np.zeros((40, 40), dtype=np.uint8)
+    cells[:, 10::10] = 1
+    layout = BuildingLayout(cells)
+    free = layout.cells == 0
+    for seed in range(5):
+        sources = place_sources(layout, 10, 0.0, seed, clear_radius=2.0)
+        disks = [[c for c in disk_cells_every_cell(s.x, s.y, 2.0, free.shape) if free[c]]
+                 for s in sources]
+        for disk in disks:
+            grid = np.zeros(free.shape, dtype=np.uint8)
+            grid[tuple(np.transpose(disk))] = 1
+            assert len(flood_fill_partition(grid, 8)) == 1
+        # no cell of one disk equals or 8-touches a cell of another
+        for k, a in enumerate(disks):
+            for b in disks[:k]:
+                assert min(max(abs(i - p), abs(j - q)) for i, j in a for p, q in b) > 1
 
 
 def test_dense_pair_spacing_exact():

@@ -80,6 +80,19 @@ class TestConnectedComponents:
         assert lab.components[0].bbox[0] < lab.components[1].bbox[0]
         assert lab.components[0].id == 1
 
+    def test_bbox_tie_keeps_scan_order(self):
+        # a lone pixel and an anti-diagonal both have bbox (top, left) = (0, 0)
+        grid = np.zeros((6, 6), dtype=np.uint8)
+        grid[0, 0] = 255
+        for t in range(6):
+            grid[t, 5 - t] = 255
+        lab = connected_components(grid, 8)
+        assert [(c.id, c.area, c.bbox) for c in lab.components] == \
+            [(1, 1, (0, 0, 0, 0)), (2, 6, (0, 0, 5, 5))]
+        assert lab.labels[0, 0] == 1
+        assert (lab.labels[np.arange(6), 5 - np.arange(6)] == 2).all()
+        assert lab.labels.dtype == np.int32
+
     def test_centroid_of_symmetric_block(self):
         grid = np.zeros((10, 10), dtype=np.uint8)
         grid[4:6, 4:6] = 200
