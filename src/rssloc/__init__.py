@@ -10,16 +10,14 @@ from .scenario import (BuildingLayout, Source, Scenario, generate_layout,
                        place_sources, place_sources_dense, generate_scenario,
                        LayoutError, PlacementError)
 from .propagation import (PropagationParams, BitmapEncoding, RadioMap,
-                          path_loss, penetration_loss, received_power,
-                          aggregate_rss, rasterize_global, ground_truth_local,
-                          to_bitmap)
-from .sampling import (Route, SampleSet, SampledMap, build_routes,
-                       sample_along, sample_uniform, add_noise, to_sampled_map,
+                          path_loss, aggregate_rss, rasterize_global,
+                          ground_truth_local)
+from .sampling import (Route, SampleSet, build_routes, sample_along, add_noise,
                        RouteError, STANDARD_INTERVALS)
 from .reconstruct import (Reconstructor, IdwReconstructor, KrigingReconstructor,
                           VariogramParams, RECONSTRUCTORS, idw_reconstruct,
-                          kriging_reconstruct, oracle_reconstruct,
-                          proxy_local_map, ReconstructionError)
+                          kriging_reconstruct, proxy_local_map,
+                          ReconstructionError)
 from .separation import (Component, Labeling, SeparationResult, binarize,
                          connected_components, extract_single_source_maps,
                          flag_merged, separate_sources, expected_disk_area)
@@ -27,11 +25,10 @@ from .localize import (PredictionSet, ESTIMATORS, argmax_estimate,
                        center_of_mass, four_neighborhood_refine, localize_all,
                        EmptyMapError)
 from .metrics import (Matching, ScenarioEval, EvalReport, optimal_assignment,
-                      mle, far_mdr, far_mdr_gated, ospa, evaluate_scenario,
-                      aggregate)
+                      mle, far_mdr, ospa, evaluate_scenario, aggregate)
 from .dataset_io import (DatasetConfig, generate_dataset, read_dataset_index,
                          load_scenario, augment, augment_grid, augment_points,
-                         augment_scenario, AUGMENTATIONS, read_pgm, write_pgm,
+                         AUGMENTATIONS, read_pgm, write_pgm,
                          encode_pgm, decode_pgm, read_lrmf, write_lrmf,
                          encode_lrmf, decode_lrmf, PgmError, LrmfError)
 from .pipeline import PipelineConfig, run_pipeline, process_entry

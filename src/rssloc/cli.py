@@ -137,6 +137,9 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if not args.g > 0:
+        print("g must be positive", file=sys.stderr)
+        return EXIT_USAGE
     try:
         index = dataset_io.read_dataset_index(args.dataset)
     except FileNotFoundError as exc:

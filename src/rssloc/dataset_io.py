@@ -1,6 +1,6 @@
 """Dataset generation and every on-disk format the toolkit speaks.
 
-Formats: binary PGM (P5) for bitmaps and label grids, a small float32 grid
+Formats: binary PGM (P5) for layouts and bitmaps, a small float32 grid
 container for dBm fields (magic LRMF), CSV for samples and predictions, JSON
 for scenarios and the dataset index. Generation is a pure function of
 (config, master seed) and regenerates byte-identically.
@@ -9,23 +9,19 @@ for scenarios and the dataset index. Generation is a pure function of
 from __future__ import annotations
 
 import json
-import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .propagation import BitmapEncoding, PropagationParams, RadioMap, \
+from .propagation import BitmapEncoding, PropagationParams, \
     ground_truth_local, rasterize_global
 from .sampling import SampleSet, build_routes, sample_along
 from .scenario import BuildingLayout, Scenario, Source, generate_layout, \
     place_sources, place_sources_dense
-from .separation import Labeling
 
 AUGMENTATIONS = ("identity", "flip_h", "flip_v", "rot90", "rot180", "rot270")
-
-_WHITESPACE = b" \t\n\r\x0b\x0c"
 
 
 class PgmError(ValueError):
@@ -147,16 +143,30 @@ def samples_to_csv(sample_set: SampleSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def samples_from_csv(text: str, interval_s: float, speed: float = 1.0,
-                     noise_sigma: float = 0.0, seed: int = 0) -> SampleSet:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0] != "x_m,y_m,rss_dbm":
-        raise ValueError("bad samples CSV header")
-    rows = [ln.split(",") for ln in lines[1:]]
-    positions = np.array([[float(r[0]), float(r[1])] for r in rows])
-    values = np.array([float(r[2]) for r in rows])
-    return SampleSet(positions=positions, values=values, interval_s=interval_s,
-                     speed=speed, noise_sigma=noise_sigma, seed=seed)
+def _csv_rows(text: str, header: str, types) -> list[list]:
+    """Fields of every non-blank row after the header, converted by types;
+    errors name the 1-based line."""
+    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1)
+             if ln.strip()]
+    if not lines or lines[0][1] != header:
+        raise ValueError(f"bad CSV header, expected {header!r}")
+    rows = []
+    for n, ln in lines[1:]:
+        fields = ln.split(",")
+        if len(fields) != len(types):
+            raise ValueError(f"line {n}: expected {len(types)} fields, "
+                             f"found {len(fields)}")
+        try:
+            rows.append([t(f) for t, f in zip(types, fields)])
+        except ValueError:
+            raise ValueError(f"line {n}: non-numeric field in {ln!r}") from None
+    return rows
+
+
+def samples_from_csv(text: str) -> SampleSet:
+    rows = np.array(_csv_rows(text, "x_m,y_m,rss_dbm", (float, float, float)),
+                    dtype=np.float64).reshape(-1, 3)
+    return SampleSet(positions=rows[:, :2], values=rows[:, 2])
 
 
 def predictions_to_csv(component_ids, points, flags) -> str:
@@ -167,16 +177,9 @@ def predictions_to_csv(component_ids, points, flags) -> str:
 
 
 def predictions_from_csv(text: str):
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0] != "component_id,x_m,y_m,flagged":
-        raise ValueError("bad predictions CSV header")
-    ids, points, flags = [], [], []
-    for ln in lines[1:]:
-        cid, x, y, flag = ln.split(",")
-        ids.append(int(cid))
-        points.append((float(x), float(y)))
-        flags.append(bool(int(flag)))
-    return ids, points, flags
+    rows = _csv_rows(text, "component_id,x_m,y_m,flagged", (int, float, float, int))
+    return ([cid for cid, _, _, _ in rows], [(x, y) for _, x, y, _ in rows],
+            [bool(flag) for _, _, _, flag in rows])
 
 
 def scenario_to_dict(scenario: Scenario, layout_ref: str | None = None,
@@ -205,15 +208,6 @@ def scenario_from_dict(doc: dict, layout: BuildingLayout) -> Scenario:
 
 def dumps_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def labeling_to_files(labeling: Labeling) -> tuple[bytes, str]:
-    """Label grid as a 16-bit PGM plus a JSON component-stats sidecar."""
-    grid = labeling.labels.astype(np.uint16)
-    stats = [{"id": c.id, "area": c.area,
-              "bbox": list(c.bbox), "centroid": list(c.centroid)}
-             for c in labeling.components]
-    return encode_pgm(grid), dumps_json({"components": stats})
 
 
 # -------------------------------------------------------------- augmentation
@@ -260,15 +254,6 @@ def augment(grid: np.ndarray, points, aug: str):
     return augment_grid(grid, aug), augment_points(points, aug, w, h)
 
 
-def augment_scenario(scenario: Scenario, aug: str) -> Scenario:
-    cells, pts = augment(scenario.layout.cells,
-                         [s.position for s in scenario.sources], aug)
-    sources = [Source(x, y, s.tx_power_dbm, s.gain_dbi)
-               for (x, y), s in zip(pts, scenario.sources)]
-    return Scenario(layout=BuildingLayout(cells), sources=sources,
-                    id=f"{scenario.id}_{aug}", rng_seed=scenario.rng_seed)
-
-
 # ---------------------------------------------------------- dataset generation
 
 @dataclass
@@ -304,17 +289,7 @@ class DatasetConfig:
         return cls(**doc)
 
     def to_dict(self) -> dict:
-        return {
-            "width": self.width, "height": self.height,
-            "n_layouts": self.n_layouts, "n_buildings": self.n_buildings,
-            "source_counts": list(self.source_counts),
-            "placements_per_count": self.placements_per_count,
-            "intervals": list(self.intervals), "speed": self.speed,
-            "noise_sigma": self.noise_sigma, "min_spacing": self.min_spacing,
-            "clear_radius": self.clear_radius, "r": self.r, "seed": self.seed,
-            "dense_pair_spacing": self.dense_pair_spacing,
-            "split": dict(self.split),
-        }
+        return asdict(self)
 
 
 def _derived_seed(*parts) -> int:

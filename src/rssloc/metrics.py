@@ -5,7 +5,7 @@ false-alarm / missed-detection rates, and the OSPA distance with cutoff g.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -30,8 +30,7 @@ class ScenarioEval:
     ospa: float
 
     def as_dict(self) -> dict:
-        return {"m": self.m, "m_hat": self.m_hat, "mle": self.mle,
-                "far": self.far, "mdr": self.mdr, "ospa": self.ospa}
+        return asdict(self)
 
 
 @dataclass
@@ -64,52 +63,15 @@ def _cost_matrix(pred, true, cutoff: float) -> np.ndarray:
 
 
 def optimal_assignment(pred, true, cutoff: float = math.inf) -> Matching:
-    """Minimum total min(cutoff, d)^2 matching over min(|pred|, |true|) pairs.
-
-    Among equal-cost optima the pair list that is lexicographically smallest
-    (sorted by prediction index) wins, so results are reproducible and
-    independent of solver internals.
-    """
+    """Minimum total min(cutoff, d)^2 matching over min(|pred|, |true|) pairs,
+    listed in prediction order."""
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
-    n_pred, n_true = len(pred), len(true)
-    if n_pred == 0 or n_true == 0:
-        return Matching([], list(range(n_pred)), list(range(n_true)))
-    cost = _cost_matrix(pred, true, cutoff)
-
-    def best(rows, cols) -> float:
-        if not rows or not cols:
-            return 0.0
-        sub = cost[np.ix_(rows, cols)]
-        r, c = linear_sum_assignment(sub)
-        return float(sub[r, c].sum())
-
-    target = best(list(range(n_pred)), list(range(n_true)))
-    eps = 1e-9 + 1e-12 * abs(target)
-    slots = min(n_pred, n_true)
-    pairs: list[tuple[int, int]] = []
-    free_true = list(range(n_true))
-    budget = target
-    for i in range(n_pred):
-        if len(pairs) == slots:
-            break
-        rest_pred = list(range(i + 1, n_pred))
-        chosen = None
-        for j in free_true:
-            rest_true = [t for t in free_true if t != j]
-            if cost[i, j] + best(rest_pred, rest_true) <= budget + eps:
-                chosen = j
-                break
-        if chosen is not None:
-            pairs.append((i, chosen))
-            free_true.remove(chosen)
-            budget -= cost[i, chosen]
-        # otherwise pred i is unmatched in the lexicographically best optimum
-        # (only possible when n_pred > n_true)
-    matched_pred = {i for i, _ in pairs}
-    return Matching(pairs=pairs,
-                    unmatched_pred=[i for i in range(n_pred) if i not in matched_pred],
-                    unmatched_true=sorted(free_true))
+    rows, cols = (a.tolist() for a in
+                  linear_sum_assignment(_cost_matrix(pred, true, cutoff)))
+    return Matching(pairs=list(zip(rows, cols)),
+                    unmatched_pred=sorted(set(range(len(pred))) - set(rows)),
+                    unmatched_true=sorted(set(range(len(true))) - set(cols)))
 
 
 def mle(pred, true) -> float | None:
@@ -131,26 +93,6 @@ def far_mdr(m_hat: int, m: int) -> tuple[float, float]:
         raise ValueError("m_hat must be >= 0")
     far = max(0, m_hat - m) / m_hat if m_hat > 0 else 0.0
     mdr = max(0, m - m_hat) / m
-    return far, mdr
-
-
-def far_mdr_gated(pred, true, gate: float = DEFAULT_OSPA_CUTOFF) -> tuple[float, float]:
-    """Stricter distance-gated variant: a prediction only counts as a hit when
-    its optimally assigned truth lies within the gate. For sensitivity
-    analysis; the count-based far_mdr is the reporting default.
-    """
-    if gate <= 0:
-        raise ValueError("gate must be positive")
-    m_hat, m = len(pred), len(true)
-    if m < 1:
-        raise ValueError("scenarios always contain at least one source")
-    matching = optimal_assignment(pred, true, cutoff=gate)
-    p = np.asarray(pred, dtype=np.float64).reshape(-1, 2)
-    t = np.asarray(true, dtype=np.float64).reshape(-1, 2)
-    hits = sum(1 for i, j in matching.pairs
-               if math.hypot(*(p[i] - t[j])) <= gate)
-    far = (m_hat - hits) / m_hat if m_hat > 0 else 0.0
-    mdr = (m - hits) / m
     return far, mdr
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .dataset_io import (load_scenario, predictions_to_csv, read_dataset_index,
@@ -22,7 +22,7 @@ from .separation import separate_sources
 
 
 class PipelineConfigError(ValueError):
-    """A pipeline option does not resolve to a registered implementation."""
+    """A pipeline option is out of range or names no registered implementation."""
 
 
 @dataclass
@@ -53,20 +53,16 @@ class PipelineConfig:
                 f"registered: {', '.join(sorted(ESTIMATORS))}")
         if self.connectivity not in (4, 8):
             raise PipelineConfigError("connectivity must be 4 or 8")
+        if not self.r > 0:
+            raise PipelineConfigError("r must be positive")
+        if not self.g > 0:
+            raise PipelineConfigError("g must be positive")
         if self.intervals is not None:
             self.intervals = tuple(self.intervals)
 
     def to_dict(self) -> dict:
-        return {
-            "reconstructor": self.reconstructor,
-            "reconstructor_params": dict(self.reconstructor_params),
-            "estimator": self.estimator, "r": self.r, "gamma": self.gamma,
-            "g": self.g, "connectivity": self.connectivity,
-            "intervals": list(self.intervals) if self.intervals else None,
-            "noise_sigma": self.noise_sigma, "noise_seed": self.noise_seed,
-            "area_factor": self.area_factor, "delta_db": self.delta_db,
-            "local_map_dir": self.local_map_dir, "jobs": self.jobs,
-        }
+        return {**asdict(self),
+                "intervals": list(self.intervals) if self.intervals else None}
 
 
 def _build_reconstructor(config: PipelineConfig):
@@ -100,11 +96,10 @@ def _local_map_for(dataset_dir, entry, interval, config: PipelineConfig,
             f"in {config.local_map_dir}")
     if config.reconstructor == "oracle":
         return RadioMap(read_pgm(base / entry["local_map"]), "local", "bitmap")
-    meta = json.loads((base / entry["scenario"]).read_text()).get("sampling", {})
-    samples = samples_from_csv((base / rel).read_text(), interval_s=float(interval),
-                               speed=meta.get("speed", 1.0),
-                               noise_sigma=meta.get("noise_sigma", 0.0),
-                               seed=meta.get("seed", 0))
+    try:
+        samples = samples_from_csv((base / rel).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{base / rel}: {exc}") from exc
     if config.noise_sigma > 0:
         samples = add_noise(samples, config.noise_sigma, config.noise_seed)
     dense = reconstructor.reconstruct(samples, scenario.layout)
@@ -129,8 +124,7 @@ def process_entry(dataset_dir, entry: dict, config: PipelineConfig) -> list[dict
             ev = evaluate_scenario(preds.points, truths, config.g)
             rows.append({
                 "id": entry["id"], "interval": str(interval), "split": entry["split"],
-                "m": ev.m, "m_hat": ev.m_hat, "mle": ev.mle, "far": ev.far,
-                "mdr": ev.mdr, "ospa": ev.ospa,
+                **ev.as_dict(),
                 "merged_flags": list(preds.flags),
                 "predictions_csv": predictions_to_csv(
                     preds.component_ids, preds.points, preds.flags),

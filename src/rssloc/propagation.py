@@ -9,12 +9,11 @@ grids and 8-bit bitmaps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import BuildingLayout, Scenario, Source, disk_cells
+from .scenario import Scenario, disk_cells
 
 MAP_KINDS = ("global", "local", "binarized", "single_source")
 
@@ -245,44 +244,15 @@ def _block_lengths(a, b, h, w, sat, csum, occ):
     return out
 
 
-def penetration_loss(a, b, layout: BuildingLayout, params: PropagationParams) -> float:
-    """Capped per-meter penalty for the building interior crossed by a->b."""
-    length = float(segment_building_lengths(a, [b], layout.cells)[0])
-    return min(params.penetration_cap, params.beta_penetration * length)
-
-
-def received_power(source: Source, point, layout: BuildingLayout,
-                   params: PropagationParams, rng=None) -> float:
-    """Per-source RSS in dBm at a point; deterministic when sigma_shadow = 0."""
-    d = math.hypot(point[0] - source.x, point[1] - source.y)
-    val = (source.tx_power_dbm + source.gain_dbi
-           - path_loss(d, params)
-           - penetration_loss(source.position, point, layout, params))
-    if params.sigma_shadow > 0:
-        if rng is None:
-            raise ValueError("sigma_shadow > 0 requires an rng")
-        val -= float(rng.normal(0.0, params.sigma_shadow))
-    return float(val)
-
-
-def aggregate_rss(powers, mode: str = "linear") -> float:
-    """Total RSS of simultaneous per-source powers (dBm).
-
-    'linear' sums in milliwatts, which is the physical aggregation and the
-    package default; 'dbm-sum' adds the dBm values directly and exists only
-    for comparison.
-    """
+def aggregate_rss(powers) -> float:
+    """Total RSS of simultaneous per-source powers (dBm), summed in milliwatts."""
     p = np.asarray(powers, dtype=np.float64).ravel()
     if p.size == 0:
         raise ValueError("cannot aggregate an empty power list")
-    if mode == "linear":
-        # factored around the max so the dominance bounds
-        # max <= total <= max + 10 log10(n) hold exactly in floating point
-        pmax = float(p.max())
-        return pmax + float(10.0 * np.log10(np.sum(10.0 ** ((p - pmax) / 10.0))))
-    if mode == "dbm-sum":
-        return float(p.sum())
-    raise ValueError(f"unknown aggregation mode {mode!r}")
+    # factored around the max so the dominance bounds
+    # max <= total <= max + 10 log10(n) hold exactly in floating point
+    pmax = float(p.max())
+    return pmax + float(10.0 * np.log10(np.sum(10.0 ** ((p - pmax) / 10.0))))
 
 
 def _shadow_grid(scenario: Scenario, source_index: int, sigma: float,
@@ -362,11 +332,3 @@ def ground_truth_local(scenario: Scenario, params: PropagationParams, r: float,
         linear = _per_source_linear(scenario, params, rows, cols)
         bitmap[rows, cols] = enc.encode(10.0 * np.log10(linear.sum(axis=0)))
     return RadioMap(bitmap, "local", "bitmap")
-
-
-def to_bitmap(radio_map: RadioMap, enc: BitmapEncoding | None = None) -> RadioMap:
-    """Quantize a dBm map to its 8-bit encoding, preserving the map kind."""
-    enc = enc or BitmapEncoding()
-    if radio_map.unit != "dbm":
-        raise ValueError("to_bitmap expects a dBm map")
-    return RadioMap(enc.encode(radio_map.values), radio_map.kind, "bitmap")

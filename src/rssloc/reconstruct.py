@@ -9,15 +9,13 @@ iterative peak thresholding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .propagation import (BitmapEncoding, PropagationParams, RadioMap,
-                          ground_truth_local)
+from .propagation import BitmapEncoding, RadioMap
 from .sampling import SampleSet
-from .scenario import BuildingLayout, Scenario, disk_cells
+from .scenario import BuildingLayout, disk_cells
 
 DEFAULT_BUILDING_FILL_DBM = -110.0
 _CHUNK = 4096
@@ -97,24 +95,6 @@ def _check_samples(positions: np.ndarray):
         seen.add(key)
 
 
-def kriging_weights(positions: np.ndarray, query_point,
-                    variogram: VariogramParams | None = None) -> tuple[np.ndarray, float]:
-    """Ordinary-kriging weights and Lagrange multiplier for one query point."""
-    variogram = variogram or VariogramParams()
-    positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
-    _check_samples(positions)
-    k = _kriging_matrix(positions, variogram)
-    q = np.asarray(query_point, dtype=np.float64)
-    rhs = np.empty(len(positions) + 1)
-    rhs[:-1] = variogram(np.hypot(positions[:, 0] - q[0], positions[:, 1] - q[1]))
-    rhs[-1] = 1.0
-    try:
-        sol = np.linalg.solve(k, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ReconstructionError(f"kriging system is singular: {exc}") from exc
-    return sol[:-1], float(sol[-1])
-
-
 def kriging_predict(positions: np.ndarray, values: np.ndarray, query: np.ndarray,
                     variogram: VariogramParams | None = None) -> np.ndarray:
     """Ordinary-kriging prediction in dual form: one solve, O(J) per query."""
@@ -163,12 +143,6 @@ def kriging_reconstruct(sample_set: SampleSet, layout: BuildingLayout,
     return _as_dense_map(field, layout, building_fill)
 
 
-def oracle_reconstruct(scenario: Scenario, params: PropagationParams, r: float,
-                       enc: BitmapEncoding | None = None) -> RadioMap:
-    """Ground-truth local map, for validating downstream stages in isolation."""
-    return ground_truth_local(scenario, params, r, enc)
-
-
 def proxy_local_map(dense: RadioMap, delta_db: float = 9.0,
                     enc: BitmapEncoding | None = None, r: float = 2.0,
                     max_peaks: int = 64) -> RadioMap:
@@ -182,6 +156,8 @@ def proxy_local_map(dense: RadioMap, delta_db: float = 9.0,
     """
     if dense.unit != "dbm":
         raise ValueError("proxy_local_map expects a dBm map")
+    if not r > 0:
+        raise ValueError("r must be positive")
     enc = enc or BitmapEncoding()
     vals = dense.values.astype(np.float64)
     if vals.max() - vals.min() < 1e-12:

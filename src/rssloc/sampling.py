@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .propagation import BitmapEncoding, RadioMap
+from .propagation import RadioMap
 from .scenario import EIGHT_CONNECTED, BuildingLayout
 
 STANDARD_INTERVALS = (1, 2, 4, 6, 8, 10)
@@ -51,18 +51,10 @@ class Route:
 
 @dataclass
 class SampleSet:
-    """Sparse measurements {(S_j, rss_j)}; exact duplicate positions merged.
-
-    interval_s is None for sets not produced by interval sampling (the
-    uniform-random baseline); route-based sets record the interval used.
-    """
+    """Sparse measurements {(S_j, rss_j)}; exact duplicate positions merged."""
 
     positions: np.ndarray    # (J, 2) float, (x, y) meters
     values: np.ndarray       # (J,) dBm
-    interval_s: float | None
-    speed: float = 1.0
-    noise_sigma: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=np.float64).reshape(-1, 2)
@@ -71,19 +63,9 @@ class SampleSet:
             raise ValueError("positions and values must have equal length")
         if len(self.values) < 1:
             raise ValueError("a sample set needs at least one sample")
-        if self.interval_s is not None and self.interval_s <= 0:
-            raise ValueError("interval_s must be positive")
-        if self.speed <= 0:
-            raise ValueError("speed must be positive")
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-@dataclass
-class SampledMap:
-    values: np.ndarray  # uint8 bitmap, 0 where unsampled
-    mask: np.ndarray    # uint8, 1 on sampled cells
 
 
 def _trace_ring(ring: np.ndarray, start: tuple[int, int]) -> list[tuple[int, int]]:
@@ -226,6 +208,8 @@ def sample_along(route: Route, global_map: RadioMap, interval_s: float,
     """
     if interval_s <= 0:
         raise ValueError("interval_s must be positive")
+    if speed <= 0:
+        raise ValueError("speed must be positive")
     if global_map.unit != "dbm":
         raise ValueError("sampling needs the dBm global map")
     cum = route.cumulative_lengths()
@@ -248,67 +232,16 @@ def sample_along(route: Route, global_map: RadioMap, interval_s: float,
                                                             _SAMPLE_TAG]))
         values = values + rng.normal(0.0, noise_sigma, size=count)
     positions, values = _merge_duplicates(positions, values)
-    return SampleSet(positions=positions, values=values, interval_s=interval_s,
-                     speed=speed, noise_sigma=noise_sigma, seed=int(seed))
-
-
-def sample_uniform(layout: BuildingLayout, global_map: RadioMap, n_samples: int,
-                   noise_sigma: float = 0.0, seed: int = 0) -> SampleSet:
-    """Uniform-random baseline: n positions drawn over free cells.
-
-    Exists as a comparison switch against route sampling; same reading
-    convention (field value at the containing cell center).
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if global_map.unit != "dbm":
-        raise ValueError("sampling needs the dBm global map")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF,
-                                                        _SAMPLE_TAG, 1]))
-    free = np.argwhere(layout.cells == 0)
-    if len(free) == 0:
-        raise ValueError("layout has no free cells")
-    picks = free[rng.integers(0, len(free), size=n_samples)]
-    offsets = rng.random((n_samples, 2))
-    positions = np.column_stack([picks[:, 1] + offsets[:, 0],
-                                 picks[:, 0] + offsets[:, 1]])
-    values = global_map.values[picks[:, 0], picks[:, 1]].astype(np.float64)
-    if noise_sigma > 0:
-        values = values + rng.normal(0.0, noise_sigma, size=n_samples)
-    positions, values = _merge_duplicates(positions, values)
-    return SampleSet(positions=positions, values=values, interval_s=None,
-                     noise_sigma=noise_sigma, seed=int(seed))
+    return SampleSet(positions=positions, values=values)
 
 
 def add_noise(sample_set: SampleSet, sigma: float, seed: int) -> SampleSet:
     """Independent zero-mean Gaussian perturbation per sample, values only."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    if sigma == 0:
-        return SampleSet(positions=sample_set.positions.copy(),
-                         values=sample_set.values.copy(),
-                         interval_s=sample_set.interval_s, speed=sample_set.speed,
-                         noise_sigma=sample_set.noise_sigma, seed=sample_set.seed)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF,
-                                                        _EXTRA_TAG]))
-    values = sample_set.values + rng.normal(0.0, sigma, size=len(sample_set))
-    return SampleSet(positions=sample_set.positions.copy(), values=values,
-                     interval_s=sample_set.interval_s, speed=sample_set.speed,
-                     noise_sigma=sigma, seed=int(seed))
-
-
-def to_sampled_map(sample_set: SampleSet, layout: BuildingLayout,
-                   enc: BitmapEncoding | None = None) -> SampledMap:
-    """Rasterize samples onto the grid; same-cell readings merge by dB mean."""
-    enc = enc or BitmapEncoding()
-    sums = np.zeros((layout.height, layout.width))
-    counts = np.zeros((layout.height, layout.width), dtype=np.int64)
-    for (x, y), v in zip(sample_set.positions, sample_set.values):
-        i, j = int(math.floor(y)), int(math.floor(x))
-        sums[i, j] += v
-        counts[i, j] += 1
-    mask = (counts > 0).astype(np.uint8)
-    values = np.zeros((layout.height, layout.width), dtype=np.uint8)
-    hit = counts > 0
-    values[hit] = enc.encode(sums[hit] / counts[hit])
-    return SampledMap(values=values, mask=mask)
+    values = sample_set.values.copy()
+    if sigma > 0:
+        rng = np.random.default_rng(np.random.SeedSequence(
+            [int(seed) & 0xFFFFFFFFFFFFFFFF, _EXTRA_TAG]))
+        values += rng.normal(0.0, sigma, size=len(sample_set))
+    return SampleSet(positions=sample_set.positions.copy(), values=values)

@@ -9,7 +9,7 @@ continuous point (x, y) falls into cell (row=floor(y), col=floor(x)); cell
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage

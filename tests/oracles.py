@@ -3,9 +3,10 @@
 Each oracle deliberately takes a different algorithmic route than the code
 under test: flood fill instead of scipy.ndimage.label, a test of every grid
 cell instead of a clipped bounding box, per-cell segment clipping instead of
-grid traversal, factorial enumeration instead of the Hungarian solver. The
-exception is `traverse_all_columns`, the unpruned column traversal that the
-package's pruned one must match bit for bit.
+grid traversal, factorial enumeration instead of the Hungarian solver, the
+primal kriging system instead of the dual one. The exception is
+`traverse_all_columns`, the unpruned column traversal that the package's
+pruned one must match bit for bit.
 """
 
 import itertools
@@ -204,6 +205,22 @@ def merge_duplicates_loop(positions, values):
         seen.setdefault((float(x), float(y)), []).append(float(v))
     return (np.asarray(list(seen), dtype=np.float64),
             np.asarray([np.mean(group) for group in seen.values()]))
+
+
+def kriging_weights(positions, query_point, variogram):
+    """Ordinary-kriging weights and Lagrange multiplier for one query point,
+    from the primal system that rssloc.reconstruct.kriging_predict solves in
+    dual form."""
+    pos = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
+    j = len(pos)
+    k = np.ones((j + 1, j + 1))
+    k[:j, :j] = variogram(np.hypot(pos[:, None, 0] - pos[None, :, 0],
+                                   pos[:, None, 1] - pos[None, :, 1]))
+    k[j, j] = 0.0
+    rhs = np.append(variogram(np.hypot(pos[:, 0] - query_point[0],
+                                       pos[:, 1] - query_point[1])), 1.0)
+    sol = np.linalg.solve(k, rhs)
+    return sol[:-1], float(sol[-1])
 
 
 def brute_force_assignment_cost(pred, true, cutoff=math.inf):

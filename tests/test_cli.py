@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,43 @@ class TestPipeline:
             assert (f"failed: {err['id']} interval 3: "
                     "dataset has no samples at interval 3") in stderr
 
+    @pytest.mark.parametrize("option,value", [("--r", "0"), ("--r", "-1"),
+                                              ("--g", "0")])
+    def test_non_positive_r_or_g_fails_before_processing(self, dataset, tmp_path,
+                                                          capsys, option, value):
+        _, _, out = dataset
+        run = tmp_path / "run"
+        code = cli.main(["pipeline", "--dataset", str(out), "--out", str(run),
+                         "--reconstructor", "oracle", "--intervals", "4",
+                         option, value])
+        assert code == 1
+        assert not run.exists()
+        assert capsys.readouterr().err.splitlines() == \
+            [f"{option[2:]} must be positive"]
+
+    def test_malformed_samples_csv_names_file_and_line(self, dataset, tmp_path,
+                                                       capsys):
+        _, _, out = dataset
+        copy = tmp_path / "ds"
+        shutil.copytree(out, copy)
+        index = read_dataset_index(copy)
+        entry = index["entries"][0]
+        csv_path = copy / entry["samples"]["10"]
+        lines = csv_path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]  # drop the reading of line 3
+        csv_path.write_text("\n".join(lines) + "\n")
+        run = tmp_path / "run"
+        code = cli.main(["pipeline", "--dataset", str(copy), "--out", str(run),
+                         "--reconstructor", "idw", "--intervals", "10"])
+        assert code == 3
+        report = json.loads((run / "report.json").read_text())
+        message = f"{csv_path}: line 3: expected 3 fields, found 2"
+        assert report["errors"] == [{"id": entry["id"], "interval": "10",
+                                     "error": message}]
+        assert len(report["results"]) == len(index["entries"])
+        assert (f"failed: {entry['id']} interval 10: {message}"
+                in capsys.readouterr().err.splitlines())
+
     def test_jobs_parallel_matches_serial(self, dataset, tmp_path):
         _, _, out = dataset
         run_a = tmp_path / "s"
@@ -198,6 +236,34 @@ class TestEvaluate:
         # coordinates round-trip through 6-decimal CSV
         assert report["aggregate"]["mle"] <= 1e-5
         assert report["aggregate"]["far"] == 0.0
+
+    def test_non_positive_g_is_usage_error(self, dataset, tmp_path, capsys):
+        _, _, out = dataset
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        entry = read_dataset_index(out)["entries"][0]
+        (preds / f"{entry['id']}_4.csv").write_text(
+            predictions_to_csv([1], [(1.0, 1.0)], [False]))
+        report_path = tmp_path / "eval.json"
+        code = cli.main(["evaluate", "--dataset", str(out), "--predictions",
+                         str(preds), "--out", str(report_path), "--g", "0"])
+        assert code == 1
+        assert not report_path.exists()
+        assert capsys.readouterr().err.splitlines() == ["g must be positive"]
+
+    def test_malformed_predictions_csv_names_file_and_line(self, dataset,
+                                                           tmp_path, capsys):
+        _, _, out = dataset
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        entry = read_dataset_index(out)["entries"][0]
+        csv_path = preds / f"{entry['id']}_4.csv"
+        csv_path.write_text("component_id,x_m,y_m,flagged\n1,1.0,1.0\n")
+        code = cli.main(["evaluate", "--dataset", str(out),
+                         "--predictions", str(preds)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == \
+            [f"{csv_path}: line 2: expected 4 fields, found 3"]
 
     def test_empty_predictions_dir(self, dataset, tmp_path):
         _, _, out = dataset

@@ -1,19 +1,16 @@
 import json
-import math
 
 import numpy as np
 import pytest
 
-from rssloc import (AUGMENTATIONS, DatasetConfig, LrmfError, PgmError,
-                    PropagationParams, augment, augment_grid, augment_points,
-                    augment_scenario, decode_lrmf, decode_pgm, encode_lrmf,
+from rssloc import (AUGMENTATIONS, BuildingLayout, DatasetConfig, LrmfError,
+                    PgmError, SampleSet, Scenario, Source, augment,
+                    augment_grid, decode_lrmf, decode_pgm, encode_lrmf,
                     encode_pgm, generate_dataset, generate_scenario,
                     ground_truth_local, load_scenario, read_dataset_index,
                     read_pgm, write_pgm)
-from rssloc.dataset_io import (labeling_to_files, predictions_from_csv,
-                               predictions_to_csv, samples_from_csv,
-                               samples_to_csv)
-from rssloc.separation import connected_components
+from rssloc.dataset_io import (predictions_from_csv, predictions_to_csv,
+                               samples_from_csv, samples_to_csv)
 
 
 class TestPgm:
@@ -81,13 +78,11 @@ class TestLrmf:
 
 class TestCsv:
     def test_samples_roundtrip_six_decimals(self):
-        from rssloc import SampleSet
-        ss = SampleSet(positions=[(1.23456789, 2.3456789)], values=[-61.5432109],
-                       interval_s=2.0)
+        ss = SampleSet(positions=[(1.23456789, 2.3456789)], values=[-61.5432109])
         text = samples_to_csv(ss)
         assert text.splitlines()[0] == "x_m,y_m,rss_dbm"
         assert text.splitlines()[1] == "1.234568,2.345679,-61.543211"
-        back = samples_from_csv(text, interval_s=2.0)
+        back = samples_from_csv(text)
         assert back.positions[0][0] == pytest.approx(1.234568)
 
     def test_predictions_roundtrip(self):
@@ -99,7 +94,27 @@ class TestCsv:
 
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
-            samples_from_csv("a,b,c\n1,2,3", interval_s=1.0)
+            samples_from_csv("a,b,c\n1,2,3")
+
+    @pytest.mark.parametrize("row,message", [
+        ("1.5,2.5", "line 3: expected 3 fields, found 2"),
+        ("1.5,2.5,-60,7", "line 3: expected 3 fields, found 4"),
+        ("1.5,north,-60", "line 3: non-numeric field in '1.5,north,-60'"),
+    ])
+    def test_malformed_sample_row_names_line(self, row, message):
+        text = f"x_m,y_m,rss_dbm\n1.0,2.0,-50.0\n{row}\n"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            samples_from_csv(text)
+
+    @pytest.mark.parametrize("row,message", [
+        ("1,3.5,4.5", "line 4: expected 4 fields, found 3"),
+        ("1,3.5,4.5,yes", "line 4: non-numeric field in '1,3.5,4.5,yes'"),
+    ])
+    def test_malformed_prediction_row_names_line(self, row, message):
+        # the blank line still counts towards the line number
+        text = f"component_id,x_m,y_m,flagged\n0,1.0,2.0,0\n\n{row}\n"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            predictions_from_csv(text)
 
 
 class TestAugmentation:
@@ -147,7 +162,12 @@ class TestAugmentation:
             sc = generate_scenario(80, 80, 3, 3, seed=600 + k)
             base = ground_truth_local(sc, params, 2.0)
             transformed, _ = augment(base.values, [], aug)
-            regenerated = ground_truth_local(augment_scenario(sc, aug), params, 2.0)
+            cells, points = augment(sc.layout.cells, sc.true_points(), aug)
+            moved = Scenario(layout=BuildingLayout(cells), id=sc.id,
+                             rng_seed=sc.rng_seed,
+                             sources=[Source(x, y, s.tx_power_dbm, s.gain_dbi)
+                                      for (x, y), s in zip(points, sc.sources)])
+            regenerated = ground_truth_local(moved, params, 2.0)
             assert np.array_equal(transformed, regenerated.values)
 
     def test_point_cell_consistency(self):
@@ -161,20 +181,6 @@ class TestAugmentation:
                 grid[int(y), int(x)] = 1
                 g2, (pt,) = augment(grid, [(x, y)], aug)
                 assert g2[int(pt[1]), int(pt[0])] == 1
-
-
-class TestLabelingExport:
-    def test_sixteen_bit_pgm_and_stats(self):
-        grid = np.zeros((12, 12), dtype=np.uint8)
-        grid[2:4, 2:4] = 255
-        grid[8:11, 7:10] = 255
-        labeling = connected_components(grid)
-        pgm_bytes, stats_json = labeling_to_files(labeling)
-        labels = decode_pgm(pgm_bytes)
-        assert labels.dtype == np.uint16
-        assert labels.max() == 2
-        stats = json.loads(stats_json)
-        assert [c["area"] for c in stats["components"]] == [4, 9]
 
 
 class TestGenerateDataset:
@@ -229,6 +235,12 @@ class TestGenerateDataset:
         sc = load_scenario(tmp_path / "ds", entry)
         assert sc.m == entry["m"]
         assert sc.layout.width == 100
+
+    def test_config_dict_round_trips_through_json(self):
+        config = self.config()
+        doc = json.loads(json.dumps(config.to_dict()))
+        assert doc["source_counts"] == [1, 3] and doc["intervals"] == [4, 10]
+        assert DatasetConfig.from_dict(doc) == config
 
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rssloc import (aggregate, evaluate_scenario, far_mdr, far_mdr_gated, mle,
+from rssloc import (aggregate, evaluate_scenario, far_mdr, mle,
                     optimal_assignment, ospa)
 
 from oracles import brute_force_assignment_cost, brute_force_ospa
@@ -43,12 +43,12 @@ class TestAssignment:
                 brute_force_assignment_cost(pred, true), abs=1e-9)
             assert len(m.pairs) == min(len(pred), len(true))
 
-    def test_lexicographic_ties(self):
-        # two equally good matchings: prefer pred 0 -> true 0
-        pred = [(0.0, 0.0), (0.0, 0.0)]
-        true = [(1.0, 0.0), (0.0, 1.0)]
+    def test_more_predictions_than_truths(self):
+        pred = [(30.0, 0.0), (9.0, 0.0), (0.0, 30.0), (1.0, 0.0)]
+        true = [(0.0, 0.0), (10.0, 0.0)]
         m = optimal_assignment(pred, true)
-        assert m.pairs == [(0, 0), (1, 1)]
+        assert m.pairs == [(1, 1), (3, 0)]  # in prediction order
+        assert m.unmatched_pred == [0, 2] and m.unmatched_true == []
 
     def test_rejects_bad_cutoff(self):
         with pytest.raises(ValueError):
@@ -102,20 +102,6 @@ class TestFarMdr:
     def test_requires_sources(self):
         with pytest.raises(ValueError):
             far_mdr(1, 0)
-
-    def test_gated_variant_counts_distance(self):
-        # counts agree but one prediction is 30 m off: the gated variant
-        # penalizes both sides, the count-based default sees a perfect match
-        pred = [(0.0, 0.0), (40.0, 0.0)]
-        true = [(0.0, 0.0), (10.0, 0.0)]
-        assert far_mdr(2, 2) == (0.0, 0.0)
-        far, mdr = far_mdr_gated(pred, true, gate=20.0)
-        assert far == pytest.approx(0.5)
-        assert mdr == pytest.approx(0.5)
-
-    def test_gated_matches_counts_when_all_close(self):
-        pts = [(1.0, 1.0), (9.0, 9.0)]
-        assert far_mdr_gated(pts, pts, gate=20.0) == (0.0, 0.0)
 
 
 class TestOspa:

@@ -5,8 +5,7 @@ import pytest
 
 from rssloc import (BitmapEncoding, BuildingLayout, PropagationParams, RadioMap,
                     Scenario, Source, aggregate_rss, generate_scenario,
-                    ground_truth_local, path_loss, penetration_loss,
-                    rasterize_global, received_power, to_bitmap)
+                    ground_truth_local, path_loss, rasterize_global)
 from rssloc.propagation import local_disk_mask, segment_building_lengths
 
 from conftest import make_flat_scenario
@@ -34,25 +33,34 @@ class TestPathLoss:
         assert np.all(np.diff(losses) > 0)
 
 
-class TestPenetration:
-    def test_free_segment(self, params, flat_layout):
-        assert penetration_loss((1.5, 1.5), (40.5, 20.5), flat_layout, params) == 0.0
+def field_at(cells, source, cell, params):
+    """rasterize_global's dBm value at one cell for a one-source scenario."""
+    sc = Scenario(layout=BuildingLayout(cells), sources=[source], id="t", rng_seed=0)
+    return rasterize_global(sc, params).values[cell]
 
-    def test_three_meter_crossing(self, params):
+
+class TestPenetration:
+    def test_free_segment(self, flat_layout):
+        assert segment_building_lengths((1.5, 1.5), [(40.5, 20.5)],
+                                        flat_layout.cells)[0] == 0.0
+
+    def test_three_meter_crossing(self):
         cells = np.zeros((20, 20), dtype=np.uint8)
         cells[5:8, 10] = 1  # 3 m tall, 1 m wide column
-        layout = BuildingLayout(cells)
-        loss = penetration_loss((10.5, 2.0), (10.5, 12.0), layout, params)
-        assert loss == pytest.approx(6.0, abs=1e-12)
+        length = segment_building_lengths((10.5, 2.0), [(10.5, 12.0)], cells)[0]
+        assert length == pytest.approx(3.0, abs=1e-12)
 
     def test_cap_binds(self, params):
         cells = np.zeros((60, 60), dtype=np.uint8)
         cells[10:50, 30] = 1
-        layout = BuildingLayout(cells)
-        long_params = PropagationParams(beta_penetration=2.0, penetration_cap=60.0)
-        # 40 m of interior would be 80 dB; cap at 60
-        loss = penetration_loss((30.5, 5.0), (30.5, 55.0), layout, long_params)
-        assert loss == 60.0
+        src = Source(30.5, 5.5)
+        # 40 m of interior would be 80 dB; the cell 50 m away behind the
+        # wall loses the 60 dB cap on top of its path loss
+        assert params.beta_penetration * 40.0 > params.penetration_cap
+        expected = (src.tx_power_dbm + src.gain_dbi - path_loss(50.0, params)
+                    - params.penetration_cap)
+        assert field_at(cells, src, (55, 30), params) == \
+            pytest.approx(expected, abs=1e-12)
 
     def test_against_clipping_oracle(self, params):
         rng = np.random.default_rng(42)
@@ -144,35 +152,21 @@ class TestPrunedTraversal:
 
 
 class TestReceivedPower:
+    """Per-source received power, read from rasterize_global cells."""
+
     def test_clamp_rule_near_field(self, params, flat_layout):
-        src = Source(10.5, 10.5)
-        assert received_power(src, (10.5, 10.5), flat_layout, params) == -4.5
+        assert field_at(flat_layout.cells, Source(10.5, 10.5), (10, 10), params) == \
+            pytest.approx(-4.5, abs=1e-12)
 
     def test_los_ten_meters(self, params, flat_layout):
-        src = Source(10.5, 10.5)
-        assert received_power(src, (20.5, 10.5), flat_layout, params) == \
+        assert field_at(flat_layout.cells, Source(10.5, 10.5), (10, 20), params) == \
             pytest.approx(-34.5, abs=1e-12)
 
     def test_composes_with_penetration(self, params):
         cells = np.zeros((30, 30), dtype=np.uint8)
-        cells[9:12, 15] = 1
-        layout = BuildingLayout(cells)
-        src = Source(15.5, 5.0)
-        val = received_power(src, (15.5, 15.0), layout, params)
-        assert val == pytest.approx(-34.5 - 6.0, abs=1e-12)
-
-    def test_shadowing_needs_rng(self, flat_layout):
-        noisy = PropagationParams(sigma_shadow=2.0)
-        with pytest.raises(ValueError):
-            received_power(Source(5.5, 5.5), (9.5, 5.5), flat_layout, noisy)
-
-    def test_shadowing_deterministic_with_rng(self, flat_layout):
-        noisy = PropagationParams(sigma_shadow=2.0)
-        a = received_power(Source(5.5, 5.5), (9.5, 5.5), flat_layout, noisy,
-                           rng=np.random.default_rng(3))
-        b = received_power(Source(5.5, 5.5), (9.5, 5.5), flat_layout, noisy,
-                           rng=np.random.default_rng(3))
-        assert a == b
+        cells[9:12, 15] = 1  # 3 m wall between source and cell, 10 m apart
+        assert field_at(cells, Source(15.5, 5.5), (15, 15), params) == \
+            pytest.approx(-34.5 - 6.0, abs=1e-12)
 
 
 class TestAggregate:
@@ -191,9 +185,6 @@ class TestAggregate:
     def test_empty_is_error(self):
         with pytest.raises(ValueError):
             aggregate_rss([])
-
-    def test_dbm_sum_mode(self):
-        assert aggregate_rss([-60.0, -90.0], mode="dbm-sum") == -150.0
 
     def test_dominance_bounds(self):
         rng = np.random.default_rng(11)
@@ -312,11 +303,6 @@ class TestBitmap:
             nz = local.values[local.values > 0]
             assert nz.min() >= 200
             assert nz.min() >= 224  # frozen from the d=2 worst case
-
-    def test_to_bitmap_requires_dbm(self):
-        m = RadioMap(np.zeros((4, 4), dtype=np.uint8), "global", "bitmap")
-        with pytest.raises(ValueError):
-            to_bitmap(m)
 
     def test_invalid_encoding_range(self):
         with pytest.raises(ValueError):

@@ -3,19 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from rssloc import (BuildingLayout, IdwReconstructor, KrigingReconstructor,
-                    PropagationParams, RECONSTRUCTORS, ReconstructionError,
-                    SampleSet, VariogramParams, ground_truth_local,
-                    idw_reconstruct, kriging_reconstruct, oracle_reconstruct,
+from rssloc import (RECONSTRUCTORS, ReconstructionError, SampleSet,
+                    VariogramParams, idw_reconstruct, kriging_reconstruct,
                     proxy_local_map, rasterize_global)
-from rssloc.reconstruct import idw_predict, kriging_predict, kriging_weights
+from rssloc.reconstruct import idw_predict, kriging_predict
 
 from conftest import make_flat_scenario
+from oracles import kriging_weights
 
 
 def sample_set(positions, values):
     return SampleSet(positions=np.asarray(positions, float),
-                     values=np.asarray(values, float), interval_s=1.0)
+                     values=np.asarray(values, float))
 
 
 class TestIdw:
@@ -62,7 +61,8 @@ class TestKriging:
         assert np.allclose(out, -62.0, atol=1e-9)
 
     def test_weights_match_dense_solve(self):
-        # independent oracle: assemble and solve the full primal system here
+        # the primal oracle, through VariogramParams, against the system
+        # assembled here from the exponential formula
         rng = np.random.default_rng(43)
         vg = VariogramParams()
         for _ in range(20):
@@ -89,7 +89,8 @@ class TestKriging:
         vals = rng.uniform(-80, -40, 6)
         query = rng.random((5, 2)) * 50
         dual = kriging_predict(pos, vals, query)
-        primal = [float(kriging_weights(pos, q)[0] @ vals) for q in query]
+        primal = [float(kriging_weights(pos, q, VariogramParams())[0] @ vals)
+                  for q in query]
         assert np.allclose(dual, primal, atol=1e-9)
 
     def test_duplicate_positions_rejected(self, flat_layout):
@@ -107,13 +108,6 @@ class TestKriging:
             VariogramParams(sill=0.0)
         with pytest.raises(ValueError):
             VariogramParams(model="gaussian")
-
-
-class TestOracleReconstruct:
-    def test_delegates_to_ground_truth(self, params):
-        sc = make_flat_scenario([(30.5, 30.5)])
-        assert np.array_equal(oracle_reconstruct(sc, params, 2.0).values,
-                              ground_truth_local(sc, params, 2.0).values)
 
 
 class TestProxyLocalMap:
@@ -144,6 +138,12 @@ class TestProxyLocalMap:
         from rssloc import separate_sources
         result = separate_sources(local, r=2.0)
         assert len(result.single_source_maps) == 2
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.nan])
+    def test_rejects_non_positive_r(self, params, r):
+        dense = rasterize_global(make_flat_scenario([(30.5, 30.5)]), params)
+        with pytest.raises(ValueError, match="r must be positive"):
+            proxy_local_map(dense, 9.0, r=r)
 
     def test_deterministic(self, params):
         sc = make_flat_scenario([(15.5, 30.5), (45.5, 30.5)])

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rssloc import (BitmapEncoding, BuildingLayout, PropagationParams, RadioMap,
-                    Route, RouteError, SampleSet, add_noise, build_routes,
-                    generate_scenario, rasterize_global, sample_along,
-                    sample_uniform, to_sampled_map)
+from rssloc import (BuildingLayout, Route, RouteError, SampleSet, add_noise,
+                    build_routes, generate_scenario, rasterize_global,
+                    sample_along)
 
 from conftest import make_flat_scenario
 from oracles import merge_duplicates_loop, sample_along_loop
@@ -160,12 +159,17 @@ class TestSampleAlong:
         with pytest.raises(ValueError):
             sample_along(straight_route(10), flat_global, 0)
 
+    @pytest.mark.parametrize("speed", [0.0, -1.0])
+    def test_rejects_non_positive_speed(self, flat_global, speed):
+        with pytest.raises(ValueError, match="speed must be positive"):
+            sample_along(straight_route(10), flat_global, 1, speed)
+
 
 class TestNoise:
     def make_set(self, n, seed=0):
         rng = np.random.default_rng(seed)
         return SampleSet(positions=rng.random((n, 2)) * 50,
-                         values=np.full(n, -60.0), interval_s=1.0)
+                         values=np.full(n, -60.0))
 
     def test_zero_sigma_identity(self):
         ss = self.make_set(100)
@@ -195,46 +199,7 @@ class TestNoise:
             add_noise(self.make_set(5), -1.0, seed=0)
 
 
-class TestSampledMap:
-    def test_single_sample_single_cell(self, flat_layout):
-        ss = SampleSet(positions=[(10.2, 20.7)], values=[-50.0], interval_s=1.0)
-        sm = to_sampled_map(ss, flat_layout)
-        assert sm.mask.sum() == 1
-        assert sm.mask[20, 10] == 1
-        assert sm.values[20, 10] == BitmapEncoding().encode(-50.0)
-
-    def test_same_cell_merges_by_db_mean(self, flat_layout):
-        ss = SampleSet(positions=[(10.2, 20.7), (10.8, 20.1)],
-                       values=[-40.0, -60.0], interval_s=1.0)
-        sm = to_sampled_map(ss, flat_layout)
-        assert sm.mask.sum() == 1
-        assert sm.values[20, 10] == BitmapEncoding().encode(-50.0)
-
-    def test_mask_matches_values(self, flat_layout):
-        rng = np.random.default_rng(36)
-        ss = SampleSet(positions=rng.random((40, 2)) * 60,
-                       values=rng.uniform(-90, -30, 40), interval_s=1.0)
-        sm = to_sampled_map(ss, flat_layout)
-        assert np.array_equal(sm.values > 0, sm.mask == 1)
-
+class TestSampleSet:
     def test_empty_sample_set_rejected(self):
         with pytest.raises(ValueError):
-            SampleSet(positions=np.empty((0, 2)), values=np.empty(0), interval_s=1.0)
-
-
-class TestUniformSampling:
-    def test_counts_and_free_cells(self, params):
-        sc = generate_scenario(100, 100, 4, 1, seed=37)
-        g = rasterize_global(sc, params)
-        ss = sample_uniform(sc.layout, g, 200, seed=5)
-        assert len(ss) <= 200
-        for x, y in ss.positions:
-            assert sc.layout.cells[int(y), int(x)] == 0
-
-    def test_deterministic(self, params):
-        sc = generate_scenario(100, 100, 4, 1, seed=38)
-        g = rasterize_global(sc, params)
-        a = sample_uniform(sc.layout, g, 100, seed=6)
-        b = sample_uniform(sc.layout, g, 100, seed=6)
-        assert np.array_equal(a.positions, b.positions)
-        assert np.array_equal(a.values, b.values)
+            SampleSet(positions=np.empty((0, 2)), values=np.empty(0))
