@@ -5,6 +5,14 @@ would plug in; the implementations here are non-learned references: inverse
 distance weighting and ordinary kriging with a fixed exponential variogram.
 proxy_local_map turns any dense reconstruction into a local-area bitmap by
 iterative peak thresholding.
+
+Both predictors evaluate the query-to-sample pairs from squared distances, in
+blocks of about _PAIRS_PER_BLOCK pairs held in two reused buffers, so the
+working set stays in cache. Kriging is solved once in dual form (weights w and
+mean mu) and the affine exponential variogram is folded into the prediction:
+(nugget + sill) * sum(w) + mu - sill * (exp(-3 d / range) @ w), less
+nugget * w_j at every query that sits exactly on sample j (gamma(0) = 0).
+The reconstructors predict only at free cells; building cells take the fill.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from .sampling import SampleSet
 from .scenario import BuildingLayout, disk_cells
 
 DEFAULT_BUILDING_FILL_DBM = -110.0
-_CHUNK = 4096
+_PAIRS_PER_BLOCK = 1 << 15
 
 
 class ReconstructionError(RuntimeError):
@@ -46,28 +54,55 @@ class VariogramParams:
         return np.where(d <= 0.0, 0.0, g)
 
 
-def _cell_centers(layout: BuildingLayout) -> np.ndarray:
-    jj, ii = np.meshgrid(np.arange(layout.width), np.arange(layout.height))
-    return np.column_stack([(jj + 0.5).ravel(), (ii + 0.5).ravel()])
+def _squared_distance_blocks(positions: np.ndarray, query: np.ndarray):
+    """Yield (lo, d2): d2[i, j] is the squared distance from query[lo + i] to
+    positions[j], for blocks of about _PAIRS_PER_BLOCK pairs.
+
+    d2 is a view of a buffer that the next block overwrites; the caller may
+    change it in place.
+    """
+    rows = max(1, _PAIRS_PER_BLOCK // len(positions))
+    d2_buf = np.empty((min(rows, len(query)), len(positions)))
+    dy_buf = np.empty_like(d2_buf)
+    px, py = positions[:, 0], positions[:, 1]
+    for lo in range(0, len(query), rows):
+        q = query[lo:lo + rows]
+        d2, dy = d2_buf[:len(q)], dy_buf[:len(q)]
+        np.subtract(q[:, 0, None], px, out=d2)
+        np.multiply(d2, d2, out=d2)
+        np.subtract(q[:, 1, None], py, out=dy)
+        np.multiply(dy, dy, out=dy)
+        d2 += dy
+        yield lo, d2
+
+
+def _as_samples(positions, values) -> tuple[np.ndarray, np.ndarray]:
+    positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
+    values = np.asarray(values, dtype=np.float64).ravel()
+    if len(positions) != len(values):
+        raise ValueError(f"{len(positions)} sample positions but "
+                         f"{len(values)} values")
+    return positions, values
 
 
 def idw_predict(positions: np.ndarray, values: np.ndarray, query: np.ndarray,
                 power: float = 2.0) -> np.ndarray:
     """Inverse-distance-weighted interpolation; exact at the sample positions."""
-    query = np.atleast_2d(query)
+    positions, values = _as_samples(positions, values)
+    if len(positions) == 0:
+        raise ValueError("inverse distance weighting needs at least one sample")
+    query = np.atleast_2d(np.asarray(query, dtype=np.float64))
     out = np.empty(len(query))
-    for lo in range(0, len(query), _CHUNK):
-        q = query[lo:lo + _CHUNK]
-        d = np.hypot(q[:, None, 0] - positions[None, :, 0],
-                     q[:, None, 1] - positions[None, :, 1])
-        exact = d < 1e-12
+    for lo, d2 in _squared_distance_blocks(positions, query):
+        exact = d2 < 1e-24     # d < 1e-12
         with np.errstate(divide="ignore"):
-            wgt = d ** (-power)
-        wgt[exact] = 0.0
-        block = (wgt * values[None, :]).sum(axis=1) / wgt.sum(axis=1)
+            d2 **= -0.5 * power
+        d2[exact] = 0.0
+        with np.errstate(invalid="ignore"):   # rows of exact hits only
+            block = (d2 @ values) / d2.sum(axis=1)
         hit_q, hit_s = np.nonzero(exact)
         block[hit_q] = values[hit_s]
-        out[lo:lo + _CHUNK] = block
+        out[lo:lo + len(block)] = block
     return out
 
 
@@ -99,8 +134,10 @@ def kriging_predict(positions: np.ndarray, values: np.ndarray, query: np.ndarray
                     variogram: VariogramParams | None = None) -> np.ndarray:
     """Ordinary-kriging prediction in dual form: one solve, O(J) per query."""
     variogram = variogram or VariogramParams()
-    positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
-    values = np.asarray(values, dtype=np.float64).ravel()
+    try:
+        positions, values = _as_samples(positions, values)
+    except ValueError as exc:
+        raise ReconstructionError(str(exc)) from exc
     _check_samples(positions)
     k = _kriging_matrix(positions, variogram)
     rhs = np.concatenate([values, [0.0]])
@@ -108,20 +145,33 @@ def kriging_predict(positions: np.ndarray, values: np.ndarray, query: np.ndarray
         alpha = np.linalg.solve(k, rhs)
     except np.linalg.LinAlgError as exc:
         raise ReconstructionError(f"kriging system is singular: {exc}") from exc
-    query = np.atleast_2d(query)
+    w, mu = alpha[:-1], alpha[-1]
+    nugget, sill = variogram.nugget, variogram.sill
+    base = (nugget + sill) * w.sum() + mu
+    scale = -3.0 / variogram.range_m
+    query = np.atleast_2d(np.asarray(query, dtype=np.float64))
     out = np.empty(len(query))
-    for lo in range(0, len(query), _CHUNK):
-        q = query[lo:lo + _CHUNK]
-        d = np.hypot(q[:, None, 0] - positions[None, :, 0],
-                     q[:, None, 1] - positions[None, :, 1])
-        out[lo:lo + _CHUNK] = variogram(d) @ alpha[:-1] + alpha[-1]
+    for lo, d2 in _squared_distance_blocks(positions, query):
+        if nugget > 0:
+            hit_q, hit_s = np.nonzero(d2 == 0.0)
+        np.sqrt(d2, out=d2)
+        d2 *= scale
+        np.exp(d2, out=d2)     # exp(-3 d / range), the variable part of gamma
+        out[lo:lo + len(d2)] = base - sill * (d2 @ w)
+        if nugget > 0:
+            out[lo + hit_q] -= nugget * w[hit_s]
     return out
 
 
-def _as_dense_map(field_values: np.ndarray, layout: BuildingLayout,
+def _free_cell_centers(layout: BuildingLayout) -> np.ndarray:
+    ii, jj = np.nonzero(layout.cells == 0)
+    return np.column_stack([jj + 0.5, ii + 0.5])
+
+
+def _as_dense_map(free_values: np.ndarray, layout: BuildingLayout,
                   building_fill: float) -> RadioMap:
-    vals = field_values.reshape(layout.height, layout.width).copy()
-    vals[layout.cells != 0] = building_fill
+    vals = np.full(layout.cells.shape, building_fill, dtype=np.float64)
+    vals[layout.cells == 0] = free_values
     return RadioMap(vals, "global", "dbm")
 
 
@@ -130,7 +180,7 @@ def idw_reconstruct(sample_set: SampleSet, layout: BuildingLayout,
                     building_fill: float = DEFAULT_BUILDING_FILL_DBM) -> RadioMap:
     """Dense dBm map by inverse distance weighting of the samples."""
     field = idw_predict(sample_set.positions, sample_set.values,
-                        _cell_centers(layout), power)
+                        _free_cell_centers(layout), power)
     return _as_dense_map(field, layout, building_fill)
 
 
@@ -139,7 +189,7 @@ def kriging_reconstruct(sample_set: SampleSet, layout: BuildingLayout,
                         building_fill: float = DEFAULT_BUILDING_FILL_DBM) -> RadioMap:
     """Dense dBm map by ordinary kriging; raises on a singular system."""
     field = kriging_predict(sample_set.positions, sample_set.values,
-                            _cell_centers(layout), variogram)
+                            _free_cell_centers(layout), variogram)
     return _as_dense_map(field, layout, building_fill)
 
 

@@ -4,9 +4,11 @@ Each oracle deliberately takes a different algorithmic route than the code
 under test: flood fill instead of scipy.ndimage.label, a test of every grid
 cell instead of a clipped bounding box, per-cell segment clipping instead of
 grid traversal, factorial enumeration instead of the Hungarian solver, the
-primal kriging system instead of the dual one. The exception is
+primal kriging system instead of the dual one. The exceptions are
 `traverse_all_columns`, the unpruned column traversal that the package's
-pruned one must match bit for bit.
+pruned one must match bit for bit, and `kriging_predict_hypot` and
+`idw_predict_hypot`, the evaluation from `np.hypot` distances in chunks of
+4096 queries that the package's squared-distance blocks replace.
 """
 
 import itertools
@@ -207,16 +209,62 @@ def merge_duplicates_loop(positions, values):
             np.asarray([np.mean(group) for group in seen.values()]))
 
 
-def kriging_weights(positions, query_point, variogram):
-    """Ordinary-kriging weights and Lagrange multiplier for one query point,
-    from the primal system that rssloc.reconstruct.kriging_predict solves in
-    dual form."""
-    pos = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
+def _hypot_chunks(positions, query, chunk=4096):
+    """(lo, d): distances from query[lo:lo + chunk] to every sample."""
+    query = np.atleast_2d(query)
+    for lo in range(0, len(query), chunk):
+        q = query[lo:lo + chunk]
+        yield lo, np.hypot(q[:, None, 0] - positions[None, :, 0],
+                           q[:, None, 1] - positions[None, :, 1])
+
+
+def _ordinary_kriging_matrix(pos, variogram):
     j = len(pos)
     k = np.ones((j + 1, j + 1))
     k[:j, :j] = variogram(np.hypot(pos[:, None, 0] - pos[None, :, 0],
                                    pos[:, None, 1] - pos[None, :, 1]))
     k[j, j] = 0.0
+    return k
+
+
+def kriging_predict_hypot(positions, values, query, variogram):
+    """rssloc.reconstruct.kriging_predict as the variogram of hypot distances:
+    one dual solve, then variogram(d) @ w + mu chunk by chunk."""
+    pos = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
+    rhs = np.append(np.asarray(values, dtype=np.float64), 0.0)
+    alpha = np.linalg.solve(_ordinary_kriging_matrix(pos, variogram), rhs)
+    out = np.empty(len(np.atleast_2d(query)))
+    for lo, d in _hypot_chunks(pos, query):
+        out[lo:lo + len(d)] = variogram(d) @ alpha[:-1] + alpha[-1]
+    return out
+
+
+def idw_predict_hypot(positions, values, query, power):
+    """rssloc.reconstruct.idw_predict as weights d ** -power of hypot
+    distances, summed elementwise; a query within 1e-12 of a sample takes its
+    value."""
+    pos = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
+    values = np.asarray(values, dtype=np.float64)
+    out = np.empty(len(np.atleast_2d(query)))
+    for lo, d in _hypot_chunks(pos, query):
+        exact = d < 1e-12
+        with np.errstate(divide="ignore"):
+            wgt = d ** (-power)
+        wgt[exact] = 0.0
+        with np.errstate(invalid="ignore"):
+            block = (wgt * values[None, :]).sum(axis=1) / wgt.sum(axis=1)
+        hit_q, hit_s = np.nonzero(exact)
+        block[hit_q] = values[hit_s]
+        out[lo:lo + len(d)] = block
+    return out
+
+
+def kriging_weights(positions, query_point, variogram):
+    """Ordinary-kriging weights and Lagrange multiplier for one query point,
+    from the primal system that rssloc.reconstruct.kriging_predict solves in
+    dual form."""
+    pos = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
+    k = _ordinary_kriging_matrix(pos, variogram)
     rhs = np.append(variogram(np.hypot(pos[:, 0] - query_point[0],
                                        pos[:, 1] - query_point[1])), 1.0)
     sol = np.linalg.solve(k, rhs)

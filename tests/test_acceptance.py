@@ -12,12 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from rssloc import (BitmapEncoding, DatasetConfig, PropagationParams,
-                    aggregate_rss, add_noise, build_routes, cli,
-                    connected_components, evaluate_scenario, generate_dataset,
-                    generate_scenario, ground_truth_local, kriging_reconstruct,
-                    localize_all, ospa, optimal_assignment, proxy_local_map,
-                    rasterize_global, sample_along, separate_sources)
+from rssloc import (BitmapEncoding, PropagationParams, aggregate_rss,
+                    add_noise, build_routes, cli, connected_components,
+                    evaluate_scenario, generate_scenario, ground_truth_local,
+                    kriging_reconstruct, localize_all, ospa,
+                    optimal_assignment, proxy_local_map, rasterize_global,
+                    sample_along, separate_sources)
 from rssloc.dataset_io import augment_grid, augment_points
 
 from oracles import (brute_force_assignment_cost, brute_force_ospa,

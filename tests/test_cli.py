@@ -1,6 +1,5 @@
 import json
 import shutil
-from pathlib import Path
 
 import numpy as np
 import pytest

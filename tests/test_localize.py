@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rssloc import (EmptyMapError, ESTIMATORS, PropagationParams,
-                    argmax_estimate, center_of_mass, four_neighborhood_refine,
+from rssloc import (EmptyMapError, ESTIMATORS, argmax_estimate,
+                    center_of_mass, four_neighborhood_refine,
                     ground_truth_local, localize_all, separate_sources)
 from rssloc.dataset_io import augment_grid, augment_points
 

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from rssloc import (RECONSTRUCTORS, ReconstructionError, SampleSet,
-                    VariogramParams, idw_reconstruct, kriging_reconstruct,
-                    proxy_local_map, rasterize_global)
-from rssloc.reconstruct import idw_predict, kriging_predict
+from rssloc import (RECONSTRUCTORS, BuildingLayout, ReconstructionError,
+                    SampleSet, VariogramParams, idw_reconstruct,
+                    kriging_reconstruct, proxy_local_map, rasterize_global)
+from rssloc.reconstruct import _PAIRS_PER_BLOCK, idw_predict, kriging_predict
 
 from conftest import make_flat_scenario
-from oracles import kriging_weights
+from oracles import idw_predict_hypot, kriging_predict_hypot, kriging_weights
 
 
 def sample_set(positions, values):
@@ -108,6 +108,77 @@ class TestKriging:
             VariogramParams(sill=0.0)
         with pytest.raises(ValueError):
             VariogramParams(model="gaussian")
+
+
+def random_problem(seed, j):
+    """j distinct samples and a query set that spans several evaluation
+    blocks, ends partway through one and puts some queries on samples."""
+    rng = np.random.default_rng(seed)
+    extent = rng.uniform(20.0, 200.0)
+    pos = rng.random((j, 2)) * extent
+    vals = rng.uniform(-100.0, -30.0, j)
+    rows = _PAIRS_PER_BLOCK // j
+    n_query = int(rng.integers(2, 4)) * rows + int(rng.integers(1, rows))
+    query = rng.random((n_query, 2)) * extent
+    on_sample = rng.choice(n_query, size=min(j, 20), replace=False)
+    query[on_sample] = pos[:len(on_sample)]
+    return rng, pos, vals, query, on_sample
+
+
+class TestAgainstHypotOracle:
+    """The block evaluation from squared distances against the chunked
+    hypot form it replaced."""
+
+    @pytest.mark.parametrize("nugget", [0.0, 0.5, 3.0])
+    @pytest.mark.parametrize("j", [2, 7, 150, 600])
+    def test_kriging(self, j, nugget):
+        rng, pos, vals, query, _ = random_problem(1000 + j, j)
+        vg = VariogramParams(nugget=nugget, sill=float(rng.uniform(1.0, 50.0)),
+                             range_m=float(rng.uniform(2.0, 80.0)))
+        got = kriging_predict(pos, vals, query, vg)
+        want = kriging_predict_hypot(pos, vals, query, vg)
+        assert np.max(np.abs(got - want)) <= 1e-9
+
+    @pytest.mark.parametrize("power", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("j", [2, 7, 150, 600])
+    def test_idw(self, j, power):
+        _, pos, vals, query, on_sample = random_problem(2000 + j, j)
+        got = idw_predict(pos, vals, query, power)
+        assert np.max(np.abs(got - idw_predict_hypot(pos, vals, query, power))) <= 1e-12
+        assert np.array_equal(got[on_sample], vals[:len(on_sample)])
+
+
+@pytest.mark.parametrize("reconstruct, predict", [
+    (kriging_reconstruct, kriging_predict), (idw_reconstruct, idw_predict)])
+def test_reconstruct_predicts_free_cells_only(reconstruct, predict):
+    rng = np.random.default_rng(47)
+    cells = np.zeros((30, 40), dtype=np.uint8)
+    cells[5:12, 8:20] = 1
+    cells[20:28, 25:31] = 1
+    layout = BuildingLayout(cells)
+    ss = sample_set(rng.random((60, 2)) * (40, 30), rng.uniform(-90, -30, 60))
+    rec = reconstruct(ss, layout, building_fill=-123.25)
+    assert np.all(rec.values[cells != 0] == -123.25)
+    free_centers = [(j + 0.5, i + 0.5) for i in range(30) for j in range(40)
+                    if cells[i, j] == 0]
+    want = predict(ss.positions, ss.values, np.array(free_centers))
+    assert np.array_equal(rec.values[cells == 0], want)
+
+
+class TestPredictorInputs:
+    def test_idw_rejects_no_samples(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            idw_predict(np.empty((0, 2)), np.empty(0), np.zeros((3, 2)))
+
+    def test_idw_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="3 sample positions but 2 values"):
+            idw_predict(np.zeros((3, 2)), np.zeros(2), np.ones((4, 2)))
+
+    def test_kriging_rejects_length_mismatch(self):
+        pos = np.array([(0.0, 0.0), (5.0, 0.0), (0.0, 5.0)])
+        with pytest.raises(ReconstructionError,
+                           match="3 sample positions but 4 values"):
+            kriging_predict(pos, np.zeros(4), np.ones((4, 2)))
 
 
 class TestProxyLocalMap:

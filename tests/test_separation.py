@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from rssloc import (PropagationParams, binarize, connected_components,
-                    expected_disk_area, extract_single_source_maps, flag_merged,
-                    generate_scenario, ground_truth_local, separate_sources)
+from rssloc import (binarize, connected_components, expected_disk_area,
+                    extract_single_source_maps, flag_merged, generate_scenario,
+                    ground_truth_local, separate_sources)
 
 from oracles import flood_fill_partition, labeling_partition
 
