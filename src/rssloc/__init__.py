@@ -13,11 +13,9 @@ from .propagation import (PropagationParams, BitmapEncoding, RadioMap,
                           path_loss, aggregate_rss, rasterize_global,
                           ground_truth_local)
 from .sampling import (Route, SampleSet, build_routes, sample_along, add_noise,
-                       RouteError, STANDARD_INTERVALS)
-from .reconstruct import (Reconstructor, IdwReconstructor, KrigingReconstructor,
-                          VariogramParams, RECONSTRUCTORS, idw_reconstruct,
-                          kriging_reconstruct, proxy_local_map,
-                          ReconstructionError)
+                       RouteError)
+from .reconstruct import (VariogramParams, idw_reconstruct, kriging_reconstruct,
+                          proxy_local_map, ReconstructionError)
 from .separation import (Component, Labeling, SeparationResult, binarize,
                          connected_components, extract_single_source_maps,
                          flag_merged, separate_sources, expected_disk_area)
@@ -29,8 +27,8 @@ from .metrics import (Matching, ScenarioEval, EvalReport, optimal_assignment,
 from .dataset_io import (DatasetConfig, generate_dataset, read_dataset_index,
                          load_scenario, augment, augment_grid, augment_points,
                          AUGMENTATIONS, read_pgm, write_pgm,
-                         encode_pgm, decode_pgm, read_lrmf, write_lrmf,
-                         encode_lrmf, decode_lrmf, PgmError, LrmfError)
-from .pipeline import PipelineConfig, run_pipeline, process_entry
+                         encode_pgm, decode_pgm, encode_lrmf, decode_lrmf,
+                         PgmError, LrmfError)
+from .pipeline import LOCAL_MAPS, PipelineConfig, run_pipeline, process_entry
 
 __version__ = "0.1.0"

@@ -16,8 +16,7 @@ from . import dataset_io, pipeline, render
 from .dataset_io import DatasetConfig
 from .localize import ESTIMATORS
 from .metrics import aggregate, evaluate_scenario
-from .pipeline import PipelineConfig, PipelineConfigError
-from .reconstruct import RECONSTRUCTORS
+from .pipeline import LOCAL_MAPS, PipelineConfig, PipelineConfigError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -32,8 +31,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _registry_epilog() -> str:
-    return ("registered reconstructors: oracle, "
-            + ", ".join(sorted(RECONSTRUCTORS))
+    return ("registered reconstructors: " + ", ".join(LOCAL_MAPS)
             + "\nregistered estimators: " + ", ".join(sorted(ESTIMATORS)))
 
 

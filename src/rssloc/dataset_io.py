@@ -38,14 +38,9 @@ def encode_pgm(grid: np.ndarray) -> bytes:
     grid = np.asarray(grid)
     if grid.ndim != 2:
         raise ValueError("PGM grids must be 2D")
-    if grid.dtype == np.uint8:
-        maxval, payload = 255, grid.tobytes()
-    elif grid.dtype == np.uint16:
-        maxval, payload = 65535, grid.astype(">u2").tobytes()
-    else:
-        raise ValueError("PGM grids must be uint8 or uint16")
-    header = f"P5\n{grid.shape[1]} {grid.shape[0]}\n{maxval}\n".encode()
-    return header + payload
+    if grid.dtype != np.uint8:
+        raise ValueError(f"PGM grids must be uint8, not {grid.dtype}")
+    return f"P5\n{grid.shape[1]} {grid.shape[0]}\n255\n".encode() + grid.tobytes()
 
 
 def _pgm_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -80,19 +75,16 @@ def decode_pgm(data: bytes) -> np.ndarray:
             raise PgmError(f"invalid {name} token {token!r} at byte {pos - len(token)}")
         fields.append(int(token))
     width, height, maxval = fields
-    if maxval not in (255, 65535):
-        raise PgmError(f"unsupported maxval {maxval} at byte {pos - len(str(maxval))}")
+    if maxval != 255:
+        raise PgmError(f"unsupported maxval {maxval} at byte {pos - len(token)}; "
+                       "only 8-bit (maxval 255) PGM is read")
     if pos >= len(data) or data[pos:pos + 1] not in (b" ", b"\t", b"\n", b"\r"):
         raise PgmError(f"expected single whitespace before raster at byte {pos}")
     raster = data[pos + 1:]
-    bpp = 1 if maxval == 255 else 2
-    expected = width * height * bpp
-    if len(raster) != expected:
-        raise PgmError(
-            f"raster at byte {pos + 1}: expected {expected} bytes, found {len(raster)}")
-    if bpp == 1:
-        return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
-    return np.frombuffer(raster, dtype=">u2").astype(np.uint16).reshape(height, width)
+    if len(raster) != width * height:
+        raise PgmError(f"raster at byte {pos + 1}: expected {width * height} bytes, "
+                       f"found {len(raster)}")
+    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
 
 
 def write_pgm(path, grid: np.ndarray):
@@ -100,7 +92,10 @@ def write_pgm(path, grid: np.ndarray):
 
 
 def read_pgm(path) -> np.ndarray:
-    return decode_pgm(Path(path).read_bytes())
+    try:
+        return decode_pgm(Path(path).read_bytes())
+    except PgmError as exc:
+        raise PgmError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------- LRMF float grid
@@ -124,14 +119,6 @@ def decode_lrmf(data: bytes) -> np.ndarray:
         raise LrmfError(f"raster at byte 12: expected {expected - 12} bytes, "
                         f"found {len(data) - 12}")
     return np.frombuffer(data[12:], dtype="<f4").astype(np.float32).reshape(h, w)
-
-
-def write_lrmf(path, grid: np.ndarray):
-    Path(path).write_bytes(encode_lrmf(grid))
-
-
-def read_lrmf(path) -> np.ndarray:
-    return decode_lrmf(Path(path).read_bytes())
 
 
 # ----------------------------------------------------------------- CSV / JSON

@@ -1,13 +1,13 @@
-"""Dataset-level pipeline execution: reconstruct (or read oracle/external
-local maps), separate, localize, evaluate. Per-scenario failures are recorded
-in the report instead of aborting the batch.
+"""Dataset-level pipeline execution: build the local map (one LOCAL_MAPS
+entry, or an external map), separate, localize, evaluate. Per-scenario
+failures are recorded in the report instead of aborting the batch.
 """
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .dataset_io import (load_scenario, predictions_to_csv, read_dataset_index,
@@ -15,7 +15,7 @@ from .dataset_io import (load_scenario, predictions_to_csv, read_dataset_index,
 from .localize import ESTIMATORS, localize_all
 from .metrics import ScenarioEval, aggregate, evaluate_scenario
 from .propagation import BitmapEncoding, RadioMap
-from .reconstruct import (RECONSTRUCTORS, KrigingReconstructor, VariogramParams,
+from .reconstruct import (VariogramParams, idw_reconstruct, kriging_reconstruct,
                           proxy_local_map)
 from .sampling import add_noise
 from .separation import separate_sources
@@ -43,10 +43,14 @@ class PipelineConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.reconstructor != "oracle" and self.reconstructor not in RECONSTRUCTORS:
+        if self.reconstructor not in LOCAL_MAPS:
             raise PipelineConfigError(
                 f"unknown reconstructor {self.reconstructor!r}; "
-                f"registered: oracle, {', '.join(sorted(RECONSTRUCTORS))}")
+                f"registered: {', '.join(LOCAL_MAPS)}")
+        try:
+            _reconstruct_kwargs(self)
+        except (TypeError, ValueError) as exc:
+            raise PipelineConfigError(f"bad reconstructor_params: {exc}") from None
         if self.estimator not in ESTIMATORS:
             raise PipelineConfigError(
                 f"unknown estimator {self.estimator!r}; "
@@ -65,50 +69,76 @@ class PipelineConfig:
                 "intervals": list(self.intervals) if self.intervals else None}
 
 
-def _build_reconstructor(config: PipelineConfig):
-    if config.reconstructor == "oracle":
-        return None
-    cls = RECONSTRUCTORS[config.reconstructor]
-    if cls is KrigingReconstructor and config.reconstructor_params:
-        return cls(VariogramParams(**config.reconstructor_params))
-    return cls(**config.reconstructor_params)
+def _oracle(dataset_dir, entry, interval, scenario, config) -> RadioMap:
+    return RadioMap(read_pgm(Path(dataset_dir) / entry["local_map"]), "local", "bitmap")
 
 
-def _local_map_for(dataset_dir, entry, interval, config: PipelineConfig,
-                   reconstructor, scenario) -> RadioMap:
-    base = Path(dataset_dir)
-    rel = entry["samples"].get(str(interval))
-    if rel is None:
-        raise ValueError(f"dataset has no samples at interval {interval}")
-    if config.local_map_dir is not None:
-        ext = Path(config.local_map_dir)
-        for name in (f"{entry['id']}_{interval}.pgm", f"{entry['id']}.pgm"):
-            candidate = ext / name
-            if candidate.is_file():
-                values = read_pgm(candidate)
-                expected = scenario.layout.cells.shape
-                if values.shape != expected:
-                    raise ValueError(f"{candidate}: local map shape {values.shape} "
-                                     f"differs from layout shape {expected}")
-                return RadioMap(values, "local", "bitmap")
-        raise FileNotFoundError(
-            f"no external local map for {entry['id']} interval {interval} "
-            f"in {config.local_map_dir}")
-    if config.reconstructor == "oracle":
-        return RadioMap(read_pgm(base / entry["local_map"]), "local", "bitmap")
+def _reconstruct_kwargs(config: PipelineConfig) -> dict:
+    """reconstructor_params as reconstruct keyword arguments; ValueError for a
+    key the constructor does not take or a variogram value out of range."""
+    params = dict(config.reconstructor_params)
+    takes = {"idw": {"power"}, "kriging": {f.name for f in fields(VariogramParams)}}
+    unknown = sorted(set(params) - takes.get(config.reconstructor, set()))
+    if unknown:
+        raise ValueError(f"{config.reconstructor} takes no {', '.join(unknown)}")
+    if config.reconstructor == "kriging":
+        return {"variogram": VariogramParams(**params)}
+    return params
+
+
+def _from_samples(reconstruct, dataset_dir, entry, interval, scenario,
+                  config) -> RadioMap:
+    """proxy_local_map of the dense map reconstructed from the interval's samples."""
+    path = Path(dataset_dir) / entry["samples"][str(interval)]
     try:
-        samples = samples_from_csv((base / rel).read_text())
+        samples = samples_from_csv(path.read_text())
     except ValueError as exc:
-        raise ValueError(f"{base / rel}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     if config.noise_sigma > 0:
         samples = add_noise(samples, config.noise_sigma, config.noise_seed)
-    dense = reconstructor.reconstruct(samples, scenario.layout)
+    dense = reconstruct(samples, scenario.layout, **_reconstruct_kwargs(config))
     return proxy_local_map(dense, config.delta_db, BitmapEncoding(), config.r)
+
+
+# The reconstruct functions are looked up when called, not stored, so that a
+# module attribute rebound after import (a tracer, a test double) is used.
+def _idw(dataset_dir, entry, interval, scenario, config) -> RadioMap:
+    return _from_samples(idw_reconstruct, dataset_dir, entry, interval, scenario,
+                         config)
+
+
+def _kriging(dataset_dir, entry, interval, scenario, config) -> RadioMap:
+    return _from_samples(kriging_reconstruct, dataset_dir, entry, interval, scenario,
+                         config)
+
+
+# --reconstructor name -> (dataset_dir, entry, interval, scenario, config) ->
+# local bitmap RadioMap of the layout's shape
+LOCAL_MAPS = {"oracle": _oracle, "idw": _idw, "kriging": _kriging}
+
+
+def _external_map(dataset_dir, entry, interval, scenario, config) -> RadioMap:
+    """The drop-in map from config.local_map_dir: <id>_<interval>.pgm, else
+    <id>.pgm. It takes precedence over any reconstructor."""
+    ext = Path(config.local_map_dir)
+    for name in (f"{entry['id']}_{interval}.pgm", f"{entry['id']}.pgm"):
+        candidate = ext / name
+        if candidate.is_file():
+            values = read_pgm(candidate)
+            expected = scenario.layout.cells.shape
+            if values.shape != expected:
+                raise ValueError(f"{candidate}: local map shape {values.shape} "
+                                 f"differs from layout shape {expected}")
+            return RadioMap(values, "local", "bitmap")
+    raise FileNotFoundError(
+        f"no external local map for {entry['id']} interval {interval} "
+        f"in {config.local_map_dir}")
 
 
 def process_entry(dataset_dir, entry: dict, config: PipelineConfig) -> list[dict]:
     """Run every configured interval of one scenario; returns report rows."""
-    reconstructor = _build_reconstructor(config)
+    local_map = (LOCAL_MAPS[config.reconstructor] if config.local_map_dir is None
+                 else _external_map)
     scenario = load_scenario(dataset_dir, entry)
     truths = scenario.true_points()
     intervals = config.intervals or tuple(
@@ -116,8 +146,9 @@ def process_entry(dataset_dir, entry: dict, config: PipelineConfig) -> list[dict
     rows = []
     for interval in intervals:
         try:
-            local = _local_map_for(dataset_dir, entry, interval, config,
-                                   reconstructor, scenario)
+            if str(interval) not in entry["samples"]:
+                raise ValueError(f"dataset has no samples at interval {interval}")
+            local = local_map(dataset_dir, entry, interval, scenario, config)
             sep = separate_sources(local, config.gamma, config.connectivity,
                                    config.r, config.area_factor)
             preds = localize_all(sep, config.estimator)

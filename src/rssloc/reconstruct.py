@@ -1,8 +1,9 @@
 """Dense radio-map reconstruction from sparse samples.
 
-The Reconstructor interface is the seam where a learned samples-to-map model
-would plug in; the implementations here are non-learned references: inverse
-distance weighting and ordinary kriging with a fixed exponential variogram.
+The seam where a learned samples-to-map model would plug in is the table of
+local-map constructors, pipeline.LOCAL_MAPS; the reconstructions here are
+non-learned references behind two of its entries: inverse distance weighting
+and ordinary kriging with a fixed exponential variogram.
 proxy_local_map turns any dense reconstruction into a local-area bitmap by
 iterative peak thresholding.
 
@@ -40,11 +41,8 @@ class VariogramParams:
     nugget: float = 0.0
     sill: float = 25.0
     range_m: float = 30.0
-    model: str = "exponential"
 
     def __post_init__(self):
-        if self.model != "exponential":
-            raise ValueError("only the exponential model is supported")
         if self.nugget < 0 or self.sill <= 0 or self.range_m <= 0:
             raise ValueError("need nugget >= 0, sill > 0, range_m > 0")
 
@@ -227,38 +225,3 @@ def proxy_local_map(dense: RadioMap, delta_db: float = 9.0,
         work[disk] = -np.inf
     bitmap = np.where(keep, enc.encode(vals), 0).astype(np.uint8)
     return RadioMap(bitmap, "local", "bitmap")
-
-
-class Reconstructor:
-    """Samples-in, dense-dBm-map-out interface; implementations register below."""
-
-    name = "abstract"
-
-    def reconstruct(self, sample_set: SampleSet, layout: BuildingLayout) -> RadioMap:
-        raise NotImplementedError
-
-
-class IdwReconstructor(Reconstructor):
-    name = "idw"
-
-    def __init__(self, power: float = 2.0):
-        self.power = power
-
-    def reconstruct(self, sample_set, layout):
-        return idw_reconstruct(sample_set, layout, self.power)
-
-
-class KrigingReconstructor(Reconstructor):
-    name = "kriging"
-
-    def __init__(self, variogram: VariogramParams | None = None):
-        self.variogram = variogram or VariogramParams()
-
-    def reconstruct(self, sample_set, layout):
-        return kriging_reconstruct(sample_set, layout, self.variogram)
-
-
-RECONSTRUCTORS = {
-    "idw": IdwReconstructor,
-    "kriging": KrigingReconstructor,
-}

@@ -19,8 +19,6 @@ from scipy import ndimage
 from .propagation import RadioMap
 from .scenario import EIGHT_CONNECTED, BuildingLayout
 
-STANDARD_INTERVALS = (1, 2, 4, 6, 8, 10)
-
 # noise stream tags, mixed with the caller's seed
 _SAMPLE_TAG = 0x5A3C
 _EXTRA_TAG = 0xAD01
@@ -39,7 +37,6 @@ class Route:
     """Ordered free-cell centers (meters) the vehicle drives through."""
 
     waypoints: list[tuple[float, float]]
-    total_length: float
 
     def cumulative_lengths(self) -> np.ndarray:
         pts = np.asarray(self.waypoints, dtype=np.float64)
@@ -176,10 +173,7 @@ def build_routes(layout: BuildingLayout) -> Route:
                 cells.extend(bridge[1:])
             cells.extend(loop if not cells or cells[-1] != loop[0] else loop[1:])
 
-    waypoints = [(j + 0.5, i + 0.5) for i, j in cells]
-    pts = np.asarray(waypoints)
-    length = float(np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1])).sum()) if len(pts) > 1 else 0.0
-    return Route(waypoints=waypoints, total_length=length)
+    return Route(waypoints=[(j + 0.5, i + 0.5) for i, j in cells])
 
 
 def _merge_duplicates(positions, values) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,6 @@ class Component:
     id: int
     area: int
     bbox: tuple[int, int, int, int]  # top, left, bottom, right (inclusive)
-    centroid: tuple[float, float]    # intensity-weighted, (x, y) meters
 
 
 @dataclass
@@ -65,13 +64,7 @@ def connected_components(binary, connectivity: int = DEFAULT_CONNECTIVITY) -> La
     labels, n = ndimage.label(vals != 0, structure=structure)
     if n == 0:
         return Labeling(labels=labels, components=[])
-    ii, jj = np.nonzero(labels)
-    lab = labels[ii, jj]
-    area = np.bincount(lab)
-    weights = vals[ii, jj].astype(np.float64)
-    sw = np.bincount(lab, weights=weights)
-    swx = np.bincount(lab, weights=weights * (jj + 0.5))
-    swy = np.bincount(lab, weights=weights * (ii + 0.5))
+    area = np.bincount(labels.ravel())
     boxes = ndimage.find_objects(labels)
     order = sorted(range(1, n + 1),
                    key=lambda k: (boxes[k - 1][0].start, boxes[k - 1][1].start))
@@ -82,8 +75,7 @@ def connected_components(binary, connectivity: int = DEFAULT_CONNECTIVITY) -> La
         remap[k] = new_id
         components.append(Component(
             id=new_id, area=int(area[k]),
-            bbox=(rows.start, cols.start, rows.stop - 1, cols.stop - 1),
-            centroid=(float(swx[k] / sw[k]), float(swy[k] / sw[k]))))
+            bbox=(rows.start, cols.start, rows.stop - 1, cols.stop - 1)))
     return Labeling(labels=remap[labels], components=components)
 
 

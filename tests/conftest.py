@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from rssloc import BuildingLayout, PropagationParams, Scenario, Source
+from rssloc import BuildingLayout, PropagationParams, Scenario, Source, cli
 
 
 @pytest.fixture
@@ -23,3 +24,20 @@ def make_flat_scenario(sources, size=60, sid="t", seed=0):
     layout = BuildingLayout(np.zeros((size, size), dtype=np.uint8))
     return Scenario(layout=layout, sources=[Source(*s) for s in sources],
                     id=sid, rng_seed=seed)
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    """A small generated dataset: (workspace, config path, dataset dir)."""
+    base = tmp_path_factory.mktemp("cliws")
+    config = {
+        "width": 80, "height": 80, "n_layouts": 2, "n_buildings": 3,
+        "source_counts": [1, 2], "placements_per_count": 1,
+        "intervals": [4, 10], "seed": 424,
+        "split": {"train": 1, "val": 0, "test": 1},
+    }
+    cfg = base / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = base / "ds"
+    assert cli.main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    return base, cfg, out

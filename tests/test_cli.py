@@ -9,22 +9,6 @@ from rssloc.dataset_io import predictions_to_csv, read_dataset_index
 from rssloc.render import encode_ppm, render_map
 
 
-@pytest.fixture(scope="module")
-def dataset(tmp_path_factory):
-    base = tmp_path_factory.mktemp("cliws")
-    config = {
-        "width": 80, "height": 80, "n_layouts": 2, "n_buildings": 3,
-        "source_counts": [1, 2], "placements_per_count": 1,
-        "intervals": [4, 10], "seed": 424,
-        "split": {"train": 1, "val": 0, "test": 1},
-    }
-    cfg = base / "config.json"
-    cfg.write_text(json.dumps(config))
-    out = base / "ds"
-    assert cli.main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
-    return base, cfg, out
-
-
 class TestGenerate:
     def test_dataset_structure(self, dataset):
         _, _, out = dataset
@@ -147,6 +131,27 @@ class TestPipeline:
         for err, entry in zip(report["errors"], index["entries"]):
             assert f"{entry['id']}.pgm" in err["error"]
             assert "(40, 80)" in err["error"] and "(80, 80)" in err["error"]
+
+    def test_sixteen_bit_local_map_rejected(self, dataset, tmp_path, capsys):
+        _, _, out = dataset
+        ext = tmp_path / "ext"
+        ext.mkdir()
+        index = read_dataset_index(out)
+        for entry in index["entries"]:
+            grid = read_pgm(out / entry["local_map"]).astype(">u2")
+            (ext / f"{entry['id']}.pgm").write_bytes(
+                b"P5\n80 80\n65535\n" + grid.tobytes())
+        run = tmp_path / "run"
+        code = cli.main(["pipeline", "--dataset", str(out), "--out", str(run),
+                         "--local-map-dir", str(ext), "--intervals", "4"])
+        assert code == 3
+        report = json.loads((run / "report.json").read_text())
+        assert not [r for r in report["results"] if "error" not in r]
+        stderr = capsys.readouterr().err
+        for err, entry in zip(report["errors"], index["entries"]):
+            path = ext / f"{entry['id']}.pgm"
+            assert err["error"].startswith(f"{path}: unsupported maxval 65535")
+            assert f"failed: {entry['id']} interval 4: {path}: " in stderr
 
     def test_oracle_rejects_unknown_interval(self, dataset, tmp_path, capsys):
         _, _, out = dataset

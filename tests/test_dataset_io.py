@@ -24,10 +24,16 @@ class TestPgm:
         grid = rng.integers(0, 256, (17, 11)).astype(np.uint8)
         assert np.array_equal(decode_pgm(encode_pgm(grid)), grid)
 
-    def test_roundtrip_16bit(self):
-        rng = np.random.default_rng(52)
-        grid = rng.integers(0, 65536, (9, 13)).astype(np.uint16)
-        assert np.array_equal(decode_pgm(encode_pgm(grid)), grid)
+    def test_sixteen_bit_rejected(self, tmp_path):
+        grid = np.zeros((2, 3), dtype=np.uint16)
+        with pytest.raises(ValueError, match="uint8"):
+            encode_pgm(grid)
+        path = tmp_path / "wide.pgm"
+        path.write_bytes(b"P5\n3 2\n65535\n" + grid.astype(">u2").tobytes())
+        with pytest.raises(PgmError, match="unsupported maxval 65535"):
+            decode_pgm(path.read_bytes())
+        with pytest.raises(PgmError, match=f"^{path}: unsupported maxval 65535"):
+            read_pgm(path)
 
     def test_truncated_raster_error_names_counts(self):
         data = encode_pgm(np.zeros((4, 4), dtype=np.uint8))[:-3]

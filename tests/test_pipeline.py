@@ -24,3 +24,28 @@ class TestPipelineConfig:
             "noise_seed": 0, "area_factor": 1.6, "delta_db": 9.0,
             "local_map_dir": None, "jobs": 2}
         assert PipelineConfig().to_dict()["intervals"] is None
+
+    @pytest.mark.parametrize("reconstructor,params,message", [
+        ("kriging", {"sil": 30.0}, "kriging takes no sil"),
+        ("kriging", {"model": "exponential"}, "kriging takes no model"),
+        ("kriging", {"sill": 0.0}, "need nugget >= 0, sill > 0, range_m > 0"),
+        ("kriging", {"nugget": -1.0}, "need nugget >= 0, sill > 0, range_m > 0"),
+        ("idw", {"range_m": 10.0}, "idw takes no range_m"),
+        ("oracle", {"power": 2.0}, "oracle takes no power"),
+    ])
+    def test_rejects_bad_reconstructor_params(self, reconstructor, params, message):
+        with pytest.raises(PipelineConfigError,
+                           match=f"^bad reconstructor_params: {message}$"):
+            PipelineConfig(reconstructor=reconstructor, reconstructor_params=params)
+
+    def test_accepts_reconstructor_params(self):
+        PipelineConfig(reconstructor="kriging",
+                       reconstructor_params={"nugget": 1.0, "sill": 30.0,
+                                             "range_m": 20.0})
+        PipelineConfig(reconstructor="idw", reconstructor_params={"power": 3.0})
+
+    def test_unknown_reconstructor_lists_registry(self):
+        with pytest.raises(PipelineConfigError,
+                           match=r"^unknown reconstructor 'unet'; "
+                                 r"registered: oracle, idw, kriging$"):
+            PipelineConfig(reconstructor="unet")

@@ -1,0 +1,98 @@
+"""Property tests: file-format round trips, malformed PGM headers, and the
+invariants of the evaluation metrics."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from rssloc import PgmError, SampleSet, decode_pgm, encode_pgm, evaluate_scenario, ospa
+from rssloc.dataset_io import (predictions_from_csv, predictions_to_csv,
+                               samples_from_csv, samples_to_csv)
+
+# small example counts keep the whole suite near a minute
+FEW = settings(max_examples=40, deadline=None)
+
+grids = arrays(np.uint8, st.tuples(st.integers(1, 24), st.integers(1, 24)))
+coords = st.floats(-1e4, 1e4, allow_nan=False)
+points = st.lists(st.tuples(st.floats(0, 200), st.floats(0, 200)), max_size=6)
+
+
+@FEW
+@given(grids)
+def test_pgm_roundtrip(grid):
+    data = encode_pgm(grid)
+    assert data.startswith(b"P5\n%d %d\n255\n" % (grid.shape[1], grid.shape[0]))
+    out = decode_pgm(data)
+    assert out.dtype == np.uint8
+    assert np.array_equal(out, grid)
+
+
+@FEW
+@given(st.binary(max_size=40))
+def test_pgm_decode_raises_only_pgm_error(data):
+    try:
+        grid = decode_pgm(data)
+    except PgmError:
+        return
+    assert grid.dtype == np.uint8
+
+
+@FEW
+@given(grids, st.sampled_from(["magic", "width", "maxval", "raster"]),
+       st.data())
+def test_pgm_malformed_header_rejected(grid, field, data):
+    h, w = grid.shape
+    magic, width, maxval, raster = b"P5", b"%d" % w, b"255", grid.tobytes()
+    if field == "magic":
+        magic = data.draw(st.sampled_from([b"P2", b"P6", b"P4", b"5P", b"p5"]))
+    elif field == "width":
+        width = data.draw(st.sampled_from([b"x", b"-1", b"1.5", b"2e3", b"0x10"]))
+    elif field == "maxval":
+        maxval = b"%d" % data.draw(st.integers(0, 70000).filter(lambda v: v != 255))
+    else:
+        raster = raster[:data.draw(st.integers(0, len(raster) - 1))]
+    with pytest.raises(PgmError):
+        decode_pgm(magic + b"\n" + width + b" %d\n" % h + maxval + b"\n" + raster)
+
+
+@FEW
+@given(st.lists(st.tuples(coords, coords, coords), min_size=1, max_size=20))
+def test_samples_csv_roundtrip(rows):
+    rows = np.array(rows)
+    sample_set = SampleSet(positions=rows[:, :2], values=rows[:, 2])
+    text = samples_to_csv(sample_set)
+    back = samples_from_csv(text)
+    assert np.allclose(back.positions, sample_set.positions, rtol=0, atol=5e-7)
+    assert np.allclose(back.values, sample_set.values, rtol=0, atol=5e-7)
+    assert samples_to_csv(back) == text
+
+
+@FEW
+@given(st.lists(st.tuples(st.integers(0, 10**6), coords, coords, st.booleans()),
+                max_size=20))
+def test_predictions_csv_roundtrip(rows):
+    ids = [cid for cid, _, _, _ in rows]
+    pts = [(x, y) for _, x, y, _ in rows]
+    flags = [flag for _, _, _, flag in rows]
+    text = predictions_to_csv(ids, pts, flags)
+    back_ids, back_pts, back_flags = predictions_from_csv(text)
+    assert back_ids == ids and back_flags == flags
+    assert np.allclose(np.reshape(back_pts, (-1, 2)), np.reshape(pts, (-1, 2)),
+                       rtol=0, atol=5e-7)
+    assert predictions_to_csv(back_ids, back_pts, back_flags) == text
+
+
+@FEW
+@given(points, points.filter(len), st.floats(0.5, 100))
+def test_metric_invariants(pred, true, g):
+    ev = evaluate_scenario(pred, true, g)
+    assert 0.0 <= ev.ospa <= g * (1 + 1e-12)
+    assert ev.ospa == pytest.approx(ospa(true, pred, g), rel=1e-9, abs=1e-12)
+    if pred:
+        assert ev.mle >= 0.0
+    else:
+        assert ev.mle is None
+    assert 0.0 <= ev.far <= 1.0 and 0.0 <= ev.mdr <= 1.0
+    assert (ev.m, ev.m_hat) == (len(true), len(pred))

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from rssloc import (RECONSTRUCTORS, BuildingLayout, ReconstructionError,
-                    SampleSet, VariogramParams, idw_reconstruct,
-                    kriging_reconstruct, proxy_local_map, rasterize_global)
+from rssloc import (LOCAL_MAPS, BuildingLayout, PipelineConfig,
+                    ReconstructionError, SampleSet, VariogramParams,
+                    idw_reconstruct, kriging_reconstruct, load_scenario,
+                    proxy_local_map, rasterize_global, read_dataset_index)
 from rssloc.reconstruct import _PAIRS_PER_BLOCK, idw_predict, kriging_predict
 
 from conftest import make_flat_scenario
@@ -106,8 +107,6 @@ class TestKriging:
     def test_variogram_validation(self):
         with pytest.raises(ValueError):
             VariogramParams(sill=0.0)
-        with pytest.raises(ValueError):
-            VariogramParams(model="gaussian")
 
 
 def random_problem(seed, j):
@@ -226,19 +225,19 @@ class TestProxyLocalMap:
 
 class TestRegistry:
     def test_names(self):
-        assert set(RECONSTRUCTORS) == {"idw", "kriging"}
+        assert list(LOCAL_MAPS) == ["oracle", "idw", "kriging"]
 
-    def test_interface_roundtrip(self, params):
-        sc = make_flat_scenario([(30.5, 30.5)], size=40)
-        g = rasterize_global(sc, params)
-        rng = np.random.default_rng(45)
-        pos = rng.random((30, 2)) * 40
-        vals = np.array([g.values[int(y), int(x)] for x, y in pos])
-        ss = sample_set(pos, vals)
-        for name, cls in RECONSTRUCTORS.items():
-            rec = cls().reconstruct(ss, sc.layout)
-            assert rec.values.shape == (40, 40)
-            assert rec.unit == "dbm"
+    def test_interface_roundtrip(self, dataset):
+        # every constructor gives a local bitmap of the layout's shape
+        _, _, out = dataset
+        for entry in read_dataset_index(out)["entries"]:
+            scenario = load_scenario(out, entry)
+            for name, local_map in LOCAL_MAPS.items():
+                config = PipelineConfig(reconstructor=name)
+                rec = local_map(out, entry, "4", scenario, config)
+                assert (rec.kind, rec.unit) == ("local", "bitmap")
+                assert rec.values.shape == scenario.layout.cells.shape
+                assert rec.values.dtype == np.uint8
 
 
 def test_reconstruction_rmse_improves_with_density(params):

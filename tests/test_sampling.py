@@ -15,7 +15,7 @@ from rssloc.sampling import _merge_duplicates
 def straight_route(n_cells=101, row=5):
     # open corridor route: n_cells unit steps - 1, integer total length
     waypoints = [(j + 0.5, row + 0.5) for j in range(n_cells)]
-    return Route(waypoints=waypoints, total_length=float(n_cells - 1))
+    return Route(waypoints=waypoints)
 
 
 @pytest.fixture
@@ -28,7 +28,7 @@ class TestRoutes:
     def test_empty_layout_border_loop(self):
         layout = BuildingLayout(np.zeros((200, 200), dtype=np.uint8))
         route = build_routes(layout)
-        assert route.total_length == pytest.approx(796.0)
+        assert route.cumulative_lengths()[-1] == pytest.approx(796.0)
         # all waypoints on the border ring
         for x, y in route.waypoints:
             i, j = int(y), int(x)
@@ -49,7 +49,7 @@ class TestRoutes:
         visited = {(int(y), int(x)) for x, y in route.waypoints}
         assert visited == ring
         assert len(ring) == 44
-        assert abs(route.total_length - len(ring)) <= 8 * math.sqrt(2)
+        assert abs(route.cumulative_lengths()[-1] - len(ring)) <= 8 * math.sqrt(2)
 
     def test_waypoints_adjacent_free_cells(self):
         sc = generate_scenario(120, 120, 5, 1, seed=31)
@@ -126,8 +126,7 @@ class TestSampleAlong:
     def test_closed_loop_merges_duplicate_endpoint(self, flat_global):
         # closed square loop of length 8; samples at arc 0 and 8 coincide
         ring = [(0, 0), (0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0), (1, 0), (0, 0)]
-        route = Route(waypoints=[(j + 0.5, i + 0.5) for i, j in ring],
-                      total_length=8.0)
+        route = Route(waypoints=[(j + 0.5, i + 0.5) for i, j in ring])
         ss = sample_along(route, flat_global, 2)
         assert len(ss) == 4  # 0, 2, 4, 6; arc 8 merged into arc 0
 

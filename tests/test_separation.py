@@ -93,12 +93,6 @@ class TestConnectedComponents:
         assert (lab.labels[np.arange(6), 5 - np.arange(6)] == 2).all()
         assert lab.labels.dtype == np.int32
 
-    def test_centroid_of_symmetric_block(self):
-        grid = np.zeros((10, 10), dtype=np.uint8)
-        grid[4:6, 4:6] = 200
-        lab = connected_components(grid)
-        assert lab.components[0].centroid == (5.0, 5.0)
-
 
 class TestExtract:
     def test_disjoint_supports_and_reconstruction(self):
