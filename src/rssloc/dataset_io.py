@@ -266,6 +266,18 @@ class DatasetConfig:
         self.intervals = tuple(self.intervals)
         if sum(self.split.values()) != self.n_layouts:
             raise ValueError("split layout counts must sum to n_layouts")
+        if not self.r > 0:
+            raise ValueError("r must be positive")
+        if not self.speed > 0:
+            raise ValueError("speed must be positive")
+        if not self.noise_sigma >= 0:
+            raise ValueError("noise_sigma must be >= 0")
+        if not self.intervals:
+            raise ValueError("intervals must not be empty")
+        if not all(interval > 0 for interval in self.intervals):
+            raise ValueError("intervals must be positive")
+        if len(set(self.intervals)) != len(self.intervals):
+            raise ValueError("intervals must not repeat")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DatasetConfig":

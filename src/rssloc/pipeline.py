@@ -6,6 +6,7 @@ failures are recorded in the report instead of aborting the batch.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -75,7 +76,8 @@ def _oracle(dataset_dir, entry, interval, scenario, config) -> RadioMap:
 
 def _reconstruct_kwargs(config: PipelineConfig) -> dict:
     """reconstructor_params as reconstruct keyword arguments; ValueError for a
-    key the constructor does not take or a variogram value out of range."""
+    key the constructor does not take, a variogram value out of range or an
+    IDW power that is not a finite number > 0."""
     params = dict(config.reconstructor_params)
     takes = {"idw": {"power"}, "kriging": {f.name for f in fields(VariogramParams)}}
     unknown = sorted(set(params) - takes.get(config.reconstructor, set()))
@@ -83,6 +85,11 @@ def _reconstruct_kwargs(config: PipelineConfig) -> dict:
         raise ValueError(f"{config.reconstructor} takes no {', '.join(unknown)}")
     if config.reconstructor == "kriging":
         return {"variogram": VariogramParams(**params)}
+    power = params.get("power")
+    if "power" in params and (isinstance(power, bool)
+                              or not isinstance(power, (int, float))
+                              or not 0 < power < math.inf):
+        raise ValueError(f"power must be a finite number > 0, not {power!r}")
     return params
 
 

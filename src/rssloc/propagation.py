@@ -9,6 +9,7 @@ grids and 8-bit bitmaps.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,9 +107,54 @@ def path_loss(d, params: PropagationParams):
     return float(out) if out.ndim == 0 else out
 
 
-# Segments traversed together. Smaller blocks keep the per-slab temporaries
-# closer to cache; larger ones spend less time in per-call numpy overhead.
+# Segments traversed together. Only the per-segment arrays (bounding boxes,
+# bisection, boundary counts) scale with it: a larger block spends less time
+# in per-call numpy overhead, but past this size (16 kB an array) their
+# allocations start to fault pages in again, block after block.
 _SEGMENTS_PER_BLOCK = 2048
+
+# Slabs evaluated together. It fixes the size of the slab workspace (113
+# bytes a slab, about 1.9 MB), whatever the grid and block size, and a
+# smaller chunk keeps the buffers closer to cache at more per-call overhead.
+_SLABS_PER_CHUNK = 1 << 14
+
+
+class _SlabWorkspace:
+    """Buffers for the slab arithmetic of one chunk of slabs.
+
+    One instance serves every block of every segment_building_lengths call
+    in the process, so its pages are faulted in once instead of once per
+    block. It is not re-entrant: two traversals running at the same time in
+    one process would overwrite each other's slabs. rssloc traverses on one
+    thread per process (the pipeline's pool uses processes).
+    """
+
+    def __init__(self, slabs: int):
+        n = slabs + 1                # a chunk of slabs spans one more boundary
+        self.offsets = np.arange(n, dtype=np.float64)
+        # per boundary
+        self.seg = np.empty(n, dtype=np.int64)
+        self.row = np.empty(n, dtype=np.int64)
+        self.ts = np.empty(n)
+        self.ys = np.empty(n)
+        self.y_in_row = np.empty(n)
+        self.gathered = np.empty(n)
+        # per slab
+        self.dt = np.empty(slabs)
+        self.tm = np.empty(slabs)
+        self.cj = np.empty(slabs, dtype=np.int64)
+        self.ka = np.empty(slabs, dtype=np.int64)
+        self.occ_a = np.empty(slabs)
+        self.fa = np.empty(slabs)
+        self.fb = np.empty(slabs)
+        self.mask = np.empty(slabs, dtype=bool)
+
+
+@functools.cache
+def _workspace() -> _SlabWorkspace:
+    """The process's slab workspace, made on first use, so that processes
+    that never traverse (pipeline workers, say) do not hold it."""
+    return _SlabWorkspace(_SLABS_PER_CHUNK)
 
 
 def segment_building_lengths(start, ends, cells: np.ndarray) -> np.ndarray:
@@ -127,6 +173,10 @@ def segment_building_lengths(start, ends, cells: np.ndarray) -> np.ndarray:
     first to last building column of their row band. Every slab that is left
     out would add an exact zero, and the kept ones are summed in traversal
     order, so the result is bit-identical to traversing every column.
+
+    The slab arithmetic runs in chunks of _SLABS_PER_CHUNK slabs on the
+    process's one fixed-size _SlabWorkspace, which is not re-entrant: do not
+    call this function from two threads of one process at once.
     """
     a = np.asarray(start, dtype=np.float64).reshape(2)
     b = np.atleast_2d(np.asarray(ends, dtype=np.float64))
@@ -169,7 +219,6 @@ def _block_lengths(a, b, h, w, sat, csum, occ):
         return out
     b, dx, dy = b[hit], dx[hit], dy[hit]
     c0, c1, r0, r1 = c0[hit], c1[hit], r0[hit], r1[hit]
-    n = len(hit)
 
     # first (cl) and last (cr) building column of the row band, by bisection
     cl, hi = c0.copy(), c1.copy()
@@ -195,8 +244,9 @@ def _block_lengths(a, b, h, w, sat, csum, occ):
     cut_hi = crosses & (last < m_hi)
     counts = np.where(crosses, np.maximum(last - first + 1, 0), 0).astype(np.int64)
 
-    # slab boundaries in traversal order: 0 and 1 stay unless lines were cut
-    # on that side; y and its clipped row are computed once per boundary
+    # slab boundaries in traversal order, numbered across the block: 0 and 1
+    # stay unless lines were cut on that side; boundary bstart + i of a
+    # segment lies on line origin + step * (bstart + i)
     down = dx < 0
     keep0 = np.where(down, ~cut_hi, ~cut_lo)
     keep1 = np.where(down, ~cut_lo, ~cut_hi)
@@ -205,43 +255,113 @@ def _block_lengths(a, b, h, w, sat, csum, occ):
     bend = bstart + nb - 1
     step = np.where(down, -1.0, 1.0)
     origin = np.where(down, last, first) - step * (bstart + keep0)
-    lines = np.repeat(origin, nb) + np.repeat(step, nb) * np.arange(nb.sum())
-    ts = (lines - a[0]) / np.repeat(np.where(dx == 0.0, 1.0, dx), nb)
-    np.clip(ts, 0.0, 1.0, out=ts)
-    ts[bstart[keep0]] = 0.0
-    ts[bend[keep1]] = 1.0
-    ys = a[1] + ts * np.repeat(dy, nb)
-    iy = np.clip(np.floor(ys).astype(np.int64), 0, h - 1)
 
     # one slab per pair of consecutive boundaries; the pairs that straddle
-    # two segments get dt = 0 and so add nothing
-    ta = ts[:-1]
-    tb = ts[1:]
-    dt = tb - ta
-    dt[bend[:-1]] = 0.0
-    slab_dx = np.repeat(dx, nb)[:-1]
+    # two segments (they start at a segment's last boundary) add nothing
+    block = (bstart, bstart[keep0], bend[keep1], bend[:-1], origin, step,
+             np.where(dx == 0.0, 1.0, dx), dx, dy, np.hypot(dx, dy))
+    lengths = np.zeros(len(hit))
+    slabs = int(bend[-1])
+    for s in range(0, slabs, _SLABS_PER_CHUNK):
+        _add_chunk_lengths(lengths, s, min(_SLABS_PER_CHUNK, slabs - s),
+                           a, h, w, csum, occ, block)
+    out[hit] = lengths
+    return out
+
+
+def _between(positions, lo, n):
+    """The sorted positions in [lo, lo + n), relative to lo."""
+    i, j = np.searchsorted(positions, (lo, lo + n))
+    return positions[i:j] - lo
+
+
+def _gather(values, index, out):
+    # mode="clip" lets take write straight into out; every index is valid
+    return np.take(values, index, out=out, mode="clip")
+
+
+def _add_chunk_lengths(lengths, s, m, a, h, w, csum, occ, block):
+    """Add the building lengths of slabs s .. s + m - 1 of a block to their
+    segments' entries of lengths, in traversal order.
+
+    Slab j lies between boundaries j and j + 1 and belongs to the segment of
+    boundary j. Every array is a view of the workspace, written in place with
+    the float expressions and operand order of the reference traversal.
+    """
+    (bstart, zero_at, one_at, straddle, origin, step, dx_or_one, dx, dy,
+     seg_len) = block
+    ws = _workspace()
+    n = m + 1
+
+    # segment of each boundary s .. s + m: the segments that start up to it,
+    # less one
+    seg = ws.seg[:n]
+    seg.fill(0)
+    np.add.at(seg, _between(bstart, s, n), 1)
+    seg[0] += np.searchsorted(bstart, s) - 1
+    np.cumsum(seg, out=seg)
+
+    # t of each boundary's crossing line, clipped to the segment; its y and
+    # the clipped row of y
+    g = ws.gathered[:n]
+    ts = ws.ts[:n]
+    np.add(ws.offsets[:n], s, out=ts)
+    np.multiply(_gather(step, seg, g), ts, out=ts)
+    np.add(_gather(origin, seg, g), ts, out=ts)
+    np.subtract(ts, a[0], out=ts)
+    np.divide(ts, _gather(dx_or_one, seg, g), out=ts)
+    np.clip(ts, 0.0, 1.0, out=ts)
+    ts[_between(zero_at, s, n)] = 0.0
+    ts[_between(one_at, s, n)] = 1.0
+    ys = ws.ys[:n]
+    np.multiply(ts, _gather(dy, seg, g), out=ys)
+    np.add(a[1], ys, out=ys)
+    iy = ws.row[:n]
+    np.copyto(iy, np.floor(ys, out=g), casting="unsafe")
+    np.clip(iy, 0, h - 1, out=iy)
+    y_in_row = ws.y_in_row[:n]
+    np.subtract(ys, iy, out=y_in_row)
+    row = np.multiply(iy, w, out=iy)
+
+    # slab lengths in t; the straddling slabs get dt = 0
+    ta, tb = ts[:-1], ts[1:]
+    dt = ws.dt[:m]
+    np.subtract(tb, ta, out=dt)
+    dt[_between(straddle, s, m)] = 0.0
 
     # column of each slab from its midpoint; rows via cumulative occupancy
-    tm = 0.5 * (ta + tb)
-    cj = np.clip(np.floor(a[0] + tm * slab_dx).astype(np.int64), 0, w - 1)
-    ya = ys[:-1]
-    yb = ys[1:]
-    ia = iy[:-1]
-    ib = iy[1:]
-    row = iy * w
-    ka = row[:-1] + cj
-    kb = row[1:] + cj
-    occ_a = occ[ka]
-    fa = csum[ka] + occ_a * (ya - ia)
-    fb = csum[kb] + occ[kb] * (yb - ib)
-    span = yb - ya
+    seg = seg[:-1]
+    g = g[:-1]
+    tm = ws.tm[:m]
+    np.multiply(0.5, np.add(ta, tb, out=tm), out=tm)
+    x = _gather(dx, seg, g)
+    np.multiply(tm, x, out=x)
+    np.add(a[0], x, out=x)
+    cj = ws.cj[:m]
+    np.copyto(cj, np.floor(x, out=x), casting="unsafe")
+    np.clip(cj, 0, w - 1, out=cj)
+    ka = np.add(row[:-1], cj, out=ws.ka[:m])
+    kb = np.add(row[1:], cj, out=cj)
+    occ_a = _gather(occ, ka, ws.occ_a[:m])
+    fa = np.multiply(occ_a, y_in_row[:-1], out=ws.fa[:m])
+    np.add(_gather(csum, ka, g), fa, out=fa)
+    fb = _gather(occ, kb, ws.fb[:m])
+    np.multiply(fb, y_in_row[1:], out=fb)
+    np.add(_gather(csum, kb, g), fb, out=fb)
+    span = np.subtract(ys[1:], ys[:-1], out=tm)
+    frac = np.subtract(fb, fa, out=fb)
     with np.errstate(invalid="ignore", divide="ignore"):
-        frac = np.where(span != 0.0, (fb - fa) / span, occ_a)
-    seg_len = np.repeat(np.hypot(dx, dy), nb)[:-1]
-    lengths = np.where(dt > 0.0, dt * seg_len * frac, 0.0)
-    out[hit] = np.bincount(np.repeat(np.arange(n), nb)[:-1], weights=lengths,
-                           minlength=n)
-    return out
+        np.divide(frac, span, out=frac)
+    mask = ws.mask[:m]
+    np.copyto(frac, occ_a, where=np.equal(span, 0.0, out=mask))
+
+    # dt * seg_len * frac where dt > 0, else 0, summed per segment in order
+    # (np.add.at adds one slab at a time, as np.bincount does)
+    slab_len = np.multiply(dt, _gather(seg_len, seg, g), out=fa)
+    np.multiply(slab_len, frac, out=slab_len)
+    np.logical_not(np.greater(dt, 0.0, out=mask), out=mask)
+    np.copyto(slab_len, 0.0, where=mask)
+    np.add.at(lengths, seg, slab_len)
 
 
 def aggregate_rss(powers) -> float:

@@ -204,6 +204,8 @@ def sample_along(route: Route, global_map: RadioMap, interval_s: float,
         raise ValueError("interval_s must be positive")
     if speed <= 0:
         raise ValueError("speed must be positive")
+    if noise_sigma < 0:
+        raise ValueError("noise_sigma must be >= 0")
     if global_map.unit != "dbm":
         raise ValueError("sampling needs the dBm global map")
     cum = route.cumulative_lengths()

@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from rssloc import cli, read_pgm
+from rssloc import cli, dataset_io, read_pgm
 from rssloc.dataset_io import predictions_to_csv, read_dataset_index
 from rssloc.render import encode_ppm, render_map
 
@@ -29,6 +29,24 @@ class TestGenerate:
         cfg.write_text("{not json")
         assert cli.main(["generate", "--config", str(cfg),
                          "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("doc", [{"r": 0}, {"speed": -1}, {"noise_sigma": -1},
+                                     {"intervals": [0]}, {"intervals": [1, 1]}])
+    def test_bad_config_value_before_rasterization(self, doc, tmp_path, capsys,
+                                                   monkeypatch):
+        rasterized = []
+        monkeypatch.setattr(dataset_io, "rasterize_global",
+                            lambda *args: rasterized.append(args))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"width": 40, "height": 40, "n_layouts": 1,
+                                   "n_buildings": 1, "source_counts": [1],
+                                   "placements_per_count": 1,
+                                   "split": {"train": 1, "val": 0, "test": 0},
+                                   **doc}))
+        out = tmp_path / "o"
+        assert cli.main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("bad config: ")
+        assert rasterized == [] and not out.exists()
 
     def test_seed_override_changes_bytes(self, dataset, tmp_path):
         _, cfg, out = dataset

@@ -251,3 +251,17 @@ class TestGenerateDataset:
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             DatasetConfig.from_dict({"widht": 100})
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"r": 0}, "r must be positive"),
+        ({"r": -1.0}, "r must be positive"),
+        ({"speed": 0}, "speed must be positive"),
+        ({"noise_sigma": -1}, "noise_sigma must be >= 0"),
+        ({"intervals": []}, "intervals must not be empty"),
+        ({"intervals": [0]}, "intervals must be positive"),
+        ({"intervals": [4, -2]}, "intervals must be positive"),
+        ({"intervals": [1, 1]}, "intervals must not repeat"),
+    ])
+    def test_bad_config_value_rejected(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            DatasetConfig.from_dict(doc)

@@ -32,6 +32,13 @@ class TestPipelineConfig:
         ("kriging", {"nugget": -1.0}, "need nugget >= 0, sill > 0, range_m > 0"),
         ("idw", {"range_m": 10.0}, "idw takes no range_m"),
         ("oracle", {"power": 2.0}, "oracle takes no power"),
+        ("idw", {"power": "x"}, "power must be a finite number > 0, not 'x'"),
+        ("idw", {"power": -2.0}, r"power must be a finite number > 0, not -2\.0"),
+        ("idw", {"power": 0}, "power must be a finite number > 0, not 0"),
+        ("idw", {"power": float("nan")}, "power must be a finite number > 0, not nan"),
+        ("idw", {"power": float("inf")}, "power must be a finite number > 0, not inf"),
+        ("idw", {"power": True}, "power must be a finite number > 0, not True"),
+        ("idw", {"power": None}, "power must be a finite number > 0, not None"),
     ])
     def test_rejects_bad_reconstructor_params(self, reconstructor, params, message):
         with pytest.raises(PipelineConfigError,

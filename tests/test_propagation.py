@@ -6,7 +6,8 @@ import pytest
 from rssloc import (BitmapEncoding, BuildingLayout, PropagationParams, RadioMap,
                     Scenario, Source, aggregate_rss, generate_scenario,
                     ground_truth_local, path_loss, rasterize_global)
-from rssloc.propagation import local_disk_mask, segment_building_lengths
+from rssloc.propagation import (_workspace, local_disk_mask,
+                                segment_building_lengths)
 
 from conftest import make_flat_scenario
 from oracles import clip_building_length, traverse_all_columns
@@ -141,6 +142,21 @@ class TestPrunedTraversal:
             cells[:, -1] |= rng.random(16) < 0.5
             assert_same_bits(rng.random(2) * (42, 36) - 10,
                              rng.random((60, 2)) * (42, 36) - 10, cells)
+
+    def test_workspace_reused_across_calls(self):
+        # chunked calls share one fixed-size workspace: a large grid, a small
+        # one, one that hits no building, then more slabs than any before;
+        # stale buffer tails or buffers sized for an earlier grid would show
+        rng = np.random.default_rng(35)
+        sizes = {name: buf.shape for name, buf in vars(_workspace()).items()}
+        calls = [((120, 120), 0.05, (0.5, 60.5), 2500),
+                 ((10, 12), 0.3, (5.2, 4.7), 50),
+                 ((30, 30), 0.0, (3.3, 4.4), 500),
+                 ((160, 160), 0.05, (0.3, 0.6), 4000)]
+        for (h, w), density, start, count in calls:
+            cells = (rng.random((h, w)) < density).astype(np.uint8)
+            assert_same_bits(start, rng.random((count, 2)) * (w, h), cells)
+        assert {name: buf.shape for name, buf in vars(_workspace()).items()} == sizes
 
     def test_out_of_grid_charges_edge_column(self):
         cells = np.zeros((10, 10), dtype=np.uint8)

@@ -1,13 +1,14 @@
-"""Property tests: file-format round trips, malformed PGM headers, and the
-invariants of the evaluation metrics."""
+"""Property tests: file-format round trips, malformed PGM and LRMF headers,
+and the invariants of the evaluation metrics."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rssloc import PgmError, SampleSet, decode_pgm, encode_pgm, evaluate_scenario, ospa
+from rssloc import (LrmfError, PgmError, SampleSet, decode_lrmf, decode_pgm,
+                    encode_lrmf, encode_pgm, evaluate_scenario, ospa)
 from rssloc.dataset_io import (predictions_from_csv, predictions_to_csv,
                                samples_from_csv, samples_to_csv)
 
@@ -15,6 +16,9 @@ from rssloc.dataset_io import (predictions_from_csv, predictions_to_csv,
 FEW = settings(max_examples=40, deadline=None)
 
 grids = arrays(np.uint8, st.tuples(st.integers(1, 24), st.integers(1, 24)))
+# every float32 bit pattern (NaN payloads, infinities, -0.0), empty sides too
+float_grids = arrays(np.uint32, st.tuples(st.integers(0, 24), st.integers(0, 24))
+                     ).map(lambda bits: bits.view(np.float32))
 coords = st.floats(-1e4, 1e4, allow_nan=False)
 points = st.lists(st.tuples(st.floats(0, 200), st.floats(0, 200)), max_size=6)
 
@@ -55,6 +59,46 @@ def test_pgm_malformed_header_rejected(grid, field, data):
         raster = raster[:data.draw(st.integers(0, len(raster) - 1))]
     with pytest.raises(PgmError):
         decode_pgm(magic + b"\n" + width + b" %d\n" % h + maxval + b"\n" + raster)
+
+
+@FEW
+@given(float_grids)
+def test_lrmf_roundtrip(grid):
+    h, w = grid.shape
+    data = encode_lrmf(grid)
+    assert data[:12] == b"LRMF" + w.to_bytes(4, "little") + h.to_bytes(4, "little")
+    out = decode_lrmf(data)
+    assert out.dtype == np.float32 and out.shape == (h, w)
+    assert out.tobytes() == grid.tobytes()
+
+
+@FEW
+@given(st.one_of(st.binary(max_size=40),
+                 st.binary(max_size=40).map(lambda tail: b"LRMF" + tail)))
+def test_lrmf_decode_raises_only_lrmf_error(data):
+    try:
+        grid = decode_lrmf(data)
+    except LrmfError:
+        return
+    assert grid.dtype == np.float32 and grid.ndim == 2
+
+
+@FEW
+@given(float_grids, st.sampled_from(["magic", "header", "short", "long"]), st.data())
+def test_lrmf_malformed_rejected(grid, field, data):
+    good = encode_lrmf(grid)
+    if field == "magic":
+        bad = data.draw(st.binary(min_size=4, max_size=4).filter(
+            lambda magic: magic != b"LRMF")) + good[4:]
+    elif field == "header":
+        bad = good[:data.draw(st.integers(4, 11))]
+    elif field == "short":
+        assume(grid.size > 0)
+        bad = good[:data.draw(st.integers(12, len(good) - 1))]
+    else:
+        bad = good + data.draw(st.binary(min_size=1, max_size=9))
+    with pytest.raises(LrmfError):
+        decode_lrmf(bad)
 
 
 @FEW

@@ -163,6 +163,10 @@ class TestSampleAlong:
         with pytest.raises(ValueError, match="speed must be positive"):
             sample_along(straight_route(10), flat_global, 1, speed)
 
+    def test_rejects_negative_noise_sigma(self, flat_global):
+        with pytest.raises(ValueError, match="noise_sigma must be >= 0"):
+            sample_along(straight_route(10), flat_global, 1, noise_sigma=-1.0)
+
 
 class TestNoise:
     def make_set(self, n, seed=0):
