@@ -4,7 +4,23 @@ Synthesizes multi-source RSS scenarios over rasterized urban layouts and
 localizes the transmitters through local radio maps: binarization, connected
 component separation, and sub-pixel coordinate estimation, with a full
 evaluation suite (mLE, FAR, MDR, OSPA).
+
+numpy's BLAS/LAPACK runs on one thread per process: importing rssloc sets
+OPENBLAS_NUM_THREADS and OMP_NUM_THREADS to 1 unless they are already set,
+and `--jobs` is the only source of parallelism. The default has no effect
+when numpy was imported before rssloc, because OpenBLAS reads the variables
+when it loads.
 """
+
+import os
+
+# After each threaded LAPACK call (the kriging solve) OpenBLAS keeps a worker
+# spinning on another core for about 0.1 s, which doubles the CPU time of a
+# kriging run for no gain in wall time, and competes with the pool's workers
+# under --jobs. Forked workers inherit the single-threaded BLAS. A value the
+# user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from .scenario import (BuildingLayout, Source, Scenario, generate_layout,
                        place_sources, place_sources_dense, generate_scenario,

@@ -122,7 +122,7 @@ def cmd_pipeline(args) -> int:
         return EXIT_USAGE
     try:
         report = pipeline.run_pipeline(args.dataset, config, out_dir=args.out)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DATA
     print(pipeline.format_report_table(report))
@@ -140,7 +140,7 @@ def cmd_evaluate(args) -> int:
         return EXIT_USAGE
     try:
         index = dataset_io.read_dataset_index(args.dataset)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DATA
     pred_dir = Path(args.predictions)
@@ -150,7 +150,11 @@ def cmd_evaluate(args) -> int:
     rows = []
     evals = []
     for entry in sorted(index["entries"], key=lambda e: e["id"]):
-        scenario = dataset_io.load_scenario(args.dataset, entry)
+        try:
+            scenario = dataset_io.load_scenario(args.dataset, entry)
+        except (OSError, ValueError) as exc:
+            print(str(exc), file=sys.stderr)
+            return EXIT_DATA
         truths = scenario.true_points()
         for csv_path in sorted(pred_dir.glob(f"{entry['id']}_*.csv")):
             interval = csv_path.stem[len(entry["id"]) + 1:]

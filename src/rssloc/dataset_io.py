@@ -378,15 +378,39 @@ def generate_dataset(config: DatasetConfig, out_dir) -> dict:
     return index
 
 
+_ENTRY_KEYS = ("id", "split", "layout", "scenario", "local_map", "samples")
+
+
 def read_dataset_index(dataset_dir) -> dict:
+    """The dataset's index.json; ValueError naming the file when it is not
+    JSON or not an object whose "entries" list holds the keys each entry needs."""
     index_path = Path(dataset_dir) / "index.json"
     if not index_path.is_file():
         raise FileNotFoundError(f"no index.json in {dataset_dir}")
-    return json.loads(index_path.read_text())
+    try:
+        index = json.loads(index_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{index_path}: {exc}") from None
+    entries = index.get("entries") if isinstance(index, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError(f"{index_path}: expected an object with an entries list")
+    for k, entry in enumerate(entries):
+        missing = [key for key in _ENTRY_KEYS
+                   if not isinstance(entry, dict) or key not in entry]
+        if missing:
+            raise ValueError(f"{index_path}: entry {k} has no {', '.join(missing)}")
+    return index
 
 
 def load_scenario(dataset_dir, entry: dict) -> Scenario:
+    """The entry's layout and sources; a file that cannot be read or parsed
+    raises an error that names it."""
     base = Path(dataset_dir)
     layout = BuildingLayout(read_pgm(base / entry["layout"]))
-    doc = json.loads((base / entry["scenario"]).read_text())
-    return scenario_from_dict(doc, layout)
+    path = base / entry["scenario"]
+    try:
+        return scenario_from_dict(json.loads(path.read_text()), layout)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a scenario: {type(exc).__name__}: {exc}") from None

@@ -62,6 +62,15 @@ class PipelineConfig:
             raise PipelineConfigError("r must be positive")
         if not self.g > 0:
             raise PipelineConfigError("g must be positive")
+        if not self.area_factor > 0:
+            raise PipelineConfigError("area_factor must be positive")
+        if not self.noise_sigma >= 0:
+            raise PipelineConfigError("noise_sigma must be >= 0")
+        if not self.delta_db >= 0:
+            raise PipelineConfigError("delta_db must be >= 0")
+        if isinstance(self.jobs, bool) or not isinstance(self.jobs, int) \
+                or self.jobs < 1:
+            raise PipelineConfigError(f"jobs must be an integer >= 1, not {self.jobs!r}")
         if self.intervals is not None:
             self.intervals = tuple(self.intervals)
 
@@ -146,10 +155,14 @@ def process_entry(dataset_dir, entry: dict, config: PipelineConfig) -> list[dict
     """Run every configured interval of one scenario; returns report rows."""
     local_map = (LOCAL_MAPS[config.reconstructor] if config.local_map_dir is None
                  else _external_map)
-    scenario = load_scenario(dataset_dir, entry)
-    truths = scenario.true_points()
     intervals = config.intervals or tuple(
         sorted(entry["samples"], key=lambda s: float(s)))
+    try:
+        scenario = load_scenario(dataset_dir, entry)
+    except Exception as exc:
+        # an unreadable scenario fails each of its rows, not the batch
+        return [_error_row(entry, interval, exc) for interval in intervals]
+    truths = scenario.true_points()
     rows = []
     for interval in intervals:
         try:
@@ -168,9 +181,13 @@ def process_entry(dataset_dir, entry: dict, config: PipelineConfig) -> list[dict
                     preds.component_ids, preds.points, preds.flags),
             })
         except Exception as exc:
-            rows.append({"id": entry["id"], "interval": str(interval),
-                         "split": entry["split"], "error": str(exc)})
+            rows.append(_error_row(entry, interval, exc))
     return rows
+
+
+def _error_row(entry: dict, interval, exc: Exception) -> dict:
+    return {"id": entry["id"], "interval": str(interval), "split": entry["split"],
+            "error": str(exc)}
 
 
 def _process_star(args):

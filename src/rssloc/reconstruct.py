@@ -46,11 +46,6 @@ class VariogramParams:
         if self.nugget < 0 or self.sill <= 0 or self.range_m <= 0:
             raise ValueError("need nugget >= 0, sill > 0, range_m > 0")
 
-    def __call__(self, d) -> np.ndarray:
-        d = np.asarray(d, dtype=np.float64)
-        g = self.nugget + self.sill * (1.0 - np.exp(-3.0 * d / self.range_m))
-        return np.where(d <= 0.0, 0.0, g)
-
 
 def _squared_distance_blocks(positions: np.ndarray, query: np.ndarray):
     """Yield (lo, d2): d2[i, j] is the squared distance from query[lo + i] to
@@ -105,13 +100,31 @@ def idw_predict(positions: np.ndarray, values: np.ndarray, query: np.ndarray,
 
 
 def _kriging_matrix(positions: np.ndarray, variogram: VariogramParams) -> np.ndarray:
+    """The bordered ordinary-kriging matrix [[gamma(d_ij), 1], [1, 0]].
+
+    gamma is written in place from squared distances, in the operation order
+    of nugget + sill * (1 - exp(-3 d / range)); the positions are distinct, so
+    only the diagonal has d = 0.
+    """
     j = len(positions)
-    d = np.hypot(positions[:, None, 0] - positions[None, :, 0],
-                 positions[:, None, 1] - positions[None, :, 1])
-    k = np.zeros((j + 1, j + 1))
-    k[:j, :j] = variogram(d)
+    k = np.empty((j + 1, j + 1))
+    g, dy = k[:j, :j], np.empty((j, j))
+    np.subtract(positions[:, 0, None], positions[:, 0], out=g)
+    np.multiply(g, g, out=g)
+    np.subtract(positions[:, 1, None], positions[:, 1], out=dy)
+    np.multiply(dy, dy, out=dy)
+    g += dy
+    np.sqrt(g, out=g)
+    g *= -3.0
+    g /= variogram.range_m
+    np.exp(g, out=g)
+    np.subtract(1.0, g, out=g)
+    g *= variogram.sill
+    g += variogram.nugget
+    np.fill_diagonal(g, 0.0)
     k[:j, j] = 1.0
     k[j, :j] = 1.0
+    k[j, j] = 0.0
     return k
 
 

@@ -6,9 +6,11 @@ cell instead of a clipped bounding box, per-cell segment clipping instead of
 grid traversal, factorial enumeration instead of the Hungarian solver, the
 primal kriging system instead of the dual one. The exceptions are
 `traverse_all_columns`, the unpruned column traversal that the package's
-pruned one must match bit for bit, and `kriging_predict_hypot` and
+pruned one must match bit for bit, `kriging_predict_hypot` and
 `idw_predict_hypot`, the evaluation from `np.hypot` distances in chunks of
-4096 queries that the package's squared-distance blocks replace.
+4096 queries that the package's squared-distance blocks replace, and
+`kriging_matrix_hypot`, the variogram of `np.hypot` distances that the
+package's in-place build from squared distances replaces.
 """
 
 import itertools
@@ -218,11 +220,22 @@ def _hypot_chunks(positions, query, chunk=4096):
                            q[:, None, 1] - positions[None, :, 1])
 
 
-def _ordinary_kriging_matrix(pos, variogram):
+def exponential_variogram(d, variogram):
+    """gamma(d) = nugget + sill * (1 - exp(-3 d / range)) of a
+    VariogramParams, with gamma(0) = 0."""
+    d = np.asarray(d, dtype=np.float64)
+    g = variogram.nugget + variogram.sill * (1.0 - np.exp(-3.0 * d / variogram.range_m))
+    return np.where(d <= 0.0, 0.0, g)
+
+
+def kriging_matrix_hypot(pos, variogram):
+    """The bordered ordinary-kriging matrix [[gamma(d_ij), 1], [1, 0]] from
+    np.hypot distances."""
     j = len(pos)
     k = np.ones((j + 1, j + 1))
-    k[:j, :j] = variogram(np.hypot(pos[:, None, 0] - pos[None, :, 0],
-                                   pos[:, None, 1] - pos[None, :, 1]))
+    k[:j, :j] = exponential_variogram(np.hypot(pos[:, None, 0] - pos[None, :, 0],
+                                               pos[:, None, 1] - pos[None, :, 1]),
+                                      variogram)
     k[j, j] = 0.0
     return k
 
@@ -232,10 +245,11 @@ def kriging_predict_hypot(positions, values, query, variogram):
     one dual solve, then variogram(d) @ w + mu chunk by chunk."""
     pos = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
     rhs = np.append(np.asarray(values, dtype=np.float64), 0.0)
-    alpha = np.linalg.solve(_ordinary_kriging_matrix(pos, variogram), rhs)
+    alpha = np.linalg.solve(kriging_matrix_hypot(pos, variogram), rhs)
     out = np.empty(len(np.atleast_2d(query)))
     for lo, d in _hypot_chunks(pos, query):
-        out[lo:lo + len(d)] = variogram(d) @ alpha[:-1] + alpha[-1]
+        out[lo:lo + len(d)] = (exponential_variogram(d, variogram) @ alpha[:-1]
+                               + alpha[-1])
     return out
 
 
@@ -264,9 +278,10 @@ def kriging_weights(positions, query_point, variogram):
     from the primal system that rssloc.reconstruct.kriging_predict solves in
     dual form."""
     pos = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
-    k = _ordinary_kriging_matrix(pos, variogram)
-    rhs = np.append(variogram(np.hypot(pos[:, 0] - query_point[0],
-                                       pos[:, 1] - query_point[1])), 1.0)
+    k = kriging_matrix_hypot(pos, variogram)
+    rhs = np.append(exponential_variogram(np.hypot(pos[:, 0] - query_point[0],
+                                                   pos[:, 1] - query_point[1]),
+                                          variogram), 1.0)
     sol = np.linalg.solve(k, rhs)
     return sol[:-1], float(sol[-1])
 

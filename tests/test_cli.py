@@ -1,5 +1,9 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,6 +205,56 @@ class TestPipeline:
         assert capsys.readouterr().err.splitlines() == \
             [f"{option[2:]} must be positive"]
 
+    @pytest.mark.parametrize("option,value,message", [
+        ("--jobs", "0", "jobs must be an integer >= 1, not 0"),
+        ("--jobs", "-2", "jobs must be an integer >= 1, not -2"),
+        ("--noise-sigma", "-1", "noise_sigma must be >= 0"),
+        ("--noise-sigma", "nan", "noise_sigma must be >= 0"),
+        ("--delta-db", "-5", "delta_db must be >= 0"),
+        ("--area-factor", "0", "area_factor must be positive"),
+    ])
+    def test_out_of_range_option_fails_before_processing(self, dataset, tmp_path,
+                                                         capsys, option, value,
+                                                         message):
+        _, _, out = dataset
+        run = tmp_path / "run"
+        code = cli.main(["pipeline", "--dataset", str(out), "--out", str(run),
+                         "--reconstructor", "oracle", "--intervals", "4",
+                         option, value])
+        assert code == 1
+        assert not run.exists()
+        assert capsys.readouterr().err.splitlines() == [message]
+
+    @pytest.mark.parametrize("broken,text", [("scenario", '{"sources": ['),
+                                             ("scenario", "{}"), ("layout", None)],
+                             ids=["scenario-not-json", "scenario-no-fields",
+                                  "layout-deleted"])
+    def test_unreadable_scenario_files_are_error_rows(self, dataset, tmp_path,
+                                                      capsys, broken, text):
+        _, _, out = dataset
+        copy = tmp_path / "ds"
+        shutil.copytree(out, copy)
+        index = read_dataset_index(copy)
+        path = copy / index["entries"][0][broken]
+        if text is None:
+            path.unlink()
+        else:
+            path.write_text(text)
+        hit = {e["id"] for e in index["entries"] if e[broken] == index["entries"][0][broken]}
+        run = tmp_path / "run"
+        code = cli.main(["pipeline", "--dataset", str(copy), "--out", str(run),
+                         "--reconstructor", "oracle", "--intervals", "4,10"])
+        assert code == 3
+        report = json.loads((run / "report.json").read_text())
+        assert len(report["results"]) == 2 * len(index["entries"])
+        assert {(e["id"], e["interval"]) for e in report["errors"]} == \
+            {(sid, interval) for sid in hit for interval in ("4", "10")}
+        stderr = capsys.readouterr().err.splitlines()
+        for err in report["errors"]:
+            assert str(path) in err["error"]
+            assert (f"failed: {err['id']} interval {err['interval']}: "
+                    f"{err['error']}") in stderr
+
     def test_malformed_samples_csv_names_file_and_line(self, dataset, tmp_path,
                                                        capsys):
         _, _, out = dataset
@@ -287,6 +341,21 @@ class TestEvaluate:
         assert capsys.readouterr().err.splitlines() == \
             [f"{csv_path}: line 2: expected 4 fields, found 3"]
 
+    @pytest.mark.parametrize("text", ['{"sources": [', "{}"],
+                             ids=["not-json", "no-fields"])
+    def test_corrupt_scenario_is_data_error(self, dataset, tmp_path, capsys, text):
+        _, _, out = dataset
+        copy = tmp_path / "ds"
+        shutil.copytree(out, copy)
+        path = copy / read_dataset_index(copy)["entries"][0]["scenario"]
+        path.write_text(text)
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        assert cli.main(["evaluate", "--dataset", str(copy),
+                         "--predictions", str(preds)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"{path}: ")
+
     def test_empty_predictions_dir(self, dataset, tmp_path):
         _, _, out = dataset
         empty = tmp_path / "empty"
@@ -331,6 +400,54 @@ class TestRender:
                          np.zeros((10, 10), dtype=np.uint8))
         data = encode_ppm(rgb)
         assert len(data) == len(b"P6\n10 10\n255\n") + 300
+
+
+@pytest.mark.parametrize("command", ["pipeline", "evaluate"])
+@pytest.mark.parametrize("text,message", [
+    ("{", "Expecting property name enclosed in double quotes"),
+    ("[]", "expected an object with an entries list"),
+    ('{"entries": [{"id": "x", "split": "test"}]}',
+     "entry 0 has no layout, scenario, local_map, samples"),
+], ids=["not-json", "not-an-object", "entry-keys-missing"])
+def test_malformed_index_is_data_error(tmp_path, capsys, command, text, message):
+    dataset = tmp_path / "ds"
+    dataset.mkdir()
+    (dataset / "index.json").write_text(text)
+    (tmp_path / "preds").mkdir()
+    args = {"pipeline": ["--out", str(tmp_path / "run")],
+            "evaluate": ["--predictions", str(tmp_path / "preds")]}[command]
+    assert cli.main([command, "--dataset", str(dataset), *args]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"{dataset / 'index.json'}: {message}")
+
+
+_BLAS_ENV_AT_NUMPY_IMPORT = """
+import os, sys
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not hasattr(Spy, "seen"):
+            Spy.seen = [os.environ.get("OPENBLAS_NUM_THREADS"),
+                        os.environ.get("OMP_NUM_THREADS")]
+
+sys.meta_path.insert(0, Spy())
+import rssloc
+print(*Spy.seen)
+"""
+
+
+@pytest.mark.parametrize("preset,expected", [({}, ["1", "1"]),
+                                             ({"OPENBLAS_NUM_THREADS": "3"}, ["3", "1"])],
+                         ids=["unset", "user-set"])
+def test_blas_threads_default_to_one_before_numpy_loads(preset, expected):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _BLAS_ENV_AT_NUMPY_IMPORT],
+                          env={**env, **preset}, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.split() == expected
 
 
 def test_usage_error_exit_code():

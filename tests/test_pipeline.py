@@ -13,6 +13,27 @@ class TestPipelineConfig:
         with pytest.raises(PipelineConfigError, match=f"^{field} must be positive$"):
             PipelineConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("jobs", 0, "jobs must be an integer >= 1, not 0"),
+        ("jobs", -2, "jobs must be an integer >= 1, not -2"),
+        ("jobs", 1.5, r"jobs must be an integer >= 1, not 1\.5"),
+        ("jobs", True, "jobs must be an integer >= 1, not True"),
+        ("jobs", "2", "jobs must be an integer >= 1, not '2'"),
+        ("noise_sigma", -1.0, "noise_sigma must be >= 0"),
+        ("noise_sigma", math.nan, "noise_sigma must be >= 0"),
+        ("delta_db", -5.0, "delta_db must be >= 0"),
+        ("delta_db", math.nan, "delta_db must be >= 0"),
+        ("area_factor", 0.0, "area_factor must be positive"),
+        ("area_factor", -1.0, "area_factor must be positive"),
+        ("area_factor", math.nan, "area_factor must be positive"),
+    ])
+    def test_rejects_out_of_range_options(self, field, value, message):
+        with pytest.raises(PipelineConfigError, match=f"^{message}$"):
+            PipelineConfig(**{field: value})
+
+    def test_accepts_boundary_options(self):
+        PipelineConfig(jobs=1, noise_sigma=0.0, delta_db=0.0, area_factor=1e-9)
+
     def test_to_dict_lists_every_option(self):
         config = PipelineConfig(reconstructor="kriging",
                                 reconstructor_params={"sill": 30.0},

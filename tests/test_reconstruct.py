@@ -7,10 +7,12 @@ from rssloc import (LOCAL_MAPS, BuildingLayout, PipelineConfig,
                     ReconstructionError, SampleSet, VariogramParams,
                     idw_reconstruct, kriging_reconstruct, load_scenario,
                     proxy_local_map, rasterize_global, read_dataset_index)
-from rssloc.reconstruct import _PAIRS_PER_BLOCK, idw_predict, kriging_predict
+from rssloc.reconstruct import (_PAIRS_PER_BLOCK, _kriging_matrix, idw_predict,
+                                kriging_predict)
 
 from conftest import make_flat_scenario
-from oracles import idw_predict_hypot, kriging_predict_hypot, kriging_weights
+from oracles import (idw_predict_hypot, kriging_matrix_hypot, kriging_predict_hypot,
+                     kriging_weights)
 
 
 def sample_set(positions, values):
@@ -62,8 +64,8 @@ class TestKriging:
         assert np.allclose(out, -62.0, atol=1e-9)
 
     def test_weights_match_dense_solve(self):
-        # the primal oracle, through VariogramParams, against the system
-        # assembled here from the exponential formula
+        # the primal oracle, through oracles.exponential_variogram, against
+        # the system assembled here from the exponential formula
         rng = np.random.default_rng(43)
         vg = VariogramParams()
         for _ in range(20):
@@ -137,6 +139,20 @@ class TestAgainstHypotOracle:
         got = kriging_predict(pos, vals, query, vg)
         want = kriging_predict_hypot(pos, vals, query, vg)
         assert np.max(np.abs(got - want)) <= 1e-9
+
+    @pytest.mark.parametrize("nugget", [0.0, 0.5, 3.0])
+    @pytest.mark.parametrize("j", [2, 7, 150, 600])
+    def test_kriging_matrix(self, j, nugget):
+        # sqrt of a sum of squares against hypot: a few ulp of gamma's largest
+        # value, nugget + sill
+        rng, pos, _, _, _ = random_problem(3000 + j, j)
+        vg = VariogramParams(nugget=nugget, sill=float(rng.uniform(1.0, 50.0)),
+                             range_m=float(rng.uniform(2.0, 80.0)))
+        got = _kriging_matrix(pos, vg)
+        want = kriging_matrix_hypot(pos, vg)
+        assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * (nugget + vg.sill)
+        assert np.array_equal(got[-1], want[-1]) and np.array_equal(got[:, -1], want[:, -1])
+        assert not np.diagonal(got).any()
 
     @pytest.mark.parametrize("power", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("j", [2, 7, 150, 600])
