@@ -25,9 +25,9 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 from .scenario import (BuildingLayout, Source, Scenario, generate_layout,
                        place_sources, place_sources_dense, generate_scenario,
                        LayoutError, PlacementError)
-from .propagation import (PropagationParams, BitmapEncoding, RadioMap,
-                          path_loss, aggregate_rss, rasterize_global,
-                          ground_truth_local)
+from .propagation import (PropagationParams, RadioMap, P_MIN_DBM, P_MAX_DBM,
+                          encode_bitmap, path_loss, aggregate_rss,
+                          rasterize_global, ground_truth_local)
 from .sampling import (Route, SampleSet, build_routes, sample_along, add_noise,
                        RouteError)
 from .reconstruct import (VariogramParams, idw_reconstruct, kriging_reconstruct,

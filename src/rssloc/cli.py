@@ -15,7 +15,7 @@ from pathlib import Path
 from . import dataset_io, pipeline, render
 from .dataset_io import DatasetConfig
 from .localize import ESTIMATORS
-from .metrics import aggregate, evaluate_scenario
+from .metrics import DEFAULT_OSPA_CUTOFF, aggregate, evaluate_scenario
 from .pipeline import LOCAL_MAPS, PipelineConfig, PipelineConfigError
 
 EXIT_OK = 0
@@ -45,26 +45,29 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="output dataset directory")
     gen.add_argument("--seed", type=int, default=None, help="override config seed")
 
+    # an option left out is left out of the namespace, so that the
+    # PipelineConfig default applies
     pipe = sub.add_parser("pipeline", help="run the localization pipeline",
                           epilog=_registry_epilog(),
-                          formatter_class=argparse.RawDescriptionHelpFormatter)
+                          formatter_class=argparse.RawDescriptionHelpFormatter,
+                          argument_default=argparse.SUPPRESS)
     pipe.add_argument("--dataset", required=True)
     pipe.add_argument("--out", required=True)
-    pipe.add_argument("--reconstructor", default="oracle")
-    pipe.add_argument("--estimator", default="com")
-    pipe.add_argument("--r", type=float, default=2.0)
-    pipe.add_argument("--gamma", type=int, default=127)
-    pipe.add_argument("--g", type=float, default=20.0)
-    pipe.add_argument("--connectivity", type=int, default=8, choices=(4, 8))
-    pipe.add_argument("--intervals", default=None,
+    pipe.add_argument("--reconstructor")
+    pipe.add_argument("--estimator")
+    pipe.add_argument("--r", type=float)
+    pipe.add_argument("--gamma", type=int)
+    pipe.add_argument("--g", type=float)
+    pipe.add_argument("--connectivity", type=int, choices=(4, 8))
+    pipe.add_argument("--intervals",
                       help="comma-separated subset, e.g. 1,4,10")
-    pipe.add_argument("--noise-sigma", type=float, default=0.0)
-    pipe.add_argument("--noise-seed", type=int, default=0)
-    pipe.add_argument("--delta-db", type=float, default=9.0)
-    pipe.add_argument("--area-factor", type=float, default=1.6)
-    pipe.add_argument("--local-map-dir", default=None,
+    pipe.add_argument("--noise-sigma", type=float)
+    pipe.add_argument("--noise-seed", type=int)
+    pipe.add_argument("--delta-db", type=float)
+    pipe.add_argument("--area-factor", type=float)
+    pipe.add_argument("--local-map-dir",
                       help="drop-in directory of externally produced local maps")
-    pipe.add_argument("--jobs", type=int, default=1)
+    pipe.add_argument("--jobs", type=int)
 
     ev = sub.add_parser("evaluate",
                         help="evaluate externally produced prediction CSVs")
@@ -72,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--predictions", required=True,
                     help="directory of <scenario>_<interval>.csv files")
     ev.add_argument("--out", default=None, help="report JSON path")
-    ev.add_argument("--g", type=float, default=20.0)
+    ev.add_argument("--g", type=float, default=DEFAULT_OSPA_CUTOFF)
 
     ren = sub.add_parser("render", help="render a map with truth/prediction marks")
     ren.add_argument("--map", required=True, help="bitmap PGM to render")
@@ -106,17 +109,15 @@ def cmd_generate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    intervals = None
-    if args.intervals:
-        intervals = tuple(part.strip() for part in args.intervals.split(","))
+    given = {key: value for key, value in vars(args).items()
+             if key not in ("command", "dataset", "out")}
+    if "intervals" in given:
+        # an empty value means every interval, as leaving the option out does
+        text = given["intervals"]
+        given["intervals"] = (tuple(part.strip() for part in text.split(","))
+                              if text else None)
     try:
-        config = PipelineConfig(
-            reconstructor=args.reconstructor, estimator=args.estimator,
-            r=args.r, gamma=args.gamma, g=args.g,
-            connectivity=args.connectivity, intervals=intervals,
-            noise_sigma=args.noise_sigma, noise_seed=args.noise_seed,
-            delta_db=args.delta_db, area_factor=args.area_factor,
-            local_map_dir=args.local_map_dir, jobs=args.jobs)
+        config = PipelineConfig(**given)
     except PipelineConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

@@ -9,14 +9,14 @@ for scenarios and the dataset index. Generation is a pure function of
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .propagation import BitmapEncoding, PropagationParams, \
-    ground_truth_local, rasterize_global
+from .propagation import PropagationParams, ground_truth_local, rasterize_global
 from .sampling import SampleSet, build_routes, sample_along
 from .scenario import BuildingLayout, Scenario, Source, generate_layout, \
     place_sources, place_sources_dense
@@ -132,7 +132,8 @@ def samples_to_csv(sample_set: SampleSet) -> str:
 
 def _csv_rows(text: str, header: str, types) -> list[list]:
     """Fields of every non-blank row after the header, converted by types;
-    errors name the 1-based line."""
+    a field that does not convert or is not finite (nan, inf) is an error
+    that names the 1-based line."""
     lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1)
              if ln.strip()]
     if not lines or lines[0][1] != header:
@@ -144,9 +145,12 @@ def _csv_rows(text: str, header: str, types) -> list[list]:
             raise ValueError(f"line {n}: expected {len(types)} fields, "
                              f"found {len(fields)}")
         try:
-            rows.append([t(f) for t, f in zip(types, fields)])
+            row = [t(f) for t, f in zip(types, fields)]
         except ValueError:
             raise ValueError(f"line {n}: non-numeric field in {ln!r}") from None
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"line {n}: non-finite field in {ln!r}")
+        rows.append(row)
     return rows
 
 
@@ -309,7 +313,6 @@ def generate_dataset(config: DatasetConfig, out_dir) -> dict:
     partial dataset behind; the raised error names the failing scenario.
     """
     params = PropagationParams()
-    enc = BitmapEncoding()
     splits = _layout_splits(config)
     files: list[tuple[str, bytes]] = []
     entries = []
@@ -335,9 +338,9 @@ def generate_dataset(config: DatasetConfig, out_dir) -> dict:
                                                 seed, config.clear_radius)
                     scenario = Scenario(layout=layout, sources=sources,
                                         id=sid, rng_seed=seed)
-                    global_map = rasterize_global(scenario, params, enc)
+                    global_map = rasterize_global(scenario, params)
                     local_map = ground_truth_local(scenario, params, config.r,
-                                                   enc, global_map=global_map)
+                                                   global_map=global_map)
                 except Exception as exc:
                     raise RuntimeError(f"scenario {sid} failed: {exc}") from exc
                 sampling_meta = {"intervals": list(config.intervals),

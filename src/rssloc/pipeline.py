@@ -14,12 +14,13 @@ from pathlib import Path
 from .dataset_io import (load_scenario, predictions_to_csv, read_dataset_index,
                          read_pgm, samples_from_csv)
 from .localize import ESTIMATORS, localize_all
-from .metrics import ScenarioEval, aggregate, evaluate_scenario
-from .propagation import BitmapEncoding, RadioMap
+from .metrics import DEFAULT_OSPA_CUTOFF, ScenarioEval, aggregate, evaluate_scenario
+from .propagation import RadioMap
 from .reconstruct import (VariogramParams, idw_reconstruct, kriging_reconstruct,
                           proxy_local_map)
 from .sampling import add_noise
-from .separation import separate_sources
+from .separation import (DEFAULT_AREA_FACTOR, DEFAULT_CONNECTIVITY,
+                         DEFAULT_GAMMA, separate_sources)
 
 
 class PipelineConfigError(ValueError):
@@ -32,13 +33,13 @@ class PipelineConfig:
     reconstructor_params: dict = field(default_factory=dict)
     estimator: str = "com"
     r: float = 2.0
-    gamma: int = 127
-    g: float = 20.0
-    connectivity: int = 8
+    gamma: int = DEFAULT_GAMMA
+    g: float = DEFAULT_OSPA_CUTOFF
+    connectivity: int = DEFAULT_CONNECTIVITY
     intervals: tuple | None = None   # None: every interval in the dataset
     noise_sigma: float = 0.0         # extra measurement noise at pipeline time
     noise_seed: int = 0
-    area_factor: float = 1.6
+    area_factor: float = DEFAULT_AREA_FACTOR
     delta_db: float = 9.0
     local_map_dir: str | None = None
     jobs: int = 1
@@ -56,6 +57,10 @@ class PipelineConfig:
             raise PipelineConfigError(
                 f"unknown estimator {self.estimator!r}; "
                 f"registered: {', '.join(sorted(ESTIMATORS))}")
+        if isinstance(self.gamma, bool) or not isinstance(self.gamma, int) \
+                or not 0 <= self.gamma <= 254:
+            raise PipelineConfigError(
+                f"gamma must be an integer in 0..254, not {self.gamma!r}")
         if self.connectivity not in (4, 8):
             raise PipelineConfigError("connectivity must be 4 or 8")
         if not self.r > 0:
@@ -113,7 +118,7 @@ def _from_samples(reconstruct, dataset_dir, entry, interval, scenario,
     if config.noise_sigma > 0:
         samples = add_noise(samples, config.noise_sigma, config.noise_seed)
     dense = reconstruct(samples, scenario.layout, **_reconstruct_kwargs(config))
-    return proxy_local_map(dense, config.delta_db, BitmapEncoding(), config.r)
+    return proxy_local_map(dense, config.delta_db, config.r)
 
 
 # The reconstruct functions are looked up when called, not stored, so that a
@@ -253,19 +258,12 @@ def run_pipeline(dataset_dir, config: PipelineConfig,
 def format_report_table(report: dict) -> str:
     """Aligned text table of the aggregate metrics, one row per interval."""
     headers = ("interval", "scenarios", "mLE (m)", "FAR", "MDR", "OSPA (m)")
-    rows = []
-    for interval, agg in report["by_interval"].items():
-        if agg is None:
-            continue
-        rows.append((interval, str(agg["scenarios"]),
-                     "-" if agg["mle"] is None else f"{agg['mle']:.3f}",
-                     f"{agg['far']:.3f}", f"{agg['mdr']:.3f}", f"{agg['ospa']:.3f}"))
-    total = report["aggregate"]
-    if total is not None:
-        rows.append(("all", str(total["scenarios"]),
-                     "-" if total["mle"] is None else f"{total['mle']:.3f}",
-                     f"{total['far']:.3f}", f"{total['mdr']:.3f}",
-                     f"{total['ospa']:.3f}"))
+    rows = [(label, str(agg["scenarios"]),
+             "-" if agg["mle"] is None else f"{agg['mle']:.3f}",
+             f"{agg['far']:.3f}", f"{agg['mdr']:.3f}", f"{agg['ospa']:.3f}")
+            for label, agg in [*report["by_interval"].items(),
+                               ("all", report["aggregate"])]
+            if agg is not None]
     widths = [max(len(h), *(len(r[k]) for r in rows)) if rows else len(h)
               for k, h in enumerate(headers)]
     lines = ["  ".join(h.rjust(widths[k]) for k, h in enumerate(headers))]

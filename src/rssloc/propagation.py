@@ -42,21 +42,17 @@ class PropagationParams:
             raise ValueError("sigma_shadow and beta_penetration must be >= 0")
 
 
-@dataclass
-class BitmapEncoding:
+# The 8-bit scale: P_MIN_DBM maps to 0 and P_MAX_DBM to 255. P_MIN_DBM is
+# also the value of building cells in every dBm map.
+P_MIN_DBM = -110.0
+P_MAX_DBM = 0.0
+
+
+def encode_bitmap(dbm) -> np.ndarray:
     """Affine dBm -> [0, 255] quantization, round half up."""
-
-    p_min: float = -110.0
-    p_max: float = 0.0
-
-    def __post_init__(self):
-        if not self.p_min < self.p_max:
-            raise ValueError("p_min must be < p_max")
-
-    def encode(self, dbm) -> np.ndarray:
-        t = (np.asarray(dbm, dtype=np.float64) - self.p_min) / (self.p_max - self.p_min)
-        t = np.clip(t, 0.0, 1.0)
-        return np.floor(255.0 * t + 0.5).astype(np.uint8)
+    t = (np.asarray(dbm, dtype=np.float64) - P_MIN_DBM) / (P_MAX_DBM - P_MIN_DBM)
+    t = np.clip(t, 0.0, 1.0)
+    return np.floor(255.0 * t + 0.5).astype(np.uint8)
 
 
 @dataclass
@@ -408,12 +404,11 @@ def _per_source_linear(scenario: Scenario, params: PropagationParams,
     return out
 
 
-def rasterize_global(scenario: Scenario, params: PropagationParams,
-                     enc: BitmapEncoding | None = None) -> RadioMap:
-    """Aggregate dBm field at every free cell center; building interiors get p_min."""
-    enc = enc or BitmapEncoding()
+def rasterize_global(scenario: Scenario, params: PropagationParams) -> RadioMap:
+    """Aggregate dBm field at every free cell center; building interiors get
+    P_MIN_DBM."""
     layout = scenario.layout
-    vals = np.full((layout.height, layout.width), enc.p_min, dtype=np.float64)
+    vals = np.full((layout.height, layout.width), P_MIN_DBM, dtype=np.float64)
     rows, cols = np.nonzero(layout.cells == 0)
     linear = _per_source_linear(scenario, params, rows, cols)
     vals[rows, cols] = 10.0 * np.log10(linear.sum(axis=0))
@@ -429,7 +424,6 @@ def local_disk_mask(scenario: Scenario, r: float) -> np.ndarray:
 
 
 def ground_truth_local(scenario: Scenario, params: PropagationParams, r: float,
-                       enc: BitmapEncoding | None = None,
                        global_map: RadioMap | None = None) -> RadioMap:
     """Bitmap of the global field zeroed outside the union of radius-r source disks.
 
@@ -438,17 +432,16 @@ def ground_truth_local(scenario: Scenario, params: PropagationParams, r: float,
     """
     if r <= 0:
         raise ValueError("r must be positive")
-    enc = enc or BitmapEncoding()
     layout = scenario.layout
     mask = local_disk_mask(scenario, r)
     bitmap = np.zeros((layout.height, layout.width), dtype=np.uint8)
     if global_map is not None:
         if global_map.unit != "dbm":
             raise ValueError("global map must be in dBm")
-        bitmap[mask] = enc.encode(global_map.values[mask])
+        bitmap[mask] = encode_bitmap(global_map.values[mask])
         return RadioMap(bitmap, "local", "bitmap")
     rows, cols = np.nonzero(mask & (layout.cells == 0))
     if len(rows):
         linear = _per_source_linear(scenario, params, rows, cols)
-        bitmap[rows, cols] = enc.encode(10.0 * np.log10(linear.sum(axis=0)))
+        bitmap[rows, cols] = encode_bitmap(10.0 * np.log10(linear.sum(axis=0)))
     return RadioMap(bitmap, "local", "bitmap")

@@ -13,7 +13,7 @@ working set stays in cache. Kriging is solved once in dual form (weights w and
 mean mu) and the affine exponential variogram is folded into the prediction:
 (nugget + sill) * sum(w) + mu - sill * (exp(-3 d / range) @ w), less
 nugget * w_j at every query that sits exactly on sample j (gamma(0) = 0).
-The reconstructors predict only at free cells; building cells take the fill.
+The reconstructors predict only at free cells; building cells take P_MIN_DBM.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagation import BitmapEncoding, RadioMap
+from .propagation import P_MIN_DBM, RadioMap, encode_bitmap
 from .sampling import SampleSet
 from .scenario import BuildingLayout, disk_cells
 
-DEFAULT_BUILDING_FILL_DBM = -110.0
 _PAIRS_PER_BLOCK = 1 << 15
+# proxy_local_map takes at most this many peaks
+_MAX_PEAKS = 64
 
 
 class ReconstructionError(RuntimeError):
@@ -179,34 +180,30 @@ def _free_cell_centers(layout: BuildingLayout) -> np.ndarray:
     return np.column_stack([jj + 0.5, ii + 0.5])
 
 
-def _as_dense_map(free_values: np.ndarray, layout: BuildingLayout,
-                  building_fill: float) -> RadioMap:
-    vals = np.full(layout.cells.shape, building_fill, dtype=np.float64)
+def _as_dense_map(free_values: np.ndarray, layout: BuildingLayout) -> RadioMap:
+    vals = np.full(layout.cells.shape, P_MIN_DBM, dtype=np.float64)
     vals[layout.cells == 0] = free_values
     return RadioMap(vals, "global", "dbm")
 
 
 def idw_reconstruct(sample_set: SampleSet, layout: BuildingLayout,
-                    power: float = 2.0,
-                    building_fill: float = DEFAULT_BUILDING_FILL_DBM) -> RadioMap:
+                    power: float = 2.0) -> RadioMap:
     """Dense dBm map by inverse distance weighting of the samples."""
     field = idw_predict(sample_set.positions, sample_set.values,
                         _free_cell_centers(layout), power)
-    return _as_dense_map(field, layout, building_fill)
+    return _as_dense_map(field, layout)
 
 
 def kriging_reconstruct(sample_set: SampleSet, layout: BuildingLayout,
-                        variogram: VariogramParams | None = None,
-                        building_fill: float = DEFAULT_BUILDING_FILL_DBM) -> RadioMap:
+                        variogram: VariogramParams | None = None) -> RadioMap:
     """Dense dBm map by ordinary kriging; raises on a singular system."""
     field = kriging_predict(sample_set.positions, sample_set.values,
                             _free_cell_centers(layout), variogram)
-    return _as_dense_map(field, layout, building_fill)
+    return _as_dense_map(field, layout)
 
 
 def proxy_local_map(dense: RadioMap, delta_db: float = 9.0,
-                    enc: BitmapEncoding | None = None, r: float = 2.0,
-                    max_peaks: int = 64) -> RadioMap:
+                    r: float = 2.0) -> RadioMap:
     """Carve a local-area bitmap out of a dense reconstruction.
 
     Iteratively take the strongest unsuppressed pixel as a peak candidate,
@@ -219,7 +216,6 @@ def proxy_local_map(dense: RadioMap, delta_db: float = 9.0,
         raise ValueError("proxy_local_map expects a dBm map")
     if not r > 0:
         raise ValueError("r must be positive")
-    enc = enc or BitmapEncoding()
     vals = dense.values.astype(np.float64)
     if vals.max() - vals.min() < 1e-12:
         raise ValueError("degenerate (constant) dense map")
@@ -227,7 +223,7 @@ def proxy_local_map(dense: RadioMap, delta_db: float = 9.0,
     work = vals.copy()
     keep = np.zeros((h, w), dtype=bool)
     floor = vals.max() - delta_db
-    for _ in range(max_peaks):
+    for _ in range(_MAX_PEAKS):
         flat = int(np.argmax(work))
         pi, pj = flat // w, flat % w
         peak = work[pi, pj]
@@ -236,5 +232,5 @@ def proxy_local_map(dense: RadioMap, delta_db: float = 9.0,
         disk = disk_cells(pj + 0.5, pi + 0.5, 3.0 * r, (h, w))
         keep[disk] |= vals[disk] >= peak - delta_db
         work[disk] = -np.inf
-    bitmap = np.where(keep, enc.encode(vals), 0).astype(np.uint8)
+    bitmap = np.where(keep, encode_bitmap(vals), 0).astype(np.uint8)
     return RadioMap(bitmap, "local", "bitmap")

@@ -128,25 +128,18 @@ def _bfs_path(free: np.ndarray, start: tuple[int, int],
     raise RouteError(f"no free path from {start} to {goal}")
 
 
-def _border_loop(h: int, w: int) -> list[tuple[int, int]]:
-    loop = [(0, j) for j in range(w)]
-    loop += [(i, w - 1) for i in range(1, h)]
-    loop += [(h - 1, j) for j in range(w - 2, -1, -1)]
-    loop += [(i, 0) for i in range(h - 2, 0, -1)]
-    loop.append((0, 0))
-    return loop
-
-
 def build_routes(layout: BuildingLayout) -> Route:
     """Canonical measurement route around every reachable building."""
     occ = layout.cells
     free = occ == 0
     if not free.any():
         raise RouteError("layout has no free cells")
-    h, w = occ.shape
 
     if not occ.any():
-        cells = _border_loop(h, w)
+        # the one-cell border ring, traced from its top-left cell
+        ring = free.copy()
+        ring[1:-1, 1:-1] = False
+        cells = _trace_ring(ring, (0, 0))
     else:
         region_labels, n_regions = ndimage.label(occ, structure=EIGHT_CONNECTED)
         free_labels, _ = ndimage.label(free, structure=EIGHT_CONNECTED)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from rssloc import (BitmapEncoding, PropagationParams, aggregate_rss,
+from rssloc import (PropagationParams, aggregate_rss,
                     add_noise, build_routes, cli, connected_components,
                     evaluate_scenario, generate_scenario, ground_truth_local,
                     kriging_reconstruct, localize_all, ospa,
@@ -167,7 +167,7 @@ def test_a7_noise_trend(kriging_workbench):
             if sigma > 0:
                 ss = add_noise(ss, sigma, seed=700000 + k)
             rec = kriging_reconstruct(ss, sc.layout)
-            local = proxy_local_map(rec, 9.0, BitmapEncoding(), r=2.0)
+            local = proxy_local_map(rec, 9.0, r=2.0)
             sep = separate_sources(local, r=2.0)
             preds = localize_all(sep, "com")
             ev = evaluate_scenario(preds.points, sc.true_points())

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rssloc import cli, dataset_io, read_pgm
+from rssloc import PipelineConfig, cli, dataset_io, read_pgm
 from rssloc.dataset_io import predictions_to_csv, read_dataset_index
 from rssloc.render import encode_ppm, render_map
 
@@ -212,6 +212,8 @@ class TestPipeline:
         ("--noise-sigma", "nan", "noise_sigma must be >= 0"),
         ("--delta-db", "-5", "delta_db must be >= 0"),
         ("--area-factor", "0", "area_factor must be positive"),
+        ("--gamma", "255", "gamma must be an integer in 0..254, not 255"),
+        ("--gamma", "-1", "gamma must be an integer in 0..254, not -1"),
     ])
     def test_out_of_range_option_fails_before_processing(self, dataset, tmp_path,
                                                          capsys, option, value,
@@ -278,6 +280,39 @@ class TestPipeline:
         assert (f"failed: {entry['id']} interval 10: {message}"
                 in capsys.readouterr().err.splitlines())
 
+    @pytest.mark.parametrize("reconstructor", ["idw", "kriging"])
+    def test_non_finite_samples_csv_is_error_row(self, dataset, tmp_path, capsys,
+                                                 reconstructor):
+        _, _, out = dataset
+        copy = tmp_path / "ds"
+        shutil.copytree(out, copy)
+        index = read_dataset_index(copy)
+        entry = index["entries"][0]
+        csv_path = copy / entry["samples"]["10"]
+        lines = csv_path.read_text().splitlines()
+        lines[2] = "nan,nan,-50.0"
+        csv_path.write_text("\n".join(lines) + "\n")
+        run = tmp_path / "run"
+        code = cli.main(["pipeline", "--dataset", str(copy), "--out", str(run),
+                         "--reconstructor", reconstructor, "--intervals", "10"])
+        assert code == 3
+        report = json.loads((run / "report.json").read_text())
+        message = f"{csv_path}: line 3: non-finite field in 'nan,nan,-50.0'"
+        assert report["errors"] == [{"id": entry["id"], "interval": "10",
+                                     "error": message}]
+        assert (f"failed: {entry['id']} interval 10: {message}"
+                in capsys.readouterr().err.splitlines())
+
+    def test_defaults_are_pipeline_config_defaults(self, dataset, tmp_path):
+        _, _, out = dataset
+        expected = PipelineConfig().to_dict()
+        for extra in ([], ["--intervals", ""]):
+            run = tmp_path / f"run{len(extra)}"
+            assert cli.main(["pipeline", "--dataset", str(out), "--out", str(run),
+                             *extra]) == 0
+            report = json.loads((run / "report.json").read_text())
+            assert report["pipeline"] == expected
+
     def test_jobs_parallel_matches_serial(self, dataset, tmp_path):
         _, _, out = dataset
         run_a = tmp_path / "s"
@@ -340,6 +375,20 @@ class TestEvaluate:
         assert code == 2
         assert capsys.readouterr().err.splitlines() == \
             [f"{csv_path}: line 2: expected 4 fields, found 3"]
+
+    def test_non_finite_predictions_csv_names_file_and_line(self, dataset,
+                                                            tmp_path, capsys):
+        _, _, out = dataset
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        entry = read_dataset_index(out)["entries"][0]
+        csv_path = preds / f"{entry['id']}_4.csv"
+        csv_path.write_text("component_id,x_m,y_m,flagged\n1,inf,1.0,0\n")
+        code = cli.main(["evaluate", "--dataset", str(out),
+                         "--predictions", str(preds)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == \
+            [f"{csv_path}: line 2: non-finite field in '1,inf,1.0,0'"]
 
     @pytest.mark.parametrize("text", ['{"sources": [', "{}"],
                              ids=["not-json", "no-fields"])

@@ -106,6 +106,8 @@ class TestCsv:
         ("1.5,2.5", "line 3: expected 3 fields, found 2"),
         ("1.5,2.5,-60,7", "line 3: expected 3 fields, found 4"),
         ("1.5,north,-60", "line 3: non-numeric field in '1.5,north,-60'"),
+        ("nan,nan,-50.0", "line 3: non-finite field in 'nan,nan,-50.0'"),
+        ("1.5,2.5,-inf", "line 3: non-finite field in '1.5,2.5,-inf'"),
     ])
     def test_malformed_sample_row_names_line(self, row, message):
         text = f"x_m,y_m,rss_dbm\n1.0,2.0,-50.0\n{row}\n"
@@ -115,6 +117,8 @@ class TestCsv:
     @pytest.mark.parametrize("row,message", [
         ("1,3.5,4.5", "line 4: expected 4 fields, found 3"),
         ("1,3.5,4.5,yes", "line 4: non-numeric field in '1,3.5,4.5,yes'"),
+        ("1,nan,4.5,0", "line 4: non-finite field in '1,nan,4.5,0'"),
+        ("1,3.5,inf,0", "line 4: non-finite field in '1,3.5,inf,0'"),
     ])
     def test_malformed_prediction_row_names_line(self, row, message):
         # the blank line still counts towards the line number

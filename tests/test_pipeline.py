@@ -26,6 +26,10 @@ class TestPipelineConfig:
         ("area_factor", 0.0, "area_factor must be positive"),
         ("area_factor", -1.0, "area_factor must be positive"),
         ("area_factor", math.nan, "area_factor must be positive"),
+        ("gamma", 255, "gamma must be an integer in 0..254, not 255"),
+        ("gamma", -1, "gamma must be an integer in 0..254, not -1"),
+        ("gamma", 127.0, r"gamma must be an integer in 0..254, not 127\.0"),
+        ("gamma", True, "gamma must be an integer in 0..254, not True"),
     ])
     def test_rejects_out_of_range_options(self, field, value, message):
         with pytest.raises(PipelineConfigError, match=f"^{message}$"):
@@ -33,6 +37,8 @@ class TestPipelineConfig:
 
     def test_accepts_boundary_options(self):
         PipelineConfig(jobs=1, noise_sigma=0.0, delta_db=0.0, area_factor=1e-9)
+        PipelineConfig(gamma=0)
+        PipelineConfig(gamma=254)
 
     def test_to_dict_lists_every_option(self):
         config = PipelineConfig(reconstructor="kriging",

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from rssloc import (BitmapEncoding, BuildingLayout, PropagationParams, RadioMap,
-                    Scenario, Source, aggregate_rss, generate_scenario,
-                    ground_truth_local, path_loss, rasterize_global)
+from rssloc import (P_MAX_DBM, P_MIN_DBM, BuildingLayout, PropagationParams,
+                    RadioMap, Scenario, Source, aggregate_rss, encode_bitmap,
+                    generate_scenario, ground_truth_local, path_loss,
+                    rasterize_global)
 from rssloc.propagation import (_workspace, local_disk_mask,
                                 segment_building_lengths)
 
@@ -292,37 +293,31 @@ class TestGroundTruthLocal:
 
 class TestBitmap:
     def test_endpoints(self):
-        enc = BitmapEncoding()
-        assert enc.encode(-110.0) == 0
-        assert enc.encode(0.0) == 255
-        assert enc.encode(-200.0) == 0
-        assert enc.encode(50.0) == 255
+        assert (P_MIN_DBM, P_MAX_DBM) == (-110.0, 0.0)
+        assert encode_bitmap(-110.0) == 0
+        assert encode_bitmap(0.0) == 255
+        assert encode_bitmap(-200.0) == 0
+        assert encode_bitmap(50.0) == 255
 
     def test_round_half_up(self):
-        assert BitmapEncoding().encode(-55.0) == 128
+        assert encode_bitmap(-55.0) == 128
 
     def test_monotone(self):
-        enc = BitmapEncoding()
         p = np.sort(np.random.default_rng(5).uniform(-130, 10, 500))
-        v = enc.encode(p)
+        v = encode_bitmap(p)
         assert np.all(np.diff(v.astype(int)) >= 0)
 
     def test_in_disk_values_stay_high(self, params):
         # worst LOS case inside r=2: d = 2 gives -13.53 dBm -> 224; the whole
         # disk therefore encodes comfortably above the binarization threshold
         rng = np.random.default_rng(9)
-        enc = BitmapEncoding()
         for _ in range(25):
             pos = 10 + rng.random(2) * 40
             sc = make_flat_scenario([tuple(pos)])
-            local = ground_truth_local(sc, params, 2.0, enc)
+            local = ground_truth_local(sc, params, 2.0)
             nz = local.values[local.values > 0]
             assert nz.min() >= 200
             assert nz.min() >= 224  # frozen from the d=2 worst case
-
-    def test_invalid_encoding_range(self):
-        with pytest.raises(ValueError):
-            BitmapEncoding(p_min=0.0, p_max=0.0)
 
 
 class TestRadioMapType:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rssloc import (LOCAL_MAPS, BuildingLayout, PipelineConfig,
+from rssloc import (LOCAL_MAPS, P_MIN_DBM, BuildingLayout, PipelineConfig,
                     ReconstructionError, SampleSet, VariogramParams,
                     idw_reconstruct, kriging_reconstruct, load_scenario,
                     proxy_local_map, rasterize_global, read_dataset_index)
@@ -172,8 +172,8 @@ def test_reconstruct_predicts_free_cells_only(reconstruct, predict):
     cells[20:28, 25:31] = 1
     layout = BuildingLayout(cells)
     ss = sample_set(rng.random((60, 2)) * (40, 30), rng.uniform(-90, -30, 60))
-    rec = reconstruct(ss, layout, building_fill=-123.25)
-    assert np.all(rec.values[cells != 0] == -123.25)
+    rec = reconstruct(ss, layout)
+    assert np.all(rec.values[cells != 0] == P_MIN_DBM)
     free_centers = [(j + 0.5, i + 0.5) for i in range(30) for j in range(40)
                     if cells[i, j] == 0]
     want = predict(ss.positions, ss.values, np.array(free_centers))

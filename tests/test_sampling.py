@@ -33,6 +33,14 @@ class TestRoutes:
         for x, y in route.waypoints:
             i, j = int(y), int(x)
             assert i in (0, 199) or j in (0, 199)
+        # the exact sequence on 8 rows by 10 columns: clockwise from the
+        # top-left cell and back to it
+        small = build_routes(BuildingLayout(np.zeros((8, 10), dtype=np.uint8)))
+        cells = ([(0, j) for j in range(10)] + [(i, 9) for i in range(1, 8)]
+                 + [(7, j) for j in range(8, -1, -1)]
+                 + [(i, 0) for i in range(6, -1, -1)])
+        assert len(cells) == 33
+        assert small.waypoints == [(j + 0.5, i + 0.5) for i, j in cells]
 
     def test_rectangle_ring(self):
         cells = np.zeros((30, 30), dtype=np.uint8)
