@@ -5,7 +5,7 @@ false-alarm / missed-detection rates, and the OSPA distance with cutoff g.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -45,14 +45,9 @@ class EvalReport:
     mdr_macro: float
     total_true: int
     total_pred: int
-    per_scenario: list[ScenarioEval] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        """The aggregate metrics, without the per-scenario evaluations."""
-        return {"mle": self.mle, "ospa": self.ospa, "far": self.far,
-                "mdr": self.mdr, "far_macro": self.far_macro,
-                "mdr_macro": self.mdr_macro, "total_true": self.total_true,
-                "total_pred": self.total_pred}
+        return asdict(self)
 
 
 def _cost_matrix(pred, true, cutoff: float) -> np.ndarray:
@@ -146,5 +141,4 @@ def aggregate(reports: list[ScenarioEval]) -> EvalReport:
         far_macro=float(np.mean([r.far for r in reports])),
         mdr_macro=float(np.mean([r.mdr for r in reports])),
         total_true=total_true,
-        total_pred=total_pred,
-        per_scenario=list(reports))
+        total_pred=total_pred)

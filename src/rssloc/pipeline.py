@@ -78,6 +78,18 @@ class PipelineConfig:
             raise PipelineConfigError(f"jobs must be an integer >= 1, not {self.jobs!r}")
         if self.intervals is not None:
             self.intervals = tuple(self.intervals)
+            seen = set()
+            for interval in self.intervals:
+                try:
+                    value = float(interval)
+                except (TypeError, ValueError):
+                    value = math.nan
+                if not 0 < value < math.inf:
+                    raise PipelineConfigError(
+                        f"intervals must be finite numbers > 0, not {interval!r}")
+                if value in seen:
+                    raise PipelineConfigError(f"interval {interval!r} repeats")
+                seen.add(value)
 
     def to_dict(self) -> dict:
         return {**asdict(self),

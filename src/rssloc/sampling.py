@@ -3,9 +3,9 @@ arc-length sampling of the global field at configurable time intervals.
 
 Routes are canonical and deterministic: the exterior free-cell ring of each
 building region is traced clockwise starting at its topmost-leftmost cell,
-loops are concatenated in label order, and consecutive loops are joined by a
-breadth-first shortest free path. Without buildings the map border is the
-route.
+loops are concatenated in the (top, left) bounding-box order of their
+regions, and consecutive loops are joined by a breadth-first shortest free
+path. Without buildings the map border is the route.
 """
 
 from __future__ import annotations
@@ -15,9 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from .propagation import RadioMap
-from .scenario import EIGHT_CONNECTED, BuildingLayout
+from .scenario import EIGHT_CONNECTED, BuildingLayout, label_by_bbox
 
 # noise stream tags, mixed with the caller's seed
 _SAMPLE_TAG = 0x5A3C
@@ -104,28 +106,33 @@ def _trace_ring(ring: np.ndarray, start: tuple[int, int]) -> list[tuple[int, int
 
 def _bfs_path(free: np.ndarray, start: tuple[int, int],
               goal: tuple[int, int]) -> list[tuple[int, int]]:
-    """Deterministic 8-neighborhood BFS shortest path over free cells."""
+    """Breadth-first shortest path from the free cell start to goal over the
+    free cells' 8-neighbour graph; its nodes are numbered row-major, so the
+    search visits a cell's neighbours in row-major order."""
     if start == goal:
         return [start]
-    h, w = free.shape
-    prev = {start: None}
-    frontier = [start]
-    neigh = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
-    while frontier:
-        nxt = []
-        for i, j in frontier:
-            for di, dj in neigh:
-                ni, nj = i + di, j + dj
-                if 0 <= ni < h and 0 <= nj < w and free[ni, nj] and (ni, nj) not in prev:
-                    prev[(ni, nj)] = (i, j)
-                    if (ni, nj) == goal:
-                        path = [(ni, nj)]
-                        while path[-1] != start:
-                            path.append(prev[path[-1]])
-                        return path[::-1]
-                    nxt.append((ni, nj))
-        frontier = nxt
-    raise RouteError(f"no free path from {start} to {goal}")
+    pad = np.pad(free, 1)   # a blocked border keeps every neighbour in range
+    w = pad.shape[1]
+    nodes = np.flatnonzero(pad)
+    offsets = np.array([di * w + dj for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                        if di or dj])
+    neighbours = nodes[:, None] + offsets
+    edges = pad.ravel()[neighbours]
+    indptr = np.zeros(pad.size + 1, dtype=np.intp)
+    indptr[nodes + 1] = edges.sum(axis=1)
+    indices = neighbours[edges]   # row by row, each row ascending
+    graph = csr_matrix((np.ones(len(indices)), indices, np.cumsum(indptr)),
+                       shape=(pad.size, pad.size))
+    source = (start[0] + 1) * w + start[1] + 1
+    node = (goal[0] + 1) * w + goal[1] + 1
+    _, predecessors = breadth_first_order(graph, source, return_predecessors=True)
+    if predecessors[node] < 0:
+        raise RouteError(f"no free path from {start} to {goal}")
+    path = [node]
+    while node != source:
+        node = predecessors[node]
+        path.append(node)
+    return [(int(k // w) - 1, int(k % w) - 1) for k in reversed(path)]
 
 
 def build_routes(layout: BuildingLayout) -> Route:
@@ -141,17 +148,14 @@ def build_routes(layout: BuildingLayout) -> Route:
         ring[1:-1, 1:-1] = False
         cells = _trace_ring(ring, (0, 0))
     else:
-        region_labels, n_regions = ndimage.label(occ, structure=EIGHT_CONNECTED)
+        # regions in (bbox top, left) order, as components are labeled
+        region_labels, regions = label_by_bbox(occ, EIGHT_CONNECTED)
         free_labels, _ = ndimage.label(free, structure=EIGHT_CONNECTED)
         border = np.concatenate([free_labels[0, :], free_labels[-1, :],
                                  free_labels[:, 0], free_labels[:, -1]])
         outside = np.isin(free_labels, np.unique(border[border > 0]))
-        # visit regions in (bbox top, left) order, same as component labeling
-        slices = ndimage.find_objects(region_labels)
-        order = sorted(range(1, n_regions + 1),
-                       key=lambda k: (slices[k - 1][0].start, slices[k - 1][1].start))
         cells = []
-        for rid in order:
+        for rid in range(1, len(regions) + 1):
             region = region_labels == rid
             ring = (ndimage.binary_dilation(region, structure=EIGHT_CONNECTED)
                     & free & outside)

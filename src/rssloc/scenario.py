@@ -22,6 +22,18 @@ DEFAULT_ANTENNA_GAIN_DBI = 10.0
 EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 
 
+def label_by_bbox(mask: np.ndarray, structure) -> tuple[np.ndarray, list]:
+    """ndimage.label of mask, renumbered 1..n by the (top, left) corner of
+    each region's bounding box, ties kept in scan order, and the regions'
+    bounding-box slices in that order."""
+    labels, n = ndimage.label(mask, structure=structure)
+    slices = ndimage.find_objects(labels)
+    order = sorted(range(n), key=lambda k: (slices[k][0].start, slices[k][1].start))
+    remap = np.zeros(n + 1, dtype=np.int32)
+    remap[1:][order] = np.arange(1, n + 1)
+    return remap[labels], [slices[k] for k in order]
+
+
 class LayoutError(RuntimeError):
     """Layout generation could not satisfy its constraints."""
 
@@ -167,20 +179,6 @@ def _free_disk(x, y, r, layout: BuildingLayout) -> tuple[np.ndarray, np.ndarray]
     return rows[free], cols[free]
 
 
-def _disk_ok(x, y, r, layout,
-             blocked: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Validity check for one candidate source; returns its disk or None.
-
-    The free pixels of the candidate's radius-r disk must be non-empty and
-    8-connected (so the rasterized local area is a single component), and
-    none may be ``blocked``, i.e. touch a previously placed source's disk.
-    """
-    disk = _free_disk(x, y, r, layout)
-    if not _connected(*disk) or blocked[disk].any():
-        return None
-    return disk
-
-
 def _block(blocked: np.ndarray, disk) -> None:
     """Mark the disk's cells and their 8-neighbours as taken."""
     rows, cols = disk
@@ -189,6 +187,29 @@ def _block(blocked: np.ndarray, disk) -> None:
     cells = np.zeros_like(window)
     cells[rows - i0, cols - j0] = True
     window |= ndimage.binary_dilation(cells, structure=EIGHT_CONNECTED)
+
+
+def _draw(layout: BuildingLayout, free: np.ndarray, rng, placed: list[Source],
+          min_spacing: float, r: float | None, blocked: np.ndarray) -> Source | None:
+    """One rejection-sampling attempt: a uniform point in a uniformly drawn
+    free cell, or None when it lies closer than min_spacing to a placed source.
+
+    With r given, the free pixels of its radius-r disk must also be non-empty
+    and 8-connected (so the rasterized local area is a single component), and
+    none may be blocked, i.e. touch a placed source's disk; an accepted disk
+    is then blocked.
+    """
+    i, j = free[int(rng.integers(0, len(free)))]
+    x = float(j) + float(rng.random())
+    y = float(i) + float(rng.random())
+    if any(math.hypot(x - s.x, y - s.y) < min_spacing for s in placed):
+        return None
+    if r is not None:
+        disk = _free_disk(x, y, r, layout)
+        if not _connected(*disk) or blocked[disk].any():
+            return None
+        _block(blocked, disk)
+    return Source(x, y)
 
 
 def place_sources(layout: BuildingLayout, m: int, min_spacing: float, seed,
@@ -209,24 +230,14 @@ def place_sources(layout: BuildingLayout, m: int, min_spacing: float, seed,
     rng = np.random.default_rng(seed)
     placed: list[Source] = []
     blocked = np.zeros(layout.cells.shape, dtype=bool)
-    attempts = 0
-    while len(placed) < m:
-        attempts += 1
-        if attempts > max_attempts:
-            raise PlacementError(
-                f"placed {len(placed)}/{m} sources after {max_attempts} attempts")
-        i, j = free[int(rng.integers(0, len(free)))]
-        x = float(j) + float(rng.random())
-        y = float(i) + float(rng.random())
-        if any(math.hypot(x - s.x, y - s.y) < min_spacing for s in placed):
-            continue
-        if clear_radius is not None:
-            disk = _disk_ok(x, y, clear_radius, layout, blocked)
-            if disk is None:
-                continue
-            _block(blocked, disk)
-        placed.append(Source(x, y))
-    return placed
+    for _ in range(max_attempts):
+        source = _draw(layout, free, rng, placed, min_spacing, clear_radius, blocked)
+        if source is not None:
+            placed.append(source)
+            if len(placed) == m:
+                return placed
+    raise PlacementError(
+        f"placed {len(placed)}/{m} sources after {max_attempts} attempts")
 
 
 def place_sources_dense(layout: BuildingLayout, m: int, seed,
@@ -268,32 +279,20 @@ def place_sources_dense(layout: BuildingLayout, m: int, seed,
         union = tuple(np.concatenate(axis) for axis in zip(disk_a, disk_b))
         if not _connected(*union):
             continue
-        pair = [Source(ax, ay), Source(bx, by)]
-        rest: list[Source] = []
+        placed = [Source(ax, ay), Source(bx, by)]
         blocked = np.zeros(layout.cells.shape, dtype=bool)
         _block(blocked, union)
-        ok = True
+        # the other sources get 2000 draws each; one that runs out redraws the pair
         for _ in range(m - 2):
-            placed_one = False
             for _ in range(2000):
-                fi, fj = free[int(rng.integers(0, len(free)))]
-                x = float(fj) + float(rng.random())
-                y = float(fi) + float(rng.random())
-                if any(math.hypot(x - s.x, y - s.y) < min_spacing
-                       for s in pair + rest):
-                    continue
-                disk = _disk_ok(x, y, r, layout, blocked)
-                if disk is None:
-                    continue
-                rest.append(Source(x, y))
-                _block(blocked, disk)
-                placed_one = True
+                source = _draw(layout, free, rng, placed, min_spacing, r, blocked)
+                if source is not None:
+                    placed.append(source)
+                    break
+            else:
                 break
-            if not placed_one:
-                ok = False
-                break
-        if ok:
-            return pair + rest
+        else:
+            return placed
 
 
 def generate_scenario(width: int, height: int, n_buildings: int, m: int, seed: int,

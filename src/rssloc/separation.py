@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .propagation import RadioMap, _grid
-from .scenario import EIGHT_CONNECTED, expected_disk_area
+from .scenario import EIGHT_CONNECTED, expected_disk_area, label_by_bbox
 
 DEFAULT_GAMMA = 127
 DEFAULT_CONNECTIVITY = 8
@@ -61,22 +60,12 @@ def connected_components(binary, connectivity: int = DEFAULT_CONNECTIVITY) -> La
     vals = _grid(binary)
     # structure None is ndimage's default cross, i.e. 4-connectivity
     structure = EIGHT_CONNECTED if connectivity == 8 else None
-    labels, n = ndimage.label(vals != 0, structure=structure)
-    if n == 0:
-        return Labeling(labels=labels, components=[])
+    labels, boxes = label_by_bbox(vals != 0, structure)
     area = np.bincount(labels.ravel())
-    boxes = ndimage.find_objects(labels)
-    order = sorted(range(1, n + 1),
-                   key=lambda k: (boxes[k - 1][0].start, boxes[k - 1][1].start))
-    remap = np.zeros(n + 1, dtype=np.int32)
-    components = []
-    for new_id, k in enumerate(order, 1):
-        rows, cols = boxes[k - 1]
-        remap[k] = new_id
-        components.append(Component(
-            id=new_id, area=int(area[k]),
-            bbox=(rows.start, cols.start, rows.stop - 1, cols.stop - 1)))
-    return Labeling(labels=remap[labels], components=components)
+    components = [Component(id=k, area=int(area[k]),
+                            bbox=(rows.start, cols.start, rows.stop - 1, cols.stop - 1))
+                  for k, (rows, cols) in enumerate(boxes, 1)]
+    return Labeling(labels=labels, components=components)
 
 
 def extract_single_source_maps(i_ms, labeling: Labeling) -> SeparationResult:

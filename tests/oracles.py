@@ -8,15 +8,19 @@ primal kriging system instead of the dual one. The exceptions are
 `traverse_all_columns`, the unpruned column traversal that the package's
 pruned one must match bit for bit, `kriging_predict_hypot` and
 `idw_predict_hypot`, the evaluation from `np.hypot` distances in chunks of
-4096 queries that the package's squared-distance blocks replace, and
+4096 queries that the package's squared-distance blocks replace,
 `kriging_matrix_hypot`, the variogram of `np.hypot` distances that the
-package's in-place build from squared distances replaces.
+package's in-place build from squared distances replaces, and `bfs_path_loop`,
+the Python-loop breadth-first search whose paths the package's
+scipy.sparse.csgraph search must repeat cell for cell.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from rssloc.sampling import RouteError
 
 
 def flood_fill_partition(binary, connectivity=8):
@@ -199,6 +203,32 @@ def sample_along_loop(route, grid, interval_s, speed=1.0):
         positions[k] = (x, y)
         values[k] = grid[int(math.floor(y)), int(math.floor(x))]
     return positions, values
+
+
+def bfs_path_loop(free, start, goal):
+    """rssloc.sampling._bfs_path as a Python breadth-first search with a dict
+    entry per reached cell, neighbours in row-major order, stopping at goal."""
+    if start == goal:
+        return [start]
+    h, w = free.shape
+    prev = {start: None}
+    frontier = [start]
+    neigh = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+    while frontier:
+        nxt = []
+        for i, j in frontier:
+            for di, dj in neigh:
+                ni, nj = i + di, j + dj
+                if 0 <= ni < h and 0 <= nj < w and free[ni, nj] and (ni, nj) not in prev:
+                    prev[(ni, nj)] = (i, j)
+                    if (ni, nj) == goal:
+                        path = [(ni, nj)]
+                        while path[-1] != start:
+                            path.append(prev[path[-1]])
+                        return path[::-1]
+                    nxt.append((ni, nj))
+        frontier = nxt
+    raise RouteError(f"no free path from {start} to {goal}")
 
 
 def merge_duplicates_loop(positions, values):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rssloc import PipelineConfig, cli, dataset_io, read_pgm
+from rssloc import PipelineConfig, cli, dataset_io, pipeline, read_pgm
 from rssloc.dataset_io import predictions_to_csv, read_dataset_index
 from rssloc.render import encode_ppm, render_map
 
@@ -225,6 +225,27 @@ class TestPipeline:
                          option, value])
         assert code == 1
         assert not run.exists()
+        assert capsys.readouterr().err.splitlines() == [message]
+
+    @pytest.mark.parametrize("value,message", [
+        ("10,", "intervals must be finite numbers > 0, not ''"),
+        ("abc", "intervals must be finite numbers > 0, not 'abc'"),
+        ("0", "intervals must be finite numbers > 0, not '0'"),
+        ("-1", "intervals must be finite numbers > 0, not '-1'"),
+        ("nan", "intervals must be finite numbers > 0, not 'nan'"),
+        ("4,4", "interval '4' repeats"),
+    ])
+    def test_bad_intervals_fail_before_any_scenario(self, dataset, tmp_path, capsys,
+                                                     monkeypatch, value, message):
+        _, _, out = dataset
+        processed = []
+        monkeypatch.setattr(pipeline, "process_entry",
+                            lambda *args: processed.append(args))
+        run = tmp_path / "run"
+        code = cli.main(["pipeline", "--dataset", str(out), "--out", str(run),
+                         "--reconstructor", "oracle", "--intervals", value])
+        assert code == 1
+        assert processed == [] and not run.exists()
         assert capsys.readouterr().err.splitlines() == [message]
 
     @pytest.mark.parametrize("broken,text", [("scenario", '{"sources": ['),

@@ -1,15 +1,27 @@
-"""Golden digests of a small generated dataset.
+"""Golden digests of a small generated dataset and of measurement routes.
 
 Every file `rssloc generate` writes for CONFIG must keep its sha256. The
 digests were recorded before the penetration traversal skipped building-free
 rays and columns and before route sampling was vectorized; both changes keep
 the bytes. A change that alters the bytes on purpose updates DIGESTS and says
 why in its description.
+
+CONFIG's layouts have one building region each, so their routes need no
+bridge between loops. ROUTE_DIGESTS guards the bridges: the sha256 of the
+float64 waypoints of `build_routes` on layouts with two or more building
+regions, recorded from the Python-loop breadth-first search that
+`tests/oracles.py:bfs_path_loop` keeps.
 """
 
 import hashlib
 
+import numpy as np
+import pytest
+from scipy import ndimage
+
 from rssloc.dataset_io import DatasetConfig, generate_dataset
+from rssloc.sampling import build_routes
+from rssloc.scenario import EIGHT_CONNECTED, generate_layout
 
 CONFIG = {"width": 60, "height": 60, "n_layouts": 2, "n_buildings": 2,
           "source_counts": [1, 3], "placements_per_count": 1,
@@ -72,3 +84,26 @@ def test_generated_files_match_golden_digests(tmp_path):
                hashlib.sha256(path.read_bytes()).hexdigest()
                for path in sorted(tmp_path.rglob("*")) if path.is_file()}
     assert digests == DIGESTS
+
+
+# generate_layout(64, 64, 4, seed, max_side=24) seed -> (building regions,
+# waypoint sha256)
+ROUTE_DIGESTS = {
+    0: (4, "8d9ceaf47cd8ec928921a77dd3ab5916060f39cbfbfdaa72c953012da05f2aac"),
+    1: (3, "0cb2cf1e0d5928bbf6295c89be28b31a2ae1311705b30bfe3714141adacc30c8"),
+    2: (2, "78652bc4466cb7daa217c145023d0ea42c484f77dd482f3bc02ffbf8e72b28d9"),
+    3: (2, "a9749d84096ca503501e5c95b41020c4acc02cd41578419e2e05664b23b06ca2"),
+    5: (3, "37dd0869cf083d96b32b14764c63e17977353806c3c2c7dba28511a02af8d04d"),
+    6: (2, "896c8a1fc2ad77292adf1333d147109d5f14d91fa9fb89370828375bfce42e41"),
+    7: (2, "8fc4b45aa4e7eb6280c76e894ebc452a3ec74a889aac4ea94782a51c311e2e0f"),
+    8: (3, "9a2a9dbbd026e9a83f79261c0bd28859b3dcd1a206d9ee3f2d9e4496fd292eb4"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ROUTE_DIGESTS))
+def test_bridged_routes_match_golden_digests(seed):
+    regions, digest = ROUTE_DIGESTS[seed]
+    layout = generate_layout(64, 64, 4, seed, max_side=24)
+    assert ndimage.label(layout.cells, structure=EIGHT_CONNECTED)[1] == regions
+    waypoints = np.asarray(build_routes(layout).waypoints, dtype=np.float64)
+    assert hashlib.sha256(waypoints.tobytes()).hexdigest() == digest

@@ -30,6 +30,15 @@ class TestPipelineConfig:
         ("gamma", -1, "gamma must be an integer in 0..254, not -1"),
         ("gamma", 127.0, r"gamma must be an integer in 0..254, not 127\.0"),
         ("gamma", True, "gamma must be an integer in 0..254, not True"),
+        ("intervals", ("10", ""), "intervals must be finite numbers > 0, not ''"),
+        ("intervals", ("abc",), "intervals must be finite numbers > 0, not 'abc'"),
+        ("intervals", ("0",), "intervals must be finite numbers > 0, not '0'"),
+        ("intervals", ("-1",), "intervals must be finite numbers > 0, not '-1'"),
+        ("intervals", ("nan",), "intervals must be finite numbers > 0, not 'nan'"),
+        ("intervals", ("inf",), "intervals must be finite numbers > 0, not 'inf'"),
+        ("intervals", (None,), "intervals must be finite numbers > 0, not None"),
+        ("intervals", ("4", "4"), "interval '4' repeats"),
+        ("intervals", ("1", "4", "1.0"), "interval '1.0' repeats"),
     ])
     def test_rejects_out_of_range_options(self, field, value, message):
         with pytest.raises(PipelineConfigError, match=f"^{message}$"):
@@ -37,6 +46,7 @@ class TestPipelineConfig:
 
     def test_accepts_boundary_options(self):
         PipelineConfig(jobs=1, noise_sigma=0.0, delta_db=0.0, area_factor=1e-9)
+        PipelineConfig(intervals=("0.5", "1", "10"))
         PipelineConfig(gamma=0)
         PipelineConfig(gamma=254)
 

@@ -1,16 +1,22 @@
 """Property tests: file-format round trips, malformed PGM and LRMF headers,
-and the invariants of the evaluation metrics."""
+the invariants of the evaluation metrics, route bridges against the loop
+oracle, and augmentation equivariance of separation and localization."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
-from rssloc import (LrmfError, PgmError, SampleSet, decode_lrmf, decode_pgm,
-                    encode_lrmf, encode_pgm, evaluate_scenario, ospa)
+from oracles import bfs_path_loop
+from rssloc import (AUGMENTATIONS, LrmfError, PgmError, SampleSet, augment_grid,
+                    augment_points, decode_lrmf, decode_pgm, encode_lrmf,
+                    encode_pgm, evaluate_scenario, localize_all, ospa,
+                    separate_sources)
 from rssloc.dataset_io import (predictions_from_csv, predictions_to_csv,
                                samples_from_csv, samples_to_csv)
+from rssloc.sampling import RouteError, _bfs_path
 
 # small example counts keep the whole suite near a minute
 FEW = settings(max_examples=40, deadline=None)
@@ -140,3 +146,51 @@ def test_metric_invariants(pred, true, g):
         assert ev.mle is None
     assert 0.0 <= ev.far <= 1.0 and 0.0 <= ev.mdr <= 1.0
     assert (ev.m, ev.m_hat) == (len(true), len(pred))
+
+
+# the mask and the (start, goal) picks come from a drawn seed: drawn one by
+# one, the picks mostly land on the first free cell, so start == goal
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(1, 30), st.integers(1, 30)), st.floats(0.3, 1.0),
+       st.integers(0, 2**32 - 1))
+def test_bfs_path_matches_loop_oracle(shape, density, seed):
+    rng = np.random.default_rng(seed)
+    free = rng.random(shape) < density
+    cells = [(int(i), int(j)) for i, j in np.argwhere(free)]
+    assume(cells)
+    for _ in range(4):
+        start = cells[rng.integers(len(cells))]
+        anywhere = tuple(int(k) for k in rng.integers(0, shape))
+        for goal in (start, cells[rng.integers(len(cells))], anywhere):
+            try:
+                expected = bfs_path_loop(free, start, goal)
+            except RouteError:
+                with pytest.raises(RouteError):
+                    _bfs_path(free, start, goal)
+                continue
+            assert _bfs_path(free, start, goal) == expected
+
+
+# square, for the rotations; the seeded uniform bitmaps have many components
+square_bitmaps = st.one_of(
+    arrays(np.uint8, st.integers(1, 24).map(lambda n: (n, n))),
+    st.builds(lambda n, seed: np.random.default_rng(seed).integers(
+        0, 256, (n, n), dtype=np.uint8), st.integers(1, 24), st.integers(0, 2**32 - 1)))
+
+
+@FEW
+@given(square_bitmaps, st.sampled_from([4, 8]))
+def test_augmentation_equivariance(bitmap, connectivity):
+    def run(grid):
+        sep = separate_sources(grid, connectivity=connectivity)
+        return np.reshape(localize_all(sep, "com").points, (-1, 2))
+
+    n = bitmap.shape[0]
+    base = run(bitmap)
+    for aug in AUGMENTATIONS:
+        got = run(augment_grid(bitmap, aug))
+        expected = np.reshape(augment_points(base, aug, n, n), (-1, 2))
+        assert got.shape == expected.shape
+        dist = np.linalg.norm(got[:, None] - expected[None], axis=2)
+        rows, cols = linear_sum_assignment(dist)
+        assert (dist[rows, cols] <= 1e-9).all()
