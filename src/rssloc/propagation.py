@@ -2,14 +2,13 @@
 
 Per-source power follows a log-distance path-loss law plus a per-meter
 penetration penalty accumulated along the straight ray through building
-cells (an exact grid traversal, not ray tracing). Multi-source RSS is
-aggregated in linear milliwatts. Maps exist in two encodings: dBm float
-grids and 8-bit bitmaps.
+cells (exact clipping against a rectangle cover of the buildings, not ray
+tracing). Multi-source RSS is aggregated in linear milliwatts. Maps exist
+in two encodings: dBm float grids and 8-bit bitmaps.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,261 +102,133 @@ def path_loss(d, params: PropagationParams):
     return float(out) if out.ndim == 0 else out
 
 
-# Segments traversed together. Only the per-segment arrays (bounding boxes,
-# bisection, boundary counts) scale with it: a larger block spends less time
-# in per-call numpy overhead, but past this size (16 kB an array) their
-# allocations start to fault pages in again, block after block.
-_SEGMENTS_PER_BLOCK = 2048
+# Segment-rectangle pairs clipped together: the temporaries of one call hold
+# about this many pairs, plus at most one rectangle's segments.
+_PAIRS_PER_BLOCK = 1 << 16
 
-# Slabs evaluated together. It fixes the size of the slab workspace (113
-# bytes a slab, about 1.9 MB), whatever the grid and block size, and a
-# smaller chunk keeps the buffers closer to cache at more per-call overhead.
-_SLABS_PER_CHUNK = 1 << 14
+# radians (and meters) by which each rectangle's angular test is widened, so
+# that rounding in arctan2 cannot drop a segment that meets the rectangle
+_SLACK = 1e-9
 
 
-class _SlabWorkspace:
-    """Buffers for the slab arithmetic of one chunk of slabs.
+def building_rectangles(cells: np.ndarray) -> np.ndarray:
+    """Disjoint rectangles whose union is the grid's building cells.
 
-    One instance serves every block of every segment_building_lengths call
-    in the process, so its pages are faulted in once instead of once per
-    block. It is not re-entrant: two traversals running at the same time in
-    one process would overwrite each other's slabs. rssloc traverses on one
-    thread per process (the pipeline's pool uses processes).
+    Rows (top, bottom, left, right) of half-open cell index ranges: the
+    maximal runs of each grid row, with identical runs on consecutive rows
+    merged into one rectangle.
     """
-
-    def __init__(self, slabs: int):
-        n = slabs + 1                # a chunk of slabs spans one more boundary
-        self.offsets = np.arange(n, dtype=np.float64)
-        # per boundary
-        self.seg = np.empty(n, dtype=np.int64)
-        self.row = np.empty(n, dtype=np.int64)
-        self.ts = np.empty(n)
-        self.ys = np.empty(n)
-        self.y_in_row = np.empty(n)
-        self.gathered = np.empty(n)
-        # per slab
-        self.dt = np.empty(slabs)
-        self.tm = np.empty(slabs)
-        self.cj = np.empty(slabs, dtype=np.int64)
-        self.ka = np.empty(slabs, dtype=np.int64)
-        self.occ_a = np.empty(slabs)
-        self.fa = np.empty(slabs)
-        self.fb = np.empty(slabs)
-        self.mask = np.empty(slabs, dtype=bool)
-
-
-@functools.cache
-def _workspace() -> _SlabWorkspace:
-    """The process's slab workspace, made on first use, so that processes
-    that never traverse (pipeline workers, say) do not hold it."""
-    return _SlabWorkspace(_SLABS_PER_CHUNK)
+    edges = np.diff((np.asarray(cells) != 0).astype(np.int8), axis=1,
+                    prepend=0, append=0)
+    rows, left = np.nonzero(edges == 1)
+    right = np.nonzero(edges == -1)[1]
+    order = np.lexsort((rows, right, left))
+    rows, left, right = rows[order], left[order], right[order]
+    top = np.ones(len(rows), dtype=bool)
+    top[1:] = ((left[1:] != left[:-1]) | (right[1:] != right[:-1])
+               | (rows[1:] != rows[:-1] + 1))
+    bottom = np.ones(len(rows), dtype=bool)
+    bottom[:-1] = top[1:]
+    first, last = np.flatnonzero(top), np.flatnonzero(bottom)
+    return np.column_stack([rows[first], rows[last] + 1, left[first], right[first]])
 
 
 def segment_building_lengths(start, ends, cells: np.ndarray) -> np.ndarray:
     """Exact meters of building interior crossed by each segment start->ends[k].
 
-    Each segment is split at its column crossings (one slab per column, in
-    traversal order by construction, so no sorting is needed); the occupied
-    row span inside a slab comes from per-column cumulative occupancy, which
-    is exact because occupancy is constant on unit cells. Lookups clip to the
-    grid, so the parts of a segment outside it are charged to the edge row or
-    column. Vectorized over blocks of segments.
+    The sum, over the building_rectangles of the grid, of each segment's
+    length clipped to the rectangle (Liang-Barsky). A rectangle on the grid
+    border extends to infinity on that side, so the parts of a segment
+    outside the grid are charged to the edge row or column. A segment along
+    a grid line, or with no extent along an axis, takes the cells on the
+    higher side of the line: coordinate q lies in cell floor(q). The lengths
+    agree with a traversal of every column a segment crosses
+    (tests/oracles.py:traverse_all_columns) to within 1e-9 m; the two round
+    differently.
+    """
+    return _clip_lengths(start, ends, building_rectangles(cells), cells.shape)
 
-    Slabs are built only where a building can be. A summed-area table over
-    the segment's clipped cell bounding box skips segments with no building
-    there, and the remaining ones keep only the crossings that bound the
-    first to last building column of their row band. Every slab that is left
-    out would add an exact zero, and the kept ones are summed in traversal
-    order, so the result is bit-identical to traversing every column.
 
-    The slab arithmetic runs in chunks of _SLABS_PER_CHUNK slabs on the
-    process's one fixed-size _SlabWorkspace, which is not re-entrant: do not
-    call this function from two threads of one process at once.
+def _clip_lengths(start, ends, rects, shape) -> np.ndarray:
+    """segment_building_lengths on a grid of the given shape, from its
+    building_rectangles.
+
+    A rectangle clips only the segments whose direction from start lies in
+    the angle it spans: the segments are sorted by angle once, and the
+    rectangle's angular interval, widened by _SLACK, is a range of that
+    order. A segment left out does not meet the rectangle.
     """
     a = np.asarray(start, dtype=np.float64).reshape(2)
-    b = np.atleast_2d(np.asarray(ends, dtype=np.float64))
-    h, w = cells.shape
-    sat = np.zeros((h + 1, w + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(cells != 0, axis=0), axis=1, out=sat[1:, 1:])
-    csum = np.zeros((h + 1, w))
-    np.cumsum(cells, axis=0, out=csum[1:])
-    tables = (sat.ravel(), csum.ravel(), cells.astype(np.float64).ravel())
-    out = np.empty(len(b))
-    for i in range(0, len(b), _SEGMENTS_PER_BLOCK):
-        out[i:i + _SEGMENTS_PER_BLOCK] = _block_lengths(
-            a, b[i:i + _SEGMENTS_PER_BLOCK], h, w, *tables)
-    return out
-
-
-def _block_lengths(a, b, h, w, sat, csum, occ):
-    """segment_building_lengths for one block of segments, given the flat
-    summed-area, per-column cumulative and occupancy tables of the grid."""
-    out = np.zeros(len(b))
-
-    # clipped cell bounding box of every lookup a + t * (b - a), t in [0, 1]
-    # (rounding is monotone, so its ends at t = 0 and t = 1 bound it); r0 and
-    # r1 are the flat offsets of the summed-area rows that bound its rows
-    dx = b[:, 0] - a[0]
-    dy = b[:, 1] - a[1]
-    x1 = a[0] + dx
-    y1 = a[1] + dy
-    c0 = np.clip(np.floor(np.minimum(a[0], x1)).astype(np.int64), 0, w - 1)
-    c1 = np.clip(np.floor(np.maximum(a[0], x1)).astype(np.int64), 0, w - 1)
-    r0 = np.clip(np.floor(np.minimum(a[1], y1)).astype(np.int64), 0, h - 1) * (w + 1)
-    r1 = (np.clip(np.floor(np.maximum(a[1], y1)).astype(np.int64), 0, h - 1) + 1) * (w + 1)
-
-    def occupied(lo, hi):
-        # building cells in columns lo..hi of each segment's row band
-        return sat[r1 + hi + 1] - sat[r0 + hi + 1] - sat[r1 + lo] + sat[r0 + lo]
-
-    hit = np.flatnonzero(occupied(c0, c1) > 0)
-    if len(hit) == 0:
+    d = np.asarray(ends, dtype=np.float64).reshape(-1, 2) - a
+    out = np.zeros(len(d))
+    if len(d) == 0 or len(rects) == 0:
         return out
-    b, dx, dy = b[hit], dx[hit], dy[hit]
-    c0, c1, r0, r1 = c0[hit], c1[hit], r0[hit], r1[hit]
 
-    # first (cl) and last (cr) building column of the row band, by bisection
-    cl, hi = c0.copy(), c1.copy()
-    cr, lo = c1.copy(), c0.copy()
-    for _ in range(int(w).bit_length()):
-        mid = (cl + hi) // 2
-        left = occupied(c0, mid) > 0
-        hi = np.where(left, mid, hi)
-        cl = np.where(left, cl, mid + 1)
-        mid = (lo + cr + 1) // 2
-        right = occupied(mid, c1) > 0
-        lo = np.where(right, mid, lo)
-        cr = np.where(right, cr, mid - 1)
+    # bounds relative to start; a side on the grid border stands for
+    # infinity. Clamped to the segments' bounding box widened by 1 m, a
+    # rectangle clips them as before, and one left empty there meets none.
+    lo = np.minimum(d.min(axis=0), 0.0) - 1.0
+    hi = np.maximum(d.max(axis=0), 0.0) + 1.0
+    h, w = shape
+    top, bottom, left, right = rects.T
+    x0 = np.clip(np.where(left == 0, -np.inf, left) - a[0], lo[0], hi[0])
+    x1 = np.clip(np.where(right == w, np.inf, right) - a[0], lo[0], hi[0])
+    y0 = np.clip(np.where(top == 0, -np.inf, top) - a[1], lo[1], hi[1])
+    y1 = np.clip(np.where(bottom == h, np.inf, bottom) - a[1], lo[1], hi[1])
+    keep = (x0 < x1) & (y0 < y1)
+    x0, x1, y0, y1 = x0[keep], x1[keep], y0[keep], y1[keep]
 
-    # crossing lines bounding columns cl..cr, ascending; an edge column also
-    # stands for everything beyond the grid on its side
-    m_lo = np.ceil(np.minimum(a[0], b[:, 0]))
-    m_hi = np.floor(np.maximum(a[0], b[:, 0]))
-    first = np.where(cl > 0, np.maximum(m_lo, cl), m_lo)
-    last = np.where(cr < w - 1, np.minimum(m_hi, cr + 1), m_hi)
-    crosses = (dx != 0.0) & (m_lo <= m_hi)
-    cut_lo = crosses & (first > m_lo)
-    cut_hi = crosses & (last < m_hi)
-    counts = np.where(crosses, np.maximum(last - first + 1, 0), 0).astype(np.int64)
+    theta = np.arctan2(d[:, 1], d[:, 0])
+    order = np.argsort(theta)
+    theta, d = theta[order], d[order]
+    seg_len = np.hypot(d[:, 0], d[:, 1])
 
-    # slab boundaries in traversal order, numbered across the block: 0 and 1
-    # stay unless lines were cut on that side; boundary bstart + i of a
-    # segment lies on line origin + step * (bstart + i)
-    down = dx < 0
-    keep0 = np.where(down, ~cut_hi, ~cut_lo)
-    keep1 = np.where(down, ~cut_lo, ~cut_hi)
-    nb = counts + keep0 + keep1
-    bstart = np.cumsum(nb) - nb
-    bend = bstart + nb - 1
-    step = np.where(down, -1.0, 1.0)
-    origin = np.where(down, last, first) - step * (bstart + keep0)
+    # a rectangle not holding start spans less than pi around the direction
+    # of its centre; its corners give the ends of that interval
+    ref = np.arctan2(y0 + y1, x0 + x1)
+    rel = np.arctan2([y0, y0, y1, y1], [x0, x1, x0, x1]) - ref
+    rel = (rel + np.pi) % (2.0 * np.pi) - np.pi
+    first = ref + rel.min(axis=0) - _SLACK
+    last = ref + rel.max(axis=0) + _SLACK
+    around = (x0 <= _SLACK) & (x1 >= -_SLACK) & (y0 <= _SLACK) & (y1 >= -_SLACK)
+    first[around], last[around] = -np.pi, np.pi
+    # an interval past -pi or pi goes on at the other end of the order
+    under, over = first < -np.pi, last > np.pi
+    wrap_first = np.where(under, first + 2.0 * np.pi, np.where(over, -np.pi, np.inf))
+    wrap_last = np.where(under, np.pi, np.where(over, last - 2.0 * np.pi, -np.inf))
+    begin = np.searchsorted(theta, np.concatenate([first, wrap_first]), "left")
+    count = np.maximum(np.searchsorted(theta, np.concatenate([last, wrap_last]),
+                                       "right") - begin, 0)
+    rect = np.tile(np.arange(len(x0)), 2)
 
-    # one slab per pair of consecutive boundaries; the pairs that straddle
-    # two segments (they start at a segment's last boundary) add nothing
-    block = (bstart, bstart[keep0], bend[keep1], bend[:-1], origin, step,
-             np.where(dx == 0.0, 1.0, dx), dx, dy, np.hypot(dx, dy))
-    lengths = np.zeros(len(hit))
-    slabs = int(bend[-1])
-    for s in range(0, slabs, _SLABS_PER_CHUNK):
-        _add_chunk_lengths(lengths, s, min(_SLABS_PER_CHUNK, slabs - s),
-                           a, h, w, csum, occ, block)
-    out[hit] = lengths
-    return out
-
-
-def _between(positions, lo, n):
-    """The sorted positions in [lo, lo + n), relative to lo."""
-    i, j = np.searchsorted(positions, (lo, lo + n))
-    return positions[i:j] - lo
-
-
-def _gather(values, index, out):
-    # mode="clip" lets take write straight into out; every index is valid
-    return np.take(values, index, out=out, mode="clip")
+    # whole ranges in blocks of about _PAIRS_PER_BLOCK pairs
+    before = np.cumsum(count) - count
+    i = 0
+    while i < len(count):
+        j = max(int(np.searchsorted(before, before[i] + _PAIRS_PER_BLOCK)), i + 1)
+        c = count[i:j]
+        # range r's pairs are segments begin[r], begin[r] + 1, ... of the order
+        seg = np.repeat(begin[i:j] - (before[i:j] - before[i]), c)
+        seg += np.arange(len(seg))
+        k = np.repeat(rect[i:j], c)
+        t0, t1 = _slab(d[seg, 0], x0[k], x1[k], 0.0, 1.0)
+        t0, t1 = _slab(d[seg, 1], y0[k], y1[k], t0, t1)
+        np.add.at(out, seg, np.maximum(t1 - t0, 0.0) * seg_len[seg])
+        i = j
+    lengths = np.empty(len(d))
+    lengths[order] = out
+    return lengths
 
 
-def _add_chunk_lengths(lengths, s, m, a, h, w, csum, occ, block):
-    """Add the building lengths of slabs s .. s + m - 1 of a block to their
-    segments' entries of lengths, in traversal order.
-
-    Slab j lies between boundaries j and j + 1 and belongs to the segment of
-    boundary j. Every array is a view of the workspace, written in place with
-    the float expressions and operand order of the reference traversal.
-    """
-    (bstart, zero_at, one_at, straddle, origin, step, dx_or_one, dx, dy,
-     seg_len) = block
-    ws = _workspace()
-    n = m + 1
-
-    # segment of each boundary s .. s + m: the segments that start up to it,
-    # less one
-    seg = ws.seg[:n]
-    seg.fill(0)
-    np.add.at(seg, _between(bstart, s, n), 1)
-    seg[0] += np.searchsorted(bstart, s) - 1
-    np.cumsum(seg, out=seg)
-
-    # t of each boundary's crossing line, clipped to the segment; its y and
-    # the clipped row of y
-    g = ws.gathered[:n]
-    ts = ws.ts[:n]
-    np.add(ws.offsets[:n], s, out=ts)
-    np.multiply(_gather(step, seg, g), ts, out=ts)
-    np.add(_gather(origin, seg, g), ts, out=ts)
-    np.subtract(ts, a[0], out=ts)
-    np.divide(ts, _gather(dx_or_one, seg, g), out=ts)
-    np.clip(ts, 0.0, 1.0, out=ts)
-    ts[_between(zero_at, s, n)] = 0.0
-    ts[_between(one_at, s, n)] = 1.0
-    ys = ws.ys[:n]
-    np.multiply(ts, _gather(dy, seg, g), out=ys)
-    np.add(a[1], ys, out=ys)
-    iy = ws.row[:n]
-    np.copyto(iy, np.floor(ys, out=g), casting="unsafe")
-    np.clip(iy, 0, h - 1, out=iy)
-    y_in_row = ws.y_in_row[:n]
-    np.subtract(ys, iy, out=y_in_row)
-    row = np.multiply(iy, w, out=iy)
-
-    # slab lengths in t; the straddling slabs get dt = 0
-    ta, tb = ts[:-1], ts[1:]
-    dt = ws.dt[:m]
-    np.subtract(tb, ta, out=dt)
-    dt[_between(straddle, s, m)] = 0.0
-
-    # column of each slab from its midpoint; rows via cumulative occupancy
-    seg = seg[:-1]
-    g = g[:-1]
-    tm = ws.tm[:m]
-    np.multiply(0.5, np.add(ta, tb, out=tm), out=tm)
-    x = _gather(dx, seg, g)
-    np.multiply(tm, x, out=x)
-    np.add(a[0], x, out=x)
-    cj = ws.cj[:m]
-    np.copyto(cj, np.floor(x, out=x), casting="unsafe")
-    np.clip(cj, 0, w - 1, out=cj)
-    ka = np.add(row[:-1], cj, out=ws.ka[:m])
-    kb = np.add(row[1:], cj, out=cj)
-    occ_a = _gather(occ, ka, ws.occ_a[:m])
-    fa = np.multiply(occ_a, y_in_row[:-1], out=ws.fa[:m])
-    np.add(_gather(csum, ka, g), fa, out=fa)
-    fb = _gather(occ, kb, ws.fb[:m])
-    np.multiply(fb, y_in_row[1:], out=fb)
-    np.add(_gather(csum, kb, g), fb, out=fb)
-    span = np.subtract(ys[1:], ys[:-1], out=tm)
-    frac = np.subtract(fb, fa, out=fb)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        np.divide(frac, span, out=frac)
-    mask = ws.mask[:m]
-    np.copyto(frac, occ_a, where=np.equal(span, 0.0, out=mask))
-
-    # dt * seg_len * frac where dt > 0, else 0, summed per segment in order
-    # (np.add.at adds one slab at a time, as np.bincount does)
-    slab_len = np.multiply(dt, _gather(seg_len, seg, g), out=fa)
-    np.multiply(slab_len, frac, out=slab_len)
-    np.logical_not(np.greater(dt, 0.0, out=mask), out=mask)
-    np.copyto(slab_len, 0.0, where=mask)
-    np.add.at(lengths, seg, slab_len)
+def _slab(p, q0, q1, t0, t1):
+    """[t0, t1] narrowed to the t with q0 <= p t < q1 (Liang-Barsky); for
+    p = 0, to every t if q0 <= 0 < q1 and to none otherwise."""
+    still = p == 0.0
+    step = np.where(still, 1.0, p)
+    ta = np.where(still, np.where((q0 <= 0.0) & (q1 > 0.0), -np.inf, np.inf),
+                  q0 / step)
+    tb = np.where(still, np.inf, q1 / step)
+    return np.maximum(t0, np.minimum(ta, tb)), np.minimum(t1, np.maximum(ta, tb))
 
 
 def aggregate_rss(powers) -> float:
@@ -389,13 +260,14 @@ def _per_source_linear(scenario: Scenario, params: PropagationParams,
     cx = cols.astype(np.float64) + 0.5
     cy = rows.astype(np.float64) + 0.5
     ends = np.column_stack([cx, cy])
+    cells = scenario.layout.cells
+    rects = building_rectangles(cells)
     out = np.empty((len(scenario.sources), len(rows)))
     for k, src in enumerate(scenario.sources):
         d = np.hypot(cx - src.x, cy - src.y)
         pen = np.minimum(params.penetration_cap,
                          params.beta_penetration
-                         * segment_building_lengths(src.position, ends,
-                                                    scenario.layout.cells))
+                         * _clip_lengths(src.position, ends, rects, cells.shape))
         rx = src.tx_power_dbm + src.gain_dbi - path_loss(d, params) - pen
         if params.sigma_shadow > 0:
             shape = (scenario.layout.height, scenario.layout.width)

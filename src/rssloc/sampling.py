@@ -104,13 +104,10 @@ def _trace_ring(ring: np.ndarray, start: tuple[int, int]) -> list[tuple[int, int
     raise RouteError("ring trace did not close")
 
 
-def _bfs_path(free: np.ndarray, start: tuple[int, int],
-              goal: tuple[int, int]) -> list[tuple[int, int]]:
-    """Breadth-first shortest path from the free cell start to goal over the
-    free cells' 8-neighbour graph; its nodes are numbered row-major, so the
-    search visits a cell's neighbours in row-major order."""
-    if start == goal:
-        return [start]
+def _free_graph(free: np.ndarray) -> csr_matrix:
+    """The free cells' 8-neighbour graph, nodes numbered row-major over the
+    grid padded by one blocked cell on every side, each row of the matrix
+    ascending."""
     pad = np.pad(free, 1)   # a blocked border keeps every neighbour in range
     w = pad.shape[1]
     nodes = np.flatnonzero(pad)
@@ -121,8 +118,18 @@ def _bfs_path(free: np.ndarray, start: tuple[int, int],
     indptr = np.zeros(pad.size + 1, dtype=np.intp)
     indptr[nodes + 1] = edges.sum(axis=1)
     indices = neighbours[edges]   # row by row, each row ascending
-    graph = csr_matrix((np.ones(len(indices)), indices, np.cumsum(indptr)),
-                       shape=(pad.size, pad.size))
+    return csr_matrix((np.ones(len(indices)), indices, np.cumsum(indptr)),
+                      shape=(pad.size, pad.size))
+
+
+def _bfs_path(graph: csr_matrix, width: int, start: tuple[int, int],
+              goal: tuple[int, int]) -> list[tuple[int, int]]:
+    """Breadth-first shortest path from the free cell start to goal over
+    _free_graph of a grid width cells wide; its nodes are numbered row-major,
+    so the search visits a cell's neighbours in row-major order."""
+    if start == goal:
+        return [start]
+    w = width + 2
     source = (start[0] + 1) * w + start[1] + 1
     node = (goal[0] + 1) * w + goal[1] + 1
     _, predecessors = breadth_first_order(graph, source, return_predecessors=True)
@@ -154,19 +161,21 @@ def build_routes(layout: BuildingLayout) -> Route:
         border = np.concatenate([free_labels[0, :], free_labels[-1, :],
                                  free_labels[:, 0], free_labels[:, -1]])
         outside = np.isin(free_labels, np.unique(border[border > 0]))
+        graph = _free_graph(outside)
         cells = []
-        for rid in range(1, len(regions) + 1):
-            region = region_labels == rid
-            ring = (ndimage.binary_dilation(region, structure=EIGHT_CONNECTED)
-                    & free & outside)
+        for rid, (rows, cols) in enumerate(regions, start=1):
+            # the ring lies in the region's bounding box grown by one cell
+            i0, j0 = max(rows.start - 1, 0), max(cols.start - 1, 0)
+            window = (slice(i0, rows.stop + 1), slice(j0, cols.stop + 1))
+            ring = (ndimage.binary_dilation(region_labels[window] == rid,
+                                            structure=EIGHT_CONNECTED)
+                    & free[window] & outside[window])
             if not ring.any():
                 raise RouteError(f"building region {rid} is unreachable")
-            ys, xs = np.nonzero(ring)
-            k = np.lexsort((xs, ys))[0]
-            start = (int(ys[k]), int(xs[k]))
-            loop = _trace_ring(ring, start)
+            start = tuple(int(k) for k in np.argwhere(ring)[0])
+            loop = [(i + i0, j + j0) for i, j in _trace_ring(ring, start)]
             if cells:
-                bridge = _bfs_path(outside, cells[-1], loop[0])
+                bridge = _bfs_path(graph, occ.shape[1], cells[-1], loop[0])
                 cells.extend(bridge[1:])
             cells.extend(loop if not cells or cells[-1] != loop[0] else loop[1:])
 

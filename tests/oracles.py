@@ -2,17 +2,17 @@
 
 Each oracle deliberately takes a different algorithmic route than the code
 under test: flood fill instead of scipy.ndimage.label, a test of every grid
-cell instead of a clipped bounding box, per-cell segment clipping instead of
-grid traversal, factorial enumeration instead of the Hungarian solver, the
-primal kriging system instead of the dual one. The exceptions are
-`traverse_all_columns`, the unpruned column traversal that the package's
-pruned one must match bit for bit, `kriging_predict_hypot` and
-`idw_predict_hypot`, the evaluation from `np.hypot` distances in chunks of
-4096 queries that the package's squared-distance blocks replace,
-`kriging_matrix_hypot`, the variogram of `np.hypot` distances that the
-package's in-place build from squared distances replaces, and `bfs_path_loop`,
-the Python-loop breadth-first search whose paths the package's
-scipy.sparse.csgraph search must repeat cell for cell.
+cell instead of a clipped bounding box, segment clipping per cell and a
+traversal of every column a segment crosses instead of clipping per
+rectangle of a cover of the buildings, factorial enumeration instead of the
+Hungarian solver, the primal kriging system instead of the dual one. The
+exceptions are `kriging_predict_hypot` and `idw_predict_hypot`, the
+evaluation from `np.hypot` distances in chunks of 4096 queries that the
+package's squared-distance blocks replace, `kriging_matrix_hypot`, the
+variogram of `np.hypot` distances that the package's in-place build from
+squared distances replaces, and `bfs_path_loop`, the Python-loop
+breadth-first search whose paths the package's scipy.sparse.csgraph search
+must repeat cell for cell.
 """
 
 import itertools
@@ -106,16 +106,14 @@ def clip_building_length(a, b, cells):
 
 
 def traverse_all_columns(start, ends, cells):
-    """rssloc.propagation.segment_building_lengths without its slab pruning.
-
-    The same float expressions, with a slab for every column each segment
-    crosses, so the package's pruned traversal must match it bit for bit.
+    """Meters of building interior crossed by each segment start->ends[k],
+    by a traversal of every column it crosses.
 
     Each segment is split at its column crossings (one slab per column, in
     traversal order by construction, so no sorting is needed); the occupied
     row span inside a slab comes from per-column cumulative occupancy, which
-    is exact because occupancy is constant on unit cells. Vectorized over all
-    segments at once.
+    is exact because occupancy is constant on unit cells. Lookups clip to
+    the grid. Vectorized over all segments at once.
     """
     a = np.asarray(start, dtype=np.float64).reshape(2)
     b = np.atleast_2d(np.asarray(ends, dtype=np.float64))
@@ -158,9 +156,12 @@ def traverse_all_columns(start, ends, cells):
     slab_ray = np.repeat(np.arange(n), bound_counts - 1)
     dt = tb - ta
 
-    # column of each slab from its midpoint; rows via cumulative occupancy
-    tm = 0.5 * (ta + tb)
-    cj = np.clip(np.floor(a[0] + tm * dx[slab_ray]).astype(np.int64), 0, w - 1)
+    # slab i of a segment lies in the i-th column it enters, counted from the
+    # start's column (the rounded x of a slab's midpoint can land on the
+    # next column when the slab is an ulp wide); rows via cumulative occupancy
+    i = np.arange(len(ta)) - np.repeat(starts - np.arange(n), bound_counts - 1)
+    cj = np.where(dx[slab_ray] > 0.0, np.ceil(a[0]) - 1 + i, np.floor(a[0]) - i)
+    cj = np.clip(cj.astype(np.int64), 0, w - 1)
     ya = a[1] + ta * dy[slab_ray]
     yb = a[1] + tb * dy[slab_ray]
     ia = np.clip(np.floor(ya).astype(np.int64), 0, h - 1)

@@ -1,9 +1,10 @@
 """Golden digests of a small generated dataset and of measurement routes.
 
 Every file `rssloc generate` writes for CONFIG must keep its sha256. The
-digests were recorded before the penetration traversal skipped building-free
-rays and columns and before route sampling was vectorized; both changes keep
-the bytes. A change that alters the bytes on purpose updates DIGESTS and says
+digests were recorded from a grid traversal of every column, before the
+penetration lengths came from clipping segments to a rectangle cover of the
+buildings and before route sampling was vectorized; both changes keep the
+bytes. A change that alters the bytes on purpose updates DIGESTS and says
 why in its description.
 
 CONFIG's layouts have one building region each, so their routes need no

@@ -1,6 +1,7 @@
 """Property tests: file-format round trips, malformed PGM and LRMF headers,
 the invariants of the evaluation metrics, route bridges against the loop
-oracle, and augmentation equivariance of separation and localization."""
+oracle, the rectangle cover of building cells, and augmentation
+equivariance of separation and localization."""
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from rssloc import (AUGMENTATIONS, LrmfError, PgmError, SampleSet, augment_grid,
                     separate_sources)
 from rssloc.dataset_io import (predictions_from_csv, predictions_to_csv,
                                samples_from_csv, samples_to_csv)
-from rssloc.sampling import RouteError, _bfs_path
+from rssloc.propagation import building_rectangles
+from rssloc.sampling import RouteError, _bfs_path, _free_graph
 
 # small example counts keep the whole suite near a minute
 FEW = settings(max_examples=40, deadline=None)
@@ -158,6 +160,7 @@ def test_bfs_path_matches_loop_oracle(shape, density, seed):
     free = rng.random(shape) < density
     cells = [(int(i), int(j)) for i, j in np.argwhere(free)]
     assume(cells)
+    graph = _free_graph(free)
     for _ in range(4):
         start = cells[rng.integers(len(cells))]
         anywhere = tuple(int(k) for k in rng.integers(0, shape))
@@ -166,9 +169,28 @@ def test_bfs_path_matches_loop_oracle(shape, density, seed):
                 expected = bfs_path_loop(free, start, goal)
             except RouteError:
                 with pytest.raises(RouteError):
-                    _bfs_path(free, start, goal)
+                    _bfs_path(graph, shape[1], start, goal)
                 continue
-            assert _bfs_path(free, start, goal) == expected
+            assert _bfs_path(graph, shape[1], start, goal) == expected
+
+
+# any uint8 grid, or seeded grids from sparse to full
+occupancy_grids = st.one_of(grids, st.builds(
+    lambda shape, density, seed: np.random.default_rng(seed).random(shape) < density,
+    st.tuples(st.integers(1, 30), st.integers(1, 30)), st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1)))
+
+
+@FEW
+@given(occupancy_grids)
+def test_building_rectangles_partition(cells):
+    # every building cell in exactly one rectangle, every free cell in none
+    cover = np.zeros(cells.shape, dtype=np.int64)
+    for top, bottom, left, right in building_rectangles(cells):
+        assert 0 <= top < bottom <= cells.shape[0]
+        assert 0 <= left < right <= cells.shape[1]
+        cover[top:bottom, left:right] += 1
+    assert np.array_equal(cover, cells != 0)
 
 
 # square, for the rotations; the seeded uniform bitmaps have many components
