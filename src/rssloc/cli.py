@@ -171,7 +171,7 @@ def cmd_evaluate(args) -> int:
         print("no prediction files matched the dataset", file=sys.stderr)
         return EXIT_DATA
     report = {"results": rows, "aggregate": aggregate(evals).as_dict()}
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = dataset_io.dumps_json(report)
     if args.out:
         Path(args.out).write_text(text)
     else:

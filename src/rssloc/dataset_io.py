@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -278,8 +279,12 @@ class DatasetConfig:
             raise ValueError("noise_sigma must be >= 0")
         if not self.intervals:
             raise ValueError("intervals must not be empty")
-        if not all(interval > 0 for interval in self.intervals):
-            raise ValueError("intervals must be positive")
+        for interval in self.intervals:
+            # bool is a number to Python, but True would name a samples/True/
+            if isinstance(interval, bool) or not isinstance(interval, numbers.Real) \
+                    or not 0 < interval < math.inf:
+                raise ValueError(
+                    f"intervals must be positive finite numbers, not {interval!r}")
         if len(set(self.intervals)) != len(self.intervals):
             raise ValueError("intervals must not repeat")
 

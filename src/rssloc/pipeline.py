@@ -5,14 +5,13 @@ failures are recorded in the report instead of aborting the batch.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .dataset_io import (load_scenario, predictions_to_csv, read_dataset_index,
-                         read_pgm, samples_from_csv)
+from .dataset_io import (dumps_json, load_scenario, predictions_to_csv,
+                         read_dataset_index, read_pgm, samples_from_csv)
 from .localize import ESTIMATORS, localize_all
 from .metrics import DEFAULT_OSPA_CUTOFF, ScenarioEval, aggregate, evaluate_scenario
 from .propagation import RadioMap
@@ -262,8 +261,7 @@ def run_pipeline(dataset_dir, config: PipelineConfig,
         for row in ok_rows:
             name = f"{row['id']}_{row['interval']}.csv"
             (out / "predictions" / name).write_text(row["predictions_csv"])
-        (out / "report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n")
+        (out / "report.json").write_text(dumps_json(report))
     return report
 
 

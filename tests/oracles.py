@@ -3,7 +3,7 @@
 Each oracle deliberately takes a different algorithmic route than the code
 under test: flood fill instead of scipy.ndimage.label, a test of every grid
 cell instead of a clipped bounding box, segment clipping per cell and a
-traversal of every column a segment crosses instead of clipping per
+traversal of every cell a segment crosses instead of clipping per
 rectangle of a cover of the buildings, factorial enumeration instead of the
 Hungarian solver, the primal kriging system instead of the dual one. The
 exceptions are `kriging_predict_hypot` and `idw_predict_hypot`, the
@@ -105,78 +105,54 @@ def clip_building_length(a, b, cells):
     return total
 
 
-def traverse_all_columns(start, ends, cells):
+def traverse_all_cells(start, ends, cells):
     """Meters of building interior crossed by each segment start->ends[k],
-    by a traversal of every column it crosses.
+    by a traversal of every cell it crosses.
 
-    Each segment is split at its column crossings (one slab per column, in
-    traversal order by construction, so no sorting is needed); the occupied
-    row span inside a slab comes from per-column cumulative occupancy, which
-    is exact because occupancy is constant on unit cells. Lookups clip to
-    the grid. Vectorized over all segments at once.
+    Each segment is split where it crosses a grid line of either axis, and
+    each piece is charged to the cell reached by counting the crossings
+    before it from the start's cell, never by rounding a point on the
+    segment: a point an ulp below a row line can round onto it. Coordinate
+    q lies in cell floor(q), so a segment moving up crosses the lines in
+    (a, b] and one moving down those in (b, a]. Lookups clip to the grid.
+    Vectorized over all segments at once.
     """
     a = np.asarray(start, dtype=np.float64).reshape(2)
     b = np.atleast_2d(np.asarray(ends, dtype=np.float64))
     n = b.shape[0]
     h, w = cells.shape
-    dx = b[:, 0] - a[0]
-    dy = b[:, 1] - a[1]
-    seg_len = np.hypot(dx, dy)
+    seg_len = np.hypot(b[:, 0] - a[0], b[:, 1] - a[1])
 
-    # column-boundary crossings per segment, ascending in the ray parameter
-    lo = np.minimum(a[0], b[:, 0])
-    hi = np.maximum(a[0], b[:, 0])
-    m0 = np.ceil(lo)
-    counts = np.where(dx == 0.0, 0,
-                      np.maximum((np.floor(hi) - m0 + 1).astype(np.int64), 0))
-    total = int(counts.sum())
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    down = np.repeat(dx < 0, counts)
-    lines = np.where(down,
-                     np.repeat(np.floor(hi), counts) - offsets,
-                     np.repeat(m0, counts) + offsets)
-    tc = np.clip((lines - a[0]) / np.repeat(np.where(dx == 0.0, 1.0, dx), counts),
-                 0.0, 1.0)
+    # one entry per crossing, plus one at t = 0 per segment for its first piece
+    segs, ts, steps = [np.arange(n)], [np.zeros(n)], [np.zeros((n, 2), np.int64)]
+    for axis in (0, 1):
+        fa, fb = np.floor(a[axis]), np.floor(b[:, axis])
+        count = np.abs(fb - fa).astype(np.int64)
+        seg = np.repeat(np.arange(n), count)
+        k = np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count)
+        up = fb[seg] > fa
+        lines = np.where(up, fa + 1 + k, fa - k)
+        step = np.zeros((len(seg), 2), np.int64)
+        step[:, axis] = np.where(up, 1, -1)
+        segs.append(seg)
+        ts.append(np.clip((lines - a[axis]) / (b[seg, axis] - a[axis]), 0.0, 1.0))
+        steps.append(step)
+    seg, t, step = np.concatenate(segs), np.concatenate(ts), np.concatenate(steps)
+    # crossings at equal t bound pieces of no length, so their order is free
+    order = np.lexsort((t, seg))
+    seg, t, step = seg[order], t[order], step[order]
 
-    # slab boundaries: 0, crossings..., 1 per segment, already in order
-    bound_counts = counts + 2
-    starts = np.cumsum(bound_counts) - bound_counts
-    ts = np.empty(total + 2 * n)
-    ts[starts] = 0.0
-    ts[starts + bound_counts - 1] = 1.0
-    inner = np.ones(total + 2 * n, dtype=bool)
-    inner[starts] = False
-    inner[starts + bound_counts - 1] = False
-    ts[inner] = tc
-
-    pair = np.ones(total + 2 * n, dtype=bool)
-    pair[starts + bound_counts - 1] = False   # no slab begins at the last boundary
-    ta = ts[pair]
-    tb = ts[np.nonzero(pair)[0] + 1]
-    slab_ray = np.repeat(np.arange(n), bound_counts - 1)
-    dt = tb - ta
-
-    # slab i of a segment lies in the i-th column it enters, counted from the
-    # start's column (the rounded x of a slab's midpoint can land on the
-    # next column when the slab is an ulp wide); rows via cumulative occupancy
-    i = np.arange(len(ta)) - np.repeat(starts - np.arange(n), bound_counts - 1)
-    cj = np.where(dx[slab_ray] > 0.0, np.ceil(a[0]) - 1 + i, np.floor(a[0]) - i)
-    cj = np.clip(cj.astype(np.int64), 0, w - 1)
-    ya = a[1] + ta * dy[slab_ray]
-    yb = a[1] + tb * dy[slab_ray]
-    ia = np.clip(np.floor(ya).astype(np.int64), 0, h - 1)
-    ib = np.clip(np.floor(yb).astype(np.int64), 0, h - 1)
-    csum = np.zeros((h + 1, w))
-    np.cumsum(cells, axis=0, out=csum[1:])
-    occ_a = cells[ia, cj].astype(np.float64)
-    occ_b = cells[ib, cj].astype(np.float64)
-    fa = csum[ia, cj] + occ_a * (ya - ia)
-    fb = csum[ib, cj] + occ_b * (yb - ib)
-    span = yb - ya
-    with np.errstate(invalid="ignore", divide="ignore"):
-        frac = np.where(span != 0.0, (fb - fa) / span, occ_a)
-    lengths = np.where(dt > 0.0, dt * seg_len[slab_ray] * frac, 0.0)
-    return np.bincount(slab_ray, weights=lengths, minlength=n)
+    # each entry starts a piece that ends at the next entry of its segment
+    last = np.append(seg[1:] != seg[:-1], True)
+    t_end = np.append(t[1:], 1.0)
+    t_end[last] = 1.0
+    moved = np.cumsum(step, axis=0)
+    first = np.flatnonzero(np.insert(last[:-1], 0, True))
+    moved -= (moved[first] - step[first])[seg]
+    col = np.clip(np.floor(a[0]).astype(np.int64) + moved[:, 0], 0, w - 1)
+    row = np.clip(np.floor(a[1]).astype(np.int64) + moved[:, 1], 0, h - 1)
+    lengths = cells[row, col] * (t_end - t) * seg_len[seg]
+    return np.bincount(seg, weights=lengths, minlength=n)
 
 
 def sample_along_loop(route, grid, interval_s, speed=1.0):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -35,7 +36,9 @@ class TestGenerate:
                          "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("doc", [{"r": 0}, {"speed": -1}, {"noise_sigma": -1},
-                                     {"intervals": [0]}, {"intervals": [1, 1]}])
+                                     {"intervals": [0]}, {"intervals": [1, 1]},
+                                     {"intervals": [math.inf]},
+                                     {"intervals": [True, 2]}])
     def test_bad_config_value_before_rasterization(self, doc, tmp_path, capsys,
                                                    monkeypatch):
         rasterized = []

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -265,6 +266,12 @@ class TestGenerateDataset:
         ({"intervals": [0]}, "intervals must be positive"),
         ({"intervals": [4, -2]}, "intervals must be positive"),
         ({"intervals": [1, 1]}, "intervals must not repeat"),
+        ({"intervals": [math.inf]}, "intervals must be positive finite numbers, not inf"),
+        ({"intervals": [math.nan]}, "intervals must be positive finite numbers, not nan"),
+        ({"intervals": [True, 2]},
+         "intervals must be positive finite numbers, not True"),
+        ({"intervals": ["4"]}, "intervals must be positive finite numbers, not '4'"),
+        ({"intervals": [None]}, "intervals must be positive finite numbers, not None"),
     ])
     def test_bad_config_value_rejected(self, doc, message):
         with pytest.raises(ValueError, match=message):

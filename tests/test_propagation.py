@@ -10,7 +10,7 @@ from rssloc import (P_MAX_DBM, P_MIN_DBM, BuildingLayout, PropagationParams,
 from rssloc.propagation import local_disk_mask, segment_building_lengths
 
 from conftest import make_flat_scenario
-from oracles import clip_building_length, traverse_all_columns
+from oracles import clip_building_length, traverse_all_cells
 
 
 class TestPathLoss:
@@ -82,18 +82,19 @@ class TestPenetration:
         assert batched.tobytes() == np.array(singles).tobytes()
 
 
-# the clip and the column traversal are both exact, but round differently
+# the clip and the cell traversal are both exact, but round differently
 AGREEMENT_M = 1e-9
 
 
 def assert_agrees(start, ends, cells):
     fast = segment_building_lengths(start, ends, cells)
-    full = traverse_all_columns(start, ends, cells)
+    full = traverse_all_cells(start, ends, cells)
     assert np.abs(fast - full).max() <= AGREEMENT_M
 
 
 class TestPrunedTraversal:
-    """The pruned rectangle clip against the full column traversal."""
+    """The rectangle clip, which visits only the rectangles that cover the
+    buildings, against the traversal of every cell a segment crosses."""
 
     @pytest.mark.parametrize("density", [0.0, 0.02, 0.1, 0.3, 0.8])
     def test_random_layouts(self, density):
@@ -105,7 +106,8 @@ class TestPrunedTraversal:
                           cells)
 
     def test_generated_layout_every_cell(self):
-        # more segments than one block, as rasterize_global sends them
+        # every free cell centre of a generated layout, as rasterize_global
+        # sends them
         sc = generate_scenario(70, 70, 3, 2, seed=23)
         rows, cols = np.nonzero(sc.layout.cells == 0)
         ends = np.column_stack([cols + 0.5, rows + 0.5])
@@ -157,6 +159,21 @@ class TestPrunedTraversal:
         assert segment_building_lengths(start, [end], cells)[0] == \
             pytest.approx(0.5, abs=1e-12)
         assert_agrees(start, [end], cells)
+
+    def test_one_ulp_below_row_line(self):
+        # each segment stays below the row line y until its end, so it lies in
+        # row y - 1; a point on it can round onto the line
+        rng = np.random.default_rng(38)
+        for _ in range(200):
+            cells = (rng.random((20, 20)) < 0.5).astype(np.uint8)
+            y = float(rng.integers(1, 20))
+            start = (rng.random() * 20, np.nextafter(y, 0.0))
+            end = (rng.random() * 20, y)
+            expected = clip_building_length(start, end, cells)
+            assert abs(traverse_all_cells(start, [end], cells)[0] - expected) \
+                <= AGREEMENT_M
+            assert abs(segment_building_lengths(start, [end], cells)[0] - expected) \
+                <= AGREEMENT_M
 
     def test_out_of_grid_corners(self):
         # both coordinates outside: the corner cell stands for the quadrant
