@@ -126,7 +126,7 @@ def decode_lrmf(data: bytes) -> np.ndarray:
 
 def samples_to_csv(sample_set: SampleSet) -> str:
     lines = ["x_m,y_m,rss_dbm"]
-    for (x, y), v in zip(sample_set.positions, sample_set.values):
+    for (x, y), v in zip(sample_set.positions.tolist(), sample_set.values.tolist()):
         lines.append(f"{x:.6f},{y:.6f},{v:.6f}")
     return "\n".join(lines) + "\n"
 

@@ -1,5 +1,12 @@
 """Evaluation suite: optimal assignment, mean localization error, count-based
 false-alarm / missed-detection rates, and the OSPA distance with cutoff g.
+
+The assignment solver `_lsap` is a port of the rectangular shortest
+augmenting path algorithm of D. F. Crouse, "On implementing 2D rectangular
+assignment algorithms" (IEEE TAES 52(4), 2016), as scipy's
+`linear_sum_assignment` runs it: the same float expressions, remaining-column
+order and tie rule (a tied column is taken when it is unassigned), so it
+returns scipy's pairs, ties included, without importing `scipy.optimize`.
 """
 
 from __future__ import annotations
@@ -8,7 +15,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 DEFAULT_OSPA_CUTOFF = 20.0
 
@@ -57,13 +63,71 @@ def _cost_matrix(pred, true, cutoff: float) -> np.ndarray:
     return np.minimum(d, cutoff) ** 2
 
 
+def _lsap(cost: np.ndarray) -> tuple[list[int], list[int]]:
+    """Minimum-cost assignment of min(rows, cols) pairs as (rows, cols), rows
+    ascending; NaN or -inf costs and an infeasible matrix raise ValueError."""
+    nr, nc = cost.shape
+    transpose = nc < nr
+    if transpose:
+        cost, nr, nc = cost.T, nc, nr
+    c = cost.tolist()
+    if any(x != x or x == -math.inf for row in c for x in row):
+        raise ValueError("matrix contains invalid numeric entries")
+    u, v = [0.0] * nr, [0.0] * nc
+    path, col4row, row4col = [-1] * nc, [-1] * nr, [-1] * nc
+    for cur in range(nr):
+        # shortest path from row cur to an unassigned column
+        short = [math.inf] * nc
+        remaining = list(range(nc - 1, -1, -1))
+        rows_seen, cols_seen = [], []
+        i, sink, min_val = cur, -1, 0.0
+        while sink == -1:
+            rows_seen.append(i)
+            index, lowest = -1, math.inf
+            ci, ui = c[i], u[i]
+            for it, j in enumerate(remaining):
+                r, s = min_val + ci[j] - ui - v[j], short[j]
+                if r < s:
+                    path[j] = i
+                    short[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    index, lowest = it, s
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # update the duals, then augment along the path
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - short[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - short[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        order = sorted(range(nr), key=col4row.__getitem__)
+        return [col4row[k] for k in order], order
+    return list(range(nr)), col4row
+
+
 def optimal_assignment(pred, true, cutoff: float = math.inf) -> Matching:
     """Minimum total min(cutoff, d)^2 matching over min(|pred|, |true|) pairs,
     listed in prediction order."""
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
-    rows, cols = (a.tolist() for a in
-                  linear_sum_assignment(_cost_matrix(pred, true, cutoff)))
+    rows, cols = _lsap(_cost_matrix(pred, true, cutoff))
     return Matching(pairs=list(zip(rows, cols)),
                     unmatched_pred=sorted(set(range(len(pred))) - set(rows)),
                     unmatched_true=sorted(set(range(len(true))) - set(cols)))
@@ -107,7 +171,7 @@ def ospa(pred, true, g: float = DEFAULT_OSPA_CUTOFF) -> float:
         return float(g)
     n, m = max(np_, nt), min(np_, nt)
     cost = _cost_matrix(pred, true, g)
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = _lsap(cost)
     total = float(cost[rows, cols].sum()) + g * g * (n - m)
     return math.sqrt(total / n)
 

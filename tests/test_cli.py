@@ -523,6 +523,19 @@ def test_blas_threads_default_to_one_before_numpy_loads(preset, expected):
     assert done.stdout.split() == expected
 
 
+def test_cli_import_leaves_out_scipy_optimize():
+    # the assignment solver is rssloc's own: scipy.optimize costs every
+    # command about 0.15 s of import
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, rssloc.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["pipeline"])  # missing required arguments

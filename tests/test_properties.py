@@ -1,7 +1,10 @@
 """Property tests: file-format round trips, malformed PGM and LRMF headers,
-the invariants of the evaluation metrics, route bridges against the loop
-oracle, the rectangle cover of building cells, and augmentation
-equivariance of separation and localization."""
+the invariants of the evaluation metrics, the assignment solver against
+scipy's, route bridges against the loop oracle, the rectangle cover of
+building cells, and augmentation equivariance of separation and
+localization."""
+
+import math
 
 import numpy as np
 import pytest
@@ -14,9 +17,10 @@ from oracles import bfs_path_loop
 from rssloc import (AUGMENTATIONS, LrmfError, PgmError, SampleSet, augment_grid,
                     augment_points, decode_lrmf, decode_pgm, encode_lrmf,
                     encode_pgm, evaluate_scenario, localize_all, ospa,
-                    separate_sources)
+                    mle, separate_sources)
 from rssloc.dataset_io import (predictions_from_csv, predictions_to_csv,
                                samples_from_csv, samples_to_csv)
+from rssloc.metrics import _cost_matrix, _lsap
 from rssloc.propagation import building_rectangles
 from rssloc.sampling import RouteError, _bfs_path, _free_graph
 
@@ -148,6 +152,55 @@ def test_metric_invariants(pred, true, g):
         assert ev.mle is None
     assert 0.0 <= ev.far <= 1.0 and 0.0 <= ev.mdr <= 1.0
     assert (ev.m, ev.m_hat) == (len(true), len(pred))
+
+
+def _solved(solve, cost):
+    """(rows, cols) as lists, or the message of the ValueError raised."""
+    try:
+        return tuple(np.asarray(a).tolist() for a in solve(cost))
+    except ValueError as exc:
+        return str(exc)
+
+
+shapes = st.tuples(st.integers(0, 9), st.integers(0, 9))
+# costs of 0, 1 and 2 tie nearly everywhere; +inf entries make some
+# matrices infeasible
+tie_costs = arrays(np.float64, shapes, elements=st.sampled_from([0.0, 1.0, 2.0]))
+inf_costs = arrays(np.float64, shapes,
+                   elements=st.sampled_from([0.0, 1.0, 2.0, math.inf]))
+grid_points = st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(tie_costs, inf_costs))
+def test_lsap_matches_scipy_on_ties(cost):
+    assert _solved(_lsap, cost) == _solved(linear_sum_assignment, cost)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_points, grid_points, st.sampled_from([math.inf, 20.0, 2.0, 0.5]))
+def test_lsap_matches_scipy_on_grid_points(pred, true, cutoff):
+    cost = _cost_matrix(pred, true, cutoff)
+    assert _solved(_lsap, cost) == _solved(linear_sum_assignment, cost)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0)])
+def test_lsap_empty_shapes(shape):
+    assert _lsap(np.zeros(shape)) == ([], [])
+
+
+@FEW
+@given(tie_costs.filter(lambda c: c.size), st.integers(0, 80),
+       st.sampled_from([math.nan, -math.inf]))
+def test_lsap_rejects_nan_and_negative_infinity(cost, at, bad):
+    cost.flat[at % cost.size] = bad
+    assert (_solved(_lsap, cost) == _solved(linear_sum_assignment, cost)
+            == "matrix contains invalid numeric entries")
+
+
+def test_mle_with_infinite_coordinate_is_infeasible():
+    with pytest.raises(ValueError, match="infeasible"):
+        mle([(math.inf, 0.0)], [(1.0, 1.0), (2.0, 2.0)])
 
 
 # the mask and the (start, goal) picks come from a drawn seed: drawn one by
