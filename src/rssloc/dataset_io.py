@@ -19,10 +19,8 @@ import numpy as np
 
 from .propagation import PropagationParams, ground_truth_local, rasterize_global
 from .sampling import SampleSet, build_routes, sample_along
-from .scenario import BuildingLayout, Scenario, Source, generate_layout, \
-    place_sources, place_sources_dense
-
-AUGMENTATIONS = ("identity", "flip_h", "flip_v", "rot90", "rot180", "rot270")
+from .scenario import MAX_SOURCES, BuildingLayout, Scenario, Source, \
+    generate_layout, place_sources, place_sources_dense
 
 
 class PgmError(ValueError):
@@ -204,40 +202,40 @@ def dumps_json(doc: dict) -> str:
 
 # -------------------------------------------------------------- augmentation
 
-def augment_grid(grid: np.ndarray, aug: str) -> np.ndarray:
-    if aug == "identity":
-        return grid.copy()
-    if aug == "flip_h":
-        return np.fliplr(grid).copy()
-    if aug == "flip_v":
-        return np.flipud(grid).copy()
-    if aug in ("rot90", "rot180", "rot270"):
+def _rotation(k: int):
+    def rotate(grid):
         if grid.shape[0] != grid.shape[1]:
             raise ValueError("rotations need a square grid")
-        k = {"rot90": 1, "rot180": 2, "rot270": 3}[aug]
-        return np.rot90(grid, k).copy()
-    raise ValueError(f"unknown augmentation {aug!r}")
+        return np.rot90(grid, k)
+    return rotate
+
+
+# name -> (grid transform, (x, y, width, height) -> transformed (x, y))
+_AUGMENTATIONS = {
+    "identity": (lambda grid: grid, lambda x, y, w, h: (x, y)),
+    "flip_h": (np.fliplr, lambda x, y, w, h: (w - x, y)),
+    "flip_v": (np.flipud, lambda x, y, w, h: (x, h - y)),
+    "rot90": (_rotation(1), lambda x, y, w, h: (y, w - x)),
+    "rot180": (_rotation(2), lambda x, y, w, h: (w - x, h - y)),
+    "rot270": (_rotation(3), lambda x, y, w, h: (h - y, x)),
+}
+AUGMENTATIONS = tuple(_AUGMENTATIONS)
+
+
+def _augmentation(aug: str):
+    if aug not in _AUGMENTATIONS:
+        raise ValueError(f"unknown augmentation {aug!r}")
+    return _AUGMENTATIONS[aug]
+
+
+def augment_grid(grid: np.ndarray, aug: str) -> np.ndarray:
+    return _augmentation(aug)[0](grid).copy()
 
 
 def augment_points(points, aug: str, width: int, height: int):
     """Transform continuous (x, y) coordinates consistently with augment_grid."""
-    out = []
-    for x, y in points:
-        if aug == "identity":
-            out.append((x, y))
-        elif aug == "flip_h":
-            out.append((width - x, y))
-        elif aug == "flip_v":
-            out.append((x, height - y))
-        elif aug == "rot90":
-            out.append((y, width - x))
-        elif aug == "rot180":
-            out.append((width - x, height - y))
-        elif aug == "rot270":
-            out.append((height - y, x))
-        else:
-            raise ValueError(f"unknown augmentation {aug!r}")
-    return out
+    move = _augmentation(aug)[1]
+    return [move(x, y, width, height) for x, y in points]
 
 
 def augment(grid: np.ndarray, points, aug: str):
@@ -287,6 +285,16 @@ class DatasetConfig:
                     f"intervals must be positive finite numbers, not {interval!r}")
         if len(set(self.intervals)) != len(self.intervals):
             raise ValueError("intervals must not repeat")
+        for m in self.source_counts:
+            if not 1 <= m <= MAX_SOURCES:
+                raise ValueError(f"source counts must be in 1..{MAX_SOURCES}, not {m}")
+        if self.dense_pair_spacing is not None:
+            if any(m < 2 for m in self.source_counts):
+                raise ValueError("dense_pair_spacing needs source counts >= 2")
+            limit = 2 * (self.clear_radius or self.r)   # generate_dataset's pair r
+            if not 0 < self.dense_pair_spacing < limit:
+                raise ValueError(f"dense_pair_spacing must be in (0, {limit:g}), "
+                                 f"not {self.dense_pair_spacing!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DatasetConfig":

@@ -95,8 +95,18 @@ class PipelineConfig:
                 "intervals": list(self.intervals) if self.intervals else None}
 
 
+def _read_local_map(path, scenario) -> RadioMap:
+    """The local bitmap at path; a shape not the layout's is an error naming it."""
+    values = read_pgm(path)
+    expected = scenario.layout.cells.shape
+    if values.shape != expected:
+        raise ValueError(f"{path}: local map shape {values.shape} "
+                         f"differs from layout shape {expected}")
+    return RadioMap(values)
+
+
 def _oracle(dataset_dir, entry, interval, scenario, config) -> RadioMap:
-    return RadioMap(read_pgm(Path(dataset_dir) / entry["local_map"]), "local", "bitmap")
+    return _read_local_map(Path(dataset_dir) / entry["local_map"], scenario)
 
 
 def _reconstruct_kwargs(config: PipelineConfig) -> dict:
@@ -156,12 +166,7 @@ def _external_map(dataset_dir, entry, interval, scenario, config) -> RadioMap:
     for name in (f"{entry['id']}_{interval}.pgm", f"{entry['id']}.pgm"):
         candidate = ext / name
         if candidate.is_file():
-            values = read_pgm(candidate)
-            expected = scenario.layout.cells.shape
-            if values.shape != expected:
-                raise ValueError(f"{candidate}: local map shape {values.shape} "
-                                 f"differs from layout shape {expected}")
-            return RadioMap(values, "local", "bitmap")
+            return _read_local_map(candidate, scenario)
     raise FileNotFoundError(
         f"no external local map for {entry['id']} interval {interval} "
         f"in {config.local_map_dir}")

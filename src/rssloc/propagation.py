@@ -15,8 +15,6 @@ import numpy as np
 
 from .scenario import Scenario, disk_cells
 
-MAP_KINDS = ("global", "local", "binarized", "single_source")
-
 # stream tag for shadowing draws, mixed with (scenario seed, source index)
 _SHADOW_TAG = 0x5AD0
 
@@ -56,36 +54,25 @@ def encode_bitmap(dbm) -> np.ndarray:
 
 @dataclass
 class RadioMap:
-    """A 2D scalar field over the grid, in dBm ('dbm') or 8-bit ('bitmap') form."""
+    """A 2D scalar field over the grid: float values are dBm, integer values
+    an 8-bit bitmap in 0..255."""
 
     values: np.ndarray
-    kind: str
-    unit: str
 
     def __post_init__(self):
-        v = np.asarray(self.values)
+        self.values = v = np.asarray(self.values)
         if v.ndim != 2:
             raise ValueError("map values must be 2D")
-        if self.kind not in MAP_KINDS:
-            raise ValueError(f"unknown map kind {self.kind!r}")
-        if self.unit == "bitmap":
-            if not np.issubdtype(v.dtype, np.integer):
-                raise ValueError("bitmap values must be integers")
+        if np.issubdtype(v.dtype, np.integer):
             if v.min() < 0 or v.max() > 255:
                 raise ValueError("bitmap values must lie in [0, 255]")
-            if self.kind == "binarized" and not np.isin(v, (0, 255)).all():
-                raise ValueError("binarized maps may only contain 0 and 255")
-        elif self.unit != "dbm":
-            raise ValueError(f"unknown map unit {self.unit!r}")
-        self.values = v
+        elif not self.is_dbm:
+            raise ValueError(f"map values must be float (dBm) or integer "
+                             f"(bitmap), not {v.dtype}")
 
     @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
+    def is_dbm(self) -> bool:
+        return np.issubdtype(self.values.dtype, np.floating)
 
 
 def _grid(map_or_values) -> np.ndarray:
@@ -184,15 +171,23 @@ def _slab(still, step, q0, q1, t0, t1):
     return np.maximum(t0, np.minimum(ta, tb)), np.minimum(t1, np.maximum(ta, tb))
 
 
-def aggregate_rss(powers) -> float:
-    """Total RSS of simultaneous per-source powers (dBm), summed in milliwatts."""
-    p = np.asarray(powers, dtype=np.float64).ravel()
-    if p.size == 0:
+def aggregate_rss(powers):
+    """Total RSS of simultaneous per-source powers (dBm), summed in milliwatts
+    over the first axis: a list gives a float, an (M, cells) array one total
+    per cell."""
+    p = np.atleast_1d(np.asarray(powers, dtype=np.float64))
+    if len(p) == 0:
         raise ValueError("cannot aggregate an empty power list")
-    # factored around the max so the dominance bounds
-    # max <= total <= max + 10 log10(n) hold exactly in floating point
-    pmax = float(p.max())
-    return pmax + float(10.0 * np.log10(np.sum(10.0 ** ((p - pmax) / 10.0))))
+    # factored around the max so that max <= total <= max + 10 log10(n) hold
+    # exactly in floating point; added in order along the first axis, so a
+    # list and each column of an array round alike
+    pmax = p.max(axis=0)
+    linear = 10.0 ** ((p - pmax) / 10.0)
+    total = linear[0]
+    for row in linear[1:]:
+        total = total + row
+    out = pmax + 10.0 * np.log10(total)
+    return float(out) if out.ndim == 0 else out
 
 
 def _shadow_grid(scenario: Scenario, source_index: int, sigma: float,
@@ -203,9 +198,9 @@ def _shadow_grid(scenario: Scenario, source_index: int, sigma: float,
     return np.random.default_rng(ss).normal(0.0, sigma, size=shape)
 
 
-def _per_source_linear(scenario: Scenario, params: PropagationParams,
-                       rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Linear-milliwatt field of each source at the given cell centers.
+def _per_source_dbm(scenario: Scenario, params: PropagationParams,
+                    rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """dBm field of each source at the given cell centers.
 
     Returns an (M, len(rows)) array; the caller picks the cells (all free
     cells for global maps, a disk union for local ones).
@@ -225,7 +220,7 @@ def _per_source_linear(scenario: Scenario, params: PropagationParams,
         if params.sigma_shadow > 0:
             shape = (scenario.layout.height, scenario.layout.width)
             rx = rx - _shadow_grid(scenario, k, params.sigma_shadow, shape)[rows, cols]
-        out[k] = 10.0 ** (rx / 10.0)
+        out[k] = rx
     return out
 
 
@@ -235,9 +230,8 @@ def rasterize_global(scenario: Scenario, params: PropagationParams) -> RadioMap:
     layout = scenario.layout
     vals = np.full((layout.height, layout.width), P_MIN_DBM, dtype=np.float64)
     rows, cols = np.nonzero(layout.cells == 0)
-    linear = _per_source_linear(scenario, params, rows, cols)
-    vals[rows, cols] = 10.0 * np.log10(linear.sum(axis=0))
-    return RadioMap(vals, "global", "dbm")
+    vals[rows, cols] = aggregate_rss(_per_source_dbm(scenario, params, rows, cols))
+    return RadioMap(vals)
 
 
 def local_disk_mask(scenario: Scenario, r: float) -> np.ndarray:
@@ -261,12 +255,11 @@ def ground_truth_local(scenario: Scenario, params: PropagationParams, r: float,
     mask = local_disk_mask(scenario, r)
     bitmap = np.zeros((layout.height, layout.width), dtype=np.uint8)
     if global_map is not None:
-        if global_map.unit != "dbm":
+        if not global_map.is_dbm:
             raise ValueError("global map must be in dBm")
         bitmap[mask] = encode_bitmap(global_map.values[mask])
-        return RadioMap(bitmap, "local", "bitmap")
+        return RadioMap(bitmap)
     rows, cols = np.nonzero(mask & (layout.cells == 0))
-    if len(rows):
-        linear = _per_source_linear(scenario, params, rows, cols)
-        bitmap[rows, cols] = encode_bitmap(10.0 * np.log10(linear.sum(axis=0)))
-    return RadioMap(bitmap, "local", "bitmap")
+    bitmap[rows, cols] = encode_bitmap(
+        aggregate_rss(_per_source_dbm(scenario, params, rows, cols)))
+    return RadioMap(bitmap)

@@ -7,9 +7,9 @@ and ordinary kriging with a fixed exponential variogram.
 proxy_local_map turns any dense reconstruction into a local-area bitmap by
 iterative peak thresholding.
 
-Both predictors evaluate the query-to-sample pairs from squared distances, in
-blocks of about _PAIRS_PER_BLOCK pairs held in two reused buffers, so the
-working set stays in cache. Kriging is solved once in dual form (weights w and
+Both predictors and the kriging matrix evaluate their pairs from squared
+distances, in blocks of about _PAIRS_PER_BLOCK pairs held in two reused
+buffers, so the working set stays in cache. Kriging is solved once in dual form (weights w and
 mean mu) and the affine exponential variogram is folded into the prediction:
 (nugget + sill) * sum(w) + mu - sill * (exp(-3 d / range) @ w), less
 nugget * w_j at every query that sits exactly on sample j (gamma(0) = 0).
@@ -103,26 +103,22 @@ def idw_predict(positions: np.ndarray, values: np.ndarray, query: np.ndarray,
 def _kriging_matrix(positions: np.ndarray, variogram: VariogramParams) -> np.ndarray:
     """The bordered ordinary-kriging matrix [[gamma(d_ij), 1], [1, 0]].
 
-    gamma is written in place from squared distances, in the operation order
-    of nugget + sill * (1 - exp(-3 d / range)); the positions are distinct, so
-    only the diagonal has d = 0.
+    gamma is computed from _squared_distance_blocks, block by block, in the
+    operation order of nugget + sill * (1 - exp(-3 d / range)); the positions
+    are distinct, so only the diagonal has d = 0.
     """
     j = len(positions)
     k = np.empty((j + 1, j + 1))
-    g, dy = k[:j, :j], np.empty((j, j))
-    np.subtract(positions[:, 0, None], positions[:, 0], out=g)
-    np.multiply(g, g, out=g)
-    np.subtract(positions[:, 1, None], positions[:, 1], out=dy)
-    np.multiply(dy, dy, out=dy)
-    g += dy
-    np.sqrt(g, out=g)
-    g *= -3.0
-    g /= variogram.range_m
-    np.exp(g, out=g)
-    np.subtract(1.0, g, out=g)
-    g *= variogram.sill
-    g += variogram.nugget
-    np.fill_diagonal(g, 0.0)
+    for lo, d2 in _squared_distance_blocks(positions, positions):
+        g = k[lo:lo + len(d2), :j]
+        np.sqrt(d2, out=g)
+        g *= -3.0
+        g /= variogram.range_m
+        np.exp(g, out=g)
+        np.subtract(1.0, g, out=g)
+        g *= variogram.sill
+        g += variogram.nugget
+    np.fill_diagonal(k[:j, :j], 0.0)
     k[:j, j] = 1.0
     k[j, :j] = 1.0
     k[j, j] = 0.0
@@ -132,14 +128,10 @@ def _kriging_matrix(positions: np.ndarray, variogram: VariogramParams) -> np.nda
 def _check_samples(positions: np.ndarray):
     if len(positions) < 2:
         raise ReconstructionError("ordinary kriging needs at least two samples")
-    seen = set()
-    for x, y in positions:
-        key = (float(x), float(y))
-        if key in seen:
-            raise ReconstructionError(
-                "duplicate sample positions make the kriging system singular; "
-                "merge them upstream")
-        seen.add(key)
+    if len(np.unique(positions, axis=0)) < len(positions):
+        raise ReconstructionError(
+            "duplicate sample positions make the kriging system singular; "
+            "merge them upstream")
 
 
 def kriging_predict(positions: np.ndarray, values: np.ndarray, query: np.ndarray,
@@ -183,7 +175,7 @@ def _free_cell_centers(layout: BuildingLayout) -> np.ndarray:
 def _as_dense_map(free_values: np.ndarray, layout: BuildingLayout) -> RadioMap:
     vals = np.full(layout.cells.shape, P_MIN_DBM, dtype=np.float64)
     vals[layout.cells == 0] = free_values
-    return RadioMap(vals, "global", "dbm")
+    return RadioMap(vals)
 
 
 def idw_reconstruct(sample_set: SampleSet, layout: BuildingLayout,
@@ -212,7 +204,7 @@ def proxy_local_map(dense: RadioMap, delta_db: float = 9.0,
     delta_db below the map maximum. Kept pixels are bitmap-encoded, the rest
     zeroed. A stand-in for a learned local-map model, not a faithful one.
     """
-    if dense.unit != "dbm":
+    if not dense.is_dbm:
         raise ValueError("proxy_local_map expects a dBm map")
     if not r > 0:
         raise ValueError("r must be positive")
@@ -233,4 +225,4 @@ def proxy_local_map(dense: RadioMap, delta_db: float = 9.0,
         keep[disk] |= vals[disk] >= peak - delta_db
         work[disk] = -np.inf
     bitmap = np.where(keep, encode_bitmap(vals), 0).astype(np.uint8)
-    return RadioMap(bitmap, "local", "bitmap")
+    return RadioMap(bitmap)

@@ -212,7 +212,7 @@ def sample_along(route: Route, global_map: RadioMap, interval_s: float,
         raise ValueError("speed must be positive")
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be >= 0")
-    if global_map.unit != "dbm":
+    if not global_map.is_dbm:
         raise ValueError("sampling needs the dBm global map")
     cum = route.cumulative_lengths()
     step = interval_s * speed

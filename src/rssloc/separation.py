@@ -45,7 +45,7 @@ def binarize(bitmap, gamma: int = DEFAULT_GAMMA) -> RadioMap:
     """255 where the pixel exceeds gamma, 0 otherwise (gamma itself maps to 0)."""
     vals = _grid(bitmap)
     out = np.where(vals > gamma, 255, 0).astype(np.uint8)
-    return RadioMap(out, "binarized", "bitmap")
+    return RadioMap(out)
 
 
 def connected_components(binary, connectivity: int = DEFAULT_CONNECTIVITY) -> Labeling:
@@ -74,7 +74,7 @@ def extract_single_source_maps(i_ms, labeling: Labeling) -> SeparationResult:
     maps = []
     for comp in labeling.components:
         single = np.where(labeling.labels == comp.id, vals, 0).astype(vals.dtype)
-        maps.append(RadioMap(single, "single_source", "bitmap"))
+        maps.append(RadioMap(single))
     return SeparationResult(single_source_maps=maps, labeling=labeling,
                             merged_flags=[False] * len(maps))
 

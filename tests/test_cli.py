@@ -38,7 +38,8 @@ class TestGenerate:
     @pytest.mark.parametrize("doc", [{"r": 0}, {"speed": -1}, {"noise_sigma": -1},
                                      {"intervals": [0]}, {"intervals": [1, 1]},
                                      {"intervals": [math.inf]},
-                                     {"intervals": [True, 2]}])
+                                     {"intervals": [True, 2]},
+                                     {"dense_pair_spacing": 3.0}])
     def test_bad_config_value_before_rasterization(self, doc, tmp_path, capsys,
                                                    monkeypatch):
         rasterized = []
@@ -156,6 +157,23 @@ class TestPipeline:
         for err, entry in zip(report["errors"], index["entries"]):
             assert f"{entry['id']}.pgm" in err["error"]
             assert "(40, 80)" in err["error"] and "(80, 80)" in err["error"]
+
+    def test_wrong_shape_oracle_local_map_rejected(self, dataset, tmp_path):
+        _, _, src = dataset
+        out = tmp_path / "ds"
+        shutil.copytree(src, out)
+        entry = read_dataset_index(out)["entries"][0]
+        from rssloc.dataset_io import write_pgm
+        write_pgm(out / entry["local_map"], np.zeros((80, 48), dtype=np.uint8))
+        run = tmp_path / "run"
+        code = cli.main(["pipeline", "--dataset", str(out), "--out", str(run),
+                         "--reconstructor", "oracle", "--intervals", "4"])
+        assert code == 3
+        report = json.loads((run / "report.json").read_text())
+        [err] = report["errors"]
+        assert err["id"] == entry["id"]
+        assert entry["local_map"] in err["error"]
+        assert "(80, 48)" in err["error"] and "(80, 80)" in err["error"]
 
     def test_sixteen_bit_local_map_rejected(self, dataset, tmp_path, capsys):
         _, _, out = dataset

@@ -6,8 +6,8 @@ import pytest
 
 from rssloc import (AUGMENTATIONS, BuildingLayout, DatasetConfig, LrmfError,
                     PgmError, SampleSet, Scenario, Source, augment,
-                    augment_grid, decode_lrmf, decode_pgm, encode_lrmf,
-                    encode_pgm, generate_dataset, generate_scenario,
+                    augment_grid, augment_points, decode_lrmf, decode_pgm,
+                    encode_lrmf, encode_pgm, generate_dataset, generate_scenario,
                     ground_truth_local, load_scenario, read_dataset_index,
                     read_pgm, write_pgm)
 from rssloc.dataset_io import (predictions_from_csv, predictions_to_csv,
@@ -156,6 +156,18 @@ class TestAugmentation:
         with pytest.raises(ValueError):
             augment_grid(np.zeros((4, 4), dtype=np.uint8), "transpose")
 
+    def test_unknown_augmentation_for_points(self):
+        with pytest.raises(ValueError, match="unknown augmentation 'transpose'"):
+            augment_points([(1.0, 2.0)], "transpose", 4, 4)
+
+    def test_names_and_copies(self):
+        assert AUGMENTATIONS == ("identity", "flip_h", "flip_v", "rot90",
+                                 "rot180", "rot270")
+        grid = np.arange(16, dtype=np.uint8).reshape(4, 4)
+        for aug in AUGMENTATIONS:
+            out = augment_grid(grid, aug)
+            assert out.flags.owndata and not np.shares_memory(out, grid)
+
     def test_group_composition_table(self):
         # rot90 twice is rot180; flips compose to rot180
         rng = np.random.default_rng(56)
@@ -228,6 +240,19 @@ class TestGenerateDataset:
                       for p in diff)
         assert changed
 
+    def test_dense_pair_placed_at_spacing(self, tmp_path):
+        config = DatasetConfig(width=100, height=100, n_layouts=1, n_buildings=3,
+                               source_counts=(2, 3), placements_per_count=1,
+                               intervals=(10,), seed=5, dense_pair_spacing=3.0,
+                               split={"train": 1, "val": 0, "test": 0})
+        index = generate_dataset(config, tmp_path / "ds")
+        assert [entry["m"] for entry in index["entries"]] == [2, 3]
+        for entry in index["entries"]:
+            sc = load_scenario(tmp_path / "ds", entry)
+            assert sc.m == entry["m"]
+            a, b = sc.sources[:2]
+            assert math.hypot(a.x - b.x, a.y - b.y) == pytest.approx(3.0, abs=1e-9)
+
     def test_split_layouts_disjoint(self, tmp_path):
         index = generate_dataset(self.config(), tmp_path / "ds")
         by_split = {}
@@ -272,6 +297,18 @@ class TestGenerateDataset:
          "intervals must be positive finite numbers, not True"),
         ({"intervals": ["4"]}, "intervals must be positive finite numbers, not '4'"),
         ({"intervals": [None]}, "intervals must be positive finite numbers, not None"),
+        ({"source_counts": [1, 0]}, r"source counts must be in 1\.\.16, not 0"),
+        ({"source_counts": [17]}, r"source counts must be in 1\.\.16, not 17"),
+        ({"source_counts": [1, 3], "dense_pair_spacing": 3.0},
+         "dense_pair_spacing needs source counts >= 2"),
+        ({"source_counts": [2], "dense_pair_spacing": 4.0},
+         r"dense_pair_spacing must be in \(0, 4\), not 4.0"),
+        ({"source_counts": [2], "dense_pair_spacing": 0.0},
+         r"dense_pair_spacing must be in \(0, 4\), not 0.0"),
+        ({"source_counts": [2], "dense_pair_spacing": -1.0},
+         r"dense_pair_spacing must be in \(0, 4\), not -1.0"),
+        ({"source_counts": [2], "clear_radius": None, "r": 1.0,
+          "dense_pair_spacing": 2.5}, r"dense_pair_spacing must be in \(0, 2\)"),
     ])
     def test_bad_config_value_rejected(self, doc, message):
         with pytest.raises(ValueError, match=message):

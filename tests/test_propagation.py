@@ -282,7 +282,19 @@ class TestRasterizeGlobal:
         for src in sc.sources:
             single = make_flat_scenario([(src.x, src.y)])
             gs = rasterize_global(single, params)
-            assert np.all(g.values >= gs.values - 1e-9)
+            assert np.all(g.values >= gs.values)
+
+    @pytest.mark.parametrize("m", [3, 9])
+    def test_free_cells_aggregate_single_source_fields(self, params, m):
+        # every map sums its sources through aggregate_rss, so each free cell
+        # is aggregate_rss of the one-source fields there, bit for bit
+        sc = generate_scenario(60, 60, 3, m, seed=23)
+        g = rasterize_global(sc, params)
+        singles = [rasterize_global(Scenario(layout=sc.layout, sources=[src],
+                                             id="t", rng_seed=0), params).values
+                   for src in sc.sources]
+        for i, j in np.argwhere(sc.layout.cells == 0):
+            assert g.values[i, j] == aggregate_rss([s[i, j] for s in singles])
 
     def test_building_cells_hold_floor(self, params):
         sc = generate_scenario(80, 80, 3, 2, seed=17)
@@ -370,14 +382,22 @@ class TestBitmap:
 
 
 class TestRadioMapType:
-    def test_binarized_rejects_gray(self):
-        with pytest.raises(ValueError):
-            RadioMap(np.array([[0, 128]], dtype=np.uint8), "binarized", "bitmap")
+    def test_dtype_says_unit(self):
+        assert RadioMap(np.zeros((3, 3))).is_dbm
+        assert RadioMap(np.zeros((3, 3), dtype=np.float32)).is_dbm
+        assert not RadioMap(np.zeros((3, 3), dtype=np.uint8)).is_dbm
+        assert not RadioMap(np.full((3, 3), 255, dtype=np.int64)).is_dbm
 
-    def test_bitmap_rejects_floats(self):
-        with pytest.raises(ValueError):
-            RadioMap(np.zeros((3, 3)), "global", "bitmap")
+    @pytest.mark.parametrize("dtype", [bool, np.complex128, object, "U1"])
+    def test_other_dtypes_rejected(self, dtype):
+        with pytest.raises(ValueError, match="float .dBm. or integer .bitmap."):
+            RadioMap(np.zeros((3, 3), dtype=dtype))
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            RadioMap(np.zeros((3, 3)), "weird", "dbm")
+    @pytest.mark.parametrize("value", [-1, 256])
+    def test_bitmap_outside_0_255_rejected(self, value):
+        with pytest.raises(ValueError, match=r"\[0, 255\]"):
+            RadioMap(np.full((3, 3), value, dtype=np.int16))
+
+    def test_values_must_be_2d(self):
+        with pytest.raises(ValueError, match="2D"):
+            RadioMap(np.zeros(3))

@@ -7,6 +7,7 @@ from rssloc import (LOCAL_MAPS, P_MIN_DBM, BuildingLayout, PipelineConfig,
                     ReconstructionError, SampleSet, VariogramParams,
                     idw_reconstruct, kriging_reconstruct, load_scenario,
                     proxy_local_map, rasterize_global, read_dataset_index)
+from rssloc import reconstruct
 from rssloc.reconstruct import (_PAIRS_PER_BLOCK, _kriging_matrix, idw_predict,
                                 kriging_predict)
 
@@ -98,8 +99,12 @@ class TestKriging:
 
     def test_duplicate_positions_rejected(self, flat_layout):
         ss = sample_set([(5.0, 5.0), (5.0, 5.0), (9.0, 9.0)], [-50, -52, -60])
-        with pytest.raises(ReconstructionError):
+        with pytest.raises(ReconstructionError, match="duplicate sample positions"):
             kriging_reconstruct(ss, flat_layout)
+        # apart in the list, and -0.0 equal to 0.0
+        pos = np.array([(0.0, 5.0), (9.0, 9.0), (-0.0, 5.0)])
+        with pytest.raises(ReconstructionError, match="duplicate sample positions"):
+            kriging_predict(pos, np.array([-50.0, -52.0, -60.0]), np.zeros((1, 2)))
 
     def test_single_sample_rejected(self, flat_layout):
         ss = sample_set([(5.0, 5.0)], [-50.0])
@@ -153,6 +158,22 @@ class TestAgainstHypotOracle:
         assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * (nugget + vg.sill)
         assert np.array_equal(got[-1], want[-1]) and np.array_equal(got[:, -1], want[:, -1])
         assert not np.diagonal(got).any()
+
+    @pytest.mark.parametrize("pairs", [_PAIRS_PER_BLOCK, 1000, 7])
+    def test_kriging_matrix_blocks_bit_equal(self, pairs, monkeypatch):
+        # rows come from _squared_distance_blocks; any block size gives the
+        # whole-matrix expression, bit for bit
+        rng, pos, _, _, _ = random_problem(4000, 151)
+        vg = VariogramParams(nugget=0.5, sill=float(rng.uniform(1.0, 50.0)),
+                             range_m=float(rng.uniform(2.0, 80.0)))
+        monkeypatch.setattr(reconstruct, "_PAIRS_PER_BLOCK", pairs)
+        got = _kriging_matrix(pos, vg)
+        dx = pos[:, 0, None] - pos[:, 0]
+        dy = pos[:, 1, None] - pos[:, 1]
+        gamma = vg.nugget + vg.sill * (1.0 - np.exp(
+            -3.0 * np.sqrt(dx * dx + dy * dy) / vg.range_m))
+        np.fill_diagonal(gamma, 0.0)
+        assert np.array_equal(got[:-1, :-1], gamma)
 
     @pytest.mark.parametrize("power", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("j", [2, 7, 150, 600])
@@ -213,7 +234,7 @@ class TestProxyLocalMap:
 
     def test_constant_field_rejected(self):
         from rssloc import RadioMap
-        flat = RadioMap(np.full((30, 30), -60.0), "global", "dbm")
+        flat = RadioMap(np.full((30, 30), -60.0))
         with pytest.raises(ValueError):
             proxy_local_map(flat)
 
@@ -251,7 +272,6 @@ class TestRegistry:
             for name, local_map in LOCAL_MAPS.items():
                 config = PipelineConfig(reconstructor=name)
                 rec = local_map(out, entry, "4", scenario, config)
-                assert (rec.kind, rec.unit) == ("local", "bitmap")
                 assert rec.values.shape == scenario.layout.cells.shape
                 assert rec.values.dtype == np.uint8
 
