@@ -19,8 +19,8 @@ import numpy as np
 
 from .propagation import PropagationParams, ground_truth_local, rasterize_global
 from .sampling import SampleSet, build_routes, sample_along
-from .scenario import MAX_SOURCES, BuildingLayout, Scenario, Source, \
-    generate_layout, place_sources, place_sources_dense
+from .scenario import BuildingLayout, Scenario, Source, check_placement, \
+    generate_layout, place_sources
 
 
 class PgmError(ValueError):
@@ -286,15 +286,7 @@ class DatasetConfig:
         if len(set(self.intervals)) != len(self.intervals):
             raise ValueError("intervals must not repeat")
         for m in self.source_counts:
-            if not 1 <= m <= MAX_SOURCES:
-                raise ValueError(f"source counts must be in 1..{MAX_SOURCES}, not {m}")
-        if self.dense_pair_spacing is not None:
-            if any(m < 2 for m in self.source_counts):
-                raise ValueError("dense_pair_spacing needs source counts >= 2")
-            limit = 2 * (self.clear_radius or self.r)   # generate_dataset's pair r
-            if not 0 < self.dense_pair_spacing < limit:
-                raise ValueError(f"dense_pair_spacing must be in (0, {limit:g}), "
-                                 f"not {self.dense_pair_spacing!r}")
+            check_placement(m, self.clear_radius, self.dense_pair_spacing)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DatasetConfig":
@@ -340,15 +332,9 @@ def generate_dataset(config: DatasetConfig, out_dir) -> dict:
                 sid = f"{layout_name}m{m:02d}p{pi:02d}"
                 seed = _derived_seed(config.seed, 2, li, m, pi)
                 try:
-                    if config.dense_pair_spacing is not None:
-                        sources = place_sources_dense(
-                            layout, m, seed,
-                            pair_spacing=config.dense_pair_spacing,
-                            min_spacing=config.min_spacing,
-                            r=config.clear_radius or config.r)
-                    else:
-                        sources = place_sources(layout, m, config.min_spacing,
-                                                seed, config.clear_radius)
+                    sources = place_sources(layout, m, config.min_spacing, seed,
+                                            config.clear_radius,
+                                            config.dense_pair_spacing)
                     scenario = Scenario(layout=layout, sources=sources,
                                         id=sid, rng_seed=seed)
                     global_map = rasterize_global(scenario, params)
@@ -398,8 +384,8 @@ _ENTRY_KEYS = ("id", "split", "layout", "scenario", "local_map", "samples")
 
 
 def read_dataset_index(dataset_dir) -> dict:
-    """The dataset's index.json; ValueError naming the file when it is not
-    JSON or not an object whose "entries" list holds the keys each entry needs."""
+    """The dataset's index.json; ValueError naming the file when it is not JSON
+    or not an object whose "entries" list holds each entry's keys, samples by number."""
     index_path = Path(dataset_dir) / "index.json"
     if not index_path.is_file():
         raise FileNotFoundError(f"no index.json in {dataset_dir}")
@@ -415,6 +401,11 @@ def read_dataset_index(dataset_dir) -> dict:
                    if not isinstance(entry, dict) or key not in entry]
         if missing:
             raise ValueError(f"{index_path}: entry {k} has no {', '.join(missing)}")
+        try:
+            [float(key) for key in entry["samples"]]
+        except (TypeError, ValueError):
+            raise ValueError(f"{index_path}: entry {k} has a samples key "
+                             "that is not a number") from None
     return index
 
 

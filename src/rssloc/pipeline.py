@@ -131,7 +131,7 @@ def _reconstruct_kwargs(config: PipelineConfig) -> dict:
 def _from_samples(reconstruct, dataset_dir, entry, interval, scenario,
                   config) -> RadioMap:
     """proxy_local_map of the dense map reconstructed from the interval's samples."""
-    path = Path(dataset_dir) / entry["samples"][str(interval)]
+    path = Path(dataset_dir) / entry["samples"][interval]
     try:
         samples = samples_from_csv(path.read_text())
     except ValueError as exc:
@@ -176,8 +176,9 @@ def process_entry(dataset_dir, entry: dict, config: PipelineConfig) -> list[dict
     """Run every configured interval of one scenario; returns report rows."""
     local_map = (LOCAL_MAPS[config.reconstructor] if config.local_map_dir is None
                  else _external_map)
-    intervals = config.intervals or tuple(
-        sorted(entry["samples"], key=lambda s: float(s)))
+    # a requested interval names the dataset's interval of the same value
+    keys = {float(key): key for key in entry["samples"]}
+    intervals = config.intervals or tuple(keys[value] for value in sorted(keys))
     try:
         scenario = load_scenario(dataset_dir, entry)
     except Exception as exc:
@@ -187,8 +188,9 @@ def process_entry(dataset_dir, entry: dict, config: PipelineConfig) -> list[dict
     rows = []
     for interval in intervals:
         try:
-            if str(interval) not in entry["samples"]:
+            if float(interval) not in keys:
                 raise ValueError(f"dataset has no samples at interval {interval}")
+            interval = keys[float(interval)]
             local = local_map(dataset_dir, entry, interval, scenario, config)
             sep = separate_sources(local, config.gamma, config.connectivity,
                                    config.r, config.area_factor)

@@ -100,8 +100,7 @@ class Scenario:
     rng_seed: int
 
     def __post_init__(self):
-        if not 1 <= len(self.sources) <= MAX_SOURCES:
-            raise ValueError(f"source count must be in [1, {MAX_SOURCES}]")
+        check_placement(len(self.sources))
         for s in self.sources:
             if not (0 <= s.x < self.layout.width and 0 <= s.y < self.layout.height):
                 raise ValueError(f"source ({s.x}, {s.y}) outside the map")
@@ -212,22 +211,45 @@ def _draw(layout: BuildingLayout, free: np.ndarray, rng, placed: list[Source],
     return Source(x, y)
 
 
+def check_placement(m: int, clear_radius: float | None = None,
+                    pair_spacing: float | None = None) -> None:
+    """ValueError unless m is in 1..MAX_SOURCES and, with a close pair asked
+    for, m >= 2, clear_radius is set and pair_spacing is in
+    (0, 2 * clear_radius), so that the pair's two clear disks overlap."""
+    if not 1 <= m <= MAX_SOURCES:
+        raise ValueError(f"source counts must be in 1..{MAX_SOURCES}, not {m}")
+    if pair_spacing is None:
+        return
+    if m < 2:
+        raise ValueError("dense_pair_spacing needs source counts >= 2")
+    if clear_radius is None:
+        raise ValueError("dense_pair_spacing needs a clear_radius")
+    if not 0 < pair_spacing < 2 * clear_radius:
+        raise ValueError(f"dense_pair_spacing must be in (0, {2 * clear_radius:g}), "
+                         f"not {pair_spacing!r}")
+
+
 def place_sources(layout: BuildingLayout, m: int, min_spacing: float, seed,
                   clear_radius: float | None = None,
+                  pair_spacing: float | None = None,
                   max_attempts: int = 10000) -> list[Source]:
     """Rejection-sample m sources on free cells, pairwise >= min_spacing apart.
 
     Coordinates are uniform within the chosen free cell. When clear_radius is
     given, each source's rasterized radius disk must additionally be a single
     8-connected free region, pairwise non-adjacent between sources, so the
-    local areas stay separable.
+    local areas stay separable. With pair_spacing given, sources 0 and 1
+    instead sit exactly pair_spacing apart with merged disks (_place_dense);
+    max_attempts bounds only the placement without a pair.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    check_placement(m, clear_radius, pair_spacing)
     free = np.argwhere(layout.cells == 0)
     if len(free) == 0:
         raise PlacementError("layout has no free cells")
     rng = np.random.default_rng(seed)
+    if pair_spacing is not None:
+        return _place_dense(layout, free, rng, m, min_spacing, clear_radius,
+                            pair_spacing)
     placed: list[Source] = []
     blocked = np.zeros(layout.cells.shape, dtype=bool)
     for _ in range(max_attempts):
@@ -240,9 +262,8 @@ def place_sources(layout: BuildingLayout, m: int, min_spacing: float, seed,
         f"placed {len(placed)}/{m} sources after {max_attempts} attempts")
 
 
-def place_sources_dense(layout: BuildingLayout, m: int, seed,
-                        pair_spacing: float = 3.0, min_spacing: float = 5.0,
-                        r: float = 2.0, max_attempts: int = 20000) -> list[Source]:
+def _place_dense(layout: BuildingLayout, free: np.ndarray, rng, m: int,
+                 min_spacing: float, r: float, pair_spacing: float) -> list[Source]:
     """Place m sources where exactly sources 0 and 1 sit pair_spacing apart.
 
     The close pair is constructed so that its two rasterized radius-r disks
@@ -250,18 +271,8 @@ def place_sources_dense(layout: BuildingLayout, m: int, seed,
     other sources' disks; the remaining sources follow the in-distribution
     rules. This reproduces the overlapping-local-area failure regime.
     """
-    if m < 2:
-        raise ValueError("dense placement needs m >= 2")
-    if pair_spacing >= 2 * r:
-        raise ValueError("pair_spacing must be < 2r for the disks to overlap")
-    rng = np.random.default_rng(seed)
-    free = np.argwhere(layout.cells == 0)
     min_area = expected_disk_area(r)
-    attempts = 0
-    while True:
-        attempts += 1
-        if attempts > max_attempts:
-            raise PlacementError(f"no valid dense pair after {max_attempts} attempts")
+    for _ in range(20000):
         i, j = free[int(rng.integers(0, len(free)))]
         ax = float(j) + float(rng.random())
         ay = float(i) + float(rng.random())
@@ -293,6 +304,7 @@ def place_sources_dense(layout: BuildingLayout, m: int, seed,
                 break
         else:
             return placed
+    raise PlacementError("no valid dense pair after 20000 attempts")
 
 
 def generate_scenario(width: int, height: int, n_buildings: int, m: int, seed: int,
@@ -303,13 +315,7 @@ def generate_scenario(width: int, height: int, n_buildings: int, m: int, seed: i
     layout_seed = np.random.SeedSequence([int(seed), 1])
     source_seed = np.random.SeedSequence([int(seed), 2])
     layout = generate_layout(width, height, n_buildings, layout_seed)
-    if dense_pair_spacing is not None:
-        sources = place_sources_dense(layout, m, source_seed,
-                                      pair_spacing=dense_pair_spacing,
-                                      min_spacing=min_spacing,
-                                      r=clear_radius if clear_radius else 2.0)
-    else:
-        sources = place_sources(layout, m, min_spacing, source_seed,
-                                clear_radius=clear_radius)
+    sources = place_sources(layout, m, min_spacing, source_seed, clear_radius,
+                            dense_pair_spacing)
     return Scenario(layout=layout, sources=sources,
                     id=scenario_id or f"s{seed}", rng_seed=int(seed))

@@ -39,7 +39,9 @@ class TestGenerate:
                                      {"intervals": [0]}, {"intervals": [1, 1]},
                                      {"intervals": [math.inf]},
                                      {"intervals": [True, 2]},
-                                     {"dense_pair_spacing": 3.0}])
+                                     {"dense_pair_spacing": 3.0},
+                                     {"source_counts": [2], "clear_radius": None,
+                                      "dense_pair_spacing": 3.0}])
     def test_bad_config_value_before_rasterization(self, doc, tmp_path, capsys,
                                                    monkeypatch):
         rasterized = []
@@ -81,6 +83,25 @@ class TestPipeline:
         assert report["aggregate"]["mdr"] == 0.0
         assert report["aggregate"]["mle"] <= 1.0
         assert (run / "predictions").is_dir()
+
+    def test_interval_resolves_to_dataset_key_by_value(self, dataset, tmp_path):
+        _, _, out = dataset
+        entries = read_dataset_index(out)["entries"]
+        run = tmp_path / "run"
+        assert cli.main(["pipeline", "--dataset", str(out), "--out", str(run),
+                         "--reconstructor", "idw", "--intervals", "4.0"]) == 0
+        report = json.loads((run / "report.json").read_text())
+        assert [row["interval"] for row in report["results"]] == ["4"] * len(entries)
+        assert sorted(p.name for p in (run / "predictions").iterdir()) == \
+            sorted(f"{entry['id']}_4.csv" for entry in entries)
+        # the drop-in map of interval 4.0 is <id>_4.pgm
+        ext = tmp_path / "ext"
+        ext.mkdir()
+        for entry in entries:
+            shutil.copy(out / entry["local_map"], ext / f"{entry['id']}_4.pgm")
+        assert cli.main(["pipeline", "--dataset", str(out), "--out",
+                         str(tmp_path / "ext_run"), "--local-map-dir", str(ext),
+                         "--intervals", "4.0"]) == 0
 
     def test_unknown_estimator_fails_before_processing(self, dataset, tmp_path):
         _, _, out = dataset
@@ -499,7 +520,11 @@ class TestRender:
     ("[]", "expected an object with an entries list"),
     ('{"entries": [{"id": "x", "split": "test"}]}',
      "entry 0 has no layout, scenario, local_map, samples"),
-], ids=["not-json", "not-an-object", "entry-keys-missing"])
+    ('{"entries": [{"id": "x", "split": "test", "layout": "l", "scenario": "s",'
+     ' "local_map": "m", "samples": {"1": "a.csv", "abc": "b.csv"}}]}',
+     "entry 0 has a samples key that is not a number"),
+], ids=["not-json", "not-an-object", "entry-keys-missing",
+        "samples-key-not-a-number"])
 def test_malformed_index_is_data_error(tmp_path, capsys, command, text, message):
     dataset = tmp_path / "ds"
     dataset.mkdir()

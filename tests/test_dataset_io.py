@@ -307,8 +307,11 @@ class TestGenerateDataset:
          r"dense_pair_spacing must be in \(0, 4\), not 0.0"),
         ({"source_counts": [2], "dense_pair_spacing": -1.0},
          r"dense_pair_spacing must be in \(0, 4\), not -1.0"),
-        ({"source_counts": [2], "clear_radius": None, "r": 1.0,
+        # the pair's limit is 2 * clear_radius, whatever r is
+        ({"source_counts": [2], "clear_radius": 1.0, "r": 3.0,
           "dense_pair_spacing": 2.5}, r"dense_pair_spacing must be in \(0, 2\)"),
+        ({"source_counts": [2], "clear_radius": None, "r": 1.0,
+          "dense_pair_spacing": 1.5}, "dense_pair_spacing needs a clear_radius"),
     ])
     def test_bad_config_value_rejected(self, doc, message):
         with pytest.raises(ValueError, match=message):

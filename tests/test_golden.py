@@ -12,6 +12,11 @@ bridge between loops. ROUTE_DIGESTS guards the bridges: the sha256 of the
 float64 waypoints of `build_routes` on layouts with two or more building
 regions, recorded from the Python-loop breadth-first search that
 `tests/oracles.py:bfs_path_loop` keeps.
+
+PIPELINE_DIGESTS hold every file `rssloc pipeline` writes on CONFIG's dataset
+for each reconstructor, and DENSE_DIGESTS every file `rssloc generate` writes
+for CONFIG with one close source pair per scenario. Both were recorded before
+the close-pair placement became a mode of `place_sources`.
 """
 
 import hashlib
@@ -21,6 +26,7 @@ import pytest
 from scipy import ndimage
 
 from rssloc.dataset_io import DatasetConfig, generate_dataset
+from rssloc.pipeline import PipelineConfig, run_pipeline
 from rssloc.sampling import build_routes
 from rssloc.scenario import EIGHT_CONNECTED, generate_layout
 
@@ -79,12 +85,147 @@ DIGESTS = {
 }
 
 
-def test_generated_files_match_golden_digests(tmp_path):
-    generate_dataset(DatasetConfig.from_dict(CONFIG), tmp_path)
-    digests = {path.relative_to(tmp_path).as_posix():
-               hashlib.sha256(path.read_bytes()).hexdigest()
-               for path in sorted(tmp_path.rglob("*")) if path.is_file()}
-    assert digests == DIGESTS
+PIPELINE_DIGESTS = {
+    "oracle": {
+        "predictions/l00m01p00_1.csv":
+            "1777aff5073e0fdbd65c48c94e77a800376f2ad9671ccdec79d98abd0035487a",
+        "predictions/l00m01p00_4.csv":
+            "1777aff5073e0fdbd65c48c94e77a800376f2ad9671ccdec79d98abd0035487a",
+        "predictions/l00m03p00_1.csv":
+            "c48804a7431f5e4ba3a2234173512cb91556a5f3dcd75685a3feecfeb4dde844",
+        "predictions/l00m03p00_4.csv":
+            "c48804a7431f5e4ba3a2234173512cb91556a5f3dcd75685a3feecfeb4dde844",
+        "predictions/l01m01p00_1.csv":
+            "96edd2a07b1406f302e7df82aa620c821b7d5caeaec61e3e5423ec9451d5397d",
+        "predictions/l01m01p00_4.csv":
+            "96edd2a07b1406f302e7df82aa620c821b7d5caeaec61e3e5423ec9451d5397d",
+        "predictions/l01m03p00_1.csv":
+            "966a6a720dfbfa4178ad187e485aab15200a2169e14280007ea2571ef41016de",
+        "predictions/l01m03p00_4.csv":
+            "966a6a720dfbfa4178ad187e485aab15200a2169e14280007ea2571ef41016de",
+        "report.json":
+            "ee9f5f8eb9311c511f840b8f5eefacccb3d88bf5937cf1b345dfc859757fbb4d",
+    },
+    "idw": {
+        "predictions/l00m01p00_1.csv":
+            "5a72529cb4747033bce8a88e2350d3e95b31d8b395df4b5515aa44a0a0f9d63b",
+        "predictions/l00m01p00_4.csv":
+            "15eb76f3fc0f81159006a7e440c8170419b05d18b5c2f88c6e63c59f42c2bd9f",
+        "predictions/l00m03p00_1.csv":
+            "40dbc5c65c55b0b5e0e7ee877005dc740559379447108a4896e1cf27967d5f87",
+        "predictions/l00m03p00_4.csv":
+            "02becad05918d4c6490a124e9f1965bc9fb93362acd2c0dc8f2d7ba16e60f461",
+        "predictions/l01m01p00_1.csv":
+            "c515476e94d3b3932d2a66fd68b260b92ca311d3a1070c67b6cb15e42265955a",
+        "predictions/l01m01p00_4.csv":
+            "c3351d0ba15ad8868e86f7a5cda03cd4802acf6cbd7a30e082361e787428dc62",
+        "predictions/l01m03p00_1.csv":
+            "5e2c6abcf5c1e607cfff522cc5ca3a79c4338257e93506de29fa6df91a3c51ab",
+        "predictions/l01m03p00_4.csv":
+            "09ec71d250aeab0f5f42635f0b927f4470aa60d5ca033eec905763ca6c6c50e6",
+        "report.json":
+            "f3aba39ab74f6550e91cf48b6d0beeb504e0764283b40116344019b79bf76077",
+    },
+    "kriging": {
+        "predictions/l00m01p00_1.csv":
+            "3546f9d8e62a91f616e05ef570548acedc87dde226e1d9fc6bfb81a4b6a9fe0a",
+        "predictions/l00m01p00_4.csv":
+            "25080e88c9df36c4d6a637b3ddabb8acd504fabef60aae8edc94f9bfab7df5b5",
+        "predictions/l00m03p00_1.csv":
+            "5656423a03043cb95a68b4a7303aa7810d38801d4b11ae3c4d3a8d10438b28c4",
+        "predictions/l00m03p00_4.csv":
+            "ac166a9e5bb8e42fc2de970ba08ee0ffa0635d8f74153aed34d2006ddda31242",
+        "predictions/l01m01p00_1.csv":
+            "3b9cb616cf3594b62f0dc9c8d8d91bbfc7eb56c3a2caf51bdec536980502cc04",
+        "predictions/l01m01p00_4.csv":
+            "6fce0212307361a782ee5494f93994f9d0741bc6f715fd1154d5389e55ddef3a",
+        "predictions/l01m03p00_1.csv":
+            "7e2b986f819ac9e0d26f3d08bbaf00790f7803b309e6292dd2882bee6873d38a",
+        "predictions/l01m03p00_4.csv":
+            "6633bff443a7c2af416fbf610776ff004eba8df389fdbcc7dddcddf74b6d55fe",
+        "report.json":
+            "0ccd6d654b4f674e67f528b00ffe36d8e672f0ace72971076d9ef9651d327bbe",
+    },
+}
+
+DENSE_DIGESTS = {
+    "index.json":
+        "17ed15ef4df7d6c709b21981d0dd1b29e280452f5d48efb2eb006e0dbfd9e56a",
+    "layouts/l00.pgm":
+        "8952cbac76648e8e23323eed21d880ec6148fdc5f1921e70185a522dcee7b2ab",
+    "layouts/l01.pgm":
+        "0f7bc066ce48e85b0b24651889c8628b8bd03bb8d2c9a2d5b908d54dc94db4a2",
+    "maps/global/l00m02p00.lrmf":
+        "4c33864e4820e8c136b8439896babaf87652954ca031521e1c5a964cb3041ecd",
+    "maps/global/l00m03p00.lrmf":
+        "b75f495f6add608127754717c1490a67bfb79199b121afe810915044df6e9252",
+    "maps/global/l01m02p00.lrmf":
+        "d2cd5b0d9b6348058983fd2b2fb684beff6b85fe84be3866df4f497f866742b9",
+    "maps/global/l01m03p00.lrmf":
+        "5df658db0b46ff66157accce464f121a3adc539b40e69810225706f46bfad075",
+    "maps/local/l00m02p00.pgm":
+        "888c76c7ee0e1604e9df264db6588936da091a33cb74d60ed4dcadcd8fed4239",
+    "maps/local/l00m03p00.pgm":
+        "d0a0481aae11bdbff01d17c0e7ce1be8249b75b78b60be154eba2d9b14623b13",
+    "maps/local/l01m02p00.pgm":
+        "cda3f1ba2018f93c9b050828bc27df291401b9eac2fc0b0d07a7d9337185a0c2",
+    "maps/local/l01m03p00.pgm":
+        "d54651b70b8a2738d2d21690f28bc0cce20e238d16bdd7ab5555991171a3e104",
+    "samples/1/l00m02p00.csv":
+        "0724a8e6072e7bee04956c0a2b9b515a850bdf649ceea45776fe5cfba61279e5",
+    "samples/1/l00m03p00.csv":
+        "82b371e72c26ab4b0364c5f2355d7d7537394abbeaadf1c7ce383a3dbcd9052a",
+    "samples/1/l01m02p00.csv":
+        "97a9a50e4484b43e75ed0bbbd4b9a4dd786fc5224cbc274b7f85a9b3d394823b",
+    "samples/1/l01m03p00.csv":
+        "c74b9e5e735905242c33d92a9127200bec63de817c8d965d0a48924d1754c76d",
+    "samples/4/l00m02p00.csv":
+        "da9bf142f0ebd18bc2ad33a82b1ca0e6b5a84ddbd84bd2fcefdd2d36e9d8cc70",
+    "samples/4/l00m03p00.csv":
+        "97c01f4106bcf4c26e14e8adb455d23b448abcf903f726b5b3eb5d939227a1c9",
+    "samples/4/l01m02p00.csv":
+        "9e484cf7d80784f260c2a2a4f83063b8af5eed114a9fc768dec4618d16217090",
+    "samples/4/l01m03p00.csv":
+        "fc9a467cf7b2284f7626833734db71756b19f6c858f3058fbde19e2ff6f19d3e",
+    "scenarios/l00m02p00.json":
+        "c4f194cf579a05d0cc6092322faab697910517316949fb2c0b26155950be8968",
+    "scenarios/l00m03p00.json":
+        "64bab763aa6296ff0601f95c5ef8ad2831ff92a9d0dd41b4b8a521d4a6dd0cef",
+    "scenarios/l01m02p00.json":
+        "a3f0c2a7e0dfa78085a09d83e78476bef3384d4ba630c253eb2e1a68de357074",
+    "scenarios/l01m03p00.json":
+        "b720a29e1c387e92bf3b6950f09586d0a4cb3a59faced080dba7f308897461b3",
+}
+
+
+def _digests(root) -> dict:
+    return {path.relative_to(root).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.fixture(scope="module")
+def golden_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden")
+    generate_dataset(DatasetConfig.from_dict(CONFIG), out)
+    return out
+
+
+def test_generated_files_match_golden_digests(golden_dataset):
+    assert _digests(golden_dataset) == DIGESTS
+
+
+@pytest.mark.parametrize("reconstructor", sorted(PIPELINE_DIGESTS))
+def test_pipeline_files_match_golden_digests(golden_dataset, reconstructor, tmp_path):
+    run_pipeline(golden_dataset, PipelineConfig(reconstructor=reconstructor),
+                 out_dir=tmp_path)
+    assert _digests(tmp_path) == PIPELINE_DIGESTS[reconstructor]
+
+
+def test_dense_generated_files_match_golden_digests(tmp_path):
+    config = {**CONFIG, "source_counts": [2, 3], "dense_pair_spacing": 3.0}
+    generate_dataset(DatasetConfig.from_dict(config), tmp_path)
+    assert _digests(tmp_path) == DENSE_DIGESTS
 
 
 # generate_layout(64, 64, 4, seed, max_side=24) seed -> (building regions,

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from rssloc import (BuildingLayout, PlacementError, Source, Scenario,
-                    generate_layout, generate_scenario, place_sources,
-                    place_sources_dense)
+                    generate_layout, generate_scenario, place_sources)
 from rssloc.scenario import _connected, disk_cells
 
 from oracles import disk_cells_every_cell, flood_fill_partition
@@ -168,8 +167,19 @@ def test_dense_pair_spacing_exact():
 
 def test_dense_needs_two_sources():
     layout = generate_layout(100, 100, 3, seed=9)
-    with pytest.raises(ValueError):
-        place_sources_dense(layout, 1, seed=1)
+    with pytest.raises(ValueError, match="needs source counts >= 2"):
+        place_sources(layout, 1, 5.0, seed=1, clear_radius=2.0, pair_spacing=3.0)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    # a pair 0 m apart would stack two sources on one point
+    ({"dense_pair_spacing": 0.0}, r"must be in \(0, 4\), not 0.0"),
+    ({"dense_pair_spacing": -2.0}, r"must be in \(0, 4\), not -2.0"),
+    ({"dense_pair_spacing": 3.0, "clear_radius": None}, "needs a clear_radius"),
+], ids=["zero", "negative", "no-clear-radius"])
+def test_generate_scenario_checks_dense_pair(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        generate_scenario(100, 100, 3, 3, seed=5, **kwargs)
 
 
 def test_generate_scenario_deterministic():
