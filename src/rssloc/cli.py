@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import dataset_io, pipeline, render
-from .dataset_io import DatasetConfig
+from .dataset_io import DatasetConfig, predictions_from_csv
 from .localize import ESTIMATORS
 from .metrics import DEFAULT_OSPA_CUTOFF, aggregate, evaluate_scenario
 from .pipeline import LOCAL_MAPS, PipelineConfig, PipelineConfigError
@@ -148,22 +148,18 @@ def cmd_evaluate(args) -> int:
     if not pred_dir.is_dir():
         print(f"predictions directory not found: {pred_dir}", file=sys.stderr)
         return EXIT_DATA
-    rows = []
-    evals = []
+    rows, evals = [], []
     for entry in sorted(index["entries"], key=lambda e: e["id"]):
+        csv_paths = sorted(pred_dir.glob(f"{entry['id']}_*.csv"))
         try:
-            scenario = dataset_io.load_scenario(args.dataset, entry)
+            truths = dataset_io.load_scenario(args.dataset, entry).true_points()
+            predictions = [dataset_io.parse_file(path, predictions_from_csv)[1]
+                           for path in csv_paths]
         except (OSError, ValueError) as exc:
             print(str(exc), file=sys.stderr)
             return EXIT_DATA
-        truths = scenario.true_points()
-        for csv_path in sorted(pred_dir.glob(f"{entry['id']}_*.csv")):
+        for csv_path, points in zip(csv_paths, predictions):
             interval = csv_path.stem[len(entry["id"]) + 1:]
-            try:
-                _, points, _ = dataset_io.predictions_from_csv(csv_path.read_text())
-            except ValueError as exc:
-                print(f"{csv_path}: {exc}", file=sys.stderr)
-                return EXIT_DATA
             ev = evaluate_scenario(points, truths, args.g)
             evals.append(ev)
             rows.append({"id": entry["id"], "interval": interval, **ev.as_dict()})
@@ -183,15 +179,15 @@ def cmd_render(args) -> int:
     try:
         bitmap = dataset_io.read_pgm(args.map)
         layout = dataset_io.read_pgm(args.layout)
-        truths = []
+        truths, preds = [], []
         if args.scenario:
-            doc = json.loads(Path(args.scenario).read_text())
-            truths = [(s["x"], s["y"]) for s in doc["sources"]]
-        preds = []
+            # the pair of files a dataset entry names
+            entry = {"layout": args.layout, "scenario": args.scenario}
+            truths = dataset_io.load_scenario("", entry).true_points()
         if args.pred:
-            _, preds, _ = dataset_io.predictions_from_csv(Path(args.pred).read_text())
+            _, preds, _ = dataset_io.parse_file(args.pred, predictions_from_csv)
         rgb = render.render_map(bitmap, layout, truths, preds)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DATA
     Path(args.out).write_bytes(render.encode_ppm(rgb))

@@ -172,6 +172,14 @@ def predictions_from_csv(text: str):
             [bool(flag) for _, _, _, flag in rows])
 
 
+def parse_file(path, parse):
+    """parse applied to the text of the file at path; its ValueError names the file."""
+    try:
+        return parse(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def scenario_to_dict(scenario: Scenario, layout_ref: str | None = None,
                      sampling: dict | None = None) -> dict:
     doc = {

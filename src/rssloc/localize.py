@@ -87,8 +87,8 @@ def localize_all(result: SeparationResult, estimator) -> PredictionSet:
         estimator = ESTIMATORS[estimator]
     points = []
     ids = []
-    flags = list(result.merged_flags) or [False] * len(result.single_source_maps)
     for comp, single in zip(result.labeling.components, result.single_source_maps):
         points.append(estimator(single))
         ids.append(comp.id)
-    return PredictionSet(points=points, component_ids=ids, flags=flags)
+    return PredictionSet(points=points, component_ids=ids,
+                         flags=list(result.merged_flags))

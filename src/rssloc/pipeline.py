@@ -10,7 +10,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .dataset_io import (dumps_json, load_scenario, predictions_to_csv,
+from .dataset_io import (dumps_json, load_scenario, parse_file, predictions_to_csv,
                          read_dataset_index, read_pgm, samples_from_csv)
 from .localize import ESTIMATORS, localize_all
 from .metrics import DEFAULT_OSPA_CUTOFF, ScenarioEval, aggregate, evaluate_scenario
@@ -131,11 +131,8 @@ def _reconstruct_kwargs(config: PipelineConfig) -> dict:
 def _from_samples(reconstruct, dataset_dir, entry, interval, scenario,
                   config) -> RadioMap:
     """proxy_local_map of the dense map reconstructed from the interval's samples."""
-    path = Path(dataset_dir) / entry["samples"][interval]
-    try:
-        samples = samples_from_csv(path.read_text())
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    samples = parse_file(Path(dataset_dir) / entry["samples"][interval],
+                         samples_from_csv)
     if config.noise_sigma > 0:
         samples = add_noise(samples, config.noise_sigma, config.noise_seed)
     dense = reconstruct(samples, scenario.layout, **_reconstruct_kwargs(config))

@@ -1,10 +1,11 @@
 """Received-power model and radio-map rasterization.
 
-Per-source power follows a log-distance path-loss law plus a per-meter
-penetration penalty accumulated along the straight ray through building
-cells (exact clipping against a rectangle cover of the buildings, not ray
-tracing). Multi-source RSS is aggregated in linear milliwatts. Maps exist
-in two encodings: dBm float grids and 8-bit bitmaps.
+`source_dbm` is the one forward model: the dBm field of one source at any
+points, log-distance path loss plus a capped per-meter penalty for the
+building interior that `segment_building_lengths(start, ends, rects, shape)`
+clips from each straight segment (exact, not ray tracing). Maps add
+shadowing per source and aggregate in linear milliwatts; they exist as dBm
+float grids and 8-bit bitmaps.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import Scenario, disk_cells
+from .scenario import Scenario, Source, disk_cells
 
 # stream tag for shadowing draws, mixed with (scenario seed, source index)
 _SHADOW_TAG = 0x5AD0
@@ -111,28 +112,21 @@ def building_rectangles(cells: np.ndarray) -> np.ndarray:
     return np.column_stack([rows[first], rows[last] + 1, left[first], right[first]])
 
 
-def segment_building_lengths(start, ends, cells: np.ndarray) -> np.ndarray:
+def segment_building_lengths(start, ends, rects, shape) -> np.ndarray:
     """Exact meters of building interior crossed by each segment start->ends[k].
 
-    The sum, over the building_rectangles of the grid, of each segment's
-    length clipped to the rectangle (Liang-Barsky). Every segment is clipped
-    to every rectangle: a generated layout has few (2-5 on a 100x100 grid
-    with 3 buildings, 5-8 on 200x200 with 6), while a noisy grid of
-    thousands would be slow. A rectangle on the grid border extends to
-    infinity on that side, so the parts of a segment outside the grid are
-    charged to the edge row or column. A segment along a grid line, or with
-    no extent along an axis, takes the cells on the higher side of the line:
-    coordinate q lies in cell floor(q). The lengths agree with a traversal
-    of every cell a segment crosses (tests/oracles.py:traverse_all_cells)
-    to within 1e-9 m; the two round differently.
+    The sum, over rects (the building_rectangles of a grid of the given
+    shape), of each segment's length clipped to the rectangle (Liang-Barsky).
+    Every segment is clipped to every rectangle: a generated layout has few
+    (2-5 on a 100x100 grid with 3 buildings, 5-8 on 200x200 with 6), while a
+    noisy grid of thousands would be slow. A rectangle on the grid border
+    extends to infinity on that side, so the parts of a segment outside the
+    grid are charged to the edge row or column. A segment along a grid line,
+    or with no extent along an axis, takes the cells on the higher side of
+    the line: coordinate q lies in cell floor(q). The lengths agree with a
+    traversal of every cell a segment crosses (tests/oracles.py:
+    traverse_all_cells) to within 1e-9 m; the two round differently.
     """
-    return _clip_lengths(start, ends, building_rectangles(cells), cells.shape)
-
-
-def _clip_lengths(start, ends, rects, shape) -> np.ndarray:
-    """segment_building_lengths on a grid of the given shape, from its
-    building_rectangles: one Liang-Barsky clip of all segments per
-    rectangle, summed in rectangle order."""
     a = np.asarray(start, dtype=np.float64).reshape(2)
     d = np.asarray(ends, dtype=np.float64).reshape(-1, 2) - a
     out = np.zeros(len(d))
@@ -198,29 +192,34 @@ def _shadow_grid(scenario: Scenario, source_index: int, sigma: float,
     return np.random.default_rng(ss).normal(0.0, sigma, size=shape)
 
 
+def source_dbm(source: Source, points, rects, shape,
+               params: PropagationParams) -> np.ndarray:
+    """dBm field of one source at each (x, y) row of points, without
+    shadowing, on a grid of the given shape with building_rectangles rects.
+    Moving the source from a to b and reading at a instead of b gives the
+    same value (reciprocity)."""
+    p = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    d = np.hypot(p[:, 0] - source.x, p[:, 1] - source.y)
+    pen = np.minimum(params.penetration_cap, params.beta_penetration
+                     * segment_building_lengths(source.position, p, rects, shape))
+    return source.tx_power_dbm + source.gain_dbi - path_loss(d, params) - pen
+
+
 def _per_source_dbm(scenario: Scenario, params: PropagationParams,
                     rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """dBm field of each source at the given cell centers.
+    """dBm field of each source at the given cell centers, shadowing included.
 
     Returns an (M, len(rows)) array; the caller picks the cells (all free
     cells for global maps, a disk union for local ones).
     """
-    cx = cols.astype(np.float64) + 0.5
-    cy = rows.astype(np.float64) + 0.5
-    ends = np.column_stack([cx, cy])
+    points = np.column_stack([cols + 0.5, rows + 0.5])
     cells = scenario.layout.cells
-    rects = building_rectangles(cells)
+    rects, shape = building_rectangles(cells), cells.shape
     out = np.empty((len(scenario.sources), len(rows)))
     for k, src in enumerate(scenario.sources):
-        d = np.hypot(cx - src.x, cy - src.y)
-        pen = np.minimum(params.penetration_cap,
-                         params.beta_penetration
-                         * _clip_lengths(src.position, ends, rects, cells.shape))
-        rx = src.tx_power_dbm + src.gain_dbi - path_loss(d, params) - pen
+        out[k] = source_dbm(src, points, rects, shape, params)
         if params.sigma_shadow > 0:
-            shape = (scenario.layout.height, scenario.layout.width)
-            rx = rx - _shadow_grid(scenario, k, params.sigma_shadow, shape)[rows, cols]
-        out[k] = rx
+            out[k] -= _shadow_grid(scenario, k, params.sigma_shadow, shape)[rows, cols]
     return out
 
 

@@ -7,7 +7,7 @@ component, and flag components whose area says two local areas merged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,7 @@ class Labeling:
 class SeparationResult:
     single_source_maps: list[RadioMap]
     labeling: Labeling
-    merged_flags: list[bool] = field(default_factory=list)
+    merged_flags: list[bool]
 
 
 def binarize(bitmap, gamma: int = DEFAULT_GAMMA) -> RadioMap:

@@ -500,6 +500,27 @@ class TestRender:
                          "--out", str(tmp_path / "x.ppm")])
         assert code == 2
 
+    @pytest.mark.parametrize("option,text", [
+        ("--scenario", "[]"),
+        ("--scenario", '{"id": "x", "seed": 1, "sources": 5}'),
+        ("--scenario", '{"id": "x", "seed": 1, "sources": [{"y": 4.5, '
+                       '"tx_power_dbm": 0.0, "gain_dbi": 0.0}]}'),
+        ("--pred", "component_id,x_m,y_m,flagged\n1,4.5,oops,0\n"),
+    ], ids=["scenario-list", "sources-not-a-list", "source-without-x",
+            "pred-not-numeric"])
+    def test_bad_input_file_named(self, dataset, tmp_path, capsys, option, text):
+        _, _, out = dataset
+        entry = read_dataset_index(out)["entries"][0]
+        path = tmp_path / "bad"
+        path.write_text(text)
+        code = cli.main(["render", "--map", str(out / entry["local_map"]),
+                         "--layout", str(out / entry["layout"]), option, str(path),
+                         "--out", str(tmp_path / "x.ppm")])
+        assert code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"{path}: ")
+        assert not (tmp_path / "x.ppm").exists()
+
     def test_corner_marker_clipped(self):
         rgb = render_map(np.zeros((20, 20), dtype=np.uint8),
                          np.zeros((20, 20), dtype=np.uint8),

@@ -17,6 +17,11 @@ PIPELINE_DIGESTS hold every file `rssloc pipeline` writes on CONFIG's dataset
 for each reconstructor, and DENSE_DIGESTS every file `rssloc generate` writes
 for CONFIG with one close source pair per scenario. Both were recorded before
 the close-pair placement became a mode of `place_sources`.
+
+SHADOW_DIGESTS hold the float64 values of `rasterize_global` and the bitmap
+of `ground_truth_local` under 3 dB shadowing, which CONFIG (noise-free)
+leaves out. They were recorded before the field of one source became
+`propagation.source_dbm`, with the shadow draws subtracted per source.
 """
 
 import hashlib
@@ -27,8 +32,10 @@ from scipy import ndimage
 
 from rssloc.dataset_io import DatasetConfig, generate_dataset
 from rssloc.pipeline import PipelineConfig, run_pipeline
+from rssloc.propagation import (PropagationParams, ground_truth_local,
+                                rasterize_global)
 from rssloc.sampling import build_routes
-from rssloc.scenario import EIGHT_CONNECTED, generate_layout
+from rssloc.scenario import EIGHT_CONNECTED, generate_layout, generate_scenario
 
 CONFIG = {"width": 60, "height": 60, "n_layouts": 2, "n_buildings": 2,
           "source_counts": [1, 3], "placements_per_count": 1,
@@ -249,3 +256,26 @@ def test_bridged_routes_match_golden_digests(seed):
     assert ndimage.label(layout.cells, structure=EIGHT_CONNECTED)[1] == regions
     waypoints = np.asarray(build_routes(layout).waypoints, dtype=np.float64)
     assert hashlib.sha256(waypoints.tobytes()).hexdigest() == digest
+
+
+# generate_scenario(60, 60, 2, m, seed) (seed, m) -> (global map sha256,
+# local map sha256) under PropagationParams(sigma_shadow=3.0), r = 2
+SHADOW_DIGESTS = {
+    (31, 1): ("ac148d8550bf1ffa64607718fe9fd6b6dfab8b14689b4b68ad5ea785f394a137",
+              "b2a1992cc4168a71515c37056eed77e3f257d85d04427b488b34076aa06d7c7c"),
+    (32, 3): ("7d97271a20862ba72d6c86eeb8b0f48f67a2632c3fbd98717945fc61c91ea190",
+              "9a4a43ea34cca3b0fc1c359f7a30b78dc79a981f0e403fc6f4368a9a32a454f7"),
+    (33, 5): ("6d064fef0af68348c7fd281ce446140ee0ccb21c46770ecb828c895eb6969127",
+              "c3ef10fd39d443ff5b4345486b2b0bb19629d732a9c11bd226144cce0b58a701"),
+    (34, 7): ("99666108df499d33331f5418546f467171325ecdcdbc1b20ddc0c2e05f3a7f10",
+              "38344b3f4514bc1f14cf19a095ba1cc14d907a08320f7bc70c3f9fa1bb7bc35c"),
+}
+
+
+@pytest.mark.parametrize("seed,m", sorted(SHADOW_DIGESTS))
+def test_shadowed_maps_match_golden_digests(seed, m):
+    params = PropagationParams(sigma_shadow=3.0)
+    sc = generate_scenario(60, 60, 2, m, seed=seed)
+    maps = (rasterize_global(sc, params), ground_truth_local(sc, params, 2.0))
+    assert tuple(hashlib.sha256(radio_map.values.tobytes()).hexdigest()
+                 for radio_map in maps) == SHADOW_DIGESTS[seed, m]

@@ -7,7 +7,8 @@ from rssloc import (P_MAX_DBM, P_MIN_DBM, BuildingLayout, PropagationParams,
                     RadioMap, Scenario, Source, aggregate_rss, encode_bitmap,
                     generate_scenario, ground_truth_local, path_loss,
                     rasterize_global)
-from rssloc.propagation import local_disk_mask, segment_building_lengths
+from rssloc.propagation import (building_rectangles, local_disk_mask,
+                                segment_building_lengths, source_dbm)
 
 from conftest import make_flat_scenario
 from oracles import clip_building_length, traverse_all_cells
@@ -42,13 +43,16 @@ def field_at(cells, source, cell, params):
 
 class TestPenetration:
     def test_free_segment(self, flat_layout):
-        assert segment_building_lengths((1.5, 1.5), [(40.5, 20.5)],
-                                        flat_layout.cells)[0] == 0.0
+        cells = flat_layout.cells
+        length = segment_building_lengths((1.5, 1.5), [(40.5, 20.5)],
+                                          building_rectangles(cells), cells.shape)[0]
+        assert length == 0.0
 
     def test_three_meter_crossing(self):
         cells = np.zeros((20, 20), dtype=np.uint8)
         cells[5:8, 10] = 1  # 3 m tall, 1 m wide column
-        length = segment_building_lengths((10.5, 2.0), [(10.5, 12.0)], cells)[0]
+        length = segment_building_lengths((10.5, 2.0), [(10.5, 12.0)],
+                                          building_rectangles(cells), cells.shape)[0]
         assert length == pytest.approx(3.0, abs=1e-12)
 
     def test_cap_binds(self, params):
@@ -69,7 +73,8 @@ class TestPenetration:
             cells = (rng.random((24, 24)) < 0.3).astype(np.uint8)
             a = tuple(rng.random(2) * 24)
             b = tuple(rng.random(2) * 24)
-            fast = segment_building_lengths(a, [b], cells)[0]
+            fast = segment_building_lengths(a, [b], building_rectangles(cells),
+                                            cells.shape)[0]
             assert fast == pytest.approx(clip_building_length(a, b, cells), abs=1e-9)
 
     def test_batched_matches_single(self, params):
@@ -77,8 +82,10 @@ class TestPenetration:
         cells = (rng.random((30, 30)) < 0.25).astype(np.uint8)
         a = (3.3, 4.4)
         ends = rng.random((50, 2)) * 30
-        batched = segment_building_lengths(a, ends, cells)
-        singles = [segment_building_lengths(a, [e], cells)[0] for e in ends]
+        rects = building_rectangles(cells)
+        batched = segment_building_lengths(a, ends, rects, cells.shape)
+        singles = [segment_building_lengths(a, [e], rects, cells.shape)[0]
+                   for e in ends]
         assert batched.tobytes() == np.array(singles).tobytes()
 
 
@@ -87,7 +94,8 @@ AGREEMENT_M = 1e-9
 
 
 def assert_agrees(start, ends, cells):
-    fast = segment_building_lengths(start, ends, cells)
+    fast = segment_building_lengths(start, ends, building_rectangles(cells),
+                                    cells.shape)
     full = traverse_all_cells(start, ends, cells)
     assert np.abs(fast - full).max() <= AGREEMENT_M
 
@@ -156,8 +164,8 @@ class TestPrunedTraversal:
         cells[[5, 8], 6] = 1
         start, end = (np.nextafter(6.0, 0.0), 9.5), (6.0, 5.0)
         assert clip_building_length(start, end, cells) == pytest.approx(0.5, abs=1e-12)
-        assert segment_building_lengths(start, [end], cells)[0] == \
-            pytest.approx(0.5, abs=1e-12)
+        assert segment_building_lengths(start, [end], building_rectangles(cells),
+                                        cells.shape)[0] == pytest.approx(0.5, abs=1e-12)
         assert_agrees(start, [end], cells)
 
     def test_one_ulp_below_row_line(self):
@@ -172,8 +180,9 @@ class TestPrunedTraversal:
             expected = clip_building_length(start, end, cells)
             assert abs(traverse_all_cells(start, [end], cells)[0] - expected) \
                 <= AGREEMENT_M
-            assert abs(segment_building_lengths(start, [end], cells)[0] - expected) \
-                <= AGREEMENT_M
+            fast = segment_building_lengths(start, [end], building_rectangles(cells),
+                                            cells.shape)[0]
+            assert abs(fast - expected) <= AGREEMENT_M
 
     def test_out_of_grid_corners(self):
         # both coordinates outside: the corner cell stands for the quadrant
@@ -193,7 +202,8 @@ class TestPrunedTraversal:
         cells = np.zeros((10, 10), dtype=np.uint8)
         cells[0, 0] = 1
         lengths = segment_building_lengths((-3.0, -1.0), [(-1.0, -3.0), (0.5, 0.5),
-                                                          (-1.0, 5.0)], cells)
+                                                          (-1.0, 5.0)],
+                                           building_rectangles(cells), cells.shape)
         # in the quadrant, to the corner cell's centre, then out at y = 1
         assert lengths == pytest.approx([math.hypot(2.0, 2.0), math.hypot(3.5, 1.5),
                                          2.0 / 6.0 * math.hypot(2.0, 6.0)], abs=1e-12)
@@ -212,9 +222,38 @@ class TestPrunedTraversal:
         cells = np.zeros((10, 10), dtype=np.uint8)
         cells[4, 0] = 1
         cells[4, 6] = 1
-        length = segment_building_lengths((-3.0, 4.5), [(8.0, 4.5)], cells)[0]
+        length = segment_building_lengths((-3.0, 4.5), [(8.0, 4.5)],
+                                          building_rectangles(cells), cells.shape)[0]
         # 3 m left of the grid, column 0 and column 6
         assert length == pytest.approx(5.0, abs=1e-12)
+
+
+class TestSourceDbm:
+    """The one forward model, at arbitrary points."""
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_free_cells_equal_one_source_map(self, params, seed):
+        sc = generate_scenario(70, 70, 3, 3, seed=seed)
+        cells = sc.layout.cells
+        rows, cols = np.nonzero(cells == 0)
+        points = np.column_stack([cols + 0.5, rows + 0.5])
+        rects = building_rectangles(cells)
+        for src in sc.sources + [Source(*sc.sources[0].position, 17.0, 3.0)]:
+            single = Scenario(layout=sc.layout, sources=[src], id="t", rng_seed=0)
+            expected = rasterize_global(single, params).values[rows, cols]
+            field = source_dbm(src, points, rects, cells.shape, params)
+            assert field.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", [44, 45, 46, 47])
+    def test_reciprocity(self, params, seed):
+        sc = generate_scenario(80, 60, 4, 1, seed=seed)
+        cells = sc.layout.cells
+        rects = building_rectangles(cells)
+        rng = np.random.default_rng(seed)
+        for a, b in rng.random((200, 2, 2)) * (80, 60):
+            forward = source_dbm(Source(*a, 0.0, 0.0), [b], rects, cells.shape, params)
+            back = source_dbm(Source(*b, 0.0, 0.0), [a], rects, cells.shape, params)
+            assert abs(forward[0] - back[0]) <= 1e-9
 
 
 class TestReceivedPower:
