@@ -421,7 +421,12 @@ def load_scenario(dataset_dir, entry: dict) -> Scenario:
     """The entry's layout and sources; a file that cannot be read or parsed
     raises an error that names it."""
     base = Path(dataset_dir)
-    layout = BuildingLayout(read_pgm(base / entry["layout"]))
+    path = base / entry["layout"]
+    cells = read_pgm(path)
+    try:
+        layout = BuildingLayout(cells)
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a layout: {exc}") from None
     path = base / entry["scenario"]
     try:
         return scenario_from_dict(json.loads(path.read_text()), layout)

@@ -128,7 +128,9 @@ def _kriging_matrix(positions: np.ndarray, variogram: VariogramParams) -> np.nda
 def _check_samples(positions: np.ndarray):
     if len(positions) < 2:
         raise ReconstructionError("ordinary kriging needs at least two samples")
-    if len(np.unique(positions, axis=0)) < len(positions):
+    # sorted rows, not np.unique: np.unique loads numpy.ma, ~10 ms a command
+    ordered = positions[np.lexsort(positions.T)]
+    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
         raise ReconstructionError(
             "duplicate sample positions make the kriging system singular; "
             "merge them upstream")

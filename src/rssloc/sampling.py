@@ -14,12 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
 
 from .propagation import RadioMap
-from .scenario import EIGHT_CONNECTED, BuildingLayout, label_by_bbox
+from .scenario import BuildingLayout, dilate, label, label_by_bbox
 
 # noise stream tags, mixed with the caller's seed
 _SAMPLE_TAG = 0x5A3C
@@ -104,35 +101,37 @@ def _trace_ring(ring: np.ndarray, start: tuple[int, int]) -> list[tuple[int, int
     raise RouteError("ring trace did not close")
 
 
-def _free_graph(free: np.ndarray) -> csr_matrix:
-    """The free cells' 8-neighbour graph, nodes numbered row-major over the
-    grid padded by one blocked cell on every side, each row of the matrix
-    ascending."""
-    pad = np.pad(free, 1)   # a blocked border keeps every neighbour in range
-    w = pad.shape[1]
-    nodes = np.flatnonzero(pad)
-    offsets = np.array([di * w + dj for di in (-1, 0, 1) for dj in (-1, 0, 1)
-                        if di or dj])
-    neighbours = nodes[:, None] + offsets
-    edges = pad.ravel()[neighbours]
-    indptr = np.zeros(pad.size + 1, dtype=np.intp)
-    indptr[nodes + 1] = edges.sum(axis=1)
-    indices = neighbours[edges]   # row by row, each row ascending
-    return csr_matrix((np.ones(len(indices)), indices, np.cumsum(indptr)),
-                      shape=(pad.size, pad.size))
-
-
-def _bfs_path(graph: csr_matrix, width: int, start: tuple[int, int],
+def _bfs_path(free: np.ndarray, start: tuple[int, int],
               goal: tuple[int, int]) -> list[tuple[int, int]]:
-    """Breadth-first shortest path from the free cell start to goal over
-    _free_graph of a grid width cells wide; its nodes are numbered row-major,
-    so the search visits a cell's neighbours in row-major order."""
+    """Breadth-first shortest path from the free cell start to goal over the
+    8-neighbour graph of the free cells.
+
+    The search runs level by level over the grid padded by one blocked cell.
+    Each level's frontier is kept in queue order and a cell's neighbours are
+    taken in row-major order, so a newly reached cell's predecessor is the
+    first frontier cell to reach it, as in a queue-based search."""
     if start == goal:
         return [start]
-    w = width + 2
+    pad = np.pad(free, 1).ravel()   # a blocked border keeps every neighbour in range
+    w = free.shape[1] + 2
+    offsets = np.array([di * w + dj for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                        if di or dj])
     source = (start[0] + 1) * w + start[1] + 1
     node = (goal[0] + 1) * w + goal[1] + 1
-    _, predecessors = breadth_first_order(graph, source, return_predecessors=True)
+    predecessors = np.full(pad.size, -1)
+    first = np.full(pad.size, pad.size * len(offsets))
+    pad[source] = False   # pad now marks the free cells not yet reached
+    frontier = np.array([source])
+    while pad[node] and len(frontier):
+        reached = (frontier[:, None] + offsets).ravel()
+        at = np.flatnonzero(pad[reached])
+        cells = reached[at]
+        # keep each newly reached cell at its first place in queue order
+        np.minimum.at(first, cells, at)
+        keep = first[cells] == at
+        predecessors[cells[keep]] = frontier[at[keep] // len(offsets)]
+        frontier = cells[keep]
+        pad[frontier] = False
     if predecessors[node] < 0:
         raise RouteError(f"no free path from {start} to {goal}")
     path = [node]
@@ -156,26 +155,24 @@ def build_routes(layout: BuildingLayout) -> Route:
         cells = _trace_ring(ring, (0, 0))
     else:
         # regions in (bbox top, left) order, as components are labeled
-        region_labels, regions = label_by_bbox(occ, EIGHT_CONNECTED)
-        free_labels, _ = ndimage.label(free, structure=EIGHT_CONNECTED)
+        region_labels, regions = label_by_bbox(occ, 8)
+        free_labels, _ = label(free, 8)
         border = np.concatenate([free_labels[0, :], free_labels[-1, :],
                                  free_labels[:, 0], free_labels[:, -1]])
-        outside = np.isin(free_labels, np.unique(border[border > 0]))
-        graph = _free_graph(outside)
+        # no np.unique: it loads numpy.ma, about 10 ms a command
+        outside = np.isin(free_labels, border[border > 0])
         cells = []
         for rid, (rows, cols) in enumerate(regions, start=1):
             # the ring lies in the region's bounding box grown by one cell
             i0, j0 = max(rows.start - 1, 0), max(cols.start - 1, 0)
             window = (slice(i0, rows.stop + 1), slice(j0, cols.stop + 1))
-            ring = (ndimage.binary_dilation(region_labels[window] == rid,
-                                            structure=EIGHT_CONNECTED)
-                    & free[window] & outside[window])
+            ring = dilate(region_labels[window] == rid) & free[window] & outside[window]
             if not ring.any():
                 raise RouteError(f"building region {rid} is unreachable")
             start = tuple(int(k) for k in np.argwhere(ring)[0])
             loop = [(i + i0, j + j0) for i, j in _trace_ring(ring, start)]
             if cells:
-                bridge = _bfs_path(graph, occ.shape[1], cells[-1], loop[0])
+                bridge = _bfs_path(outside, cells[-1], loop[0])
                 cells.extend(bridge[1:])
             cells.extend(loop if not cells or cells[-1] != loop[0] else loop[1:])
 

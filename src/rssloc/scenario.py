@@ -12,26 +12,129 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 MAX_SOURCES = 16
 DEFAULT_TX_POWER_DBM = 24.0
 DEFAULT_ANTENNA_GAIN_DBI = 10.0
 
-# structuring element of 8-connectivity, shared by every labeling and dilation
-EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The integer ranges starts[k]:starts[k] + lengths[k], concatenated."""
+    return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths,
+                                                lengths)
 
 
-def label_by_bbox(mask: np.ndarray, structure) -> tuple[np.ndarray, list]:
-    """ndimage.label of mask, renumbered 1..n by the (top, left) corner of
-    each region's bounding box, ties kept in scan order, and the regions'
-    bounding-box slices in that order."""
-    labels, n = ndimage.label(mask, structure=structure)
-    slices = ndimage.find_objects(labels)
-    order = sorted(range(n), key=lambda k: (slices[k][0].start, slices[k][1].start))
-    remap = np.zeros(n + 1, dtype=np.int32)
-    remap[1:][order] = np.arange(1, n + 1)
-    return remap[labels], [slices[k] for k in order]
+def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The maximal runs of nonzero cells in each row of a 2-D mask, in raster
+    order, as the flat indices of their first and one-past-last cells in the
+    mask widened by one zero column (cell (i, j) at i * (w + 1) + j)."""
+    h, w = mask.shape
+    flat = np.zeros(h * (w + 1) + 1, dtype=bool)
+    flat[1:].reshape(h, w + 1)[:, :w] = mask
+    # the zero column ends every run in its own row, so edges alternate
+    edges = np.flatnonzero(flat[1:] != flat[:-1])
+    return edges[0::2], edges[1::2]
+
+
+def _run_components(first: np.ndarray, end: np.ndarray, w: int,
+                    connectivity: int) -> tuple[np.ndarray, np.ndarray]:
+    """The component label of each run of a mask w cells wide (_runs), numbered
+    1..n in raster order of each component's first pixel, and the index of
+    each component's first run.
+
+    Runs on adjacent rows join when their column spans overlap, at
+    8-connectivity each span widened by one column, and the joins are
+    resolved by min-label propagation with pointer jumping (after He, Chao
+    and Suzuki, "A run-based two-scan labeling algorithm", IEEE TIP 17(5),
+    2008)."""
+    n = len(first)
+    reach = 1 if connectivity == 8 else 0
+    # the runs of the row above that end after a run's first column and start
+    # before its end, both widened by reach, are a contiguous slice lo:hi
+    lo = np.searchsorted(end, first - (w + 1) - reach, side="right")
+    hi = np.searchsorted(first, end - (w + 1) + reach, side="left")
+    below = np.repeat(np.arange(n), hi - lo)
+    above = _ranges(lo, hi - lo)
+    parent = np.arange(n)
+    while True:
+        # every parent is a root here: hook the larger root of each join
+        # that spans two trees to the smaller, then flatten the trees
+        pa, pb = parent[above], parent[below]
+        split = pa != pb
+        if not split.any():
+            break
+        pa, pb = pa[split], pb[split]
+        np.minimum.at(parent, np.maximum(pa, pb), np.minimum(pa, pb))
+        while True:
+            jumped = parent[parent]
+            if (jumped == parent).all():
+                break
+            parent = jumped
+    # a component's root is its first run, the one holding its first pixel
+    roots = parent == np.arange(n)
+    return np.cumsum(roots)[parent], np.flatnonzero(roots)
+
+
+def _labeled_runs(mask: np.ndarray, connectivity: int):
+    """The runs of mask (_runs), their component labels 1..n in raster order
+    and the components' bounding boxes as an (n, 4) array of top, left and
+    one-past bottom and right."""
+    w = mask.shape[1]
+    first, end = _runs(mask)
+    labels, heads = _run_components(first, end, w, connectivity)
+    rows = first // (w + 1)
+    boxes = np.zeros((len(heads), 4), dtype=np.intp)
+    boxes[:, 0] = rows[heads]
+    boxes[:, 1] = w
+    np.minimum.at(boxes[:, 1], labels - 1, first - rows * (w + 1))
+    np.maximum.at(boxes[:, 2], labels - 1, rows + 1)
+    np.maximum.at(boxes[:, 3], labels - 1, end - rows * (w + 1))
+    return first, end, labels, boxes
+
+
+def _paint(shape, first: np.ndarray, end: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The int32 grid of the given shape that holds each run's label on its
+    cells (_runs) and 0 elsewhere."""
+    h, w = shape
+    grid = np.zeros(h * w, dtype=np.int32)
+    # the widened layout puts row i's cells i places later than the grid
+    grid[_ranges(first - first // (w + 1), end - first)] = np.repeat(labels, end - first)
+    return grid.reshape(h, w)
+
+
+def _slices(boxes: np.ndarray) -> list[tuple[slice, slice]]:
+    return [(slice(top, bottom), slice(left, right))
+            for top, left, bottom, right in boxes.tolist()]
+
+
+def label(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, list]:
+    """The connected components of mask's nonzero cells at 4- or
+    8-connectivity: an int32 grid of labels, 0 for background and 1..n in
+    raster order of each component's first pixel, and each component's
+    bounding-box (rows, cols) slices in label order."""
+    first, end, labels, boxes = _labeled_runs(mask, connectivity)
+    return _paint(mask.shape, first, end, labels), _slices(boxes)
+
+
+def label_by_bbox(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, list]:
+    """label(mask, connectivity), renumbered 1..n by the (top, left) corner
+    of each component's bounding box, ties kept in raster order."""
+    first, end, labels, boxes = _labeled_runs(mask, connectivity)
+    order = np.lexsort((boxes[:, 1], boxes[:, 0]))
+    rank = np.zeros(len(order) + 1, dtype=np.int32)
+    rank[order + 1] = np.arange(1, len(order) + 1)
+    return _paint(mask.shape, first, end, rank[labels]), _slices(boxes[order])
+
+
+def dilate(mask: np.ndarray) -> np.ndarray:
+    """Binary dilation of mask by the 3x3 square, nothing beyond its border:
+    the OR of its nine shifted copies, taken as three along rows, then three
+    along columns."""
+    h, w = mask.shape
+    pad = np.zeros((h + 2, w + 2), dtype=bool)
+    pad[1:-1, 1:-1] = mask
+    rows = pad[:, :-2] | pad[:, 1:-1] | pad[:, 2:]
+    return rows[:-2] | rows[1:-1] | rows[2:]
 
 
 class LayoutError(RuntimeError):
@@ -169,7 +272,7 @@ def _connected(rows: np.ndarray, cols: np.ndarray) -> bool:
     i0, j0 = rows.min(), cols.min()
     window = np.zeros((rows.max() - i0 + 1, cols.max() - j0 + 1), dtype=bool)
     window[rows - i0, cols - j0] = True
-    return ndimage.label(window, structure=EIGHT_CONNECTED)[1] == 1
+    return len(_run_components(*_runs(window), window.shape[1], 8)[1]) == 1
 
 
 def _free_disk(x, y, r, layout: BuildingLayout) -> tuple[np.ndarray, np.ndarray]:
@@ -185,7 +288,7 @@ def _block(blocked: np.ndarray, disk) -> None:
     window = blocked[i0:rows.max() + 2, j0:cols.max() + 2]   # a view into blocked
     cells = np.zeros_like(window)
     cells[rows - i0, cols - j0] = True
-    window |= ndimage.binary_dilation(cells, structure=EIGHT_CONNECTED)
+    window |= dilate(cells)
 
 
 def _draw(layout: BuildingLayout, free: np.ndarray, rng, placed: list[Source],

@@ -1,8 +1,9 @@
 """Multi-source separation on local radio maps.
 
 Binarize the 8-bit map at a fixed threshold, label the foreground's
-connected components (scipy.ndimage.label), cut one single-source map per
-component, and flag components whose area says two local areas merged.
+connected components (scenario.label_by_bbox, which labels row runs), cut
+one single-source map per component, and flag components whose area says
+two local areas merged.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .propagation import RadioMap, _grid
-from .scenario import EIGHT_CONNECTED, expected_disk_area, label_by_bbox
+from .scenario import expected_disk_area, label_by_bbox
 
 DEFAULT_GAMMA = 127
 DEFAULT_CONNECTIVITY = 8
@@ -58,9 +59,7 @@ def connected_components(binary, connectivity: int = DEFAULT_CONNECTIVITY) -> La
     if connectivity not in (4, 8):
         raise ValueError("connectivity must be 4 or 8")
     vals = _grid(binary)
-    # structure None is ndimage's default cross, i.e. 4-connectivity
-    structure = EIGHT_CONNECTED if connectivity == 8 else None
-    labels, boxes = label_by_bbox(vals != 0, structure)
+    labels, boxes = label_by_bbox(vals != 0, connectivity)
     area = np.bincount(labels.ravel())
     components = [Component(id=k, area=int(area[k]),
                             bbox=(rows.start, cols.start, rows.stop - 1, cols.stop - 1))

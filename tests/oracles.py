@@ -1,7 +1,7 @@
 """Independent reference implementations used only to check the package.
 
 Each oracle deliberately takes a different algorithmic route than the code
-under test: flood fill instead of scipy.ndimage.label, a test of every grid
+under test: flood fill instead of labeling row runs, a test of every grid
 cell instead of a clipped bounding box, segment clipping per cell and a
 traversal of every cell a segment crosses instead of clipping per
 rectangle of a cover of the buildings, factorial enumeration instead of the
@@ -11,8 +11,8 @@ evaluation from `np.hypot` distances in chunks of 4096 queries that the
 package's squared-distance blocks replace, `kriging_matrix_hypot`, the
 variogram of `np.hypot` distances that the package's in-place build from
 squared distances replaces, and `bfs_path_loop`, the Python-loop
-breadth-first search whose paths the package's scipy.sparse.csgraph search
-must repeat cell for cell.
+breadth-first search whose paths the package's level-synchronous numpy
+search must repeat cell for cell.
 """
 
 import itertools

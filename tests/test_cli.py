@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rssloc import PipelineConfig, cli, dataset_io, pipeline, read_pgm
+from rssloc import PipelineConfig, cli, dataset_io, encode_pgm, pipeline, read_pgm
 from rssloc.dataset_io import predictions_to_csv, read_dataset_index
 from rssloc.render import encode_ppm, render_map
 
@@ -320,6 +320,28 @@ class TestPipeline:
             assert (f"failed: {err['id']} interval {err['interval']}: "
                     f"{err['error']}") in stderr
 
+    def test_layout_with_255_buildings_names_file(self, dataset, tmp_path, capsys):
+        # a PGM that decodes but is not a 0/1 occupancy grid
+        _, _, out = dataset
+        copy = tmp_path / "ds"
+        shutil.copytree(out, copy)
+        entries = read_dataset_index(copy)["entries"]
+        path = copy / entries[0]["layout"]
+        path.write_bytes(encode_pgm(read_pgm(path) * 255))
+        hit = {e["id"] for e in entries if e["layout"] == entries[0]["layout"]}
+        message = f"{path}: not a layout: occupancy values must be exactly 0 or 1"
+        run = tmp_path / "run"
+        assert cli.main(["pipeline", "--dataset", str(copy), "--out", str(run),
+                         "--reconstructor", "oracle", "--intervals", "4"]) == 3
+        report = json.loads((run / "report.json").read_text())
+        assert {e["id"] for e in report["errors"]} == hit
+        assert all(e["error"] == message for e in report["errors"])
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        assert cli.main(["evaluate", "--dataset", str(copy),
+                         "--predictions", str(preds)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == message
+
     def test_malformed_samples_csv_names_file_and_line(self, dataset, tmp_path,
                                                        capsys):
         _, _, out = dataset
@@ -587,17 +609,33 @@ def test_blas_threads_default_to_one_before_numpy_loads(preset, expected):
     assert done.stdout.split() == expected
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    # the assignment solver is rssloc's own: scipy.optimize costs every
-    # command about 0.15 s of import
+def test_cli_runs_without_scipy(tmp_path):
+    # labeling, dilation, route search and assignment are rssloc's own numpy
+    # code; loading scipy cost every command about 0.4 s of import
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, rssloc.cli; "
-         "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"],
+        [sys.executable, "-c", "import sys, rssloc.cli; print(sorted(m for m in "
+         "sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+    # with scipy unimportable, no function-local import can hide in a command
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "width": 48, "height": 48, "n_layouts": 1, "n_buildings": 2,
+        "source_counts": [1, 3], "placements_per_count": 1, "intervals": [4],
+        "seed": 5, "split": {"train": 1, "val": 0, "test": 0}}))
+    run = tmp_path / "run"
+    script = ("import sys; sys.modules['scipy'] = None; import rssloc.cli; "
+              "sys.exit(rssloc.cli.main(sys.argv[1:]))")
+    for argv in (["generate", "--config", str(config), "--out", str(tmp_path / "ds")],
+                 ["pipeline", "--dataset", str(tmp_path / "ds"), "--out", str(run),
+                  "--reconstructor", "kriging"]):
+        subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                       capture_output=True, text=True, timeout=120, check=True)
+    report = json.loads((run / "report.json").read_text())
+    assert len(report["results"]) == 2 and report["errors"] == []
 
 
 def test_usage_error_exit_code():

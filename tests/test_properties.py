@@ -1,7 +1,8 @@
 """Property tests: file-format round trips, malformed PGM and LRMF headers,
 the invariants of the evaluation metrics, the assignment solver against
-scipy's, route bridges against the loop oracle, the rectangle cover of
-building cells, and augmentation equivariance of separation and
+scipy's, the run-based labeling, its bounding boxes and the 3x3 dilation
+against scipy.ndimage, route bridges against the loop oracle, the rectangle
+cover of building cells, and augmentation equivariance of separation and
 localization."""
 
 import math
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 from scipy.optimize import linear_sum_assignment
 
 from oracles import bfs_path_loop
@@ -22,7 +24,8 @@ from rssloc.dataset_io import (predictions_from_csv, predictions_to_csv,
                                samples_from_csv, samples_to_csv)
 from rssloc.metrics import _cost_matrix, _lsap
 from rssloc.propagation import building_rectangles
-from rssloc.sampling import RouteError, _bfs_path, _free_graph
+from rssloc.sampling import RouteError, _bfs_path
+from rssloc.scenario import dilate, label
 
 # small example counts keep the whole suite near a minute
 FEW = settings(max_examples=40, deadline=None)
@@ -213,7 +216,6 @@ def test_bfs_path_matches_loop_oracle(shape, density, seed):
     free = rng.random(shape) < density
     cells = [(int(i), int(j)) for i, j in np.argwhere(free)]
     assume(cells)
-    graph = _free_graph(free)
     for _ in range(4):
         start = cells[rng.integers(len(cells))]
         anywhere = tuple(int(k) for k in rng.integers(0, shape))
@@ -222,9 +224,9 @@ def test_bfs_path_matches_loop_oracle(shape, density, seed):
                 expected = bfs_path_loop(free, start, goal)
             except RouteError:
                 with pytest.raises(RouteError):
-                    _bfs_path(graph, shape[1], start, goal)
+                    _bfs_path(free, start, goal)
                 continue
-            assert _bfs_path(graph, shape[1], start, goal) == expected
+            assert _bfs_path(free, start, goal) == expected
 
 
 # any uint8 grid, or seeded grids from sparse to full
@@ -232,6 +234,54 @@ occupancy_grids = st.one_of(grids, st.builds(
     lambda shape, density, seed: np.random.default_rng(seed).random(shape) < density,
     st.tuples(st.integers(1, 30), st.integers(1, 30)), st.floats(0.0, 1.0),
     st.integers(0, 2**32 - 1)))
+
+
+STRUCTURES = {4: None, 8: np.ones((3, 3), dtype=bool)}   # None: ndimage's cross
+
+
+def _serpentine(n):
+    """Every other row set, joined at alternate ends: one n x n component
+    whose rows chain end to end."""
+    grid = np.zeros((n, n), dtype=bool)
+    grid[::2] = True
+    grid[1::4, -1] = True
+    grid[3::4, 0] = True
+    return grid
+
+
+def _assert_label_matches_ndimage(mask, connectivity):
+    labels, boxes = label(mask, connectivity)
+    expected, n = ndimage.label(mask, structure=STRUCTURES[connectivity])
+    assert labels.dtype == expected.dtype
+    assert np.array_equal(labels, expected)
+    assert len(boxes) == n
+    assert boxes == (ndimage.find_objects(expected) if mask.size else [])
+
+
+@FEW
+@given(occupancy_grids, st.sampled_from([4, 8]))
+def test_label_matches_ndimage(mask, connectivity):
+    _assert_label_matches_ndimage(mask, connectivity)
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+@pytest.mark.parametrize("mask", [
+    np.zeros((7, 9), dtype=bool), np.ones((7, 9), dtype=bool),
+    np.zeros((0, 5), dtype=bool), np.zeros((5, 0), dtype=bool),
+    np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1]], dtype=np.uint8),
+    np.array([[1], [1], [0], [1], [0], [1]], dtype=np.uint8),
+    np.eye(12, dtype=np.uint8)[::-1] * 255, _serpentine(200), ~_serpentine(200)],
+    ids=["empty", "full", "no-rows", "no-columns", "single-row", "single-column",
+         "anti-diagonal", "serpentine", "serpentine-gaps"])
+def test_label_matches_ndimage_on_edge_cases(mask, connectivity):
+    _assert_label_matches_ndimage(mask, connectivity)
+
+
+@FEW
+@given(occupancy_grids)
+def test_dilate_matches_ndimage(mask):
+    assert np.array_equal(dilate(mask), ndimage.binary_dilation(
+        mask, structure=STRUCTURES[8]))
 
 
 @FEW
