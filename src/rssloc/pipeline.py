@@ -1,6 +1,10 @@
 """Dataset-level pipeline execution: build the local map (one LOCAL_MAPS
 entry, or an external map), separate, localize, evaluate. Per-scenario
 failures are recorded in the report instead of aborting the batch.
+
+The unit of work is a layout group: the index entries that name one layout
+file. Its scenarios share the layout and drive the same route, so a local-map
+constructor sees all of them at once, per interval.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from .metrics import DEFAULT_OSPA_CUTOFF, ScenarioEval, aggregate, evaluate_scen
 from .propagation import RadioMap
 from .reconstruct import (VariogramParams, idw_reconstruct, kriging_reconstruct,
                           proxy_local_map)
-from .sampling import add_noise
+from .sampling import SampleSet, add_noise
 from .separation import (DEFAULT_AREA_FACTOR, DEFAULT_CONNECTIVITY,
                          DEFAULT_GAMMA, separate_sources)
 
@@ -105,8 +109,24 @@ def _read_local_map(path, scenario) -> RadioMap:
     return RadioMap(values)
 
 
-def _oracle(dataset_dir, entry, interval, scenario, config) -> RadioMap:
-    return _read_local_map(Path(dataset_dir) / entry["local_map"], scenario)
+def _each(func, *columns) -> list:
+    """func over the rows of the columns. A row that holds an exception, or
+    whose call raises one, has that exception as its result."""
+    results = []
+    for args in zip(*columns):
+        try:
+            for arg in args:
+                if isinstance(arg, Exception):
+                    raise arg
+            results.append(func(*args))
+        except Exception as exc:
+            results.append(exc)
+    return results
+
+
+def _oracle(dataset_dir, entries, interval, scenarios, config) -> list:
+    return _each(lambda entry, scenario: _read_local_map(
+        Path(dataset_dir) / entry["local_map"], scenario), entries, scenarios)
 
 
 def _reconstruct_kwargs(config: PipelineConfig) -> dict:
@@ -128,81 +148,128 @@ def _reconstruct_kwargs(config: PipelineConfig) -> dict:
     return params
 
 
-def _from_samples(reconstruct, dataset_dir, entry, interval, scenario,
-                  config) -> RadioMap:
-    """proxy_local_map of the dense map reconstructed from the interval's samples."""
+def _read_samples(dataset_dir, entry, interval, config) -> SampleSet:
+    """The entry's samples at interval, with the pipeline's noise drawn from
+    the stream of (noise_seed, scenario id, interval)."""
     samples = parse_file(Path(dataset_dir) / entry["samples"][interval],
                          samples_from_csv)
     if config.noise_sigma > 0:
-        samples = add_noise(samples, config.noise_sigma, config.noise_seed)
-    dense = reconstruct(samples, scenario.layout, **_reconstruct_kwargs(config))
-    return proxy_local_map(dense, config.delta_db, config.r)
+        samples = add_noise(samples, config.noise_sigma, config.noise_seed,
+                            f"{entry['id']}\0{interval}")
+    return samples
+
+
+def _from_samples(reconstruct, dataset_dir, entries, interval, scenarios,
+                  config) -> list:
+    """proxy_local_map of each entry's dense map reconstructed from the
+    interval's samples. Entries whose sample positions are bit-equal share
+    one reconstruct call, one value row each."""
+    results = _each(lambda entry: _read_samples(dataset_dir, entry, interval, config),
+                    entries)
+    shared = {}    # positions bytes -> indices of the entries measured there
+    for k, samples in enumerate(results):
+        if isinstance(samples, SampleSet):
+            shared.setdefault(samples.positions.tobytes(), []).append(k)
+    kwargs = _reconstruct_kwargs(config)
+    for members in shared.values():
+        stack = SampleSet(results[members[0]].positions,
+                          [results[k].values for k in members])
+        try:
+            dense = reconstruct(stack, scenarios[members[0]].layout, **kwargs)
+        except Exception as exc:
+            dense = [exc] * len(members)
+        local = _each(lambda radio_map: proxy_local_map(radio_map, config.delta_db,
+                                                        config.r), dense)
+        for k, local_map in zip(members, local):
+            results[k] = local_map
+    return results
 
 
 # The reconstruct functions are looked up when called, not stored, so that a
 # module attribute rebound after import (a tracer, a test double) is used.
-def _idw(dataset_dir, entry, interval, scenario, config) -> RadioMap:
-    return _from_samples(idw_reconstruct, dataset_dir, entry, interval, scenario,
+def _idw(dataset_dir, entries, interval, scenarios, config) -> list:
+    return _from_samples(idw_reconstruct, dataset_dir, entries, interval, scenarios,
                          config)
 
 
-def _kriging(dataset_dir, entry, interval, scenario, config) -> RadioMap:
-    return _from_samples(kriging_reconstruct, dataset_dir, entry, interval, scenario,
-                         config)
+def _kriging(dataset_dir, entries, interval, scenarios, config) -> list:
+    return _from_samples(kriging_reconstruct, dataset_dir, entries, interval,
+                         scenarios, config)
 
 
-# --reconstructor name -> (dataset_dir, entry, interval, scenario, config) ->
-# local bitmap RadioMap of the layout's shape
+# --reconstructor name -> (dataset_dir, entries, interval, scenarios, config)
+# -> per entry, its local bitmap RadioMap of the layout's shape or the
+# exception that failed it. The entries share one layout file; interval is
+# the dataset's key.
 LOCAL_MAPS = {"oracle": _oracle, "idw": _idw, "kriging": _kriging}
 
 
-def _external_map(dataset_dir, entry, interval, scenario, config) -> RadioMap:
-    """The drop-in map from config.local_map_dir: <id>_<interval>.pgm, else
-    <id>.pgm. It takes precedence over any reconstructor."""
+def _external_map(dataset_dir, entries, interval, scenarios, config) -> list:
+    """The drop-in maps from config.local_map_dir: <id>_<interval>.pgm, else
+    <id>.pgm. They take precedence over any reconstructor."""
     ext = Path(config.local_map_dir)
-    for name in (f"{entry['id']}_{interval}.pgm", f"{entry['id']}.pgm"):
-        candidate = ext / name
-        if candidate.is_file():
-            return _read_local_map(candidate, scenario)
-    raise FileNotFoundError(
-        f"no external local map for {entry['id']} interval {interval} "
-        f"in {config.local_map_dir}")
+
+    def read(entry, scenario):
+        for name in (f"{entry['id']}_{interval}.pgm", f"{entry['id']}.pgm"):
+            candidate = ext / name
+            if candidate.is_file():
+                return _read_local_map(candidate, scenario)
+        raise FileNotFoundError(
+            f"no external local map for {entry['id']} interval {interval} "
+            f"in {config.local_map_dir}")
+
+    return _each(read, entries, scenarios)
 
 
-def process_entry(dataset_dir, entry: dict, config: PipelineConfig) -> list[dict]:
-    """Run every configured interval of one scenario; returns report rows."""
-    local_map = (LOCAL_MAPS[config.reconstructor] if config.local_map_dir is None
+def process_entry(dataset_dir, entries: list[dict], config: PipelineConfig) -> list[dict]:
+    """Run every configured interval of one layout group, the index entries
+    that share a layout file; returns their report rows."""
+    construct = (LOCAL_MAPS[config.reconstructor] if config.local_map_dir is None
                  else _external_map)
-    # a requested interval names the dataset's interval of the same value
-    keys = {float(key): key for key in entry["samples"]}
-    intervals = config.intervals or tuple(keys[value] for value in sorted(keys))
-    try:
-        scenario = load_scenario(dataset_dir, entry)
-    except Exception as exc:
-        # an unreadable scenario fails each of its rows, not the batch
-        return [_error_row(entry, interval, exc) for interval in intervals]
-    truths = scenario.true_points()
     rows = []
-    for interval in intervals:
+    todo = {}    # the dataset's interval key -> [(entry, scenario)]
+    for entry in entries:
+        # a requested interval names the dataset's interval of the same value
+        keys = {float(key): key for key in entry["samples"]}
+        intervals = config.intervals or tuple(keys[value] for value in sorted(keys))
         try:
-            if float(interval) not in keys:
-                raise ValueError(f"dataset has no samples at interval {interval}")
-            interval = keys[float(interval)]
-            local = local_map(dataset_dir, entry, interval, scenario, config)
-            sep = separate_sources(local, config.gamma, config.connectivity,
-                                   config.r, config.area_factor)
-            preds = localize_all(sep, config.estimator)
-            ev = evaluate_scenario(preds.points, truths, config.g)
-            rows.append({
-                "id": entry["id"], "interval": str(interval), "split": entry["split"],
-                **ev.as_dict(),
-                "merged_flags": list(preds.flags),
-                "predictions_csv": predictions_to_csv(
-                    preds.component_ids, preds.points, preds.flags),
-            })
+            scenario = load_scenario(dataset_dir, entry)
         except Exception as exc:
-            rows.append(_error_row(entry, interval, exc))
+            # an unreadable scenario fails each of its rows, not the batch
+            rows += [_error_row(entry, interval, exc) for interval in intervals]
+            continue
+        for interval in intervals:
+            if float(interval) in keys:
+                todo.setdefault(keys[float(interval)], []).append((entry, scenario))
+            else:
+                rows.append(_error_row(entry, interval, ValueError(
+                    f"dataset has no samples at interval {interval}")))
+    for interval, members in todo.items():
+        group, scenarios = [entry for entry, _ in members], [sc for _, sc in members]
+        try:
+            maps = construct(dataset_dir, group, interval, scenarios, config)
+        except Exception as exc:
+            maps = [exc] * len(members)
+        results = _each(lambda entry, scenario, local: _result_row(
+            entry, interval, scenario, local, config), group, scenarios, maps)
+        rows += [_error_row(entry, interval, row) if isinstance(row, Exception) else row
+                 for entry, row in zip(group, results)]
     return rows
+
+
+def _result_row(entry: dict, interval, scenario, local: RadioMap,
+                config: PipelineConfig) -> dict:
+    sep = separate_sources(local, config.gamma, config.connectivity,
+                           config.r, config.area_factor)
+    preds = localize_all(sep, config.estimator)
+    ev = evaluate_scenario(preds.points, scenario.true_points(), config.g)
+    return {
+        "id": entry["id"], "interval": str(interval), "split": entry["split"],
+        **ev.as_dict(),
+        "merged_flags": list(preds.flags),
+        "predictions_csv": predictions_to_csv(
+            preds.component_ids, preds.points, preds.flags),
+    }
 
 
 def _error_row(entry: dict, interval, exc: Exception) -> dict:
@@ -218,20 +285,24 @@ def run_pipeline(dataset_dir, config: PipelineConfig,
                  out_dir=None) -> dict:
     """Process the whole dataset and assemble the evaluation report.
 
-    Results are ordered by (scenario id, interval) regardless of worker
-    scheduling; with out_dir set, per-scenario prediction CSVs and the report
-    JSON are written.
+    One task per layout group, on up to config.jobs processes. Results are
+    ordered by (scenario id, interval) regardless of worker scheduling; with
+    out_dir set, per-scenario prediction CSVs and the report JSON are written.
     """
     index = read_dataset_index(dataset_dir)
-    entries = sorted(index["entries"], key=lambda e: e["id"])
+    groups = {}
+    for entry in sorted(index["entries"], key=lambda e: e["id"]):
+        groups.setdefault(entry["layout"], []).append(entry)
+    tasks = [(dataset_dir, group, config) for group in groups.values()]
     if config.jobs > 1:
-        tasks = [(dataset_dir, entry, config) for entry in entries]
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            per_entry = list(pool.map(_process_star, tasks))
+        # more workers than layout groups would have nothing to do
+        workers = max(1, min(config.jobs, len(tasks)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_group = list(pool.map(_process_star, tasks))
     else:
-        per_entry = [process_entry(dataset_dir, entry, config) for entry in entries]
+        per_group = [process_entry(*task) for task in tasks]
 
-    rows = [row for rows_ in per_entry for row in rows_]
+    rows = [row for rows_ in per_group for row in rows_]
     rows.sort(key=lambda row: (row["id"], float(row["interval"])))
     ok_rows = [row for row in rows if "error" not in row]
     errors = [row for row in rows if "error" in row]

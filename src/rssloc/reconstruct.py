@@ -14,6 +14,12 @@ mean mu) and the affine exponential variogram is folded into the prediction:
 (nugget + sill) * sum(w) + mu - sill * (exp(-3 d / range) @ w), less
 nugget * w_j at every query that sits exactly on sample j (gamma(0) = 0).
 The reconstructors predict only at free cells; building cells take P_MIN_DBM.
+
+Values may stack S rows on one set of positions (the scenarios of a layout
+share its route). The kriging matrix and each block's distances, sqrt and
+exp are then computed once; every row keeps its own solve and its own
+matrix-vector product per block, so each row's output is the bytes a
+one-row call gives.
 """
 
 from __future__ import annotations
@@ -71,33 +77,42 @@ def _squared_distance_blocks(positions: np.ndarray, query: np.ndarray):
 
 
 def _as_samples(positions, values) -> tuple[np.ndarray, np.ndarray]:
+    """(J, 2) positions and values of shape (J,) or (S, J)."""
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
-    values = np.asarray(values, dtype=np.float64).ravel()
-    if len(positions) != len(values):
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2:
+        values = values.ravel()
+    if len(positions) != values.shape[-1]:
         raise ValueError(f"{len(positions)} sample positions but "
-                         f"{len(values)} values")
+                         f"{values.shape[-1]} values")
     return positions, values
 
 
 def idw_predict(positions: np.ndarray, values: np.ndarray, query: np.ndarray,
                 power: float = 2.0) -> np.ndarray:
-    """Inverse-distance-weighted interpolation; exact at the sample positions."""
+    """Inverse-distance-weighted interpolation; exact at the sample positions.
+
+    values (J,) give (Q,) predictions, values (S, J) give (S, Q).
+    """
     positions, values = _as_samples(positions, values)
     if len(positions) == 0:
         raise ValueError("inverse distance weighting needs at least one sample")
     query = np.atleast_2d(np.asarray(query, dtype=np.float64))
-    out = np.empty(len(query))
+    rows = np.atleast_2d(values)
+    out = np.empty((len(rows), len(query)))
     for lo, d2 in _squared_distance_blocks(positions, query):
         exact = d2 < 1e-24     # d < 1e-12
         with np.errstate(divide="ignore"):
             d2 **= -0.5 * power
         d2[exact] = 0.0
-        with np.errstate(invalid="ignore"):   # rows of exact hits only
-            block = (d2 @ values) / d2.sum(axis=1)
+        total = d2.sum(axis=1)
         hit_q, hit_s = np.nonzero(exact)
-        block[hit_q] = values[hit_s]
-        out[lo:lo + len(block)] = block
-    return out
+        for row, row_out in zip(rows, out):
+            with np.errstate(invalid="ignore"):   # rows of exact hits only
+                block = (d2 @ row) / total
+            block[hit_q] = row[hit_s]
+            row_out[lo:lo + len(block)] = block
+    return out.reshape(values.shape[:-1] + (len(query),))
 
 
 def _kriging_matrix(positions: np.ndarray, variogram: VariogramParams) -> np.ndarray:
@@ -138,7 +153,11 @@ def _check_samples(positions: np.ndarray):
 
 def kriging_predict(positions: np.ndarray, values: np.ndarray, query: np.ndarray,
                     variogram: VariogramParams | None = None) -> np.ndarray:
-    """Ordinary-kriging prediction in dual form: one solve, O(J) per query."""
+    """Ordinary-kriging prediction in dual form: one solve, O(J) per query.
+
+    values (J,) give (Q,) predictions, values (S, J) give (S, Q): one matrix
+    for all rows, one solve per row.
+    """
     variogram = variogram or VariogramParams()
     try:
         positions, values = _as_samples(positions, values)
@@ -146,27 +165,29 @@ def kriging_predict(positions: np.ndarray, values: np.ndarray, query: np.ndarray
         raise ReconstructionError(str(exc)) from exc
     _check_samples(positions)
     k = _kriging_matrix(positions, variogram)
-    rhs = np.concatenate([values, [0.0]])
-    try:
-        alpha = np.linalg.solve(k, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ReconstructionError(f"kriging system is singular: {exc}") from exc
-    w, mu = alpha[:-1], alpha[-1]
     nugget, sill = variogram.nugget, variogram.sill
-    base = (nugget + sill) * w.sum() + mu
+    weights = []    # (w, base) per row
+    for row in np.atleast_2d(values):
+        try:
+            alpha = np.linalg.solve(k, np.concatenate([row, [0.0]]))
+        except np.linalg.LinAlgError as exc:
+            raise ReconstructionError(f"kriging system is singular: {exc}") from exc
+        w, mu = alpha[:-1], alpha[-1]
+        weights.append((w, (nugget + sill) * w.sum() + mu))
     scale = -3.0 / variogram.range_m
     query = np.atleast_2d(np.asarray(query, dtype=np.float64))
-    out = np.empty(len(query))
+    out = np.empty((len(weights), len(query)))
     for lo, d2 in _squared_distance_blocks(positions, query):
         if nugget > 0:
             hit_q, hit_s = np.nonzero(d2 == 0.0)
         np.sqrt(d2, out=d2)
         d2 *= scale
         np.exp(d2, out=d2)     # exp(-3 d / range), the variable part of gamma
-        out[lo:lo + len(d2)] = base - sill * (d2 @ w)
-        if nugget > 0:
-            out[lo + hit_q] -= nugget * w[hit_s]
-    return out
+        for (w, base), row_out in zip(weights, out):
+            row_out[lo:lo + len(d2)] = base - sill * (d2 @ w)
+            if nugget > 0:
+                row_out[lo + hit_q] -= nugget * w[hit_s]
+    return out.reshape(values.shape[:-1] + (len(query),))
 
 
 def _free_cell_centers(layout: BuildingLayout) -> np.ndarray:
@@ -174,26 +195,31 @@ def _free_cell_centers(layout: BuildingLayout) -> np.ndarray:
     return np.column_stack([jj + 0.5, ii + 0.5])
 
 
-def _as_dense_map(free_values: np.ndarray, layout: BuildingLayout) -> RadioMap:
-    vals = np.full(layout.cells.shape, P_MIN_DBM, dtype=np.float64)
-    vals[layout.cells == 0] = free_values
-    return RadioMap(vals)
+def _as_dense_maps(free_values: np.ndarray, layout: BuildingLayout) -> list[RadioMap]:
+    free = layout.cells == 0
+    maps = []
+    for row in np.atleast_2d(free_values):
+        vals = np.full(layout.cells.shape, P_MIN_DBM, dtype=np.float64)
+        vals[free] = row
+        maps.append(RadioMap(vals))
+    return maps
 
 
 def idw_reconstruct(sample_set: SampleSet, layout: BuildingLayout,
-                    power: float = 2.0) -> RadioMap:
-    """Dense dBm map by inverse distance weighting of the samples."""
+                    power: float = 2.0) -> list[RadioMap]:
+    """Dense dBm maps by inverse distance weighting, one per value row."""
     field = idw_predict(sample_set.positions, sample_set.values,
                         _free_cell_centers(layout), power)
-    return _as_dense_map(field, layout)
+    return _as_dense_maps(field, layout)
 
 
 def kriging_reconstruct(sample_set: SampleSet, layout: BuildingLayout,
-                        variogram: VariogramParams | None = None) -> RadioMap:
-    """Dense dBm map by ordinary kriging; raises on a singular system."""
+                        variogram: VariogramParams | None = None) -> list[RadioMap]:
+    """Dense dBm maps by ordinary kriging, one per value row; raises on a
+    singular system."""
     field = kriging_predict(sample_set.positions, sample_set.values,
                             _free_cell_centers(layout), variogram)
-    return _as_dense_map(field, layout)
+    return _as_dense_maps(field, layout)
 
 
 def proxy_local_map(dense: RadioMap, delta_db: float = 9.0,

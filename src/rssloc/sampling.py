@@ -47,21 +47,27 @@ class Route:
 
 @dataclass
 class SampleSet:
-    """Sparse measurements {(S_j, rss_j)}; exact duplicate positions merged."""
+    """Sparse measurements {(S_j, rss_j)}; exact duplicate positions merged.
+
+    values may also stack S value rows on the same J positions, one per
+    scenario measured along the same route; len() is J either way.
+    """
 
     positions: np.ndarray    # (J, 2) float, (x, y) meters
-    values: np.ndarray       # (J,) dBm
+    values: np.ndarray       # (J,) or (S, J) dBm
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=np.float64).reshape(-1, 2)
-        self.values = np.asarray(self.values, dtype=np.float64).ravel()
-        if len(self.positions) != len(self.values):
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.values.ndim != 2:
+            self.values = self.values.ravel()
+        if len(self.positions) != self.values.shape[-1]:
             raise ValueError("positions and values must have equal length")
-        if len(self.values) < 1:
+        if len(self.positions) < 1:
             raise ValueError("a sample set needs at least one sample")
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.positions)
 
 
 def _trace_ring(ring: np.ndarray, start: tuple[int, int]) -> list[tuple[int, int]]:
@@ -234,13 +240,20 @@ def sample_along(route: Route, global_map: RadioMap, interval_s: float,
     return SampleSet(positions=positions, values=values)
 
 
-def add_noise(sample_set: SampleSet, sigma: float, seed: int) -> SampleSet:
-    """Independent zero-mean Gaussian perturbation per sample, values only."""
+def add_noise(sample_set: SampleSet, sigma: float, seed: int,
+              stream: str = "") -> SampleSet:
+    """Independent zero-mean Gaussian perturbation per sample, values only.
+
+    A non-empty stream (the pipeline passes scenario id and interval) draws
+    from its own stream of the seed.
+    """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     values = sample_set.values.copy()
     if sigma > 0:
-        rng = np.random.default_rng(np.random.SeedSequence(
-            [int(seed) & 0xFFFFFFFFFFFFFFFF, _EXTRA_TAG]))
-        values += rng.normal(0.0, sigma, size=len(sample_set))
+        entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF, _EXTRA_TAG]
+        if stream:
+            entropy.append(int.from_bytes(stream.encode(), "little"))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy))
+        values += rng.normal(0.0, sigma, size=values.shape)
     return SampleSet(positions=sample_set.positions.copy(), values=values)

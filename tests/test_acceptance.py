@@ -134,7 +134,7 @@ def kriging_workbench():
         sc = generate_scenario(200, 200, 6, 3, seed=600000 + k)
         g = rasterize_global(sc, PARAMS)
         route = build_routes(sc.layout)
-        rec2 = kriging_reconstruct(sample_along(route, g, 2), sc.layout)
+        rec2, = kriging_reconstruct(sample_along(route, g, 2), sc.layout)
         bench.append((sc, g, route, rec2))
     return bench
 
@@ -146,7 +146,7 @@ def test_a6_sampling_density_trend(kriging_workbench):
         rmses = []
         for sc, g, route, rec2 in kriging_workbench:
             rec = rec2 if interval == 2 else kriging_reconstruct(
-                sample_along(route, g, interval), sc.layout)
+                sample_along(route, g, interval), sc.layout)[0]
             free = sc.layout.cells == 0
             rmses.append(float(np.sqrt(np.mean(
                 (rec.values[free] - g.values[free]) ** 2))))
@@ -168,7 +168,7 @@ def test_a7_noise_trend(kriging_workbench):
             rec = rec2
             if sigma > 0:
                 ss = add_noise(sample_along(route, g, 2), sigma, seed=700000 + k)
-                rec = kriging_reconstruct(ss, sc.layout)
+                rec, = kriging_reconstruct(ss, sc.layout)
             local = proxy_local_map(rec, 9.0, r=2.0)
             sep = separate_sources(local, r=2.0)
             preds = localize_all(sep, "com")

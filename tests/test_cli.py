@@ -282,13 +282,19 @@ class TestPipeline:
         _, _, out = dataset
         processed = []
         monkeypatch.setattr(pipeline, "process_entry",
-                            lambda *args: processed.append(args))
+                            lambda *args: processed.append(args) or [])
         run = tmp_path / "run"
         code = cli.main(["pipeline", "--dataset", str(out), "--out", str(run),
                          "--reconstructor", "oracle", "--intervals", value])
         assert code == 1
         assert processed == [] and not run.exists()
         assert capsys.readouterr().err.splitlines() == [message]
+        # the stub stands where the work is done: a good interval reaches it,
+        # once per layout group
+        cli.main(["pipeline", "--dataset", str(out), "--out", str(run),
+                  "--reconstructor", "oracle", "--intervals", "4"])
+        layouts = {entry["layout"] for entry in read_dataset_index(out)["entries"]}
+        assert len(processed) == len(layouts)
 
     @pytest.mark.parametrize("broken,text", [("scenario", '{"sources": ['),
                                              ("scenario", "{}"), ("layout", None)],

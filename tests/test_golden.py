@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from rssloc import reconstruct
 from rssloc.dataset_io import DatasetConfig, generate_dataset
 from rssloc.pipeline import PipelineConfig, run_pipeline
 from rssloc.propagation import (PropagationParams, ground_truth_local,
@@ -227,6 +228,24 @@ def test_pipeline_files_match_golden_digests(golden_dataset, reconstructor, tmp_
     run_pipeline(golden_dataset, PipelineConfig(reconstructor=reconstructor),
                  out_dir=tmp_path)
     assert _digests(tmp_path) == PIPELINE_DIGESTS[reconstructor]
+
+
+def test_kriging_matrix_built_once_per_layout_and_interval(golden_dataset, tmp_path,
+                                                          monkeypatch):
+    # the scenarios of a layout drive one route, so at each interval they
+    # share one sample geometry and one kriging matrix
+    calls = []
+    original = reconstruct._kriging_matrix
+
+    def counting(positions, variogram):
+        calls.append(len(positions))
+        return original(positions, variogram)
+
+    monkeypatch.setattr(reconstruct, "_kriging_matrix", counting)
+    run_pipeline(golden_dataset, PipelineConfig(reconstructor="kriging"),
+                 out_dir=tmp_path)
+    assert len(calls) == CONFIG["n_layouts"] * len(CONFIG["intervals"])
+    assert _digests(tmp_path) == PIPELINE_DIGESTS["kriging"]
 
 
 def test_dense_generated_files_match_golden_digests(tmp_path):

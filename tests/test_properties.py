@@ -2,8 +2,9 @@
 the invariants of the evaluation metrics, the assignment solver against
 scipy's, the run-based labeling, its bounding boxes and the 3x3 dilation
 against scipy.ndimage, route bridges against the loop oracle, the rectangle
-cover of building cells, and augmentation equivariance of separation and
-localization."""
+cover of building cells, augmentation equivariance of separation and
+localization, and stacked kriging and IDW predictions against one call per
+value row."""
 
 import math
 
@@ -24,6 +25,8 @@ from rssloc.dataset_io import (predictions_from_csv, predictions_to_csv,
                                samples_from_csv, samples_to_csv)
 from rssloc.metrics import _cost_matrix, _lsap
 from rssloc.propagation import building_rectangles
+from rssloc.reconstruct import (_PAIRS_PER_BLOCK, VariogramParams, idw_predict,
+                                kriging_predict)
 from rssloc.sampling import RouteError, _bfs_path
 from rssloc.scenario import dilate, label
 
@@ -319,3 +322,42 @@ def test_augmentation_equivariance(bitmap, connectivity):
         dist = np.linalg.norm(got[:, None] - expected[None], axis=2)
         rows, cols = linear_sum_assignment(dist)
         assert (dist[rows, cols] <= 1e-9).all()
+
+
+@st.composite
+def stacked_problems(draw):
+    """S value rows on J distinct positions, and queries that span one to three
+    evaluation blocks plus part of one, some of them exactly on samples."""
+    j = draw(st.integers(2, 700))
+    s = draw(st.integers(1, 4))
+    rows = _PAIRS_PER_BLOCK // j
+    n_query = draw(st.integers(0, 2)) * rows + draw(st.integers(1, rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    extent = rng.uniform(20.0, 200.0)
+    positions = rng.random((j, 2)) * extent
+    values = rng.uniform(-100.0, -30.0, (s, j))
+    query = rng.random((n_query, 2)) * extent
+    on_sample = rng.choice(n_query, size=min(j, n_query, 20), replace=False)
+    query[on_sample] = positions[:len(on_sample)]
+    return positions, values, query
+
+
+@FEW
+@given(stacked_problems(), st.sampled_from([0.0, 0.5, 3.0]))
+def test_stacked_kriging_equals_single_calls(problem, nugget):
+    positions, values, query = problem
+    vg = VariogramParams(nugget=nugget)
+    stacked = kriging_predict(positions, values, query, vg)
+    assert stacked.shape == (len(values), len(query))
+    for row, got in zip(values, stacked):
+        assert np.array_equal(got, kriging_predict(positions, row.copy(), query, vg))
+
+
+@FEW
+@given(stacked_problems(), st.sampled_from([1.0, 2.0, 3.0]))
+def test_stacked_idw_equals_single_calls(problem, power):
+    positions, values, query = problem
+    stacked = idw_predict(positions, values, query, power)
+    assert stacked.shape == (len(values), len(query))
+    for row, got in zip(values, stacked):
+        assert np.array_equal(got, idw_predict(positions, row.copy(), query, power))

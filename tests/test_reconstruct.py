@@ -30,7 +30,7 @@ class TestIdw:
 
     def test_single_sample_constant_field(self, flat_layout):
         ss = sample_set([(20.3, 20.7)], [-55.0])
-        rec = idw_reconstruct(ss, flat_layout)
+        rec, = idw_reconstruct(ss, flat_layout)
         free = flat_layout.cells == 0
         assert np.allclose(rec.values[free], -55.0)
 
@@ -43,7 +43,7 @@ class TestIdw:
     def test_respects_data_range(self, flat_layout):
         rng = np.random.default_rng(41)
         ss = sample_set(rng.random((20, 2)) * 60, rng.uniform(-90, -30, 20))
-        rec = idw_reconstruct(ss, flat_layout)
+        rec, = idw_reconstruct(ss, flat_layout)
         free = flat_layout.cells == 0
         assert rec.values[free].min() >= ss.values.min() - 1e-9
         assert rec.values[free].max() <= ss.values.max() + 1e-9
@@ -192,13 +192,16 @@ def test_reconstruct_predicts_free_cells_only(reconstruct, predict):
     cells[5:12, 8:20] = 1
     cells[20:28, 25:31] = 1
     layout = BuildingLayout(cells)
-    ss = sample_set(rng.random((60, 2)) * (40, 30), rng.uniform(-90, -30, 60))
-    rec = reconstruct(ss, layout)
-    assert np.all(rec.values[cells != 0] == P_MIN_DBM)
+    # three scenarios on one route: one map per value row
+    ss = sample_set(rng.random((60, 2)) * (40, 30), rng.uniform(-90, -30, (3, 60)))
+    recs = reconstruct(ss, layout)
     free_centers = [(j + 0.5, i + 0.5) for i in range(30) for j in range(40)
                     if cells[i, j] == 0]
-    want = predict(ss.positions, ss.values, np.array(free_centers))
-    assert np.array_equal(rec.values[cells == 0], want)
+    assert len(recs) == 3
+    for rec, values in zip(recs, ss.values):
+        assert np.all(rec.values[cells != 0] == P_MIN_DBM)
+        want = predict(ss.positions, values, np.array(free_centers))
+        assert np.array_equal(rec.values[cells == 0], want)
 
 
 class TestPredictorInputs:
@@ -265,15 +268,20 @@ class TestRegistry:
         assert list(LOCAL_MAPS) == ["oracle", "idw", "kriging"]
 
     def test_interface_roundtrip(self, dataset):
-        # every constructor gives a local bitmap of the layout's shape
+        # every constructor gives each entry of a layout group a local bitmap
+        # of the layout's shape
         _, _, out = dataset
-        for entry in read_dataset_index(out)["entries"]:
-            scenario = load_scenario(out, entry)
+        entries = read_dataset_index(out)["entries"]
+        for layout in {entry["layout"] for entry in entries}:
+            group = [entry for entry in entries if entry["layout"] == layout]
+            scenarios = [load_scenario(out, entry) for entry in group]
             for name, local_map in LOCAL_MAPS.items():
                 config = PipelineConfig(reconstructor=name)
-                rec = local_map(out, entry, "4", scenario, config)
-                assert rec.values.shape == scenario.layout.cells.shape
-                assert rec.values.dtype == np.uint8
+                recs = local_map(out, group, "4", scenarios, config)
+                assert len(recs) == len(group)
+                for rec, scenario in zip(recs, scenarios):
+                    assert rec.values.shape == scenario.layout.cells.shape
+                    assert rec.values.dtype == np.uint8
 
 
 def test_reconstruction_rmse_improves_with_density(params):
@@ -286,6 +294,6 @@ def test_reconstruction_rmse_improves_with_density(params):
     for n in (400, 50):
         pos = rng.random((n, 2)) * 64
         vals = np.array([g.values[int(y), int(x)] for x, y in pos])
-        rec = kriging_reconstruct(sample_set(pos, vals), sc.layout)
+        rec, = kriging_reconstruct(sample_set(pos, vals), sc.layout)
         rmses.append(float(np.sqrt(np.mean((rec.values[free] - g.values[free]) ** 2))))
     assert rmses[0] < rmses[1]
