@@ -393,7 +393,8 @@ _ENTRY_KEYS = ("id", "split", "layout", "scenario", "local_map", "samples")
 
 def read_dataset_index(dataset_dir) -> dict:
     """The dataset's index.json; ValueError naming the file when it is not JSON
-    or not an object whose "entries" list holds each entry's keys, samples by number."""
+    or not an object whose "entries" list holds each entry's keys, samples an
+    object keyed by number."""
     index_path = Path(dataset_dir) / "index.json"
     if not index_path.is_file():
         raise FileNotFoundError(f"no index.json in {dataset_dir}")
@@ -409,6 +410,9 @@ def read_dataset_index(dataset_dir) -> dict:
                    if not isinstance(entry, dict) or key not in entry]
         if missing:
             raise ValueError(f"{index_path}: entry {k} has no {', '.join(missing)}")
+        if not isinstance(entry["samples"], dict):
+            raise ValueError(f"{index_path}: entry {k} has samples that are not "
+                             "an object of interval keys")
         try:
             [float(key) for key in entry["samples"]]
         except (TypeError, ValueError):

@@ -77,18 +77,14 @@ ESTIMATORS = {
 }
 
 
-def localize_all(result: SeparationResult, estimator) -> PredictionSet:
-    """Run an estimator over every separated component, merged ones included.
+def localize_all(result: SeparationResult, estimator: str) -> PredictionSet:
+    """Run the named ESTIMATORS entry over every separated component, merged
+    ones included.
 
     Merged components still contribute one estimate each; their flag rides
     along so reports can attribute the resulting miss.
     """
-    if isinstance(estimator, str):
-        estimator = ESTIMATORS[estimator]
-    points = []
-    ids = []
-    for comp, single in zip(result.labeling.components, result.single_source_maps):
-        points.append(estimator(single))
-        ids.append(comp.id)
-    return PredictionSet(points=points, component_ids=ids,
+    estimate = ESTIMATORS[estimator]
+    return PredictionSet(points=[estimate(single) for single in result.single_source_maps],
+                         component_ids=[comp.id for comp in result.labeling.components],
                          flags=list(result.merged_flags))

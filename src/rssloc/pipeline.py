@@ -84,7 +84,8 @@ class PipelineConfig:
             seen = set()
             for interval in self.intervals:
                 try:
-                    value = float(interval)
+                    # bool is a number to Python, but True is no interval
+                    value = math.nan if isinstance(interval, bool) else float(interval)
                 except (TypeError, ValueError):
                     value = math.nan
                 if not 0 < value < math.inf:

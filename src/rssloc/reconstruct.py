@@ -76,27 +76,14 @@ def _squared_distance_blocks(positions: np.ndarray, query: np.ndarray):
         yield lo, d2
 
 
-def _as_samples(positions, values) -> tuple[np.ndarray, np.ndarray]:
-    """(J, 2) positions and values of shape (J,) or (S, J)."""
-    positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2:
-        values = values.ravel()
-    if len(positions) != values.shape[-1]:
-        raise ValueError(f"{len(positions)} sample positions but "
-                         f"{values.shape[-1]} values")
-    return positions, values
-
-
 def idw_predict(positions: np.ndarray, values: np.ndarray, query: np.ndarray,
                 power: float = 2.0) -> np.ndarray:
     """Inverse-distance-weighted interpolation; exact at the sample positions.
 
     values (J,) give (Q,) predictions, values (S, J) give (S, Q).
     """
-    positions, values = _as_samples(positions, values)
-    if len(positions) == 0:
-        raise ValueError("inverse distance weighting needs at least one sample")
+    samples = SampleSet(positions, values)
+    positions, values = samples.positions, samples.values
     query = np.atleast_2d(np.asarray(query, dtype=np.float64))
     rows = np.atleast_2d(values)
     out = np.empty((len(rows), len(query)))
@@ -160,9 +147,10 @@ def kriging_predict(positions: np.ndarray, values: np.ndarray, query: np.ndarray
     """
     variogram = variogram or VariogramParams()
     try:
-        positions, values = _as_samples(positions, values)
+        samples = SampleSet(positions, values)
     except ValueError as exc:
         raise ReconstructionError(str(exc)) from exc
+    positions, values = samples.positions, samples.values
     _check_samples(positions)
     k = _kriging_matrix(positions, variogram)
     nugget, sill = variogram.nugget, variogram.sill

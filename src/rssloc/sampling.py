@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .propagation import RadioMap
-from .scenario import BuildingLayout, dilate, label, label_by_bbox
+from .scenario import BuildingLayout, dilate, label_by_bbox
 
 # noise stream tags, mixed with the caller's seed
 _SAMPLE_TAG = 0x5A3C
@@ -47,7 +47,10 @@ class Route:
 
 @dataclass
 class SampleSet:
-    """Sparse measurements {(S_j, rss_j)}; exact duplicate positions merged.
+    """Sparse measurements {(S_j, rss_j)}, at least one.
+
+    Positions may repeat here; sample_along merges exact duplicates by the
+    mean of their values, and kriging rejects them.
 
     values may also stack S value rows on the same J positions, one per
     scenario measured along the same route; len() is J either way.
@@ -62,7 +65,8 @@ class SampleSet:
         if self.values.ndim != 2:
             self.values = self.values.ravel()
         if len(self.positions) != self.values.shape[-1]:
-            raise ValueError("positions and values must have equal length")
+            raise ValueError(f"{len(self.positions)} sample positions but "
+                             f"{self.values.shape[-1]} values")
         if len(self.positions) < 1:
             raise ValueError("a sample set needs at least one sample")
 
@@ -162,7 +166,7 @@ def build_routes(layout: BuildingLayout) -> Route:
     else:
         # regions in (bbox top, left) order, as components are labeled
         region_labels, regions = label_by_bbox(occ, 8)
-        free_labels, _ = label(free, 8)
+        free_labels, _ = label_by_bbox(free, 8)
         border = np.concatenate([free_labels[0, :], free_labels[-1, :],
                                  free_labels[:, 0], free_labels[:, -1]])
         # no np.unique: it loads numpy.ma, about 10 ms a command

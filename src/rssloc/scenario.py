@@ -75,13 +75,16 @@ def _run_components(first: np.ndarray, end: np.ndarray, w: int,
     return np.cumsum(roots)[parent], np.flatnonzero(roots)
 
 
-def _labeled_runs(mask: np.ndarray, connectivity: int):
-    """The runs of mask (_runs), their component labels 1..n in raster order
-    and the components' bounding boxes as an (n, 4) array of top, left and
-    one-past bottom and right."""
-    w = mask.shape[1]
+def label_by_bbox(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, list]:
+    """The connected components of mask's nonzero cells at 4- or
+    8-connectivity: an int32 grid of labels, 0 for background and 1..n in
+    order of the (top, left) corner of each component's bounding box, ties
+    kept in raster order of the components' first pixels, and each
+    component's bounding-box (rows, cols) slices in label order."""
+    h, w = mask.shape
     first, end = _runs(mask)
     labels, heads = _run_components(first, end, w, connectivity)
+    # boxes in raster label order: top, left, one-past bottom and right
     rows = first // (w + 1)
     boxes = np.zeros((len(heads), 4), dtype=np.intp)
     boxes[:, 0] = rows[heads]
@@ -89,41 +92,14 @@ def _labeled_runs(mask: np.ndarray, connectivity: int):
     np.minimum.at(boxes[:, 1], labels - 1, first - rows * (w + 1))
     np.maximum.at(boxes[:, 2], labels - 1, rows + 1)
     np.maximum.at(boxes[:, 3], labels - 1, end - rows * (w + 1))
-    return first, end, labels, boxes
-
-
-def _paint(shape, first: np.ndarray, end: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """The int32 grid of the given shape that holds each run's label on its
-    cells (_runs) and 0 elsewhere."""
-    h, w = shape
-    grid = np.zeros(h * w, dtype=np.int32)
-    # the widened layout puts row i's cells i places later than the grid
-    grid[_ranges(first - first // (w + 1), end - first)] = np.repeat(labels, end - first)
-    return grid.reshape(h, w)
-
-
-def _slices(boxes: np.ndarray) -> list[tuple[slice, slice]]:
-    return [(slice(top, bottom), slice(left, right))
-            for top, left, bottom, right in boxes.tolist()]
-
-
-def label(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, list]:
-    """The connected components of mask's nonzero cells at 4- or
-    8-connectivity: an int32 grid of labels, 0 for background and 1..n in
-    raster order of each component's first pixel, and each component's
-    bounding-box (rows, cols) slices in label order."""
-    first, end, labels, boxes = _labeled_runs(mask, connectivity)
-    return _paint(mask.shape, first, end, labels), _slices(boxes)
-
-
-def label_by_bbox(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, list]:
-    """label(mask, connectivity), renumbered 1..n by the (top, left) corner
-    of each component's bounding box, ties kept in raster order."""
-    first, end, labels, boxes = _labeled_runs(mask, connectivity)
     order = np.lexsort((boxes[:, 1], boxes[:, 0]))
     rank = np.zeros(len(order) + 1, dtype=np.int32)
     rank[order + 1] = np.arange(1, len(order) + 1)
-    return _paint(mask.shape, first, end, rank[labels]), _slices(boxes[order])
+    grid = np.zeros(h * w, dtype=np.int32)
+    # the widened layout puts row i's cells i places later than the grid
+    grid[_ranges(first - rows, end - first)] = np.repeat(rank[labels], end - first)
+    return grid.reshape(h, w), [(slice(top, bottom), slice(left, right))
+                                for top, left, bottom, right in boxes[order].tolist()]
 
 
 def dilate(mask: np.ndarray) -> np.ndarray:

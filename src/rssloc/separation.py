@@ -67,15 +67,11 @@ def connected_components(binary, connectivity: int = DEFAULT_CONNECTIVITY) -> La
     return Labeling(labels=labels, components=components)
 
 
-def extract_single_source_maps(i_ms, labeling: Labeling) -> SeparationResult:
+def extract_single_source_maps(i_ms, labeling: Labeling) -> list[RadioMap]:
     """Mask the multi-source map down to one map per connected component."""
     vals = _grid(i_ms)
-    maps = []
-    for comp in labeling.components:
-        single = np.where(labeling.labels == comp.id, vals, 0).astype(vals.dtype)
-        maps.append(RadioMap(single))
-    return SeparationResult(single_source_maps=maps, labeling=labeling,
-                            merged_flags=[False] * len(maps))
+    return [RadioMap(np.where(labeling.labels == comp.id, vals, 0).astype(vals.dtype))
+            for comp in labeling.components]
 
 
 def flag_merged(labeling: Labeling, r: float,
@@ -93,6 +89,6 @@ def separate_sources(i_ms, gamma: int = DEFAULT_GAMMA,
                      area_factor: float = DEFAULT_AREA_FACTOR) -> SeparationResult:
     """Full separation pass: binarize, label, extract, flag merged components."""
     labeling = connected_components(binarize(i_ms, gamma), connectivity)
-    result = extract_single_source_maps(i_ms, labeling)
-    result.merged_flags = flag_merged(labeling, r, area_factor)
-    return result
+    return SeparationResult(single_source_maps=extract_single_source_maps(i_ms, labeling),
+                            labeling=labeling,
+                            merged_flags=flag_merged(labeling, r, area_factor))

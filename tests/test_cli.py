@@ -572,8 +572,14 @@ class TestRender:
     ('{"entries": [{"id": "x", "split": "test", "layout": "l", "scenario": "s",'
      ' "local_map": "m", "samples": {"1": "a.csv", "abc": "b.csv"}}]}',
      "entry 0 has a samples key that is not a number"),
+    ('{"entries": [{"id": "x", "split": "test", "layout": "l", "scenario": "s",'
+     ' "local_map": "m", "samples": ["1", "4"]}]}',
+     "entry 0 has samples that are not an object of interval keys"),
+    ('{"entries": [{"id": "x", "split": "test", "layout": "l", "scenario": "s",'
+     ' "local_map": "m", "samples": "14"}]}',
+     "entry 0 has samples that are not an object of interval keys"),
 ], ids=["not-json", "not-an-object", "entry-keys-missing",
-        "samples-key-not-a-number"])
+        "samples-key-not-a-number", "samples-a-list", "samples-a-string"])
 def test_malformed_index_is_data_error(tmp_path, capsys, command, text, message):
     dataset = tmp_path / "ds"
     dataset.mkdir()

@@ -41,6 +41,7 @@ class TestPipelineConfig:
         ("intervals", ("nan",), "intervals must be finite numbers > 0, not 'nan'"),
         ("intervals", ("inf",), "intervals must be finite numbers > 0, not 'inf'"),
         ("intervals", (None,), "intervals must be finite numbers > 0, not None"),
+        ("intervals", (True,), "intervals must be finite numbers > 0, not True"),
         ("intervals", ("4", "4"), "interval '4' repeats"),
         ("intervals", ("1", "4", "1.0"), "interval '1.0' repeats"),
     ])

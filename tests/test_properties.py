@@ -28,7 +28,7 @@ from rssloc.propagation import building_rectangles
 from rssloc.reconstruct import (_PAIRS_PER_BLOCK, VariogramParams, idw_predict,
                                 kriging_predict)
 from rssloc.sampling import RouteError, _bfs_path
-from rssloc.scenario import dilate, label
+from rssloc.scenario import dilate, label_by_bbox
 
 # small example counts keep the whole suite near a minute
 FEW = settings(max_examples=40, deadline=None)
@@ -253,12 +253,19 @@ def _serpentine(n):
 
 
 def _assert_label_matches_ndimage(mask, connectivity):
-    labels, boxes = label(mask, connectivity)
-    expected, n = ndimage.label(mask, structure=STRUCTURES[connectivity])
+    # ndimage numbers components in raster order; label_by_bbox renumbers
+    # them by the (top, left) corner of their boxes, ties in raster order
+    labels, boxes = label_by_bbox(mask, connectivity)
+    raster, n = ndimage.label(mask, structure=STRUCTURES[connectivity])
+    raster_boxes = ndimage.find_objects(raster) if mask.size else []
+    order = sorted(range(n), key=lambda k: (raster_boxes[k][0].start,
+                                            raster_boxes[k][1].start))
+    rank = np.zeros(n + 1, dtype=raster.dtype)
+    rank[np.array(order, dtype=np.intp) + 1] = np.arange(1, n + 1)
+    expected = rank[raster]
     assert labels.dtype == expected.dtype
     assert np.array_equal(labels, expected)
-    assert len(boxes) == n
-    assert boxes == (ndimage.find_objects(expected) if mask.size else [])
+    assert boxes == [raster_boxes[k] for k in order]
 
 
 @FEW

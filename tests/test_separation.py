@@ -101,10 +101,10 @@ class TestExtract:
             bm = (rng.random((32, 32)) < 0.35).astype(np.uint8) * \
                 rng.integers(128, 256, size=(32, 32)).astype(np.uint8)
             labeling = connected_components(binarize(bm))
-            result = extract_single_source_maps(bm, labeling)
+            maps = extract_single_source_maps(bm, labeling)
             total = np.zeros_like(bm)
             seen = np.zeros_like(bm, dtype=bool)
-            for single in result.single_source_maps:
+            for single in maps:
                 support = single.values > 0
                 assert not (seen & support).any()
                 seen |= support
@@ -117,9 +117,8 @@ class TestExtract:
         bm = np.zeros((12, 12), dtype=np.uint8)
         bm[4:7, 4:7] = 210
         labeling = connected_components(binarize(bm))
-        result = extract_single_source_maps(bm, labeling)
-        assert len(result.single_source_maps) == 1
-        assert np.array_equal(result.single_source_maps[0].values, bm)
+        [single] = extract_single_source_maps(bm, labeling)
+        assert np.array_equal(single.values, bm)
 
 
 class TestFlagMerged:
