@@ -24,7 +24,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from .scenario import (BuildingLayout, Source, Scenario, generate_layout,
                        place_sources, generate_scenario,
-                       LayoutError, PlacementError)
+                       GenerationError, LayoutError, PlacementError)
 from .propagation import (PropagationParams, RadioMap, P_MIN_DBM, P_MAX_DBM,
                           encode_bitmap, path_loss, aggregate_rss,
                           rasterize_global, ground_truth_local)
@@ -41,10 +41,9 @@ from .localize import (PredictionSet, ESTIMATORS, argmax_estimate,
 from .metrics import (Matching, ScenarioEval, EvalReport, optimal_assignment,
                       mle, far_mdr, ospa, evaluate_scenario, aggregate)
 from .dataset_io import (DatasetConfig, generate_dataset, read_dataset_index,
-                         load_scenario, augment, augment_grid, augment_points,
-                         AUGMENTATIONS, read_pgm, write_pgm,
-                         encode_pgm, decode_pgm, encode_lrmf, decode_lrmf,
-                         PgmError, LrmfError)
+                         load_scenario, augment_grid, augment_points,
+                         AUGMENTATIONS, read_pgm, encode_pgm, decode_pgm,
+                         encode_lrmf, decode_lrmf, PgmError, LrmfError)
 from .pipeline import LOCAL_MAPS, PipelineConfig, run_pipeline, process_entry
 
 __version__ = "0.1.0"

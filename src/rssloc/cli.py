@@ -17,6 +17,7 @@ from .dataset_io import DatasetConfig, predictions_from_csv
 from .localize import ESTIMATORS
 from .metrics import DEFAULT_OSPA_CUTOFF, aggregate, evaluate_scenario
 from .pipeline import LOCAL_MAPS, PipelineConfig, PipelineConfigError
+from .scenario import GenerationError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,21 +90,15 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_generate(args) -> int:
     config_path = Path(args.config)
     if not config_path.is_file():
-        print(f"config file not found: {config_path}", file=sys.stderr)
-        return EXIT_DATA
+        raise FileNotFoundError(f"config file not found: {config_path}")
     try:
         doc = json.loads(config_path.read_text())
         if args.seed is not None:
             doc["seed"] = args.seed
         config = DatasetConfig.from_dict(doc)
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
-        print(f"bad config: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    try:
-        index = dataset_io.generate_dataset(config, args.out)
-    except Exception as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_DATA
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad config: {exc}") from None
+    index = dataset_io.generate_dataset(config, args.out)
     print(f"wrote {len(index['entries'])} scenarios to {args.out}")
     return EXIT_OK
 
@@ -116,56 +111,37 @@ def cmd_pipeline(args) -> int:
         text = given["intervals"]
         given["intervals"] = (tuple(part.strip() for part in text.split(","))
                               if text else None)
-    try:
-        config = PipelineConfig(**given)
-    except PipelineConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        report = pipeline.run_pipeline(args.dataset, config, out_dir=args.out)
-    except (FileNotFoundError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_DATA
+    report = pipeline.run_pipeline(args.dataset, PipelineConfig(**given),
+                                   out_dir=args.out)
     print(pipeline.format_report_table(report))
-    if report["errors"]:
-        for err in report["errors"]:
-            print(f"failed: {err['id']} interval {err['interval']}: {err['error']}",
-                  file=sys.stderr)
-        return EXIT_PARTIAL
-    return EXIT_OK
+    for err in report["errors"]:
+        print(f"failed: {err['id']} interval {err['interval']}: {err['error']}",
+              file=sys.stderr)
+    return EXIT_PARTIAL if report["errors"] else EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     if not args.g > 0:
-        print("g must be positive", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        index = dataset_io.read_dataset_index(args.dataset)
-    except (FileNotFoundError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_DATA
+        raise PipelineConfigError("g must be positive")
+    index = dataset_io.read_dataset_index(args.dataset)
     pred_dir = Path(args.predictions)
     if not pred_dir.is_dir():
-        print(f"predictions directory not found: {pred_dir}", file=sys.stderr)
-        return EXIT_DATA
+        raise FileNotFoundError(f"predictions directory not found: {pred_dir}")
     rows, evals = [], []
     for entry in sorted(index["entries"], key=lambda e: e["id"]):
-        csv_paths = sorted(pred_dir.glob(f"{entry['id']}_*.csv"))
-        try:
-            truths = dataset_io.load_scenario(args.dataset, entry).true_points()
-            predictions = [dataset_io.parse_file(path, predictions_from_csv)[1]
-                           for path in csv_paths]
-        except (OSError, ValueError) as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_DATA
-        for csv_path, points in zip(csv_paths, predictions):
-            interval = csv_path.stem[len(entry["id"]) + 1:]
-            ev = evaluate_scenario(points, truths, args.g)
-            evals.append(ev)
-            rows.append({"id": entry["id"], "interval": interval, **ev.as_dict()})
+        truths = dataset_io.load_scenario(args.dataset, entry).true_points()
+        # the files the pipeline writes for the entry's intervals, by file name
+        for name, interval in sorted((f"{entry['id']}_{key}.csv", key)
+                                     for key in entry["samples"]):
+            if (pred_dir / name).is_file():
+                _, points, _ = dataset_io.parse_file(pred_dir / name,
+                                                     predictions_from_csv)
+                ev = evaluate_scenario(points, truths, args.g)
+                evals.append(ev)
+                rows.append({"id": entry["id"], "interval": interval,
+                             **ev.as_dict()})
     if not rows:
-        print("no prediction files matched the dataset", file=sys.stderr)
-        return EXIT_DATA
+        raise FileNotFoundError("no prediction files matched the dataset")
     report = {"results": rows, "aggregate": aggregate(evals).as_dict()}
     text = dataset_io.dumps_json(report)
     if args.out:
@@ -176,29 +152,34 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_render(args) -> int:
-    try:
-        bitmap = dataset_io.read_pgm(args.map)
-        layout = dataset_io.read_pgm(args.layout)
-        truths, preds = [], []
-        if args.scenario:
-            # the pair of files a dataset entry names
-            entry = {"layout": args.layout, "scenario": args.scenario}
-            truths = dataset_io.load_scenario("", entry).true_points()
-        if args.pred:
-            _, preds, _ = dataset_io.parse_file(args.pred, predictions_from_csv)
-        rgb = render.render_map(bitmap, layout, truths, preds)
-    except (OSError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_DATA
+    bitmap = dataset_io.read_pgm(args.map)
+    layout = dataset_io.read_pgm(args.layout)
+    truths, preds = [], []
+    if args.scenario:
+        # the pair of files a dataset entry names
+        entry = {"layout": args.layout, "scenario": args.scenario}
+        truths = dataset_io.load_scenario("", entry).true_points()
+    if args.pred:
+        _, preds, _ = dataset_io.parse_file(args.pred, predictions_from_csv)
+    rgb = render.render_map(bitmap, layout, truths, preds)
     Path(args.out).write_bytes(render.encode_ppm(rgb))
     return EXIT_OK
 
 
 def main(argv=None) -> int:
+    """Run one command: the one place where an error becomes an exit code, its
+    message one stderr line. Exception types not caught here are bugs."""
     args = build_parser().parse_args(argv)
     handler = {"generate": cmd_generate, "pipeline": cmd_pipeline,
                "evaluate": cmd_evaluate, "render": cmd_render}[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except PipelineConfigError as exc:    # a ValueError, so caught first
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
+    except (OSError, ValueError, GenerationError) as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -19,8 +19,8 @@ import numpy as np
 
 from .propagation import PropagationParams, ground_truth_local, rasterize_global
 from .sampling import SampleSet, build_routes, sample_along
-from .scenario import BuildingLayout, Scenario, Source, check_placement, \
-    generate_layout, place_sources
+from .scenario import BuildingLayout, GenerationError, Scenario, Source, \
+    check_placement, generate_layout, place_sources
 
 
 class PgmError(ValueError):
@@ -84,10 +84,6 @@ def decode_pgm(data: bytes) -> np.ndarray:
         raise PgmError(f"raster at byte {pos + 1}: expected {width * height} bytes, "
                        f"found {len(raster)}")
     return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
-
-
-def write_pgm(path, grid: np.ndarray):
-    Path(path).write_bytes(encode_pgm(grid))
 
 
 def read_pgm(path) -> np.ndarray:
@@ -246,13 +242,18 @@ def augment_points(points, aug: str, width: int, height: int):
     return [move(x, y, width, height) for x, y in points]
 
 
-def augment(grid: np.ndarray, points, aug: str):
-    """Jointly transform a map grid and source coordinates."""
-    h, w = np.asarray(grid).shape
-    return augment_grid(grid, aug), augment_points(points, aug, w, h)
-
-
 # ---------------------------------------------------------- dataset generation
+
+_SPLITS = ("train", "val", "test")
+
+
+def _check(name: str, value, kind, noun: str, holds=lambda value: True):
+    """ValueError "<name> must be <noun>" unless value is a kind instance
+    for which holds is true. bool is a number to Python, but True is no
+    size, count or seed, and as an interval would name a samples/True/."""
+    if isinstance(value, bool) or not isinstance(value, kind) or not holds(value):
+        raise ValueError(f"{name} must be {noun}, not {value!r}")
+
 
 @dataclass
 class DatasetConfig:
@@ -273,24 +274,31 @@ class DatasetConfig:
     split: dict = field(default_factory=lambda: {"train": 1, "val": 0, "test": 1})
 
     def __post_init__(self):
-        self.source_counts = tuple(int(m) for m in self.source_counts)
-        self.intervals = tuple(self.intervals)
+        for name in ("width", "height", "n_layouts", "n_buildings",
+                     "placements_per_count", "seed"):
+            _check(name, getattr(self, name), numbers.Integral, "an integer")
+        _check("min_spacing", self.min_spacing, numbers.Real, "a number")
+        _check("r", self.r, numbers.Real, "positive", lambda r: r > 0)
+        _check("speed", self.speed, numbers.Real, "positive", lambda v: v > 0)
+        _check("noise_sigma", self.noise_sigma, numbers.Real, ">= 0", lambda s: s >= 0)
+        for name in ("clear_radius", "dense_pair_spacing"):
+            if getattr(self, name) is not None:
+                _check(name, getattr(self, name), numbers.Real, "a number or null")
+        if not isinstance(self.split, dict) or not set(self.split) <= set(_SPLITS):
+            raise ValueError("split must be an object of layout counts keyed by "
+                             f"{', '.join(_SPLITS)}, not {self.split!r}")
+        for name, count in self.split.items():
+            _check(f"split {name}", count, numbers.Integral, "an integer >= 0",
+                   lambda n: n >= 0)
         if sum(self.split.values()) != self.n_layouts:
             raise ValueError("split layout counts must sum to n_layouts")
-        if not self.r > 0:
-            raise ValueError("r must be positive")
-        if not self.speed > 0:
-            raise ValueError("speed must be positive")
-        if not self.noise_sigma >= 0:
-            raise ValueError("noise_sigma must be >= 0")
+        self.source_counts = tuple(int(m) for m in self.source_counts)
+        self.intervals = tuple(self.intervals)
         if not self.intervals:
             raise ValueError("intervals must not be empty")
         for interval in self.intervals:
-            # bool is a number to Python, but True would name a samples/True/
-            if isinstance(interval, bool) or not isinstance(interval, numbers.Real) \
-                    or not 0 < interval < math.inf:
-                raise ValueError(
-                    f"intervals must be positive finite numbers, not {interval!r}")
+            _check("intervals", interval, numbers.Real, "positive finite numbers",
+                   lambda t: 0 < t < math.inf)
         if len(set(self.intervals)) != len(self.intervals):
             raise ValueError("intervals must not repeat")
         for m in self.source_counts:
@@ -312,13 +320,6 @@ def _derived_seed(*parts) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
-def _layout_splits(config: DatasetConfig) -> list[str]:
-    out = []
-    for name in ("train", "val", "test"):
-        out.extend([name] * config.split.get(name, 0))
-    return out
-
-
 def generate_dataset(config: DatasetConfig, out_dir) -> dict:
     """Generate every scenario, map, and sample file, then write the tree.
 
@@ -326,7 +327,8 @@ def generate_dataset(config: DatasetConfig, out_dir) -> dict:
     partial dataset behind; the raised error names the failing scenario.
     """
     params = PropagationParams()
-    splits = _layout_splits(config)
+    # layout li's split: the train layouts first, then val, then test
+    splits = [name for name in _SPLITS for _ in range(config.split.get(name, 0))]
     files: list[tuple[str, bytes]] = []
     entries = []
     for li in range(config.n_layouts):
@@ -349,7 +351,7 @@ def generate_dataset(config: DatasetConfig, out_dir) -> dict:
                     local_map = ground_truth_local(scenario, params, config.r,
                                                    global_map=global_map)
                 except Exception as exc:
-                    raise RuntimeError(f"scenario {sid} failed: {exc}") from exc
+                    raise GenerationError(f"scenario {sid} failed: {exc}") from exc
                 sampling_meta = {"intervals": list(config.intervals),
                                  "speed": config.speed,
                                  "noise_sigma": config.noise_sigma,
@@ -393,8 +395,8 @@ _ENTRY_KEYS = ("id", "split", "layout", "scenario", "local_map", "samples")
 
 def read_dataset_index(dataset_dir) -> dict:
     """The dataset's index.json; ValueError naming the file when it is not JSON
-    or not an object whose "entries" list holds each entry's keys, samples an
-    object keyed by number."""
+    or not an object whose "entries" list holds each entry's keys, its id a
+    unique file name and samples an object keyed by number."""
     index_path = Path(dataset_dir) / "index.json"
     if not index_path.is_file():
         raise FileNotFoundError(f"no index.json in {dataset_dir}")
@@ -405,11 +407,21 @@ def read_dataset_index(dataset_dir) -> dict:
     entries = index.get("entries") if isinstance(index, dict) else None
     if not isinstance(entries, list):
         raise ValueError(f"{index_path}: expected an object with an entries list")
+    ids = set()
     for k, entry in enumerate(entries):
         missing = [key for key in _ENTRY_KEYS
                    if not isinstance(entry, dict) or key not in entry]
         if missing:
             raise ValueError(f"{index_path}: entry {k} has no {', '.join(missing)}")
+        # the id names the entry's prediction files, <id>_<interval>.csv
+        sid = entry["id"]
+        if not isinstance(sid, str) or sid in ("", ".", "..") or "/" in sid \
+                or "\\" in sid:
+            raise ValueError(f"{index_path}: entry {k} has id {sid!r}, "
+                             "which is not a file name")
+        if sid in ids:
+            raise ValueError(f"{index_path}: entry {k} repeats id {sid!r}")
+        ids.add(sid)
         if not isinstance(entry["samples"], dict):
             raise ValueError(f"{index_path}: entry {k} has samples that are not "
                              "an object of interval keys")

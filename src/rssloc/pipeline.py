@@ -291,6 +291,9 @@ def run_pipeline(dataset_dir, config: PipelineConfig,
     out_dir set, per-scenario prediction CSVs and the report JSON are written.
     """
     index = read_dataset_index(dataset_dir)
+    if out_dir is not None:
+        # an --out that cannot be a directory fails before any layout group runs
+        (Path(out_dir) / "predictions").mkdir(parents=True, exist_ok=True)
     groups = {}
     for entry in sorted(index["entries"], key=lambda e: e["id"]):
         groups.setdefault(entry["layout"], []).append(entry)
@@ -333,7 +336,6 @@ def run_pipeline(dataset_dir, config: PipelineConfig,
 
     if out_dir is not None:
         out = Path(out_dir)
-        (out / "predictions").mkdir(parents=True, exist_ok=True)
         for row in ok_rows:
             name = f"{row['id']}_{row['interval']}.csv"
             (out / "predictions" / name).write_text(row["predictions_csv"])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .propagation import RadioMap
-from .scenario import BuildingLayout, dilate, label_by_bbox
+from .scenario import BuildingLayout, GenerationError, dilate, label_by_bbox
 
 # noise stream tags, mixed with the caller's seed
 _SAMPLE_TAG = 0x5A3C
@@ -27,7 +27,7 @@ _CLOCKWISE = ((0, -1), (-1, -1), (-1, 0), (-1, 1),
               (0, 1), (1, 1), (1, 0), (1, -1))
 
 
-class RouteError(RuntimeError):
+class RouteError(GenerationError):
     """No valid measurement route exists for the layout."""
 
 

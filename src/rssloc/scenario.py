@@ -113,11 +113,15 @@ def dilate(mask: np.ndarray) -> np.ndarray:
     return rows[:-2] | rows[1:-1] | rows[2:]
 
 
-class LayoutError(RuntimeError):
+class GenerationError(RuntimeError):
+    """Generation could not satisfy its constraints for the config given."""
+
+
+class LayoutError(GenerationError):
     """Layout generation could not satisfy its constraints."""
 
 
-class PlacementError(RuntimeError):
+class PlacementError(GenerationError):
     """Rejection sampling ran out of attempts while placing sources."""
 
 

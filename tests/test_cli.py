@@ -41,7 +41,17 @@ class TestGenerate:
                                      {"intervals": [True, 2]},
                                      {"dense_pair_spacing": 3.0},
                                      {"source_counts": [2], "clear_radius": None,
-                                      "dense_pair_spacing": 3.0}])
+                                      "dense_pair_spacing": 3.0},
+                                     # a mistyped field, named before any work
+                                     {"width": "40"}, {"height": 40.0},
+                                     {"n_layouts": True}, {"n_buildings": "1"},
+                                     {"placements_per_count": 1.5}, {"seed": "7"},
+                                     {"speed": "1"}, {"noise_sigma": False},
+                                     {"min_spacing": None}, {"r": "2"},
+                                     {"clear_radius": "2"},
+                                     {"source_counts": [2], "dense_pair_spacing": "1"},
+                                     {"n_layouts": 2, "split": {"train": 1, "tset": 1}},
+                                     {"n_layouts": 2, "split": {"train": 3, "test": -1}}])
     def test_bad_config_value_before_rasterization(self, doc, tmp_path, capsys,
                                                    monkeypatch):
         rasterized = []
@@ -55,8 +65,28 @@ class TestGenerate:
                                    **doc}))
         out = tmp_path / "o"
         assert cli.main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("bad config: ")
+        # the message starts with the field the row gets wrong, its last key
+        assert capsys.readouterr().err.startswith(f"bad config: {list(doc)[-1]} ")
         assert rasterized == [] and not out.exists()
+
+    def test_failed_placement_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"width": 40, "height": 40, "n_layouts": 1,
+                                   "n_buildings": 1, "source_counts": [2],
+                                   "placements_per_count": 1, "min_spacing": 1000.0,
+                                   "split": {"train": 1, "val": 0, "test": 0}}))
+        out = tmp_path / "o"
+        assert cli.main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == \
+            ["scenario l00m02p00 failed: placed 1/2 sources after 10000 attempts"]
+        assert not out.exists()
+
+    def test_other_exception_is_a_bug_with_traceback(self, dataset, tmp_path,
+                                                     monkeypatch):
+        _, cfg, _ = dataset
+        monkeypatch.setattr(dataset_io, "generate_dataset", lambda *args: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            cli.main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o")])
 
     def test_seed_override_changes_bytes(self, dataset, tmp_path):
         _, cfg, out = dataset
@@ -132,8 +162,7 @@ class TestPipeline:
         index = read_dataset_index(out)
         first = index["entries"][0]
         src = read_pgm(out / first["local_map"])
-        from rssloc.dataset_io import write_pgm
-        write_pgm(ext / f"{first['id']}.pgm", src)
+        (ext / f"{first['id']}.pgm").write_bytes(encode_pgm(src))
         run = tmp_path / "run"
         code = cli.main(["pipeline", "--dataset", str(out), "--out", str(run),
                          "--local-map-dir", str(ext), "--intervals", "4"])
@@ -148,9 +177,8 @@ class TestPipeline:
         ext = tmp_path / "ext"
         ext.mkdir()
         index = read_dataset_index(out)
-        from rssloc.dataset_io import write_pgm
         for entry in index["entries"]:
-            write_pgm(ext / f"{entry['id']}.pgm", read_pgm(out / entry["local_map"]))
+            shutil.copy(out / entry["local_map"], ext / f"{entry['id']}.pgm")
         run_a = tmp_path / "a"
         run_b = tmp_path / "b"
         assert cli.main(["pipeline", "--dataset", str(out), "--out", str(run_a),
@@ -166,9 +194,9 @@ class TestPipeline:
         ext = tmp_path / "ext"
         ext.mkdir()
         index = read_dataset_index(out)
-        from rssloc.dataset_io import write_pgm
         for entry in index["entries"]:
-            write_pgm(ext / f"{entry['id']}.pgm", np.zeros((40, 80), dtype=np.uint8))
+            (ext / f"{entry['id']}.pgm").write_bytes(
+                encode_pgm(np.zeros((40, 80), dtype=np.uint8)))
         run = tmp_path / "run"
         code = cli.main(["pipeline", "--dataset", str(out), "--out", str(run),
                          "--local-map-dir", str(ext), "--intervals", "4"])
@@ -184,8 +212,8 @@ class TestPipeline:
         out = tmp_path / "ds"
         shutil.copytree(src, out)
         entry = read_dataset_index(out)["entries"][0]
-        from rssloc.dataset_io import write_pgm
-        write_pgm(out / entry["local_map"], np.zeros((80, 48), dtype=np.uint8))
+        (out / entry["local_map"]).write_bytes(
+            encode_pgm(np.zeros((80, 48), dtype=np.uint8)))
         run = tmp_path / "run"
         code = cli.main(["pipeline", "--dataset", str(out), "--out", str(run),
                          "--reconstructor", "oracle", "--intervals", "4"])
@@ -496,6 +524,26 @@ class TestEvaluate:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"{path}: ")
 
+    def test_reads_only_the_entrys_own_files(self, dataset, tmp_path):
+        # x_b_4.csv is x_b's file at interval 4, not x's at interval b_4
+        _, _, out = dataset
+        copy = tmp_path / "ds"
+        shutil.copytree(out, copy)
+        index = read_dataset_index(copy)
+        index["entries"][0]["id"], index["entries"][1]["id"] = "x", "x_b"
+        (copy / "index.json").write_text(json.dumps(index))
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        for entry in index["entries"][:2]:
+            (preds / f"{entry['id']}_4.csv").write_text(
+                predictions_to_csv([1], [(1.0, 1.0)], [False]))
+        report_path = tmp_path / "eval.json"
+        assert cli.main(["evaluate", "--dataset", str(copy), "--predictions",
+                         str(preds), "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert [(row["id"], row["interval"]) for row in report["results"]] == \
+            [("x", "4"), ("x_b", "4")]
+
     def test_empty_predictions_dir(self, dataset, tmp_path):
         _, _, out = dataset
         empty = tmp_path / "empty"
@@ -521,8 +569,8 @@ class TestRender:
         _, _, out = dataset
         index = read_dataset_index(out)
         entry = index["entries"][0]
-        from rssloc.dataset_io import write_pgm
-        write_pgm(tmp_path / "small.pgm", np.zeros((10, 10), dtype=np.uint8))
+        (tmp_path / "small.pgm").write_bytes(
+            encode_pgm(np.zeros((10, 10), dtype=np.uint8)))
         code = cli.main(["render", "--map", str(tmp_path / "small.pgm"),
                          "--layout", str(out / entry["layout"]),
                          "--out", str(tmp_path / "x.ppm")])
@@ -578,8 +626,20 @@ class TestRender:
     ('{"entries": [{"id": "x", "split": "test", "layout": "l", "scenario": "s",'
      ' "local_map": "m", "samples": "14"}]}',
      "entry 0 has samples that are not an object of interval keys"),
+    *[(json.dumps({"entries": [
+        {"id": sid, "split": "test", "layout": "l", "scenario": "s",
+         "local_map": "m", "samples": {"4": "a.csv"}} for sid in ids]}), message)
+      for ids, message in [
+          (["../../escaped"], "entry 0 has id '../../escaped', which is not a file name"),
+          (["a", "b\\c"], "entry 1 has id 'b\\\\c', which is not a file name"),
+          ([""], "entry 0 has id '', which is not a file name"),
+          ([".."], "entry 0 has id '..', which is not a file name"),
+          ([7], "entry 0 has id 7, which is not a file name"),
+          (["a", "b", "a"], "entry 2 repeats id 'a'")]],
 ], ids=["not-json", "not-an-object", "entry-keys-missing",
-        "samples-key-not-a-number", "samples-a-list", "samples-a-string"])
+        "samples-key-not-a-number", "samples-a-list", "samples-a-string",
+        "id-escapes", "id-backslash", "id-empty", "id-dot-dot", "id-not-a-string",
+        "id-repeats"])
 def test_malformed_index_is_data_error(tmp_path, capsys, command, text, message):
     dataset = tmp_path / "ds"
     dataset.mkdir()
@@ -590,6 +650,34 @@ def test_malformed_index_is_data_error(tmp_path, capsys, command, text, message)
     assert cli.main([command, "--dataset", str(dataset), *args]) == 2
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith(f"{dataset / 'index.json'}: {message}")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "pipeline", "evaluate", "render"])
+def test_unwritable_out_is_data_error(dataset, tmp_path, command):
+    # --out under a regular file: one line that names the path, no traceback
+    _, cfg, ds = dataset
+    entry = read_dataset_index(ds)["entries"][0]
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    (preds / f"{entry['id']}_4.csv").write_text(
+        predictions_to_csv([1], [(1.0, 1.0)], [False]))
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    args = {"generate": ["--config", str(cfg)],
+            "pipeline": ["--dataset", str(ds), "--intervals", "4"],
+            "evaluate": ["--dataset", str(ds), "--predictions", str(preds)],
+            "render": ["--map", str(ds / entry["local_map"]),
+                       "--layout", str(ds / entry["layout"])]}[command]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "rssloc.cli", command, *args,
+                           "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    [line] = done.stderr.splitlines()
+    assert str(out) in line and "Traceback" not in line
 
 
 _BLAS_ENV_AT_NUMPY_IMPORT = """

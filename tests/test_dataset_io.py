@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from rssloc import (AUGMENTATIONS, BuildingLayout, DatasetConfig, LrmfError,
-                    PgmError, SampleSet, Scenario, Source, augment,
-                    augment_grid, augment_points, decode_lrmf, decode_pgm,
-                    encode_lrmf, encode_pgm, generate_dataset, generate_scenario,
+                    PgmError, SampleSet, Scenario, Source, augment_grid,
+                    augment_points, decode_lrmf, decode_pgm, encode_lrmf,
+                    encode_pgm, generate_dataset, generate_scenario,
                     ground_truth_local, load_scenario, read_dataset_index,
-                    read_pgm, write_pgm)
+                    read_pgm)
 from rssloc.dataset_io import (predictions_from_csv, predictions_to_csv,
                                samples_from_csv, samples_to_csv)
 
@@ -60,7 +60,7 @@ class TestPgm:
 
     def test_file_roundtrip(self, tmp_path):
         grid = np.arange(12, dtype=np.uint8).reshape(3, 4)
-        write_pgm(tmp_path / "g.pgm", grid)
+        (tmp_path / "g.pgm").write_bytes(encode_pgm(grid))
         assert np.array_equal(read_pgm(tmp_path / "g.pgm"), grid)
 
 
@@ -135,7 +135,7 @@ class TestAugmentation:
         pts = [(3.2, 7.9), (12.0, 1.5)]
         g, p = grid, pts
         for _ in range(4):
-            g, p = augment(g, p, "rot90")
+            g, p = augment_grid(g, "rot90"), augment_points(p, "rot90", 16, 16)
         assert np.array_equal(g, grid)
         for (x, y), (x0, y0) in zip(p, pts):
             assert x == pytest.approx(x0) and y == pytest.approx(y0)
@@ -144,7 +144,8 @@ class TestAugmentation:
         rng = np.random.default_rng(55)
         grid = rng.integers(0, 256, (8, 12)).astype(np.uint8)
         pts = [(3.25, 7.75)]
-        g, p = augment(*augment(grid, pts, "flip_h"), "flip_h")
+        g = augment_grid(augment_grid(grid, "flip_h"), "flip_h")
+        p = augment_points(augment_points(pts, "flip_h", 12, 8), "flip_h", 12, 8)
         assert np.array_equal(g, grid)
         assert p[0] == (pytest.approx(3.25), pytest.approx(7.75))
 
@@ -184,8 +185,9 @@ class TestAugmentation:
         for k in range(4):
             sc = generate_scenario(80, 80, 3, 3, seed=600 + k)
             base = ground_truth_local(sc, params, 2.0)
-            transformed, _ = augment(base.values, [], aug)
-            cells, points = augment(sc.layout.cells, sc.true_points(), aug)
+            transformed = augment_grid(base.values, aug)
+            cells = augment_grid(sc.layout.cells, aug)
+            points = augment_points(sc.true_points(), aug, 80, 80)
             moved = Scenario(layout=BuildingLayout(cells), id=sc.id,
                              rng_seed=sc.rng_seed,
                              sources=[Source(x, y, s.tx_power_dbm, s.gain_dbi)
@@ -202,7 +204,8 @@ class TestAugmentation:
                 x, y = rng.uniform(0.01, 19.99, 2)
                 grid = np.zeros((h, w), dtype=np.uint8)
                 grid[int(y), int(x)] = 1
-                g2, (pt,) = augment(grid, [(x, y)], aug)
+                g2 = augment_grid(grid, aug)
+                (pt,) = augment_points([(x, y)], aug, w, h)
                 assert g2[int(pt[1]), int(pt[0])] == 1
 
 
