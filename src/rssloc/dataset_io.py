@@ -119,10 +119,10 @@ def decode_lrmf(data: bytes) -> np.ndarray:
 # ----------------------------------------------------------------- CSV / JSON
 
 def samples_to_csv(sample_set: SampleSet) -> str:
-    lines = ["x_m,y_m,rss_dbm"]
-    for (x, y), v in zip(sample_set.positions.tolist(), sample_set.values.tolist()):
-        lines.append(f"{x:.6f},{y:.6f},{v:.6f}")
-    return "\n".join(lines) + "\n"
+    # one %-format over every row writes the bytes of a per-line f"{v:.6f}"
+    rows = np.column_stack([sample_set.positions, sample_set.values])
+    return "x_m,y_m,rss_dbm\n" + ("%.6f,%.6f,%.6f\n" * len(rows)) % tuple(
+        rows.ravel().tolist())
 
 
 def _csv_rows(text: str, header: str, types) -> list[list]:
@@ -275,8 +275,9 @@ class DatasetConfig:
 
     def __post_init__(self):
         for name in ("width", "height", "n_layouts", "n_buildings",
-                     "placements_per_count", "seed"):
+                     "placements_per_count"):
             _check(name, getattr(self, name), numbers.Integral, "an integer")
+        _check("seed", self.seed, numbers.Integral, "an integer >= 0", lambda n: n >= 0)
         _check("min_spacing", self.min_spacing, numbers.Real, "a number")
         _check("r", self.r, numbers.Real, "positive", lambda r: r > 0)
         _check("speed", self.speed, numbers.Real, "positive", lambda v: v > 0)
@@ -292,7 +293,7 @@ class DatasetConfig:
                    lambda n: n >= 0)
         if sum(self.split.values()) != self.n_layouts:
             raise ValueError("split layout counts must sum to n_layouts")
-        self.source_counts = tuple(int(m) for m in self.source_counts)
+        self.source_counts = tuple(self.source_counts)
         self.intervals = tuple(self.intervals)
         if not self.intervals:
             raise ValueError("intervals must not be empty")
@@ -302,7 +303,9 @@ class DatasetConfig:
         if len(set(self.intervals)) != len(self.intervals):
             raise ValueError("intervals must not repeat")
         for m in self.source_counts:
+            _check("source_counts", m, numbers.Integral, "integers")
             check_placement(m, self.clear_radius, self.dense_pair_spacing)
+        self.source_counts = tuple(map(int, self.source_counts))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DatasetConfig":
@@ -350,7 +353,7 @@ def generate_dataset(config: DatasetConfig, out_dir) -> dict:
                     global_map = rasterize_global(scenario, params)
                     local_map = ground_truth_local(scenario, params, config.r,
                                                    global_map=global_map)
-                except Exception as exc:
+                except (GenerationError, ValueError) as exc:
                     raise GenerationError(f"scenario {sid} failed: {exc}") from exc
                 sampling_meta = {"intervals": list(config.intervals),
                                  "speed": config.speed,

@@ -11,7 +11,7 @@ path. Without buildings the map border is the route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,16 +33,22 @@ class RouteError(GenerationError):
 
 @dataclass
 class Route:
-    """Ordered free-cell centers (meters) the vehicle drives through."""
+    """Ordered free-cell centers (meters) the vehicle drives through. Their
+    (K, 2) array and arc lengths are built once, read-only, for every
+    interval and scenario of a layout; routes compare by waypoints alone."""
 
     waypoints: list[tuple[float, float]]
+    _points: np.ndarray = field(init=False, repr=False, compare=False)
+    _lengths: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._points = pts = np.asarray(self.waypoints, dtype=np.float64).reshape(-1, 2)
+        steps = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
+        self._lengths = np.concatenate([[0.0], np.cumsum(steps)])
+        pts.flags.writeable = self._lengths.flags.writeable = False
 
     def cumulative_lengths(self) -> np.ndarray:
-        pts = np.asarray(self.waypoints, dtype=np.float64)
-        if len(pts) < 2:
-            return np.zeros(max(len(pts), 1))
-        steps = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
-        return np.concatenate([[0.0], np.cumsum(steps)])
+        return self._lengths
 
 
 @dataclass
@@ -194,14 +200,20 @@ def _merge_duplicates(positions, values) -> tuple[np.ndarray, np.ndarray]:
     the groups in order of first occurrence."""
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
     values = np.asarray(values, dtype=np.float64)
-    _, first, inverse, counts = np.unique(positions, axis=0, return_index=True,
-                                          return_inverse=True, return_counts=True)
-    order = np.argsort(first)
-    merged_val = values[first[order]]
-    inverse = inverse.ravel()
-    for g in np.flatnonzero(counts[order] > 1):
-        merged_val[g] = np.mean(values[inverse == order[g]])
-    return positions[first[order]], merged_val
+    # stable, on (y, x): each group's readings stay in their original
+    # order, and its first sorted member is its first occurrence
+    order = np.lexsort(positions.T)
+    ranked = positions[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[1:, 0] != ranked[:-1, 0]) | (ranked[1:, 1] != ranked[:-1, 1])
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], len(order))
+    first = order[starts]
+    merged_val = values[first]
+    for g in np.flatnonzero(ends - starts > 1):
+        merged_val[g] = np.mean(values[order[starts[g]:ends[g]]])
+    by_first = np.argsort(first)
+    return positions[first[by_first]], merged_val[by_first]
 
 
 def sample_along(route: Route, global_map: RadioMap, interval_s: float,
@@ -225,7 +237,7 @@ def sample_along(route: Route, global_map: RadioMap, interval_s: float,
     step = interval_s * speed
     count = int(math.floor((cum[-1] + 1e-9) / step)) + 1
     arcs = np.arange(count) * step
-    pts = np.asarray(route.waypoints, dtype=np.float64)
+    pts = route._points
     # arcs past either end of the route clamp to its first or last waypoint
     positions = np.where((arcs <= 0)[:, None], pts[0], pts[-1])
     inside = np.flatnonzero((arcs > 0) & (arcs < cum[-1]))

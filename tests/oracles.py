@@ -10,9 +10,10 @@ exceptions are `kriging_predict_hypot` and `idw_predict_hypot`, the
 evaluation from `np.hypot` distances in chunks of 4096 queries that the
 package's squared-distance blocks replace, `kriging_matrix_hypot`, the
 variogram of `np.hypot` distances that the package's in-place build from
-squared distances replaces, and `bfs_path_loop`, the Python-loop
+squared distances replaces, `bfs_path_loop`, the Python-loop
 breadth-first search whose paths the package's level-synchronous numpy
-search must repeat cell for cell.
+search must repeat cell for cell, and `samples_to_csv_lines`, the f-string
+per line whose bytes the package's one %-format over every row must repeat.
 """
 
 import itertools
@@ -216,6 +217,14 @@ def merge_duplicates_loop(positions, values):
         seen.setdefault((float(x), float(y)), []).append(float(v))
     return (np.asarray(list(seen), dtype=np.float64),
             np.asarray([np.mean(group) for group in seen.values()]))
+
+
+def samples_to_csv_lines(sample_set):
+    """rssloc.dataset_io.samples_to_csv with one f-string per line."""
+    lines = ["x_m,y_m,rss_dbm"]
+    for (x, y), v in zip(sample_set.positions.tolist(), sample_set.values.tolist()):
+        lines.append(f"{x:.6f},{y:.6f},{v:.6f}")
+    return "\n".join(lines) + "\n"
 
 
 def _hypot_chunks(positions, query, chunk=4096):

@@ -51,7 +51,10 @@ class TestGenerate:
                                      {"clear_radius": "2"},
                                      {"source_counts": [2], "dense_pair_spacing": "1"},
                                      {"n_layouts": 2, "split": {"train": 1, "tset": 1}},
-                                     {"n_layouts": 2, "split": {"train": 3, "test": -1}}])
+                                     {"n_layouts": 2, "split": {"train": 3, "test": -1}},
+                                     # not truncated to an integer count
+                                     {"source_counts": [1.7]}, {"source_counts": ["3"]},
+                                     {"source_counts": [True]}, {"seed": -1}])
     def test_bad_config_value_before_rasterization(self, doc, tmp_path, capsys,
                                                    monkeypatch):
         rasterized = []
@@ -87,6 +90,29 @@ class TestGenerate:
         monkeypatch.setattr(dataset_io, "generate_dataset", lambda *args: 1 / 0)
         with pytest.raises(ZeroDivisionError):
             cli.main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+    def test_negative_seed_override_is_bad_config(self, dataset, tmp_path, capsys):
+        _, cfg, _ = dataset
+        out = tmp_path / "o"
+        assert cli.main(["generate", "--config", str(cfg), "--out", str(out),
+                         "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("bad config: seed must be ")
+        assert not out.exists()
+
+    def test_bug_in_a_scenario_keeps_its_traceback(self, tmp_path, monkeypatch):
+        # only data errors become "scenario ... failed" (exit 2)
+        def broken(*args):
+            raise ZeroDivisionError("division by zero")
+        monkeypatch.setattr(dataset_io, "rasterize_global", broken)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"width": 40, "height": 40, "n_layouts": 1,
+                                   "n_buildings": 1, "source_counts": [1],
+                                   "placements_per_count": 1,
+                                   "split": {"train": 1, "val": 0, "test": 0}}))
+        out = tmp_path / "o"
+        with pytest.raises(ZeroDivisionError):
+            cli.main(["generate", "--config", str(cfg), "--out", str(out)])
+        assert not out.exists()
 
     def test_seed_override_changes_bytes(self, dataset, tmp_path):
         _, cfg, out = dataset

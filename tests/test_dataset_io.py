@@ -13,6 +13,8 @@ from rssloc import (AUGMENTATIONS, BuildingLayout, DatasetConfig, LrmfError,
 from rssloc.dataset_io import (predictions_from_csv, predictions_to_csv,
                                samples_from_csv, samples_to_csv)
 
+from oracles import samples_to_csv_lines
+
 
 class TestPgm:
     def test_golden_bytes(self):
@@ -91,6 +93,21 @@ class TestCsv:
         assert text.splitlines()[1] == "1.234568,2.345679,-61.543211"
         back = samples_from_csv(text)
         assert back.positions[0][0] == pytest.approx(1.234568)
+
+    def test_samples_bytes_match_per_line_format(self):
+        # signed zeros, ties at the sixth decimal (0.0078125 = 2**-7 is one
+        # exactly), values just either side of a tie and large magnitudes
+        x = [0.0, -0.0, -1e-9, 0.0078125, -0.0234375, 0.0000005, 1.0000005,
+             2.4999995, 1e6, -1e6 - 0.5, 123456789.1234565, 1e15, -3.5e17]
+        values = [-0.0, 0.0, 0.0078125, -0.0234375, 1e6 + 0.0000005, -61.5432105,
+                  -110.0, 5e-7, 1e300, -1e-300, 9999999.9999995, 2.0 ** 40, 0.1]
+        rng = np.random.default_rng(56)
+        positions = np.column_stack([x, x[::-1]])
+        for ss in (SampleSet(positions=positions, values=values),
+                   SampleSet(positions=[(2.5, 7.5)], values=[-60.0]),
+                   SampleSet(positions=rng.random((300, 2)) * 200,
+                             values=rng.normal(-70.0, 20.0, 300))):
+            assert samples_to_csv(ss).encode() == samples_to_csv_lines(ss).encode()
 
     def test_predictions_roundtrip(self):
         text = predictions_to_csv([1, 2], [(3.5, 4.5), (9.25, 0.5)], [False, True])

@@ -73,6 +73,17 @@ class TestRoutes:
         b = build_routes(sc.layout)
         assert a.waypoints == b.waypoints
 
+    def test_route_holds_its_arc_lengths(self):
+        sc = generate_scenario(120, 120, 5, 1, seed=31)
+        route = build_routes(sc.layout)
+        pts = np.asarray(route.waypoints, dtype=np.float64)
+        steps = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
+        expected = np.concatenate([[0.0], np.cumsum(steps)])
+        assert route.cumulative_lengths().tobytes() == expected.tobytes()
+        # routes compare by waypoints alone
+        assert Route(waypoints=list(route.waypoints)) == route
+        assert Route(waypoints=route.waypoints[:-1]) != route
+
     def test_covers_every_building(self):
         sc = generate_scenario(150, 150, 7, 1, seed=33)
         route = build_routes(sc.layout)
@@ -161,6 +172,21 @@ class TestSampleAlong:
             ref_pos, ref_val = merge_duplicates_loop(positions, values)
             assert pos.tobytes() == ref_pos.tobytes()
             assert val.tobytes() == ref_val.tobytes()
+
+    @pytest.mark.parametrize("positions,values", [
+        ([(1.5, 2.5)], [-60.0]),
+        ([(j + 0.5, 3.5) for j in range(10)], np.linspace(-90.0, -50.0, 10)),
+        ([(4.5, 4.5)] * 7, [-61.0, -60.3, -75.1, -40.0, -60.3, -99.9, -55.5]),
+        # 0.0 == -0.0: one group each, whose position is its first occurrence
+        ([(0.0, 1.0), (-0.0, 1.0), (2.0, -0.0), (2.0, 0.0), (-0.0, -0.0)],
+         [-50.0, -70.0, -65.0, -66.0, -80.0]),
+        ([], []),
+    ], ids=["one", "distinct", "all_same", "signed_zero", "empty"])
+    def test_merge_edge_cases_match_loop(self, positions, values):
+        pos, val = _merge_duplicates(positions, values)
+        ref_pos, ref_val = merge_duplicates_loop(positions, values)
+        assert pos.tobytes() == ref_pos.reshape(-1, 2).tobytes()
+        assert val.tobytes() == ref_val.tobytes()
 
     def test_rejects_bad_interval(self, flat_global):
         with pytest.raises(ValueError):
