@@ -35,8 +35,7 @@ from .reconstruct import (VariogramParams, idw_reconstruct, kriging_reconstruct,
 from .separation import (Component, Labeling, SeparationResult, binarize,
                          connected_components, extract_single_source_maps,
                          flag_merged, separate_sources, expected_disk_area)
-from .localize import (PredictionSet, ESTIMATORS, argmax_estimate,
-                       center_of_mass, four_neighborhood_refine, localize_all,
+from .localize import (PredictionSet, ESTIMATORS, center_of_mass, localize_all,
                        EmptyMapError)
 from .metrics import (Matching, ScenarioEval, EvalReport, optimal_assignment,
                       mle, far_mdr, ospa, evaluate_scenario, aggregate)

@@ -121,8 +121,7 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if not args.g > 0:
-        raise PipelineConfigError("g must be positive")
+    pipeline.check_option("g", args.g)
     index = dataset_io.read_dataset_index(args.dataset)
     pred_dir = Path(args.predictions)
     if not pred_dir.is_dir():

@@ -247,12 +247,30 @@ def augment_points(points, aug: str, width: int, height: int):
 _SPLITS = ("train", "val", "test")
 
 
-def _check(name: str, value, kind, noun: str, holds=lambda value: True):
-    """ValueError "<name> must be <noun>" unless value is a kind instance
+def _check(name: str, value, kind, noun: str, holds=lambda value: True,
+           error=ValueError):
+    """error "<name> must be <noun>" unless value is a finite kind instance
     for which holds is true. bool is a number to Python, but True is no
     size, count or seed, and as an interval would name a samples/True/."""
-    if isinstance(value, bool) or not isinstance(value, kind) or not holds(value):
-        raise ValueError(f"{name} must be {noun}, not {value!r}")
+    if isinstance(value, bool) or not isinstance(value, kind) \
+            or not -math.inf < value < math.inf or not holds(value):
+        raise error(f"{name} must be {noun}, not {value!r}")
+
+
+def check_intervals(keys, error=ValueError) -> None:
+    """error unless each interval key, a number or its text, is a finite
+    number > 0 and no two have one value."""
+    values = []
+    for key in keys:
+        try:
+            value = math.nan if isinstance(key, bool) else float(key)
+        except (TypeError, ValueError):
+            value = math.nan
+        if not 0 < value < math.inf:
+            raise error(f"intervals must be finite numbers > 0, not {key!r}")
+        if value in values:
+            raise error(f"interval {key!r} repeats")
+        values.append(value)
 
 
 @dataclass
@@ -278,13 +296,15 @@ class DatasetConfig:
                      "placements_per_count"):
             _check(name, getattr(self, name), numbers.Integral, "an integer")
         _check("seed", self.seed, numbers.Integral, "an integer >= 0", lambda n: n >= 0)
-        _check("min_spacing", self.min_spacing, numbers.Real, "a number")
-        _check("r", self.r, numbers.Real, "positive", lambda r: r > 0)
-        _check("speed", self.speed, numbers.Real, "positive", lambda v: v > 0)
-        _check("noise_sigma", self.noise_sigma, numbers.Real, ">= 0", lambda s: s >= 0)
+        _check("min_spacing", self.min_spacing, numbers.Real, "a finite number")
+        _check("r", self.r, numbers.Real, "positive and finite", lambda r: r > 0)
+        _check("speed", self.speed, numbers.Real, "positive and finite", lambda v: v > 0)
+        _check("noise_sigma", self.noise_sigma, numbers.Real, ">= 0 and finite",
+               lambda s: s >= 0)
         for name in ("clear_radius", "dense_pair_spacing"):
             if getattr(self, name) is not None:
-                _check(name, getattr(self, name), numbers.Real, "a number or null")
+                _check(name, getattr(self, name), numbers.Real,
+                       "a finite number or null")
         if not isinstance(self.split, dict) or not set(self.split) <= set(_SPLITS):
             raise ValueError("split must be an object of layout counts keyed by "
                              f"{', '.join(_SPLITS)}, not {self.split!r}")
@@ -399,7 +419,7 @@ _ENTRY_KEYS = ("id", "split", "layout", "scenario", "local_map", "samples")
 def read_dataset_index(dataset_dir) -> dict:
     """The dataset's index.json; ValueError naming the file when it is not JSON
     or not an object whose "entries" list holds each entry's keys, its id a
-    unique file name and samples an object keyed by number."""
+    unique file name and samples an object keyed by check_intervals' rule."""
     index_path = Path(dataset_dir) / "index.json"
     if not index_path.is_file():
         raise FileNotFoundError(f"no index.json in {dataset_dir}")
@@ -429,10 +449,9 @@ def read_dataset_index(dataset_dir) -> dict:
             raise ValueError(f"{index_path}: entry {k} has samples that are not "
                              "an object of interval keys")
         try:
-            [float(key) for key in entry["samples"]]
-        except (TypeError, ValueError):
-            raise ValueError(f"{index_path}: entry {k} has a samples key "
-                             "that is not a number") from None
+            check_intervals(entry["samples"])
+        except ValueError as exc:
+            raise ValueError(f"{index_path}: entry {k} samples: {exc}") from None
     return index
 
 

@@ -1,8 +1,10 @@
 """Sub-pixel coordinate estimation on single-source local radio maps.
 
-All estimators share one signature: bitmap in, (x, y) meters out. They are
-registered by name in ESTIMATORS so pipelines and the CLI can select them,
-and externally computed coordinates can bypass them entirely.
+An estimator takes a bitmap and returns (x, y) in meters. ESTIMATORS
+registers them by name so pipelines and the CLI can select one; it holds one
+non-learned entry, the intensity-weighted centroid (the expected position a
+numerical coordinate regression reads off a heatmap), and is where a learned
+regressor would plug in. Externally computed coordinates bypass it entirely.
 """
 
 from __future__ import annotations
@@ -29,19 +31,6 @@ class PredictionSet:
         return len(self.points)
 
 
-def _peak_index(vals: np.ndarray) -> tuple[int, int]:
-    if not vals.any():
-        raise EmptyMapError("map has no nonzero pixels")
-    flat = int(np.argmax(vals))  # row-major, so ties pick smallest row then column
-    return flat // vals.shape[1], flat % vals.shape[1]
-
-
-def argmax_estimate(single_map) -> tuple[float, float]:
-    """Center of the maximum-intensity pixel."""
-    i, j = _peak_index(_grid(single_map))
-    return (j + 0.5, i + 0.5)
-
-
 def center_of_mass(single_map) -> tuple[float, float]:
     """Intensity-weighted centroid of the nonzero pixels."""
     vals = _grid(single_map)
@@ -54,27 +43,7 @@ def center_of_mass(single_map) -> tuple[float, float]:
             float((weights * (ii + 0.5)).sum() / total))
 
 
-def four_neighborhood_refine(single_map) -> tuple[float, float]:
-    """Weighted centroid of the peak pixel and its four in-bounds neighbors."""
-    vals = _grid(single_map)
-    i, j = _peak_index(vals)
-    h, w = vals.shape
-    sw = swx = swy = 0.0
-    for di, dj in ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)):
-        ni, nj = i + di, j + dj
-        if 0 <= ni < h and 0 <= nj < w:
-            v = float(vals[ni, nj])
-            sw += v
-            swx += v * (nj + 0.5)
-            swy += v * (ni + 0.5)
-    return (swx / sw, swy / sw)
-
-
-ESTIMATORS = {
-    "argmax": argmax_estimate,
-    "com": center_of_mass,
-    "refine4": four_neighborhood_refine,
-}
+ESTIMATORS = {"com": center_of_mass}
 
 
 def localize_all(result: SeparationResult, estimator: str) -> PredictionSet:

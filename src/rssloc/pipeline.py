@@ -9,13 +9,13 @@ constructor sees all of them at once, per interval.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .dataset_io import (dumps_json, load_scenario, parse_file, predictions_to_csv,
-                         read_dataset_index, read_pgm, samples_from_csv)
+from .dataset_io import (_check, check_intervals, dumps_json, load_scenario,
+                         parse_file, predictions_to_csv, read_dataset_index,
+                         read_pgm, samples_from_csv)
 from .localize import ESTIMATORS, localize_all
 from .metrics import DEFAULT_OSPA_CUTOFF, ScenarioEval, aggregate, evaluate_scenario
 from .propagation import RadioMap
@@ -60,44 +60,34 @@ class PipelineConfig:
             raise PipelineConfigError(
                 f"unknown estimator {self.estimator!r}; "
                 f"registered: {', '.join(sorted(ESTIMATORS))}")
-        if isinstance(self.gamma, bool) or not isinstance(self.gamma, int) \
-                or not 0 <= self.gamma <= 254:
-            raise PipelineConfigError(
-                f"gamma must be an integer in 0..254, not {self.gamma!r}")
-        if self.connectivity not in (4, 8):
-            raise PipelineConfigError("connectivity must be 4 or 8")
-        if not self.r > 0:
-            raise PipelineConfigError("r must be positive")
-        if not self.g > 0:
-            raise PipelineConfigError("g must be positive")
-        if not self.area_factor > 0:
-            raise PipelineConfigError("area_factor must be positive")
-        if not self.noise_sigma >= 0:
-            raise PipelineConfigError("noise_sigma must be >= 0")
-        if not self.delta_db >= 0:
-            raise PipelineConfigError("delta_db must be >= 0")
-        if isinstance(self.jobs, bool) or not isinstance(self.jobs, int) \
-                or self.jobs < 1:
-            raise PipelineConfigError(f"jobs must be an integer >= 1, not {self.jobs!r}")
+        for name in _RANGES:
+            check_option(name, getattr(self, name))
         if self.intervals is not None:
             self.intervals = tuple(self.intervals)
-            seen = set()
-            for interval in self.intervals:
-                try:
-                    # bool is a number to Python, but True is no interval
-                    value = math.nan if isinstance(interval, bool) else float(interval)
-                except (TypeError, ValueError):
-                    value = math.nan
-                if not 0 < value < math.inf:
-                    raise PipelineConfigError(
-                        f"intervals must be finite numbers > 0, not {interval!r}")
-                if value in seen:
-                    raise PipelineConfigError(f"interval {interval!r} repeats")
-                seen.add(value)
+            check_intervals(self.intervals, PipelineConfigError)
 
     def to_dict(self) -> dict:
         return {**asdict(self),
                 "intervals": list(self.intervals) if self.intervals else None}
+
+
+# int and float, which json can write: report.json echoes every option
+_POSITIVE = ((int, float), "a finite number > 0", lambda value: value > 0)
+_NON_NEGATIVE = ((int, float), "a finite number >= 0", lambda value: value >= 0)
+# option -> (kind, noun, holds): the range of each numeric PipelineConfig field
+_RANGES = {
+    "gamma": (int, "an integer in 0..254", lambda n: 0 <= n <= 254),
+    "connectivity": (int, "4 or 8", lambda n: n in (4, 8)),
+    "r": _POSITIVE, "g": _POSITIVE, "area_factor": _POSITIVE,
+    "noise_sigma": _NON_NEGATIVE, "delta_db": _NON_NEGATIVE,
+    "noise_seed": (int, "an integer"),
+    "jobs": (int, "an integer >= 1", lambda n: n >= 1),
+}
+
+
+def check_option(name: str, value) -> None:
+    """PipelineConfigError naming the option unless value is in its range."""
+    _check(name, value, *_RANGES[name], error=PipelineConfigError)
 
 
 def _read_local_map(path, scenario) -> RadioMap:
@@ -141,11 +131,8 @@ def _reconstruct_kwargs(config: PipelineConfig) -> dict:
         raise ValueError(f"{config.reconstructor} takes no {', '.join(unknown)}")
     if config.reconstructor == "kriging":
         return {"variogram": VariogramParams(**params)}
-    power = params.get("power")
-    if "power" in params and (isinstance(power, bool)
-                              or not isinstance(power, (int, float))
-                              or not 0 < power < math.inf):
-        raise ValueError(f"power must be a finite number > 0, not {power!r}")
+    if "power" in params:
+        _check("power", params["power"], *_POSITIVE)
     return params
 
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset_io import _check
 from .propagation import P_MIN_DBM, RadioMap, encode_bitmap
 from .sampling import SampleSet
 from .scenario import BuildingLayout, disk_cells
@@ -50,6 +51,8 @@ class VariogramParams:
     range_m: float = 30.0
 
     def __post_init__(self):
+        for name in ("nugget", "sill", "range_m"):
+            _check(name, getattr(self, name), (int, float), "a finite number")
         if self.nugget < 0 or self.sill <= 0 or self.range_m <= 0:
             raise ValueError("need nugget >= 0, sill > 0, range_m > 0")
 

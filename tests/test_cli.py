@@ -54,7 +54,11 @@ class TestGenerate:
                                      {"n_layouts": 2, "split": {"train": 3, "test": -1}},
                                      # not truncated to an integer count
                                      {"source_counts": [1.7]}, {"source_counts": ["3"]},
-                                     {"source_counts": [True]}, {"seed": -1}])
+                                     {"source_counts": [True]}, {"seed": -1},
+                                     # not finite: JSON's 1e400 reads as inf
+                                     {"r": math.inf}, {"clear_radius": math.inf},
+                                     {"speed": math.inf}, {"noise_sigma": math.inf},
+                                     {"min_spacing": math.nan}])
     def test_bad_config_value_before_rasterization(self, doc, tmp_path, capsys,
                                                    monkeypatch):
         rasterized = []
@@ -167,13 +171,25 @@ class TestPipeline:
         assert code == 1
         assert not run.exists()
 
+    def test_deleted_estimator_is_usage_error(self, dataset, tmp_path, capsys):
+        _, _, out = dataset
+        run = tmp_path / "run"
+        code = cli.main(["pipeline", "--dataset", str(out), "--out", str(run),
+                         "--estimator", "argmax"])
+        assert code == 1
+        assert not run.exists()
+        assert capsys.readouterr().err.splitlines() == \
+            ["unknown estimator 'argmax'; registered: com"]
+
     def test_help_lists_registries(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["pipeline", "--help"])
         assert exc.value.code == 0
         text = capsys.readouterr().out
-        for name in ("oracle", "idw", "kriging", "argmax", "com", "refine4"):
+        for name in ("oracle", "idw", "kriging", "com"):
             assert name in text
+        # the estimators deleted in favour of com
+        assert "argmax" not in text and "refine4" not in text
 
     def test_missing_dataset_is_data_error(self, tmp_path):
         code = cli.main(["pipeline", "--dataset", str(tmp_path / "nope"),
@@ -288,7 +304,8 @@ class TestPipeline:
                     "dataset has no samples at interval 3") in stderr
 
     @pytest.mark.parametrize("option,value", [("--r", "0"), ("--r", "-1"),
-                                              ("--g", "0")])
+                                              ("--g", "0"), ("--r", "inf"),
+                                              ("--g", "inf")])
     def test_non_positive_r_or_g_fails_before_processing(self, dataset, tmp_path,
                                                           capsys, option, value):
         _, _, out = dataset
@@ -299,17 +316,20 @@ class TestPipeline:
         assert code == 1
         assert not run.exists()
         assert capsys.readouterr().err.splitlines() == \
-            [f"{option[2:]} must be positive"]
+            [f"{option[2:]} must be a finite number > 0, not {float(value)!r}"]
 
     @pytest.mark.parametrize("option,value,message", [
         ("--jobs", "0", "jobs must be an integer >= 1, not 0"),
         ("--jobs", "-2", "jobs must be an integer >= 1, not -2"),
-        ("--noise-sigma", "-1", "noise_sigma must be >= 0"),
-        ("--noise-sigma", "nan", "noise_sigma must be >= 0"),
-        ("--delta-db", "-5", "delta_db must be >= 0"),
-        ("--area-factor", "0", "area_factor must be positive"),
+        ("--noise-sigma", "-1", "noise_sigma must be a finite number >= 0, not -1.0"),
+        ("--noise-sigma", "nan", "noise_sigma must be a finite number >= 0, not nan"),
+        ("--delta-db", "-5", "delta_db must be a finite number >= 0, not -5.0"),
+        ("--area-factor", "0", "area_factor must be a finite number > 0, not 0.0"),
         ("--gamma", "255", "gamma must be an integer in 0..254, not 255"),
         ("--gamma", "-1", "gamma must be an integer in 0..254, not -1"),
+        ("--noise-sigma", "inf", "noise_sigma must be a finite number >= 0, not inf"),
+        ("--delta-db", "inf", "delta_db must be a finite number >= 0, not inf"),
+        ("--area-factor", "inf", "area_factor must be a finite number > 0, not inf"),
     ])
     def test_out_of_range_option_fails_before_processing(self, dataset, tmp_path,
                                                          capsys, option, value,
@@ -505,7 +525,24 @@ class TestEvaluate:
                          str(preds), "--out", str(report_path), "--g", "0"])
         assert code == 1
         assert not report_path.exists()
-        assert capsys.readouterr().err.splitlines() == ["g must be positive"]
+        assert capsys.readouterr().err.splitlines() == \
+            ["g must be a finite number > 0, not 0.0"]
+
+    def test_non_finite_g_is_usage_error(self, dataset, tmp_path, capsys):
+        # an infinite cutoff would write "ospa": NaN into the report
+        _, _, out = dataset
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        entry = read_dataset_index(out)["entries"][0]
+        (preds / f"{entry['id']}_4.csv").write_text(
+            predictions_to_csv([1], [(1.0, 1.0)], [False]))
+        report_path = tmp_path / "eval.json"
+        code = cli.main(["evaluate", "--dataset", str(out), "--predictions",
+                         str(preds), "--out", str(report_path), "--g", "inf"])
+        assert code == 1
+        assert not report_path.exists()
+        assert capsys.readouterr().err.splitlines() == \
+            ["g must be a finite number > 0, not inf"]
 
     def test_malformed_predictions_csv_names_file_and_line(self, dataset,
                                                            tmp_path, capsys):
@@ -645,7 +682,7 @@ class TestRender:
      "entry 0 has no layout, scenario, local_map, samples"),
     ('{"entries": [{"id": "x", "split": "test", "layout": "l", "scenario": "s",'
      ' "local_map": "m", "samples": {"1": "a.csv", "abc": "b.csv"}}]}',
-     "entry 0 has a samples key that is not a number"),
+     "entry 0 samples: intervals must be finite numbers > 0, not 'abc'"),
     ('{"entries": [{"id": "x", "split": "test", "layout": "l", "scenario": "s",'
      ' "local_map": "m", "samples": ["1", "4"]}]}',
      "entry 0 has samples that are not an object of interval keys"),
@@ -662,10 +699,20 @@ class TestRender:
           ([".."], "entry 0 has id '..', which is not a file name"),
           ([7], "entry 0 has id 7, which is not a file name"),
           (["a", "b", "a"], "entry 2 repeats id 'a'")]],
+    *[(json.dumps({"entries": [
+        {"id": "x", "split": "test", "layout": "l", "scenario": "s",
+         "local_map": "m", "samples": dict.fromkeys(keys, "a.csv")}]}),
+       f"entry 0 samples: {message}")
+      for keys, message in [
+          (["2", "2.0"], "interval '2.0' repeats"),
+          (["nan"], "intervals must be finite numbers > 0, not 'nan'"),
+          (["1", "-1"], "intervals must be finite numbers > 0, not '-1'"),
+          (["inf"], "intervals must be finite numbers > 0, not 'inf'")]],
 ], ids=["not-json", "not-an-object", "entry-keys-missing",
         "samples-key-not-a-number", "samples-a-list", "samples-a-string",
         "id-escapes", "id-backslash", "id-empty", "id-dot-dot", "id-not-a-string",
-        "id-repeats"])
+        "id-repeats", "samples-key-repeats", "samples-key-nan",
+        "samples-key-negative", "samples-key-inf"])
 def test_malformed_index_is_data_error(tmp_path, capsys, command, text, message):
     dataset = tmp_path / "ds"
     dataset.mkdir()

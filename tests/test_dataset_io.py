@@ -332,6 +332,12 @@ class TestGenerateDataset:
           "dense_pair_spacing": 2.5}, r"dense_pair_spacing must be in \(0, 2\)"),
         ({"source_counts": [2], "clear_radius": None, "r": 1.0,
           "dense_pair_spacing": 1.5}, "dense_pair_spacing needs a clear_radius"),
+        ({"r": math.inf}, "r must be positive and finite, not inf"),
+        ({"speed": math.inf}, "speed must be positive and finite, not inf"),
+        ({"noise_sigma": math.inf}, "noise_sigma must be >= 0 and finite, not inf"),
+        ({"min_spacing": math.nan}, "min_spacing must be a finite number, not nan"),
+        ({"clear_radius": math.inf},
+         "clear_radius must be a finite number or null, not inf"),
     ])
     def test_bad_config_value_rejected(self, doc, message):
         with pytest.raises(ValueError, match=message):

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rssloc import (EmptyMapError, ESTIMATORS, argmax_estimate,
-                    center_of_mass, four_neighborhood_refine,
+from rssloc import (EmptyMapError, ESTIMATORS, center_of_mass,
                     ground_truth_local, localize_all, separate_sources)
 from rssloc.dataset_io import augment_grid, augment_points
 
@@ -18,22 +17,6 @@ def disk_bitmap(ci=10, cj=10, size=24, value=230):
             if di * di + dj * dj <= 4:
                 grid[ci + di, cj + dj] = value
     return grid
-
-
-class TestArgmax:
-    def test_pixel_center_convention(self):
-        grid = np.zeros((30, 30), dtype=np.uint8)
-        grid[20, 10] = 200
-        assert argmax_estimate(grid) == (10.5, 20.5)
-
-    def test_tie_smallest_row_then_column(self):
-        grid = np.zeros((10, 10), dtype=np.uint8)
-        grid[7, 2] = grid[3, 5] = grid[3, 8] = 99
-        assert argmax_estimate(grid) == (5.5, 3.5)
-
-    def test_all_zero_is_error(self):
-        with pytest.raises(EmptyMapError):
-            argmax_estimate(np.zeros((5, 5), dtype=np.uint8))
 
 
 class TestCenterOfMass:
@@ -79,44 +62,6 @@ class TestCenterOfMass:
         assert worst <= 0.26  # frozen from the dense sweep
 
 
-class TestFourNeighborhood:
-    def test_symmetric_cross_unmoved(self):
-        grid = np.zeros((9, 9), dtype=np.uint8)
-        grid[4, 4] = 200
-        grid[3, 4] = grid[5, 4] = grid[4, 3] = grid[4, 5] = 80
-        assert four_neighborhood_refine(grid) == (4.5, 4.5)
-
-    def test_hand_computed_shift(self):
-        grid = np.zeros((9, 9), dtype=np.uint8)
-        grid[4, 4] = 200
-        grid[4, 5] = 100  # east
-        grid[4, 3] = 50   # west
-        grid[3, 4] = 75   # north
-        grid[5, 4] = 75   # south
-        x, y = four_neighborhood_refine(grid)
-        assert x == pytest.approx(4.5 + 0.1, abs=1e-12)
-        assert y == pytest.approx(4.5, abs=1e-12)
-
-    def test_edge_peak_drops_out_of_bounds_neighbors(self):
-        grid = np.zeros((6, 6), dtype=np.uint8)
-        grid[0, 0] = 100
-        grid[0, 1] = 100
-        x, y = four_neighborhood_refine(grid)
-        assert x == pytest.approx(1.0)
-        assert y == pytest.approx(0.5)
-
-    def test_never_moves_more_than_half_pixel(self):
-        rng = np.random.default_rng(12)
-        for _ in range(500):
-            grid = np.zeros((7, 7), dtype=np.uint8)
-            peak = int(rng.integers(100, 256))
-            grid[3, 3] = peak
-            for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-                grid[3 + di, 3 + dj] = rng.integers(0, peak + 1)
-            x, y = four_neighborhood_refine(grid)
-            assert math.hypot(x - 3.5, y - 3.5) <= 0.5 + 1e-12
-
-
 class TestLocalizeAll:
     def test_three_components_three_predictions(self, params):
         sc = make_flat_scenario([(10.5, 10.5), (30.5, 30.5), (50.5, 10.5)])
@@ -139,7 +84,7 @@ class TestLocalizeAll:
         assert sum(preds.flags) == 1
 
     def test_registry_names(self):
-        assert set(ESTIMATORS) == {"argmax", "com", "refine4"}
+        assert set(ESTIMATORS) == {"com"}
 
 
 class TestEquivariance:
@@ -147,7 +92,7 @@ class TestEquivariance:
     def test_translation(self, name):
         est = ESTIMATORS[name]
         grid = disk_bitmap(ci=8, cj=6, size=28)
-        grid[8, 6] = 255  # unique peak so argmax shifts exactly
+        grid[8, 6] = 255
         base = est(grid)
         shifted = np.zeros_like(grid)
         shifted[3:, 5:] = grid[:-3, :-5]

@@ -12,9 +12,10 @@ from rssloc.pipeline import PipelineConfigError, process_entry
 
 class TestPipelineConfig:
     @pytest.mark.parametrize("field", ["r", "g"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_non_positive_radius_and_cutoff(self, field, value):
-        with pytest.raises(PipelineConfigError, match=f"^{field} must be positive$"):
+        with pytest.raises(PipelineConfigError,
+                           match=f"^{field} must be a finite number > 0, not {value!r}$"):
             PipelineConfig(**{field: value})
 
     @pytest.mark.parametrize("field,value,message", [
@@ -23,13 +24,13 @@ class TestPipelineConfig:
         ("jobs", 1.5, r"jobs must be an integer >= 1, not 1\.5"),
         ("jobs", True, "jobs must be an integer >= 1, not True"),
         ("jobs", "2", "jobs must be an integer >= 1, not '2'"),
-        ("noise_sigma", -1.0, "noise_sigma must be >= 0"),
-        ("noise_sigma", math.nan, "noise_sigma must be >= 0"),
-        ("delta_db", -5.0, "delta_db must be >= 0"),
-        ("delta_db", math.nan, "delta_db must be >= 0"),
-        ("area_factor", 0.0, "area_factor must be positive"),
-        ("area_factor", -1.0, "area_factor must be positive"),
-        ("area_factor", math.nan, "area_factor must be positive"),
+        ("noise_sigma", -1.0, r"noise_sigma must be a finite number >= 0, not -1\.0"),
+        ("noise_sigma", math.nan, "noise_sigma must be a finite number >= 0, not nan"),
+        ("delta_db", -5.0, r"delta_db must be a finite number >= 0, not -5\.0"),
+        ("delta_db", math.nan, "delta_db must be a finite number >= 0, not nan"),
+        ("area_factor", 0.0, r"area_factor must be a finite number > 0, not 0\.0"),
+        ("area_factor", -1.0, r"area_factor must be a finite number > 0, not -1\.0"),
+        ("area_factor", math.nan, "area_factor must be a finite number > 0, not nan"),
         ("gamma", 255, "gamma must be an integer in 0..254, not 255"),
         ("gamma", -1, "gamma must be an integer in 0..254, not -1"),
         ("gamma", 127.0, r"gamma must be an integer in 0..254, not 127\.0"),
@@ -44,6 +45,15 @@ class TestPipelineConfig:
         ("intervals", (True,), "intervals must be finite numbers > 0, not True"),
         ("intervals", ("4", "4"), "interval '4' repeats"),
         ("intervals", ("1", "4", "1.0"), "interval '1.0' repeats"),
+        ("noise_sigma", math.inf, "noise_sigma must be a finite number >= 0, not inf"),
+        ("delta_db", math.inf, "delta_db must be a finite number >= 0, not inf"),
+        ("area_factor", math.inf, "area_factor must be a finite number > 0, not inf"),
+        ("g", "2", "g must be a finite number > 0, not '2'"),
+        ("r", True, "r must be a finite number > 0, not True"),
+        ("noise_seed", "x", "noise_seed must be an integer, not 'x'"),
+        ("noise_seed", 1.5, r"noise_seed must be an integer, not 1\.5"),
+        ("noise_seed", True, "noise_seed must be an integer, not True"),
+        ("connectivity", 6, "connectivity must be 4 or 8, not 6"),
     ])
     def test_rejects_out_of_range_options(self, field, value, message):
         with pytest.raises(PipelineConfigError, match=f"^{message}$"):
@@ -81,6 +91,10 @@ class TestPipelineConfig:
         ("idw", {"power": float("inf")}, "power must be a finite number > 0, not inf"),
         ("idw", {"power": True}, "power must be a finite number > 0, not True"),
         ("idw", {"power": None}, "power must be a finite number > 0, not None"),
+        ("kriging", {"sill": math.nan}, "sill must be a finite number, not nan"),
+        ("kriging", {"range_m": math.inf}, "range_m must be a finite number, not inf"),
+        ("kriging", {"nugget": math.inf}, "nugget must be a finite number, not inf"),
+        ("kriging", {"sill": True}, "sill must be a finite number, not True"),
     ])
     def test_rejects_bad_reconstructor_params(self, reconstructor, params, message):
         with pytest.raises(PipelineConfigError,
