@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     pipe.add_argument("--delta-db", type=float)
     pipe.add_argument("--area-factor", type=float)
     pipe.add_argument("--local-map-dir",
-                      help="drop-in directory of externally produced local maps")
+                      help="drop-in directory of externally produced local maps, "
+                           "read by the oracle reconstructor")
     pipe.add_argument("--jobs", type=int)
 
     ev = sub.add_parser("evaluate",

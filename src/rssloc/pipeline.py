@@ -1,6 +1,6 @@
 """Dataset-level pipeline execution: build the local map (one LOCAL_MAPS
-entry, or an external map), separate, localize, evaluate. Per-scenario
-failures are recorded in the report instead of aborting the batch.
+entry), separate, localize, evaluate. Per-scenario failures are recorded in
+the report instead of aborting the batch.
 
 The unit of work is a layout group: the index entries that name one layout
 file. Its scenarios share the layout and drive the same route, so a local-map
@@ -10,7 +10,7 @@ constructor sees all of them at once, per interval.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .dataset_io import (_check, check_intervals, dumps_json, load_scenario,
@@ -19,8 +19,7 @@ from .dataset_io import (_check, check_intervals, dumps_json, load_scenario,
 from .localize import ESTIMATORS, localize_all
 from .metrics import DEFAULT_OSPA_CUTOFF, ScenarioEval, aggregate, evaluate_scenario
 from .propagation import RadioMap
-from .reconstruct import (VariogramParams, idw_reconstruct, kriging_reconstruct,
-                          proxy_local_map)
+from .reconstruct import idw_reconstruct, kriging_reconstruct, proxy_local_map
 from .sampling import SampleSet, add_noise
 from .separation import (DEFAULT_AREA_FACTOR, DEFAULT_CONNECTIVITY,
                          DEFAULT_GAMMA, separate_sources)
@@ -33,7 +32,6 @@ class PipelineConfigError(ValueError):
 @dataclass
 class PipelineConfig:
     reconstructor: str = "oracle"
-    reconstructor_params: dict = field(default_factory=dict)
     estimator: str = "com"
     r: float = 2.0
     gamma: int = DEFAULT_GAMMA
@@ -44,7 +42,7 @@ class PipelineConfig:
     noise_seed: int = 0
     area_factor: float = DEFAULT_AREA_FACTOR
     delta_db: float = 9.0
-    local_map_dir: str | None = None
+    local_map_dir: str | None = None   # the oracle reads its maps here, if set
     jobs: int = 1
 
     def __post_init__(self):
@@ -52,10 +50,6 @@ class PipelineConfig:
             raise PipelineConfigError(
                 f"unknown reconstructor {self.reconstructor!r}; "
                 f"registered: {', '.join(LOCAL_MAPS)}")
-        try:
-            _reconstruct_kwargs(self)
-        except (TypeError, ValueError) as exc:
-            raise PipelineConfigError(f"bad reconstructor_params: {exc}") from None
         if self.estimator not in ESTIMATORS:
             raise PipelineConfigError(
                 f"unknown estimator {self.estimator!r}; "
@@ -65,6 +59,13 @@ class PipelineConfig:
         if self.intervals is not None:
             self.intervals = tuple(self.intervals)
             check_intervals(self.intervals, PipelineConfigError)
+        # an option that no step of the run would read is an error, not an echo
+        if self.local_map_dir is not None and self.reconstructor != "oracle":
+            raise PipelineConfigError("local_map_dir is read by reconstructor 'oracle', "
+                                      f"not {self.reconstructor!r}")
+        if self.noise_sigma > 0 and self.reconstructor == "oracle":
+            raise PipelineConfigError("noise_sigma > 0 needs a reconstructor that "
+                                      "reads samples, not 'oracle'")
 
     def to_dict(self) -> dict:
         return {**asdict(self),
@@ -80,7 +81,8 @@ _RANGES = {
     "connectivity": (int, "4 or 8", lambda n: n in (4, 8)),
     "r": _POSITIVE, "g": _POSITIVE, "area_factor": _POSITIVE,
     "noise_sigma": _NON_NEGATIVE, "delta_db": _NON_NEGATIVE,
-    "noise_seed": (int, "an integer"),
+    # add_noise seeds with 64 bits; a wider range would alias seeds
+    "noise_seed": (int, "an unsigned 64-bit integer", lambda n: 0 <= n < 2**64),
     "jobs": (int, "an integer >= 1", lambda n: n >= 1),
 }
 
@@ -116,24 +118,21 @@ def _each(func, *columns) -> list:
 
 
 def _oracle(dataset_dir, entries, interval, scenarios, config) -> list:
-    return _each(lambda entry, scenario: _read_local_map(
-        Path(dataset_dir) / entry["local_map"], scenario), entries, scenarios)
+    """Each entry's stored local map: from config.local_map_dir,
+    <id>_<interval>.pgm, else <id>.pgm; without it, the dataset's
+    maps/local/<id>.pgm."""
+    def read(entry, scenario):
+        if config.local_map_dir is None:
+            return _read_local_map(Path(dataset_dir) / entry["local_map"], scenario)
+        for name in (f"{entry['id']}_{interval}.pgm", f"{entry['id']}.pgm"):
+            candidate = Path(config.local_map_dir) / name
+            if candidate.is_file():
+                return _read_local_map(candidate, scenario)
+        raise FileNotFoundError(
+            f"no external local map for {entry['id']} interval {interval} "
+            f"in {config.local_map_dir}")
 
-
-def _reconstruct_kwargs(config: PipelineConfig) -> dict:
-    """reconstructor_params as reconstruct keyword arguments; ValueError for a
-    key the constructor does not take, a variogram value out of range or an
-    IDW power that is not a finite number > 0."""
-    params = dict(config.reconstructor_params)
-    takes = {"idw": {"power"}, "kriging": {f.name for f in fields(VariogramParams)}}
-    unknown = sorted(set(params) - takes.get(config.reconstructor, set()))
-    if unknown:
-        raise ValueError(f"{config.reconstructor} takes no {', '.join(unknown)}")
-    if config.reconstructor == "kriging":
-        return {"variogram": VariogramParams(**params)}
-    if "power" in params:
-        _check("power", params["power"], *_POSITIVE)
-    return params
+    return _each(read, entries, scenarios)
 
 
 def _read_samples(dataset_dir, entry, interval, config) -> SampleSet:
@@ -158,12 +157,11 @@ def _from_samples(reconstruct, dataset_dir, entries, interval, scenarios,
     for k, samples in enumerate(results):
         if isinstance(samples, SampleSet):
             shared.setdefault(samples.positions.tobytes(), []).append(k)
-    kwargs = _reconstruct_kwargs(config)
     for members in shared.values():
         stack = SampleSet(results[members[0]].positions,
                           [results[k].values for k in members])
         try:
-            dense = reconstruct(stack, scenarios[members[0]].layout, **kwargs)
+            dense = reconstruct(stack, scenarios[members[0]].layout)
         except Exception as exc:
             dense = [exc] * len(members)
         local = _each(lambda radio_map: proxy_local_map(radio_map, config.delta_db,
@@ -192,28 +190,10 @@ def _kriging(dataset_dir, entries, interval, scenarios, config) -> list:
 LOCAL_MAPS = {"oracle": _oracle, "idw": _idw, "kriging": _kriging}
 
 
-def _external_map(dataset_dir, entries, interval, scenarios, config) -> list:
-    """The drop-in maps from config.local_map_dir: <id>_<interval>.pgm, else
-    <id>.pgm. They take precedence over any reconstructor."""
-    ext = Path(config.local_map_dir)
-
-    def read(entry, scenario):
-        for name in (f"{entry['id']}_{interval}.pgm", f"{entry['id']}.pgm"):
-            candidate = ext / name
-            if candidate.is_file():
-                return _read_local_map(candidate, scenario)
-        raise FileNotFoundError(
-            f"no external local map for {entry['id']} interval {interval} "
-            f"in {config.local_map_dir}")
-
-    return _each(read, entries, scenarios)
-
-
 def process_entry(dataset_dir, entries: list[dict], config: PipelineConfig) -> list[dict]:
     """Run every configured interval of one layout group, the index entries
     that share a layout file; returns their report rows."""
-    construct = (LOCAL_MAPS[config.reconstructor] if config.local_map_dir is None
-                 else _external_map)
+    construct = LOCAL_MAPS[config.reconstructor]
     rows = []
     todo = {}    # the dataset's interval key -> [(entry, scenario)]
     for entry in entries:

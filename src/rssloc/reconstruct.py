@@ -196,20 +196,18 @@ def _as_dense_maps(free_values: np.ndarray, layout: BuildingLayout) -> list[Radi
     return maps
 
 
-def idw_reconstruct(sample_set: SampleSet, layout: BuildingLayout,
-                    power: float = 2.0) -> list[RadioMap]:
+def idw_reconstruct(sample_set: SampleSet, layout: BuildingLayout) -> list[RadioMap]:
     """Dense dBm maps by inverse distance weighting, one per value row."""
     field = idw_predict(sample_set.positions, sample_set.values,
-                        _free_cell_centers(layout), power)
+                        _free_cell_centers(layout))
     return _as_dense_maps(field, layout)
 
 
-def kriging_reconstruct(sample_set: SampleSet, layout: BuildingLayout,
-                        variogram: VariogramParams | None = None) -> list[RadioMap]:
+def kriging_reconstruct(sample_set: SampleSet, layout: BuildingLayout) -> list[RadioMap]:
     """Dense dBm maps by ordinary kriging, one per value row; raises on a
     singular system."""
     field = kriging_predict(sample_set.positions, sample_set.values,
-                            _free_cell_centers(layout), variogram)
+                            _free_cell_centers(layout))
     return _as_dense_maps(field, layout)
 
 

@@ -240,9 +240,12 @@ def disk_cells(x: float, y: float, r: float, shape) -> tuple[np.ndarray, np.ndar
 
 
 def expected_disk_area(r: float) -> int:
-    """Pixel count of a radius-r disk centered on a pixel center."""
-    n = math.floor(r)
-    return len(disk_cells(n + 0.5, n + 0.5, r, (2 * n + 1, 2 * n + 1))[0])
+    """Pixel count of a radius-r disk centered on a pixel center: the integer
+    offsets (di, dj) with |di|, |dj| <= floor(r) and di**2 + dj**2 <= r * r,
+    the cells disk_cells selects. Counted row by row, in O(r); an integer is
+    at most the float r * r exactly when it is at most its floor."""
+    n, bound = math.floor(r), math.floor(r * r)
+    return sum(2 * min(math.isqrt(bound - di * di), n) + 1 for di in range(-n, n + 1))
 
 
 def _connected(rows: np.ndarray, cols: np.ndarray) -> bool:

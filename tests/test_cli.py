@@ -231,6 +231,28 @@ class TestPipeline:
         rb = json.loads((run_b / "report.json").read_text())["results"]
         assert ra == rb
 
+    @pytest.mark.parametrize("options,message", [
+        (["--reconstructor", "kriging", "--local-map-dir", "ext"],
+         "local_map_dir is read by reconstructor 'oracle', not 'kriging'"),
+        (["--reconstructor", "idw", "--local-map-dir", "ext"],
+         "local_map_dir is read by reconstructor 'oracle', not 'idw'"),
+        (["--noise-sigma", "2"],
+         "noise_sigma > 0 needs a reconstructor that reads samples, not 'oracle'"),
+    ])
+    def test_option_without_effect_is_usage_error(self, dataset, tmp_path, capsys,
+                                                  options, message):
+        # the maps are there: an option that nothing reads is the error
+        _, _, out = dataset
+        ext = tmp_path / "ext"
+        shutil.copytree(out / "maps" / "local", ext)
+        options = [str(ext) if option == "ext" else option for option in options]
+        run = tmp_path / "run"
+        code = cli.main(["pipeline", "--dataset", str(out), "--out", str(run),
+                         "--intervals", "4", *options])
+        assert code == 1
+        assert not run.exists()
+        assert capsys.readouterr().err.splitlines() == [message]
+
     def test_wrong_shape_local_map_rejected(self, dataset, tmp_path):
         _, _, out = dataset
         ext = tmp_path / "ext"
@@ -330,6 +352,9 @@ class TestPipeline:
         ("--noise-sigma", "inf", "noise_sigma must be a finite number >= 0, not inf"),
         ("--delta-db", "inf", "delta_db must be a finite number >= 0, not inf"),
         ("--area-factor", "inf", "area_factor must be a finite number > 0, not inf"),
+        ("--noise-seed", "-1", "noise_seed must be an unsigned 64-bit integer, not -1"),
+        ("--noise-seed", "18446744073709551616",
+         "noise_seed must be an unsigned 64-bit integer, not 18446744073709551616"),
     ])
     def test_out_of_range_option_fails_before_processing(self, dataset, tmp_path,
                                                          capsys, option, value,

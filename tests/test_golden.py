@@ -16,7 +16,9 @@ regions, recorded from the Python-loop breadth-first search that
 PIPELINE_DIGESTS hold every file `rssloc pipeline` writes on CONFIG's dataset
 for each reconstructor, and DENSE_DIGESTS every file `rssloc generate` writes
 for CONFIG with one close source pair per scenario. Both were recorded before
-the close-pair placement became a mode of `place_sources`.
+the close-pair placement became a mode of `place_sources`. The three
+report.json digests were re-recorded when `reconstructor_params` left
+`PipelineConfig`, and with it the report's echo; no prediction file changed.
 
 SHADOW_DIGESTS hold the float64 values of `rasterize_global` and the bitmap
 of `ground_truth_local` under 3 dB shadowing, which CONFIG (noise-free)
@@ -112,7 +114,7 @@ PIPELINE_DIGESTS = {
         "predictions/l01m03p00_4.csv":
             "966a6a720dfbfa4178ad187e485aab15200a2169e14280007ea2571ef41016de",
         "report.json":
-            "ee9f5f8eb9311c511f840b8f5eefacccb3d88bf5937cf1b345dfc859757fbb4d",
+            "96e6cf8b9ffb34bfaffea1ba0c151c692beadb80112f023c7e85eb9c0c0d348a",
     },
     "idw": {
         "predictions/l00m01p00_1.csv":
@@ -132,7 +134,7 @@ PIPELINE_DIGESTS = {
         "predictions/l01m03p00_4.csv":
             "09ec71d250aeab0f5f42635f0b927f4470aa60d5ca033eec905763ca6c6c50e6",
         "report.json":
-            "f3aba39ab74f6550e91cf48b6d0beeb504e0764283b40116344019b79bf76077",
+            "a7c69ca71777fb918fccc061dc6b38aa8086be3dfde8b9cd9c96e6ffbe9c2e7c",
     },
     "kriging": {
         "predictions/l00m01p00_1.csv":
@@ -152,7 +154,7 @@ PIPELINE_DIGESTS = {
         "predictions/l01m03p00_4.csv":
             "6633bff443a7c2af416fbf610776ff004eba8df389fdbcc7dddcddf74b6d55fe",
         "report.json":
-            "0ccd6d654b4f674e67f528b00ffe36d8e672f0ace72971076d9ef9651d327bbe",
+            "2a1955e494c896b8a8bbb2a42b580542dcf257bc8114fa2ebb754e2e917406ba",
     },
 }
 

@@ -50,9 +50,12 @@ class TestPipelineConfig:
         ("area_factor", math.inf, "area_factor must be a finite number > 0, not inf"),
         ("g", "2", "g must be a finite number > 0, not '2'"),
         ("r", True, "r must be a finite number > 0, not True"),
-        ("noise_seed", "x", "noise_seed must be an integer, not 'x'"),
-        ("noise_seed", 1.5, r"noise_seed must be an integer, not 1\.5"),
-        ("noise_seed", True, "noise_seed must be an integer, not True"),
+        ("noise_seed", "x", "noise_seed must be an unsigned 64-bit integer, not 'x'"),
+        ("noise_seed", 1.5, r"noise_seed must be an unsigned 64-bit integer, not 1\.5"),
+        ("noise_seed", True, "noise_seed must be an unsigned 64-bit integer, not True"),
+        ("noise_seed", -1, "noise_seed must be an unsigned 64-bit integer, not -1"),
+        ("noise_seed", 2**64, "noise_seed must be an unsigned 64-bit integer, "
+                              "not 18446744073709551616"),
         ("connectivity", 6, "connectivity must be 4 or 8, not 6"),
     ])
     def test_rejects_out_of_range_options(self, field, value, message):
@@ -64,48 +67,33 @@ class TestPipelineConfig:
         PipelineConfig(intervals=("0.5", "1", "10"))
         PipelineConfig(gamma=0)
         PipelineConfig(gamma=254)
+        PipelineConfig(reconstructor="kriging", noise_seed=0)
+        PipelineConfig(reconstructor="kriging", noise_seed=2**64 - 1)
 
     def test_to_dict_lists_every_option(self):
-        config = PipelineConfig(reconstructor="kriging",
-                                reconstructor_params={"sill": 30.0},
-                                intervals=("1", "4"), jobs=2)
+        config = PipelineConfig(reconstructor="kriging", intervals=("1", "4"), jobs=2)
         assert config.to_dict() == {
-            "reconstructor": "kriging", "reconstructor_params": {"sill": 30.0},
-            "estimator": "com", "r": 2.0, "gamma": 127, "g": 20.0,
-            "connectivity": 8, "intervals": ["1", "4"], "noise_sigma": 0.0,
+            "reconstructor": "kriging", "estimator": "com", "r": 2.0, "gamma": 127,
+            "g": 20.0, "connectivity": 8, "intervals": ["1", "4"], "noise_sigma": 0.0,
             "noise_seed": 0, "area_factor": 1.6, "delta_db": 9.0,
             "local_map_dir": None, "jobs": 2}
         assert PipelineConfig().to_dict()["intervals"] is None
 
-    @pytest.mark.parametrize("reconstructor,params,message", [
-        ("kriging", {"sil": 30.0}, "kriging takes no sil"),
-        ("kriging", {"model": "exponential"}, "kriging takes no model"),
-        ("kriging", {"sill": 0.0}, "need nugget >= 0, sill > 0, range_m > 0"),
-        ("kriging", {"nugget": -1.0}, "need nugget >= 0, sill > 0, range_m > 0"),
-        ("idw", {"range_m": 10.0}, "idw takes no range_m"),
-        ("oracle", {"power": 2.0}, "oracle takes no power"),
-        ("idw", {"power": "x"}, "power must be a finite number > 0, not 'x'"),
-        ("idw", {"power": -2.0}, r"power must be a finite number > 0, not -2\.0"),
-        ("idw", {"power": 0}, "power must be a finite number > 0, not 0"),
-        ("idw", {"power": float("nan")}, "power must be a finite number > 0, not nan"),
-        ("idw", {"power": float("inf")}, "power must be a finite number > 0, not inf"),
-        ("idw", {"power": True}, "power must be a finite number > 0, not True"),
-        ("idw", {"power": None}, "power must be a finite number > 0, not None"),
-        ("kriging", {"sill": math.nan}, "sill must be a finite number, not nan"),
-        ("kriging", {"range_m": math.inf}, "range_m must be a finite number, not inf"),
-        ("kriging", {"nugget": math.inf}, "nugget must be a finite number, not inf"),
-        ("kriging", {"sill": True}, "sill must be a finite number, not True"),
-    ])
-    def test_rejects_bad_reconstructor_params(self, reconstructor, params, message):
+    @pytest.mark.parametrize("reconstructor", ["idw", "kriging"])
+    def test_local_map_dir_needs_oracle(self, reconstructor, tmp_path):
         with pytest.raises(PipelineConfigError,
-                           match=f"^bad reconstructor_params: {message}$"):
-            PipelineConfig(reconstructor=reconstructor, reconstructor_params=params)
+                           match=f"^local_map_dir is read by reconstructor 'oracle', "
+                                 f"not '{reconstructor}'$"):
+            PipelineConfig(reconstructor=reconstructor, local_map_dir=str(tmp_path))
+        PipelineConfig(local_map_dir=str(tmp_path))
 
-    def test_accepts_reconstructor_params(self):
-        PipelineConfig(reconstructor="kriging",
-                       reconstructor_params={"nugget": 1.0, "sill": 30.0,
-                                             "range_m": 20.0})
-        PipelineConfig(reconstructor="idw", reconstructor_params={"power": 3.0})
+    def test_noise_needs_a_sample_reconstructor(self):
+        with pytest.raises(PipelineConfigError,
+                           match="^noise_sigma > 0 needs a reconstructor that "
+                                 "reads samples, not 'oracle'$"):
+            PipelineConfig(noise_sigma=2.0)
+        PipelineConfig(reconstructor="idw", noise_sigma=2.0)
+        PipelineConfig(noise_sigma=0.0)
 
     def test_unknown_reconstructor_lists_registry(self):
         with pytest.raises(PipelineConfigError,

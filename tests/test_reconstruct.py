@@ -115,6 +115,18 @@ class TestKriging:
         with pytest.raises(ValueError):
             VariogramParams(sill=0.0)
 
+    @pytest.mark.parametrize("params,message", [
+        ({"sill": 0.0}, "need nugget >= 0, sill > 0, range_m > 0"),
+        ({"nugget": -1.0}, "need nugget >= 0, sill > 0, range_m > 0"),
+        ({"sill": math.nan}, "sill must be a finite number, not nan"),
+        ({"range_m": math.inf}, "range_m must be a finite number, not inf"),
+        ({"nugget": math.inf}, "nugget must be a finite number, not inf"),
+        ({"sill": True}, "sill must be a finite number, not True"),
+    ])
+    def test_variogram_rejects_bad_values(self, params, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            VariogramParams(**params)
+
 
 def random_problem(seed, j):
     """j distinct samples and a query set that spans several evaluation

@@ -5,7 +5,7 @@ import pytest
 
 from rssloc import (BuildingLayout, PlacementError, Source, Scenario,
                     generate_layout, generate_scenario, place_sources)
-from rssloc.scenario import _connected, disk_cells
+from rssloc.scenario import _connected, disk_cells, expected_disk_area
 
 from oracles import disk_cells_every_cell, flood_fill_partition
 
@@ -127,6 +127,28 @@ def test_disk_cells_match_every_cell_oracle():
         rows, cols = disk_cells(6.5, 6.5, r, (13, 13))
         assert list(zip(rows.tolist(), cols.tolist())) == \
             disk_cells_every_cell(6.5, 6.5, r, (13, 13))
+
+
+def test_expected_disk_area_counts_disk_cells():
+    # radii on and beside the predicate's boundary: sqrt(m) +- 1e-12, integer
+    # and half radii, and the floats next to integers
+    radii = [math.sqrt(m) + e for m in range(1, 400) for e in (-1e-12, 0.0, 1e-12)]
+    radii += [k / 2 for k in range(1, 81)]
+    radii += [math.nextafter(k, side) for k in range(1, 41) for side in (0, 100)]
+    for r in radii:
+        n = math.floor(r)
+        cells = disk_cells(n + 0.5, n + 0.5, r, (2 * n + 1, 2 * n + 1))[0]
+        assert expected_disk_area(r) == len(cells), r
+    assert expected_disk_area(3) == expected_disk_area(3.0) == 29
+
+
+def test_expected_disk_area_at_large_radius():
+    # a 20001 x 20001 grid would take GB; the row count stays inside the
+    # Gauss-circle bound: every counted cell lies within r + sqrt(2)/2 of
+    # the centre, and every cell within r - sqrt(2)/2 is counted
+    r = 1e4
+    area = expected_disk_area(r)
+    assert math.pi * (r - 0.5 ** 0.5) ** 2 <= area <= math.pi * (r + 0.5 ** 0.5) ** 2
 
 
 def test_connected_uses_eight_connectivity():
