@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .propagation import PropagationParams, ground_truth_local, rasterize_global
-from .sampling import SampleSet, build_routes, sample_along
-from .scenario import BuildingLayout, GenerationError, Scenario, Source, \
+from .sampling import SampleSet, add_noise, build_routes, sample_along
+from .scenario import BuildingLayout, GenerationError, Scenario, Source, _check, \
     check_placement, generate_layout, place_sources
 
 
@@ -247,16 +247,6 @@ def augment_points(points, aug: str, width: int, height: int):
 _SPLITS = ("train", "val", "test")
 
 
-def _check(name: str, value, kind, noun: str, holds=lambda value: True,
-           error=ValueError):
-    """error "<name> must be <noun>" unless value is a finite kind instance
-    for which holds is true. bool is a number to Python, but True is no
-    size, count or seed, and as an interval would name a samples/True/."""
-    if isinstance(value, bool) or not isinstance(value, kind) \
-            or not -math.inf < value < math.inf or not holds(value):
-        raise error(f"{name} must be {noun}, not {value!r}")
-
-
 def check_intervals(keys, error=ValueError) -> None:
     """error unless each interval key, a number or its text, is a finite
     number > 0 and no two have one value."""
@@ -388,9 +378,10 @@ def generate_dataset(config: DatasetConfig, out_dir) -> dict:
                 files.append((f"maps/local/{sid}.pgm", encode_pgm(local_map.values)))
                 sample_paths = {}
                 for ki, interval in enumerate(config.intervals):
-                    sset = sample_along(route, global_map, interval, config.speed,
-                                        config.noise_sigma,
-                                        seed=_derived_seed(config.seed, 3, li, m, pi, ki))
+                    sset = sample_along(route, global_map, interval, config.speed)
+                    if config.noise_sigma > 0:
+                        sset = add_noise(sset, config.noise_sigma,
+                                         _derived_seed(config.seed, 3, li, m, pi, ki))
                     rel = f"samples/{interval}/{sid}.csv"
                     files.append((rel, samples_to_csv(sset).encode()))
                     sample_paths[str(interval)] = rel

@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .dataset_io import (_check, check_intervals, dumps_json, load_scenario,
+from .dataset_io import (check_intervals, dumps_json, load_scenario,
                          parse_file, predictions_to_csv, read_dataset_index,
                          read_pgm, samples_from_csv)
 from .localize import ESTIMATORS, localize_all
@@ -21,6 +21,7 @@ from .metrics import DEFAULT_OSPA_CUTOFF, ScenarioEval, aggregate, evaluate_scen
 from .propagation import RadioMap
 from .reconstruct import idw_reconstruct, kriging_reconstruct, proxy_local_map
 from .sampling import SampleSet, add_noise
+from .scenario import _check
 from .separation import (DEFAULT_AREA_FACTOR, DEFAULT_CONNECTIVITY,
                          DEFAULT_GAMMA, separate_sources)
 
@@ -81,7 +82,7 @@ _RANGES = {
     "connectivity": (int, "4 or 8", lambda n: n in (4, 8)),
     "r": _POSITIVE, "g": _POSITIVE, "area_factor": _POSITIVE,
     "noise_sigma": _NON_NEGATIVE, "delta_db": _NON_NEGATIVE,
-    # add_noise seeds with 64 bits; a wider range would alias seeds
+    # a 64-bit seed, as the dataset's derived seeds are
     "noise_seed": (int, "an unsigned 64-bit integer", lambda n: 0 <= n < 2**64),
     "jobs": (int, "an integer >= 1", lambda n: n >= 1),
 }

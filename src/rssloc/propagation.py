@@ -10,11 +10,12 @@ float grids and 8-bit bitmaps.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import Scenario, Source, disk_cells
+from .scenario import Scenario, Source, _check, disk_cells
 
 # stream tag for shadowing draws, mixed with (scenario seed, source index)
 _SHADOW_TAG = 0x5AD0
@@ -32,12 +33,13 @@ class PropagationParams:
     penetration_cap: float = 60.0  # dB
 
     def __post_init__(self):
-        if self.d0 <= 0:
-            raise ValueError("d0 must be positive")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.sigma_shadow < 0 or self.beta_penetration < 0:
-            raise ValueError("sigma_shadow and beta_penetration must be >= 0")
+        _check("l0", self.l0, numbers.Real, "a finite number")
+        for name in ("d0", "eta"):
+            _check(name, getattr(self, name), numbers.Real, "a finite number > 0",
+                   lambda value: value > 0)
+        for name in ("sigma_shadow", "beta_penetration", "penetration_cap"):
+            _check(name, getattr(self, name), numbers.Real, "a finite number >= 0",
+                   lambda value: value >= 0)
 
 
 # The 8-bit scale: P_MIN_DBM maps to 0 and P_MAX_DBM to 255. P_MIN_DBM is
@@ -189,8 +191,7 @@ def aggregate_rss(powers):
 def _shadow_grid(scenario: Scenario, source_index: int, sigma: float,
                  shape: tuple[int, int]) -> np.ndarray:
     # one stream per (scenario seed, source index); cells consumed row-major
-    ss = np.random.SeedSequence([scenario.rng_seed & 0xFFFFFFFFFFFFFFFF,
-                                 _SHADOW_TAG, source_index])
+    ss = np.random.SeedSequence([scenario.rng_seed, _SHADOW_TAG, source_index])
     return np.random.default_rng(ss).normal(0.0, sigma, size=shape)
 
 

@@ -28,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset_io import _check
 from .propagation import P_MIN_DBM, RadioMap, encode_bitmap
-from .sampling import SampleSet
-from .scenario import BuildingLayout, disk_cells
+from .sampling import SampleSet, first_occurrences
+from .scenario import BuildingLayout, _check, disk_cells
 
 _PAIRS_PER_BLOCK = 1 << 15
 # proxy_local_map takes at most this many peaks
@@ -133,9 +132,7 @@ def _kriging_matrix(positions: np.ndarray, variogram: VariogramParams) -> np.nda
 def _check_samples(positions: np.ndarray):
     if len(positions) < 2:
         raise ReconstructionError("ordinary kriging needs at least two samples")
-    # sorted rows, not np.unique: np.unique loads numpy.ma, ~10 ms a command
-    ordered = positions[np.lexsort(positions.T)]
-    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+    if len(first_occurrences(positions)) < len(positions):
         raise ReconstructionError(
             "duplicate sample positions make the kriging system singular; "
             "merge them upstream")

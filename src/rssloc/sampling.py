@@ -1,5 +1,6 @@
-"""Vehicle measurement simulation: perimeter routes around buildings and
-arc-length sampling of the global field at configurable time intervals.
+"""Vehicle measurement simulation: perimeter routes around buildings,
+arc-length sampling of the global field at configurable time intervals, and
+the one measurement-noise model, add_noise.
 
 Routes are canonical and deterministic: the exterior free-cell ring of each
 building region is traced clockwise starting at its topmost-leftmost cell,
@@ -18,9 +19,8 @@ import numpy as np
 from .propagation import RadioMap
 from .scenario import BuildingLayout, GenerationError, dilate, label_by_bbox
 
-# noise stream tags, mixed with the caller's seed
-_SAMPLE_TAG = 0x5A3C
-_EXTRA_TAG = 0xAD01
+# stream tag for add_noise's draws, mixed with the caller's seed
+_NOISE_TAG = 0xAD01
 
 # clockwise Moore scan order with the origin at the top-left (y grows down)
 _CLOCKWISE = ((0, -1), (-1, -1), (-1, 0), (-1, 1),
@@ -55,8 +55,8 @@ class Route:
 class SampleSet:
     """Sparse measurements {(S_j, rss_j)}, at least one.
 
-    Positions may repeat here; sample_along merges exact duplicates by the
-    mean of their values, and kriging rejects them.
+    Positions may repeat here; sample_along reads each distinct position
+    once, and kriging rejects repeats (first_occurrences finds them).
 
     values may also stack S value rows on the same J positions, one per
     scenario measured along the same route; len() is J either way.
@@ -195,42 +195,31 @@ def build_routes(layout: BuildingLayout) -> Route:
     return Route(waypoints=[(j + 0.5, i + 0.5) for i, j in cells])
 
 
-def _merge_duplicates(positions, values) -> tuple[np.ndarray, np.ndarray]:
-    """Merge exact duplicate positions by the mean of their values, keeping
-    the groups in order of first occurrence."""
-    positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
-    values = np.asarray(values, dtype=np.float64)
-    # stable, on (y, x): each group's readings stay in their original
-    # order, and its first sorted member is its first occurrence
-    order = np.lexsort(positions.T)
-    ranked = positions[order]
+def first_occurrences(positions) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct (x, y) row;
+    0.0 and -0.0 are one coordinate."""
+    # a stable sort of the rows as x + iy puts each first occurrence first in
+    # its group; np.unique would load numpy.ma, about 10 ms a command
+    keys = np.ascontiguousarray(positions, dtype=np.float64).view(np.complex128).ravel()
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
     new = np.ones(len(order), dtype=bool)
-    new[1:] = (ranked[1:, 0] != ranked[:-1, 0]) | (ranked[1:, 1] != ranked[:-1, 1])
-    starts = np.flatnonzero(new)
-    ends = np.append(starts[1:], len(order))
-    first = order[starts]
-    merged_val = values[first]
-    for g in np.flatnonzero(ends - starts > 1):
-        merged_val[g] = np.mean(values[order[starts[g]:ends[g]]])
-    by_first = np.argsort(first)
-    return positions[first[by_first]], merged_val[by_first]
+    new[1:] = ranked[1:] != ranked[:-1]
+    return np.sort(order[new])
 
 
 def sample_along(route: Route, global_map: RadioMap, interval_s: float,
-                 speed: float = 1.0, noise_sigma: float = 0.0,
-                 seed: int = 0) -> SampleSet:
+                 speed: float = 1.0) -> SampleSet:
     """Measure at arc-length multiples of interval_s * speed from the start.
 
-    The reading is the field value at the containing cell's center plus
-    optional Gaussian noise; positions themselves are exact. Larger intervals
-    mean fewer samples.
+    Each distinct position is read once, in order of first occurrence, as the
+    exact field value at its containing cell's center; add_noise perturbs the
+    readings. Larger intervals mean fewer samples.
     """
     if interval_s <= 0:
         raise ValueError("interval_s must be positive")
     if speed <= 0:
         raise ValueError("speed must be positive")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
     if not global_map.is_dbm:
         raise ValueError("sampling needs the dBm global map")
     cum = route.cumulative_lengths()
@@ -246,13 +235,9 @@ def sample_along(route: Route, global_map: RadioMap, interval_s: float,
     frac = (arc - cum[k]) / (cum[k + 1] - cum[k])
     p0 = pts[k]
     positions[inside] = p0 + frac[:, None] * (pts[k + 1] - p0)
+    positions = positions[first_occurrences(positions)]
     cells = np.floor(positions).astype(np.int64)
     values = global_map.values[cells[:, 1], cells[:, 0]].astype(np.float64)
-    if noise_sigma > 0:
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF,
-                                                            _SAMPLE_TAG]))
-        values = values + rng.normal(0.0, noise_sigma, size=count)
-    positions, values = _merge_duplicates(positions, values)
     return SampleSet(positions=positions, values=values)
 
 
@@ -260,14 +245,15 @@ def add_noise(sample_set: SampleSet, sigma: float, seed: int,
               stream: str = "") -> SampleSet:
     """Independent zero-mean Gaussian perturbation per sample, values only.
 
-    A non-empty stream (the pipeline passes scenario id and interval) draws
-    from its own stream of the seed.
+    seed is an integer >= 0 (a negative one raises ValueError). A non-empty
+    stream (the pipeline passes scenario id and interval) draws from its own
+    stream of the seed.
     """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     values = sample_set.values.copy()
     if sigma > 0:
-        entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF, _EXTRA_TAG]
+        entropy = [int(seed), _NOISE_TAG]
         if stream:
             entropy.append(int.from_bytes(stream.encode(), "little"))
         rng = np.random.default_rng(np.random.SeedSequence(entropy))

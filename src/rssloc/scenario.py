@@ -113,6 +113,16 @@ def dilate(mask: np.ndarray) -> np.ndarray:
     return rows[:-2] | rows[1:-1] | rows[2:]
 
 
+def _check(name: str, value, kind, noun: str, holds=lambda value: True,
+           error=ValueError):
+    """error "<name> must be <noun>" unless value is a finite kind instance
+    for which holds is true. bool is a number to Python, but True is no
+    size, count or seed, and as an interval would name a samples/True/."""
+    if isinstance(value, bool) or not isinstance(value, kind) \
+            or not -math.inf < value < math.inf or not holds(value):
+        raise error(f"{name} must be {noun}, not {value!r}")
+
+
 class GenerationError(RuntimeError):
     """Generation could not satisfy its constraints for the config given."""
 

@@ -158,8 +158,8 @@ def traverse_all_cells(start, ends, cells):
 
 def sample_along_loop(route, grid, interval_s, speed=1.0):
     """Noise-free route sampling one arc at a time: the per-sample loop that
-    rssloc.sampling.sample_along vectorizes. Returns unmerged positions and
-    readings."""
+    rssloc.sampling.sample_along vectorizes. Returns every drawn position and
+    its reading, repeats included."""
     pts = route.waypoints
     cum = route.cumulative_lengths()
     step = interval_s * speed
@@ -209,14 +209,14 @@ def bfs_path_loop(free, start, goal):
     raise RouteError(f"no free path from {start} to {goal}")
 
 
-def merge_duplicates_loop(positions, values):
-    """Exact duplicate positions merged by np.mean through a dict, in order
-    of first occurrence."""
+def first_occurrences_loop(positions):
+    """rssloc.sampling.first_occurrences through a dict keyed by each row's
+    (x, y) floats, which holds 0.0 and -0.0 as one key: the index of each
+    key's first row, in order."""
     seen = {}
-    for (x, y), v in zip(positions, values):
-        seen.setdefault((float(x), float(y)), []).append(float(v))
-    return (np.asarray(list(seen), dtype=np.float64),
-            np.asarray([np.mean(group) for group in seen.values()]))
+    for k, (x, y) in enumerate(positions):
+        seen.setdefault((float(x), float(y)), k)
+    return np.asarray(list(seen.values()), dtype=np.intp)
 
 
 def samples_to_csv_lines(sample_set):

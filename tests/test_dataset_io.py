@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,13 +6,15 @@ import numpy as np
 import pytest
 
 from rssloc import (AUGMENTATIONS, BuildingLayout, DatasetConfig, LrmfError,
-                    PgmError, SampleSet, Scenario, Source, augment_grid,
-                    augment_points, decode_lrmf, decode_pgm, encode_lrmf,
-                    encode_pgm, generate_dataset, generate_scenario,
-                    ground_truth_local, load_scenario, read_dataset_index,
-                    read_pgm)
-from rssloc.dataset_io import (predictions_from_csv, predictions_to_csv,
-                               samples_from_csv, samples_to_csv)
+                    PgmError, PropagationParams, SampleSet, Scenario, Source,
+                    add_noise, augment_grid, augment_points, build_routes,
+                    decode_lrmf, decode_pgm, encode_lrmf, encode_pgm,
+                    generate_dataset, generate_scenario, ground_truth_local,
+                    load_scenario, rasterize_global, read_dataset_index,
+                    read_pgm, sample_along)
+from rssloc.dataset_io import (_derived_seed, predictions_from_csv,
+                               predictions_to_csv, samples_from_csv,
+                               samples_to_csv)
 
 from oracles import samples_to_csv_lines
 
@@ -272,6 +275,24 @@ class TestGenerateDataset:
             assert sc.m == entry["m"]
             a, b = sc.sources[:2]
             assert math.hypot(a.x - b.x, a.y - b.y) == pytest.approx(3.0, abs=1e-9)
+
+    def test_noisy_samples_are_add_noise_of_exact_samples(self, tmp_path):
+        # generate's noise is add_noise over the noise-free samples, one
+        # derived seed per (layout, source count, placement, interval)
+        config = dataclasses.replace(self.config(), noise_sigma=2.0)
+        index = generate_dataset(config, tmp_path / "ds")
+        params = PropagationParams()
+        for entry in index["entries"]:
+            sc = load_scenario(tmp_path / "ds", entry)
+            li, pi = int(entry["id"][1:3]), int(entry["id"][-2:])
+            route, g = build_routes(sc.layout), rasterize_global(sc, params)
+            for ki, interval in enumerate(config.intervals):
+                seed = _derived_seed(config.seed, 3, li, entry["m"], pi, ki)
+                exact = sample_along(route, g, interval, config.speed)
+                expected = samples_to_csv(add_noise(exact, 2.0, seed))
+                path = tmp_path / "ds" / entry["samples"][str(interval)]
+                assert path.read_text() == expected
+                assert expected != samples_to_csv(exact)
 
     def test_split_layouts_disjoint(self, tmp_path):
         index = generate_dataset(self.config(), tmp_path / "ds")

@@ -41,6 +41,28 @@ def field_at(cells, source, cell, params):
     return rasterize_global(sc, params).values[cell]
 
 
+class TestParams:
+    @pytest.mark.parametrize("field,value,noun", [
+        ("l0", math.nan, "a finite number"),
+        ("l0", math.inf, "a finite number"),
+        ("d0", 0.0, "a finite number > 0"),
+        ("eta", -3.0, "a finite number > 0"),
+        ("eta", math.inf, "a finite number > 0"),
+        ("sigma_shadow", -1.0, "a finite number >= 0"),
+        ("beta_penetration", "2", "a finite number >= 0"),
+        ("beta_penetration", True, "a finite number >= 0"),
+        ("penetration_cap", -5.0, "a finite number >= 0"),
+        ("penetration_cap", math.inf, "a finite number >= 0"),
+    ])
+    def test_invalid_channel_rejected(self, field, value, noun):
+        with pytest.raises(ValueError, match=f"^{field} must be {noun}, not "):
+            PropagationParams(**{field: value})
+
+    def test_range_edges_accepted(self):
+        PropagationParams(l0=-10, d0=np.float32(0.5), eta=1, sigma_shadow=0.0,
+                          beta_penetration=0, penetration_cap=0.0)
+
+
 class TestPenetration:
     def test_free_segment(self, flat_layout):
         cells = flat_layout.cells
@@ -352,6 +374,19 @@ class TestRasterizeGlobal:
         a = rasterize_global(sc, noisy)
         b = rasterize_global(sc, noisy)
         assert np.array_equal(a.values, b.values)
+
+    def test_shadow_seed_is_not_masked(self):
+        # 2**64 and 0 draw different shadowing; a negative seed has none
+        noisy = PropagationParams(sigma_shadow=3.0)
+        sc = make_flat_scenario([(20.5, 20.5)], size=40)
+        fields = []
+        for seed in (0, 2**64):
+            sc.rng_seed = seed
+            fields.append(rasterize_global(sc, noisy).values.tobytes())
+        assert fields[0] != fields[1]
+        sc.rng_seed = -1
+        with pytest.raises(ValueError):
+            rasterize_global(sc, noisy)
 
 
 class TestGroundTruthLocal:

@@ -1,7 +1,8 @@
 """Property tests: file-format round trips, malformed PGM and LRMF headers,
 the invariants of the evaluation metrics, the assignment solver against
 scipy's, the run-based labeling, its bounding boxes and the 3x3 dilation
-against scipy.ndimage, route bridges against the loop oracle, the rectangle
+against scipy.ndimage, route bridges against the loop oracle, the first
+occurrence of each sample position against a dict oracle, the rectangle
 cover of building cells, augmentation equivariance of separation and
 localization, and stacked kriging and IDW predictions against one call per
 value row."""
@@ -16,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 from scipy.optimize import linear_sum_assignment
 
-from oracles import bfs_path_loop
+from oracles import bfs_path_loop, first_occurrences_loop
 from rssloc import (AUGMENTATIONS, LrmfError, PgmError, SampleSet, augment_grid,
                     augment_points, decode_lrmf, decode_pgm, encode_lrmf,
                     encode_pgm, evaluate_scenario, localize_all, ospa,
@@ -27,7 +28,7 @@ from rssloc.metrics import _cost_matrix, _lsap
 from rssloc.propagation import building_rectangles
 from rssloc.reconstruct import (_PAIRS_PER_BLOCK, VariogramParams, idw_predict,
                                 kriging_predict)
-from rssloc.sampling import RouteError, _bfs_path
+from rssloc.sampling import RouteError, _bfs_path, first_occurrences
 from rssloc.scenario import dilate, label_by_bbox
 
 # small example counts keep the whole suite near a minute
@@ -230,6 +231,18 @@ def test_bfs_path_matches_loop_oracle(shape, density, seed):
                     _bfs_path(free, start, goal)
                 continue
             assert _bfs_path(free, start, goal) == expected
+
+
+# coordinates from a small pool (signed zeros included) make most rows repeat
+pool_coords = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 2.0, 7.25]), coords)
+
+
+@FEW
+@given(st.lists(st.tuples(pool_coords, pool_coords), max_size=40))
+def test_first_occurrences_matches_dict_oracle(rows):
+    positions = np.array(rows, dtype=np.float64).reshape(-1, 2)
+    assert first_occurrences(positions).tolist() == \
+        first_occurrences_loop(positions).tolist()
 
 
 # any uint8 grid, or seeded grids from sparse to full

@@ -8,8 +8,8 @@ from rssloc import (BuildingLayout, Route, RouteError, SampleSet, add_noise,
                     sample_along)
 
 from conftest import make_flat_scenario
-from oracles import merge_duplicates_loop, sample_along_loop
-from rssloc.sampling import _merge_duplicates
+from oracles import first_occurrences_loop, sample_along_loop
+from rssloc.sampling import first_occurrences
 
 
 def straight_route(n_cells=101, row=5):
@@ -156,37 +156,35 @@ class TestSampleAlong:
         g = rasterize_global(sc, params)
         route = build_routes(sc.layout)
         ss = sample_along(route, g, interval, speed)
-        positions, values = merge_duplicates_loop(
-            *sample_along_loop(route, g.values, interval, speed))
-        assert ss.positions.tobytes() == positions.tobytes()
-        assert ss.values.tobytes() == values.tobytes()
+        positions, values = sample_along_loop(route, g.values, interval, speed)
+        keep = first_occurrences_loop(positions)
+        assert ss.positions.tobytes() == positions[keep].tobytes()
+        assert ss.values.tobytes() == values[keep].tobytes()
 
     def test_merge_bit_identical_to_loop(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
-            # few distinct positions, so most groups hold several readings
+            # few distinct positions, so most of them repeat
             grid = rng.random((6, 2)) * 10
             positions = grid[rng.integers(0, 6, size=40)]
-            values = rng.normal(-60.0, 15.0, size=40)
-            pos, val = _merge_duplicates(positions, values)
-            ref_pos, ref_val = merge_duplicates_loop(positions, values)
-            assert pos.tobytes() == ref_pos.tobytes()
-            assert val.tobytes() == ref_val.tobytes()
+            keep = first_occurrences(positions)
+            assert keep.tobytes() == first_occurrences_loop(positions).tobytes()
+            # a strided view, as samples_from_csv gives kriging
+            rows = np.column_stack([positions, rng.normal(-60.0, 15.0, size=40)])
+            assert first_occurrences(rows[:, :2]).tobytes() == keep.tobytes()
 
-    @pytest.mark.parametrize("positions,values", [
-        ([(1.5, 2.5)], [-60.0]),
-        ([(j + 0.5, 3.5) for j in range(10)], np.linspace(-90.0, -50.0, 10)),
-        ([(4.5, 4.5)] * 7, [-61.0, -60.3, -75.1, -40.0, -60.3, -99.9, -55.5]),
-        # 0.0 == -0.0: one group each, whose position is its first occurrence
-        ([(0.0, 1.0), (-0.0, 1.0), (2.0, -0.0), (2.0, 0.0), (-0.0, -0.0)],
-         [-50.0, -70.0, -65.0, -66.0, -80.0]),
-        ([], []),
+    @pytest.mark.parametrize("positions,expected", [
+        ([(1.5, 2.5)], [0]),
+        ([(j + 0.5, 3.5) for j in range(10)], range(10)),
+        ([(4.5, 4.5)] * 7, [0]),
+        # 0.0 == -0.0: one position each, found at its first occurrence
+        ([(0.0, 1.0), (-0.0, 1.0), (2.0, -0.0), (2.0, 0.0), (-0.0, -0.0)], [0, 2, 4]),
+        (np.empty((0, 2)), []),
     ], ids=["one", "distinct", "all_same", "signed_zero", "empty"])
-    def test_merge_edge_cases_match_loop(self, positions, values):
-        pos, val = _merge_duplicates(positions, values)
-        ref_pos, ref_val = merge_duplicates_loop(positions, values)
-        assert pos.tobytes() == ref_pos.reshape(-1, 2).tobytes()
-        assert val.tobytes() == ref_val.tobytes()
+    def test_merge_edge_cases_match_loop(self, positions, expected):
+        keep = first_occurrences(np.asarray(positions, dtype=np.float64))
+        assert keep.tolist() == list(expected)
+        assert keep.tolist() == first_occurrences_loop(positions).tolist()
 
     def test_rejects_bad_interval(self, flat_global):
         with pytest.raises(ValueError):
@@ -196,10 +194,6 @@ class TestSampleAlong:
     def test_rejects_non_positive_speed(self, flat_global, speed):
         with pytest.raises(ValueError, match="speed must be positive"):
             sample_along(straight_route(10), flat_global, 1, speed)
-
-    def test_rejects_negative_noise_sigma(self, flat_global):
-        with pytest.raises(ValueError, match="noise_sigma must be >= 0"):
-            sample_along(straight_route(10), flat_global, 1, noise_sigma=-1.0)
 
 
 class TestNoise:
@@ -234,6 +228,17 @@ class TestNoise:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             add_noise(self.make_set(5), -1.0, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            add_noise(self.make_set(5), 1.0, -1)
+
+    def test_every_seed_draws_its_own_noise(self):
+        # 2**64 and 0 differ, as do the two ends of the 64-bit range
+        ss = self.make_set(50)
+        draws = [add_noise(ss, 1.0, seed).values.tobytes()
+                 for seed in (0, 2**64, 2**64 - 1, 1)]
+        assert len(set(draws)) == 4
 
 
 class TestSampleSet:
