@@ -30,8 +30,8 @@ from .propagation import (PropagationParams, RadioMap, P_MIN_DBM, P_MAX_DBM,
                           rasterize_global, ground_truth_local)
 from .sampling import (Route, SampleSet, build_routes, sample_along, add_noise,
                        RouteError)
-from .reconstruct import (VariogramParams, idw_reconstruct, kriging_reconstruct,
-                          proxy_local_map, ReconstructionError)
+from .reconstruct import (idw_reconstruct, kriging_reconstruct, proxy_local_map,
+                          ReconstructionError)
 from .separation import (Component, Labeling, SeparationResult, binarize,
                          connected_components, extract_single_source_maps,
                          flag_merged, separate_sources, expected_disk_area)

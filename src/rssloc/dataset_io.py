@@ -197,7 +197,7 @@ def scenario_from_dict(doc: dict, layout: BuildingLayout) -> Scenario:
     sources = [Source(s["x"], s["y"], s["tx_power_dbm"], s["gain_dbi"])
                for s in doc["sources"]]
     return Scenario(layout=layout, sources=sources, id=doc["id"],
-                    rng_seed=int(doc["seed"]))
+                    rng_seed=doc["seed"])
 
 
 def dumps_json(doc: dict) -> str:

@@ -44,7 +44,7 @@ class EvalReport:
     """Aggregate over scenarios; far/mdr carry both count conventions."""
 
     mle: float | None
-    ospa: float | None
+    ospa: float
     far: float            # micro: summed excess counts over summed predictions
     mdr: float            # micro: summed misses over summed truths
     far_macro: float
@@ -185,21 +185,20 @@ def evaluate_scenario(pred, true, g: float = DEFAULT_OSPA_CUTOFF) -> ScenarioEva
 def aggregate(reports: list[ScenarioEval]) -> EvalReport:
     """Combine per-scenario evaluations.
 
-    mLE and OSPA average over scenarios where they are defined; far/mdr are
+    mLE averages over scenarios where it is defined, OSPA over all; far/mdr are
     reported micro-averaged (from summed counts) and macro-averaged (mean of
     the per-scenario rates) since unbalanced scenario sizes make them differ.
     """
     if not reports:
         raise ValueError("no reports to aggregate")
     mles = [r.mle for r in reports if r.mle is not None]
-    ospas = [r.ospa for r in reports]
     total_true = sum(r.m for r in reports)
     total_pred = sum(r.m_hat for r in reports)
     excess = sum(max(0, r.m_hat - r.m) for r in reports)
     missed = sum(max(0, r.m - r.m_hat) for r in reports)
     return EvalReport(
         mle=float(np.mean(mles)) if mles else None,
-        ospa=float(np.mean(ospas)) if ospas else None,
+        ospa=float(np.mean([r.ospa for r in reports])),
         far=excess / total_pred if total_pred > 0 else 0.0,
         mdr=missed / total_true if total_true > 0 else 0.0,
         far_macro=float(np.mean([r.far for r in reports])),

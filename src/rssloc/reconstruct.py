@@ -9,10 +9,10 @@ iterative peak thresholding.
 
 Both predictors and the kriging matrix evaluate their pairs from squared
 distances, in blocks of about _PAIRS_PER_BLOCK pairs held in two reused
-buffers, so the working set stays in cache. Kriging is solved once in dual form (weights w and
-mean mu) and the affine exponential variogram is folded into the prediction:
-(nugget + sill) * sum(w) + mu - sill * (exp(-3 d / range) @ w), less
-nugget * w_j at every query that sits exactly on sample j (gamma(0) = 0).
+buffers, so the working set stays in cache. Kriging's one variogram is
+gamma(d) = sill * (1 - exp(-3 d / range)), sill _SILL and range _RANGE_M; it
+is solved once in dual form (weights w and mean mu) and folded into the
+prediction: sill * sum(w) + mu - sill * (exp(-3 d / range) @ w).
 The reconstructors predict only at free cells; building cells take P_MIN_DBM.
 
 Values may stack S rows on one set of positions (the scenarios of a layout
@@ -24,36 +24,22 @@ one-row call gives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .propagation import P_MIN_DBM, RadioMap, encode_bitmap
 from .sampling import SampleSet, first_occurrences
-from .scenario import BuildingLayout, _check, disk_cells
+from .scenario import BuildingLayout, disk_cells
 
 _PAIRS_PER_BLOCK = 1 << 15
+# the kriging variogram: sill in dB^2, range in m
+_SILL = 25.0
+_RANGE_M = 30.0
 # proxy_local_map takes at most this many peaks
 _MAX_PEAKS = 64
 
 
 class ReconstructionError(RuntimeError):
     """The interpolation system could not be solved."""
-
-
-@dataclass
-class VariogramParams:
-    """Exponential variogram gamma(d) = nugget + sill * (1 - exp(-3d/range))."""
-
-    nugget: float = 0.0
-    sill: float = 25.0
-    range_m: float = 30.0
-
-    def __post_init__(self):
-        for name in ("nugget", "sill", "range_m"):
-            _check(name, getattr(self, name), (int, float), "a finite number")
-        if self.nugget < 0 or self.sill <= 0 or self.range_m <= 0:
-            raise ValueError("need nugget >= 0, sill > 0, range_m > 0")
 
 
 def _squared_distance_blocks(positions: np.ndarray, query: np.ndarray):
@@ -78,9 +64,9 @@ def _squared_distance_blocks(positions: np.ndarray, query: np.ndarray):
         yield lo, d2
 
 
-def idw_predict(positions: np.ndarray, values: np.ndarray, query: np.ndarray,
-                power: float = 2.0) -> np.ndarray:
-    """Inverse-distance-weighted interpolation; exact at the sample positions.
+def idw_predict(positions: np.ndarray, values: np.ndarray,
+                query: np.ndarray) -> np.ndarray:
+    """Inverse-distance-weighted (1 / d^2) interpolation; exact at the samples.
 
     values (J,) give (Q,) predictions, values (S, J) give (S, Q).
     """
@@ -92,7 +78,7 @@ def idw_predict(positions: np.ndarray, values: np.ndarray, query: np.ndarray,
     for lo, d2 in _squared_distance_blocks(positions, query):
         exact = d2 < 1e-24     # d < 1e-12
         with np.errstate(divide="ignore"):
-            d2 **= -0.5 * power
+            d2 **= -1.0
         d2[exact] = 0.0
         total = d2.sum(axis=1)
         hit_q, hit_s = np.nonzero(exact)
@@ -104,24 +90,20 @@ def idw_predict(positions: np.ndarray, values: np.ndarray, query: np.ndarray,
     return out.reshape(values.shape[:-1] + (len(query),))
 
 
-def _kriging_matrix(positions: np.ndarray, variogram: VariogramParams) -> np.ndarray:
-    """The bordered ordinary-kriging matrix [[gamma(d_ij), 1], [1, 0]].
-
-    gamma is computed from _squared_distance_blocks, block by block, in the
-    operation order of nugget + sill * (1 - exp(-3 d / range)); the positions
-    are distinct, so only the diagonal has d = 0.
-    """
+def _kriging_matrix(positions: np.ndarray) -> np.ndarray:
+    """The bordered ordinary-kriging matrix [[gamma(d_ij), 1], [1, 0]]: gamma
+    block by block from _squared_distance_blocks, in the operation order of
+    sill * (1 - exp(-3 d / range)); only the diagonal has d = 0."""
     j = len(positions)
     k = np.empty((j + 1, j + 1))
     for lo, d2 in _squared_distance_blocks(positions, positions):
         g = k[lo:lo + len(d2), :j]
         np.sqrt(d2, out=g)
         g *= -3.0
-        g /= variogram.range_m
+        g /= _RANGE_M
         np.exp(g, out=g)
         np.subtract(1.0, g, out=g)
-        g *= variogram.sill
-        g += variogram.nugget
+        g *= _SILL
     np.fill_diagonal(k[:j, :j], 0.0)
     k[:j, j] = 1.0
     k[j, :j] = 1.0
@@ -138,22 +120,20 @@ def _check_samples(positions: np.ndarray):
             "merge them upstream")
 
 
-def kriging_predict(positions: np.ndarray, values: np.ndarray, query: np.ndarray,
-                    variogram: VariogramParams | None = None) -> np.ndarray:
+def kriging_predict(positions: np.ndarray, values: np.ndarray,
+                    query: np.ndarray) -> np.ndarray:
     """Ordinary-kriging prediction in dual form: one solve, O(J) per query.
 
     values (J,) give (Q,) predictions, values (S, J) give (S, Q): one matrix
     for all rows, one solve per row.
     """
-    variogram = variogram or VariogramParams()
     try:
         samples = SampleSet(positions, values)
     except ValueError as exc:
         raise ReconstructionError(str(exc)) from exc
     positions, values = samples.positions, samples.values
     _check_samples(positions)
-    k = _kriging_matrix(positions, variogram)
-    nugget, sill = variogram.nugget, variogram.sill
+    k = _kriging_matrix(positions)
     weights = []    # (w, base) per row
     for row in np.atleast_2d(values):
         try:
@@ -161,20 +141,16 @@ def kriging_predict(positions: np.ndarray, values: np.ndarray, query: np.ndarray
         except np.linalg.LinAlgError as exc:
             raise ReconstructionError(f"kriging system is singular: {exc}") from exc
         w, mu = alpha[:-1], alpha[-1]
-        weights.append((w, (nugget + sill) * w.sum() + mu))
-    scale = -3.0 / variogram.range_m
+        weights.append((w, _SILL * w.sum() + mu))
+    scale = -3.0 / _RANGE_M
     query = np.atleast_2d(np.asarray(query, dtype=np.float64))
     out = np.empty((len(weights), len(query)))
     for lo, d2 in _squared_distance_blocks(positions, query):
-        if nugget > 0:
-            hit_q, hit_s = np.nonzero(d2 == 0.0)
         np.sqrt(d2, out=d2)
         d2 *= scale
         np.exp(d2, out=d2)     # exp(-3 d / range), the variable part of gamma
         for (w, base), row_out in zip(weights, out):
-            row_out[lo:lo + len(d2)] = base - sill * (d2 @ w)
-            if nugget > 0:
-                row_out[lo + hit_q] -= nugget * w[hit_s]
+            row_out[lo:lo + len(d2)] = base - _SILL * (d2 @ w)
     return out.reshape(values.shape[:-1] + (len(query),))
 
 

@@ -12,12 +12,13 @@ path. Without buildings the map border is the route.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .propagation import RadioMap
-from .scenario import BuildingLayout, GenerationError, dilate, label_by_bbox
+from .scenario import BuildingLayout, GenerationError, _check, dilate, label_by_bbox
 
 # stream tag for add_noise's draws, mixed with the caller's seed
 _NOISE_TAG = 0xAD01
@@ -245,10 +246,10 @@ def add_noise(sample_set: SampleSet, sigma: float, seed: int,
               stream: str = "") -> SampleSet:
     """Independent zero-mean Gaussian perturbation per sample, values only.
 
-    seed is an integer >= 0 (a negative one raises ValueError). A non-empty
-    stream (the pipeline passes scenario id and interval) draws from its own
-    stream of the seed.
+    seed is an integer >= 0. A non-empty stream (the pipeline passes scenario
+    id and interval) draws from its own stream of the seed.
     """
+    _check("seed", seed, numbers.Integral, "an integer >= 0", lambda n: n >= 0)
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     values = sample_set.values.copy()

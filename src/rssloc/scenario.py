@@ -9,6 +9,7 @@ continuous point (x, y) falls into cell (row=floor(y), col=floor(x)); cell
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,6 +194,8 @@ class Scenario:
     rng_seed: int
 
     def __post_init__(self):
+        _check("rng_seed", self.rng_seed, numbers.Integral, "an integer >= 0",
+               lambda n: n >= 0)
         check_placement(len(self.sources))
         for s in self.sources:
             if not (0 <= s.x < self.layout.width and 0 <= s.y < self.layout.height):
@@ -309,11 +312,13 @@ def _draw(layout: BuildingLayout, free: np.ndarray, rng, placed: list[Source],
 
 def check_placement(m: int, clear_radius: float | None = None,
                     pair_spacing: float | None = None) -> None:
-    """ValueError unless m is in 1..MAX_SOURCES and, with a close pair asked
-    for, m >= 2, clear_radius is set and pair_spacing is in
-    (0, 2 * clear_radius), so that the pair's two clear disks overlap."""
+    """ValueError unless m is in 1..MAX_SOURCES, clear_radius is None or > 0
+    and, with a close pair asked for, m >= 2, clear_radius is set and
+    pair_spacing is in (0, 2 * clear_radius), so the pair's disks overlap."""
     if not 1 <= m <= MAX_SOURCES:
         raise ValueError(f"source counts must be in 1..{MAX_SOURCES}, not {m}")
+    if clear_radius is not None and not clear_radius > 0:
+        raise ValueError(f"clear_radius must be > 0 or null, not {clear_radius!r}")
     if pair_spacing is None:
         return
     if m < 2:

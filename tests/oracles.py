@@ -236,41 +236,42 @@ def _hypot_chunks(positions, query, chunk=4096):
                            q[:, None, 1] - positions[None, :, 1])
 
 
-def exponential_variogram(d, variogram):
-    """gamma(d) = nugget + sill * (1 - exp(-3 d / range)) of a
-    VariogramParams, with gamma(0) = 0."""
+# the one kriging model the package uses: sill in dB^2, range in m
+SILL = 25.0
+RANGE_M = 30.0
+
+
+def exponential_variogram(d):
+    """gamma(d) = SILL * (1 - exp(-3 d / RANGE_M)), with gamma(0) = 0."""
     d = np.asarray(d, dtype=np.float64)
-    g = variogram.nugget + variogram.sill * (1.0 - np.exp(-3.0 * d / variogram.range_m))
-    return np.where(d <= 0.0, 0.0, g)
+    return np.where(d <= 0.0, 0.0, SILL * (1.0 - np.exp(-3.0 * d / RANGE_M)))
 
 
-def kriging_matrix_hypot(pos, variogram):
+def kriging_matrix_hypot(pos):
     """The bordered ordinary-kriging matrix [[gamma(d_ij), 1], [1, 0]] from
     np.hypot distances."""
     j = len(pos)
     k = np.ones((j + 1, j + 1))
     k[:j, :j] = exponential_variogram(np.hypot(pos[:, None, 0] - pos[None, :, 0],
-                                               pos[:, None, 1] - pos[None, :, 1]),
-                                      variogram)
+                                               pos[:, None, 1] - pos[None, :, 1]))
     k[j, j] = 0.0
     return k
 
 
-def kriging_predict_hypot(positions, values, query, variogram):
+def kriging_predict_hypot(positions, values, query):
     """rssloc.reconstruct.kriging_predict as the variogram of hypot distances:
     one dual solve, then variogram(d) @ w + mu chunk by chunk."""
     pos = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
     rhs = np.append(np.asarray(values, dtype=np.float64), 0.0)
-    alpha = np.linalg.solve(kriging_matrix_hypot(pos, variogram), rhs)
+    alpha = np.linalg.solve(kriging_matrix_hypot(pos), rhs)
     out = np.empty(len(np.atleast_2d(query)))
     for lo, d in _hypot_chunks(pos, query):
-        out[lo:lo + len(d)] = (exponential_variogram(d, variogram) @ alpha[:-1]
-                               + alpha[-1])
+        out[lo:lo + len(d)] = exponential_variogram(d) @ alpha[:-1] + alpha[-1]
     return out
 
 
-def idw_predict_hypot(positions, values, query, power):
-    """rssloc.reconstruct.idw_predict as weights d ** -power of hypot
+def idw_predict_hypot(positions, values, query):
+    """rssloc.reconstruct.idw_predict as weights d ** -2 of hypot
     distances, summed elementwise; a query within 1e-12 of a sample takes its
     value."""
     pos = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
@@ -279,7 +280,7 @@ def idw_predict_hypot(positions, values, query, power):
     for lo, d in _hypot_chunks(pos, query):
         exact = d < 1e-12
         with np.errstate(divide="ignore"):
-            wgt = d ** (-power)
+            wgt = d ** -2.0
         wgt[exact] = 0.0
         with np.errstate(invalid="ignore"):
             block = (wgt * values[None, :]).sum(axis=1) / wgt.sum(axis=1)
@@ -289,15 +290,14 @@ def idw_predict_hypot(positions, values, query, power):
     return out
 
 
-def kriging_weights(positions, query_point, variogram):
+def kriging_weights(positions, query_point):
     """Ordinary-kriging weights and Lagrange multiplier for one query point,
     from the primal system that rssloc.reconstruct.kriging_predict solves in
     dual form."""
     pos = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
-    k = kriging_matrix_hypot(pos, variogram)
+    k = kriging_matrix_hypot(pos)
     rhs = np.append(exponential_variogram(np.hypot(pos[:, 0] - query_point[0],
-                                                   pos[:, 1] - query_point[1]),
-                                          variogram), 1.0)
+                                                   pos[:, 1] - query_point[1])), 1.0)
     sol = np.linalg.solve(k, rhs)
     return sol[:-1], float(sol[-1])
 

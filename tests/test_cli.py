@@ -325,6 +325,28 @@ class TestPipeline:
             assert (f"failed: {err['id']} interval 3: "
                     "dataset has no samples at interval 3") in stderr
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
+    def test_bad_scenario_seed_is_error_row(self, dataset, tmp_path, seed):
+        # the JSON seed reaches Scenario unconverted: int() would truncate
+        # 1.5 and accept "7" and true
+        _, _, out = dataset
+        copy = tmp_path / "ds"
+        shutil.copytree(out, copy)
+        entry = read_dataset_index(copy)["entries"][0]
+        path = copy / entry["scenario"]
+        doc = json.loads(path.read_text())
+        doc["seed"] = seed
+        path.write_text(json.dumps(doc))
+        run = tmp_path / "run"
+        code = cli.main(["pipeline", "--dataset", str(copy), "--out", str(run),
+                         "--reconstructor", "oracle", "--intervals", "4"])
+        assert code == 3
+        report = json.loads((run / "report.json").read_text())
+        [err] = report["errors"]
+        assert err["id"] == entry["id"]
+        assert err["error"].startswith(f"{path}: ")
+        assert f"rng_seed must be an integer >= 0, not {seed!r}" in err["error"]
+
     @pytest.mark.parametrize("option,value", [("--r", "0"), ("--r", "-1"),
                                               ("--g", "0"), ("--r", "inf"),
                                               ("--g", "inf")])

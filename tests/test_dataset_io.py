@@ -359,6 +359,10 @@ class TestGenerateDataset:
         ({"min_spacing": math.nan}, "min_spacing must be a finite number, not nan"),
         ({"clear_radius": math.inf},
          "clear_radius must be a finite number or null, not inf"),
+        ({"clear_radius": 0.0}, "clear_radius must be > 0 or null, not 0.0"),
+        ({"clear_radius": -1.0}, "clear_radius must be > 0 or null, not -1.0"),
+        ({"source_counts": [2], "clear_radius": -1.0, "dense_pair_spacing": 1.0},
+         "clear_radius must be > 0 or null, not -1.0"),
     ])
     def test_bad_config_value_rejected(self, doc, message):
         with pytest.raises(ValueError, match=message):

@@ -239,9 +239,9 @@ def test_kriging_matrix_built_once_per_layout_and_interval(golden_dataset, tmp_p
     calls = []
     original = reconstruct._kriging_matrix
 
-    def counting(positions, variogram):
+    def counting(positions):
         calls.append(len(positions))
-        return original(positions, variogram)
+        return original(positions)
 
     monkeypatch.setattr(reconstruct, "_kriging_matrix", counting)
     run_pipeline(golden_dataset, PipelineConfig(reconstructor="kriging"),

@@ -26,8 +26,7 @@ from rssloc.dataset_io import (predictions_from_csv, predictions_to_csv,
                                samples_from_csv, samples_to_csv)
 from rssloc.metrics import _cost_matrix, _lsap
 from rssloc.propagation import building_rectangles
-from rssloc.reconstruct import (_PAIRS_PER_BLOCK, VariogramParams, idw_predict,
-                                kriging_predict)
+from rssloc.reconstruct import _PAIRS_PER_BLOCK, idw_predict, kriging_predict
 from rssloc.sampling import RouteError, _bfs_path, first_occurrences
 from rssloc.scenario import dilate, label_by_bbox
 
@@ -363,21 +362,20 @@ def stacked_problems(draw):
 
 
 @FEW
-@given(stacked_problems(), st.sampled_from([0.0, 0.5, 3.0]))
-def test_stacked_kriging_equals_single_calls(problem, nugget):
+@given(stacked_problems())
+def test_stacked_kriging_equals_single_calls(problem):
     positions, values, query = problem
-    vg = VariogramParams(nugget=nugget)
-    stacked = kriging_predict(positions, values, query, vg)
+    stacked = kriging_predict(positions, values, query)
     assert stacked.shape == (len(values), len(query))
     for row, got in zip(values, stacked):
-        assert np.array_equal(got, kriging_predict(positions, row.copy(), query, vg))
+        assert np.array_equal(got, kriging_predict(positions, row.copy(), query))
 
 
 @FEW
-@given(stacked_problems(), st.sampled_from([1.0, 2.0, 3.0]))
-def test_stacked_idw_equals_single_calls(problem, power):
+@given(stacked_problems())
+def test_stacked_idw_equals_single_calls(problem):
     positions, values, query = problem
-    stacked = idw_predict(positions, values, query, power)
+    stacked = idw_predict(positions, values, query)
     assert stacked.shape == (len(values), len(query))
     for row, got in zip(values, stacked):
-        assert np.array_equal(got, idw_predict(positions, row.copy(), query, power))
+        assert np.array_equal(got, idw_predict(positions, row.copy(), query))

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from rssloc import (LOCAL_MAPS, P_MIN_DBM, BuildingLayout, PipelineConfig,
-                    ReconstructionError, SampleSet, VariogramParams,
-                    idw_reconstruct, kriging_reconstruct, load_scenario,
+                    ReconstructionError, SampleSet, idw_reconstruct, kriging_reconstruct, load_scenario,
                     proxy_local_map, rasterize_global, read_dataset_index)
 from rssloc import reconstruct
 from rssloc.reconstruct import (_PAIRS_PER_BLOCK, _kriging_matrix, idw_predict,
                                 kriging_predict)
 
 from conftest import make_flat_scenario
-from oracles import (idw_predict_hypot, kriging_matrix_hypot, kriging_predict_hypot,
-                     kriging_weights)
+from oracles import (RANGE_M, SILL, idw_predict_hypot, kriging_matrix_hypot,
+                     kriging_predict_hypot, kriging_weights)
 
 
 def sample_set(positions, values):
@@ -68,21 +67,20 @@ class TestKriging:
         # the primal oracle, through oracles.exponential_variogram, against
         # the system assembled here from the exponential formula
         rng = np.random.default_rng(43)
-        vg = VariogramParams()
         for _ in range(20):
             pos = rng.random((3, 2)) * 50
             query = rng.random(2) * 50
-            w, mu = kriging_weights(pos, query, vg)
+            w, mu = kriging_weights(pos, query)
 
             d = np.hypot(pos[:, None, 0] - pos[None, :, 0],
                          pos[:, None, 1] - pos[None, :, 1])
-            gamma = np.where(d <= 0, 0.0, vg.nugget + vg.sill * (1 - np.exp(-3 * d / vg.range_m)))
+            gamma = np.where(d <= 0, 0.0, SILL * (1 - np.exp(-3 * d / RANGE_M)))
             k = np.zeros((4, 4))
             k[:3, :3] = gamma
             k[:3, 3] = k[3, :3] = 1.0
             dq = np.hypot(pos[:, 0] - query[0], pos[:, 1] - query[1])
-            rhs = np.append(np.where(dq <= 0, 0.0,
-                                     vg.nugget + vg.sill * (1 - np.exp(-3 * dq / vg.range_m))), 1.0)
+            rhs = np.append(np.where(dq <= 0, 0.0, SILL * (1 - np.exp(-3 * dq / RANGE_M))),
+                            1.0)
             expected = np.linalg.solve(k, rhs)
             assert np.allclose(w, expected[:3], atol=1e-9)
             assert mu == pytest.approx(expected[3], abs=1e-9)
@@ -93,7 +91,7 @@ class TestKriging:
         vals = rng.uniform(-80, -40, 6)
         query = rng.random((5, 2)) * 50
         dual = kriging_predict(pos, vals, query)
-        primal = [float(kriging_weights(pos, q, VariogramParams())[0] @ vals)
+        primal = [float(kriging_weights(pos, q)[0] @ vals)
                   for q in query]
         assert np.allclose(dual, primal, atol=1e-9)
 
@@ -110,22 +108,6 @@ class TestKriging:
         ss = sample_set([(5.0, 5.0)], [-50.0])
         with pytest.raises(ReconstructionError):
             kriging_reconstruct(ss, flat_layout)
-
-    def test_variogram_validation(self):
-        with pytest.raises(ValueError):
-            VariogramParams(sill=0.0)
-
-    @pytest.mark.parametrize("params,message", [
-        ({"sill": 0.0}, "need nugget >= 0, sill > 0, range_m > 0"),
-        ({"nugget": -1.0}, "need nugget >= 0, sill > 0, range_m > 0"),
-        ({"sill": math.nan}, "sill must be a finite number, not nan"),
-        ({"range_m": math.inf}, "range_m must be a finite number, not inf"),
-        ({"nugget": math.inf}, "nugget must be a finite number, not inf"),
-        ({"sill": True}, "sill must be a finite number, not True"),
-    ])
-    def test_variogram_rejects_bad_values(self, params, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            VariogramParams(**params)
 
 
 def random_problem(seed, j):
@@ -147,27 +129,21 @@ class TestAgainstHypotOracle:
     """The block evaluation from squared distances against the chunked
     hypot form it replaced."""
 
-    @pytest.mark.parametrize("nugget", [0.0, 0.5, 3.0])
     @pytest.mark.parametrize("j", [2, 7, 150, 600])
-    def test_kriging(self, j, nugget):
-        rng, pos, vals, query, _ = random_problem(1000 + j, j)
-        vg = VariogramParams(nugget=nugget, sill=float(rng.uniform(1.0, 50.0)),
-                             range_m=float(rng.uniform(2.0, 80.0)))
-        got = kriging_predict(pos, vals, query, vg)
-        want = kriging_predict_hypot(pos, vals, query, vg)
+    def test_kriging(self, j):
+        _, pos, vals, query, _ = random_problem(1000 + j, j)
+        got = kriging_predict(pos, vals, query)
+        want = kriging_predict_hypot(pos, vals, query)
         assert np.max(np.abs(got - want)) <= 1e-9
 
-    @pytest.mark.parametrize("nugget", [0.0, 0.5, 3.0])
     @pytest.mark.parametrize("j", [2, 7, 150, 600])
-    def test_kriging_matrix(self, j, nugget):
+    def test_kriging_matrix(self, j):
         # sqrt of a sum of squares against hypot: a few ulp of gamma's largest
-        # value, nugget + sill
-        rng, pos, _, _, _ = random_problem(3000 + j, j)
-        vg = VariogramParams(nugget=nugget, sill=float(rng.uniform(1.0, 50.0)),
-                             range_m=float(rng.uniform(2.0, 80.0)))
-        got = _kriging_matrix(pos, vg)
-        want = kriging_matrix_hypot(pos, vg)
-        assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * (nugget + vg.sill)
+        # value, the sill
+        _, pos, _, _, _ = random_problem(3000 + j, j)
+        got = _kriging_matrix(pos)
+        want = kriging_matrix_hypot(pos)
+        assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * SILL
         assert np.array_equal(got[-1], want[-1]) and np.array_equal(got[:, -1], want[:, -1])
         assert not np.diagonal(got).any()
 
@@ -175,24 +151,20 @@ class TestAgainstHypotOracle:
     def test_kriging_matrix_blocks_bit_equal(self, pairs, monkeypatch):
         # rows come from _squared_distance_blocks; any block size gives the
         # whole-matrix expression, bit for bit
-        rng, pos, _, _, _ = random_problem(4000, 151)
-        vg = VariogramParams(nugget=0.5, sill=float(rng.uniform(1.0, 50.0)),
-                             range_m=float(rng.uniform(2.0, 80.0)))
+        _, pos, _, _, _ = random_problem(4000, 151)
         monkeypatch.setattr(reconstruct, "_PAIRS_PER_BLOCK", pairs)
-        got = _kriging_matrix(pos, vg)
+        got = _kriging_matrix(pos)
         dx = pos[:, 0, None] - pos[:, 0]
         dy = pos[:, 1, None] - pos[:, 1]
-        gamma = vg.nugget + vg.sill * (1.0 - np.exp(
-            -3.0 * np.sqrt(dx * dx + dy * dy) / vg.range_m))
+        gamma = SILL * (1.0 - np.exp(-3.0 * np.sqrt(dx * dx + dy * dy) / RANGE_M))
         np.fill_diagonal(gamma, 0.0)
         assert np.array_equal(got[:-1, :-1], gamma)
 
-    @pytest.mark.parametrize("power", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("j", [2, 7, 150, 600])
-    def test_idw(self, j, power):
+    def test_idw(self, j):
         _, pos, vals, query, on_sample = random_problem(2000 + j, j)
-        got = idw_predict(pos, vals, query, power)
-        assert np.max(np.abs(got - idw_predict_hypot(pos, vals, query, power))) <= 1e-12
+        got = idw_predict(pos, vals, query)
+        assert np.max(np.abs(got - idw_predict_hypot(pos, vals, query))) <= 1e-12
         assert np.array_equal(got[on_sample], vals[:len(on_sample)])
 
 

@@ -230,8 +230,13 @@ class TestNoise:
             add_noise(self.make_set(5), -1.0, seed=0)
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0, not -1$"):
             add_noise(self.make_set(5), 1.0, -1)
+
+    @pytest.mark.parametrize("seed", [1.5, "7", True])
+    def test_non_integer_seed_rejected_by_name(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, not {seed!r}$"):
+            add_noise(self.make_set(5), 1.0, seed)
 
     def test_every_seed_draws_its_own_noise(self):
         # 2**64 and 0 differ, as do the two ends of the 64-bit range

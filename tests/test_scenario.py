@@ -97,6 +97,14 @@ def test_scenario_rejects_too_many_sources():
         Scenario(layout, sources, "many", 0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
+def test_scenario_rejects_bad_seed_by_name(seed):
+    layout = BuildingLayout(np.zeros((20, 20), dtype=np.uint8))
+    with pytest.raises(ValueError,
+                       match=f"^rng_seed must be an integer >= 0, not {seed!r}$"):
+        Scenario(layout, [Source(5.5, 5.5)], "s", seed)
+
+
 def test_rasterization_convention():
     layout = BuildingLayout(np.zeros((10, 10), dtype=np.uint8))
     # point (x, y) -> cell (floor(y), floor(x)); verified through is_free
@@ -191,6 +199,13 @@ def test_dense_needs_two_sources():
     layout = generate_layout(100, 100, 3, seed=9)
     with pytest.raises(ValueError, match="needs source counts >= 2"):
         place_sources(layout, 1, 5.0, seed=1, clear_radius=2.0, pair_spacing=3.0)
+
+
+def test_place_sources_rejects_negative_clear_radius():
+    # disk_cells squares r, so -1 would act as a 1 m radius
+    layout = generate_layout(100, 100, 3, seed=9)
+    with pytest.raises(ValueError, match=r"^clear_radius must be > 0 or null, not -1\.0$"):
+        place_sources(layout, 1, 5.0, seed=1, clear_radius=-1.0)
 
 
 @pytest.mark.parametrize("kwargs,message", [
