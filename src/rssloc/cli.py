@@ -15,7 +15,7 @@ from pathlib import Path
 from . import dataset_io, pipeline, render
 from .dataset_io import DatasetConfig, predictions_from_csv
 from .localize import ESTIMATORS
-from .metrics import DEFAULT_OSPA_CUTOFF, aggregate, evaluate_scenario
+from .metrics import aggregate, evaluate_scenario
 from .pipeline import LOCAL_MAPS, PipelineConfig, PipelineConfigError
 from .scenario import GenerationError
 
@@ -56,16 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
     pipe.add_argument("--out", required=True)
     pipe.add_argument("--reconstructor")
     pipe.add_argument("--estimator")
-    pipe.add_argument("--r", type=float)
-    pipe.add_argument("--gamma", type=int)
-    pipe.add_argument("--g", type=float)
-    pipe.add_argument("--connectivity", type=int, choices=(4, 8))
     pipe.add_argument("--intervals",
                       help="comma-separated subset, e.g. 1,4,10")
     pipe.add_argument("--noise-sigma", type=float)
     pipe.add_argument("--noise-seed", type=int)
-    pipe.add_argument("--delta-db", type=float)
-    pipe.add_argument("--area-factor", type=float)
     pipe.add_argument("--local-map-dir",
                       help="drop-in directory of externally produced local maps, "
                            "read by the oracle reconstructor")
@@ -77,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--predictions", required=True,
                     help="directory of <scenario>_<interval>.csv files")
     ev.add_argument("--out", default=None, help="report JSON path")
-    ev.add_argument("--g", type=float, default=DEFAULT_OSPA_CUTOFF)
 
     ren = sub.add_parser("render", help="render a map with truth/prediction marks")
     ren.add_argument("--map", required=True, help="bitmap PGM to render")
@@ -122,7 +115,6 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    pipeline.check_option("g", args.g)
     index = dataset_io.read_dataset_index(args.dataset)
     pred_dir = Path(args.predictions)
     if not pred_dir.is_dir():
@@ -136,7 +128,7 @@ def cmd_evaluate(args) -> int:
             if (pred_dir / name).is_file():
                 _, points, _ = dataset_io.parse_file(pred_dir / name,
                                                      predictions_from_csv)
-                ev = evaluate_scenario(points, truths, args.g)
+                ev = evaluate_scenario(points, truths)
                 evals.append(ev)
                 rows.append({"id": entry["id"], "interval": interval,
                              **ev.as_dict()})

@@ -307,6 +307,8 @@ class DatasetConfig:
         self.intervals = tuple(self.intervals)
         if not self.intervals:
             raise ValueError("intervals must not be empty")
+        if not self.source_counts:
+            raise ValueError("source_counts must not be empty")
         for interval in self.intervals:
             _check("intervals", interval, numbers.Real, "positive finite numbers",
                    lambda t: 0 < t < math.inf)
@@ -410,7 +412,8 @@ _ENTRY_KEYS = ("id", "split", "layout", "scenario", "local_map", "samples")
 def read_dataset_index(dataset_dir) -> dict:
     """The dataset's index.json; ValueError naming the file when it is not JSON
     or not an object whose "entries" list holds each entry's keys, its id a
-    unique file name and samples an object keyed by check_intervals' rule."""
+    unique file name, its file paths strings and samples an object keyed by
+    check_intervals' rule."""
     index_path = Path(dataset_dir) / "index.json"
     if not index_path.is_file():
         raise FileNotFoundError(f"no index.json in {dataset_dir}")
@@ -443,6 +446,12 @@ def read_dataset_index(dataset_dir) -> dict:
             check_intervals(entry["samples"])
         except ValueError as exc:
             raise ValueError(f"{index_path}: entry {k} samples: {exc}") from None
+        paths = [(key, entry[key]) for key in ("layout", "scenario", "local_map")]
+        paths += [(f"samples {key!r}", value) for key, value in entry["samples"].items()]
+        for name, value in paths:
+            if not isinstance(value, str):
+                raise ValueError(f"{index_path}: entry {k} {name} is {value!r}, "
+                                 "not a path string")
     return index
 
 

@@ -9,6 +9,7 @@ constructor sees all of them at once, per interval.
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -17,13 +18,12 @@ from .dataset_io import (check_intervals, dumps_json, load_scenario,
                          parse_file, predictions_to_csv, read_dataset_index,
                          read_pgm, samples_from_csv)
 from .localize import ESTIMATORS, localize_all
-from .metrics import DEFAULT_OSPA_CUTOFF, ScenarioEval, aggregate, evaluate_scenario
+from .metrics import ScenarioEval, aggregate, evaluate_scenario
 from .propagation import RadioMap
 from .reconstruct import idw_reconstruct, kriging_reconstruct, proxy_local_map
 from .sampling import SampleSet, add_noise
 from .scenario import _check
-from .separation import (DEFAULT_AREA_FACTOR, DEFAULT_CONNECTIVITY,
-                         DEFAULT_GAMMA, separate_sources)
+from .separation import separate_sources
 
 
 class PipelineConfigError(ValueError):
@@ -34,15 +34,9 @@ class PipelineConfigError(ValueError):
 class PipelineConfig:
     reconstructor: str = "oracle"
     estimator: str = "com"
-    r: float = 2.0
-    gamma: int = DEFAULT_GAMMA
-    g: float = DEFAULT_OSPA_CUTOFF
-    connectivity: int = DEFAULT_CONNECTIVITY
     intervals: tuple | None = None   # None: every interval in the dataset
     noise_sigma: float = 0.0         # extra measurement noise at pipeline time
     noise_seed: int = 0
-    area_factor: float = DEFAULT_AREA_FACTOR
-    delta_db: float = 9.0
     local_map_dir: str | None = None   # the oracle reads its maps here, if set
     jobs: int = 1
 
@@ -55,8 +49,9 @@ class PipelineConfig:
             raise PipelineConfigError(
                 f"unknown estimator {self.estimator!r}; "
                 f"registered: {', '.join(sorted(ESTIMATORS))}")
-        for name in _RANGES:
-            check_option(name, getattr(self, name))
+        for name, (kind, noun, holds) in _RANGES.items():
+            _check(name, getattr(self, name), kind, noun, holds,
+                   error=PipelineConfigError)
         if self.intervals is not None:
             self.intervals = tuple(self.intervals)
             check_intervals(self.intervals, PipelineConfigError)
@@ -73,24 +68,14 @@ class PipelineConfig:
                 "intervals": list(self.intervals) if self.intervals else None}
 
 
-# int and float, which json can write: report.json echoes every option
-_POSITIVE = ((int, float), "a finite number > 0", lambda value: value > 0)
-_NON_NEGATIVE = ((int, float), "a finite number >= 0", lambda value: value >= 0)
 # option -> (kind, noun, holds): the range of each numeric PipelineConfig field
 _RANGES = {
-    "gamma": (int, "an integer in 0..254", lambda n: 0 <= n <= 254),
-    "connectivity": (int, "4 or 8", lambda n: n in (4, 8)),
-    "r": _POSITIVE, "g": _POSITIVE, "area_factor": _POSITIVE,
-    "noise_sigma": _NON_NEGATIVE, "delta_db": _NON_NEGATIVE,
+    # int and float, which json can write: report.json echoes every option
+    "noise_sigma": ((int, float), "a finite number >= 0", lambda value: value >= 0),
     # a 64-bit seed, as the dataset's derived seeds are
     "noise_seed": (int, "an unsigned 64-bit integer", lambda n: 0 <= n < 2**64),
     "jobs": (int, "an integer >= 1", lambda n: n >= 1),
 }
-
-
-def check_option(name: str, value) -> None:
-    """PipelineConfigError naming the option unless value is in its range."""
-    _check(name, value, *_RANGES[name], error=PipelineConfigError)
 
 
 def _read_local_map(path, scenario) -> RadioMap:
@@ -118,7 +103,7 @@ def _each(func, *columns) -> list:
     return results
 
 
-def _oracle(dataset_dir, entries, interval, scenarios, config) -> list:
+def _oracle(dataset_dir, entries, interval, scenarios, config, r) -> list:
     """Each entry's stored local map: from config.local_map_dir,
     <id>_<interval>.pgm, else <id>.pgm; without it, the dataset's
     maps/local/<id>.pgm."""
@@ -148,7 +133,7 @@ def _read_samples(dataset_dir, entry, interval, config) -> SampleSet:
 
 
 def _from_samples(reconstruct, dataset_dir, entries, interval, scenarios,
-                  config) -> list:
+                  config, r) -> list:
     """proxy_local_map of each entry's dense map reconstructed from the
     interval's samples. Entries whose sample positions are bit-equal share
     one reconstruct call, one value row each."""
@@ -165,8 +150,7 @@ def _from_samples(reconstruct, dataset_dir, entries, interval, scenarios,
             dense = reconstruct(stack, scenarios[members[0]].layout)
         except Exception as exc:
             dense = [exc] * len(members)
-        local = _each(lambda radio_map: proxy_local_map(radio_map, config.delta_db,
-                                                        config.r), dense)
+        local = _each(lambda radio_map: proxy_local_map(radio_map, r=r), dense)
         for k, local_map in zip(members, local):
             results[k] = local_map
     return results
@@ -174,26 +158,28 @@ def _from_samples(reconstruct, dataset_dir, entries, interval, scenarios,
 
 # The reconstruct functions are looked up when called, not stored, so that a
 # module attribute rebound after import (a tracer, a test double) is used.
-def _idw(dataset_dir, entries, interval, scenarios, config) -> list:
+def _idw(dataset_dir, entries, interval, scenarios, config, r) -> list:
     return _from_samples(idw_reconstruct, dataset_dir, entries, interval, scenarios,
-                         config)
+                         config, r)
 
 
-def _kriging(dataset_dir, entries, interval, scenarios, config) -> list:
+def _kriging(dataset_dir, entries, interval, scenarios, config, r) -> list:
     return _from_samples(kriging_reconstruct, dataset_dir, entries, interval,
-                         scenarios, config)
+                         scenarios, config, r)
 
 
-# --reconstructor name -> (dataset_dir, entries, interval, scenarios, config)
-# -> per entry, its local bitmap RadioMap of the layout's shape or the
+# --reconstructor name -> (dataset_dir, entries, interval, scenarios, config,
+# r) -> per entry, its local bitmap RadioMap of the layout's shape or the
 # exception that failed it. The entries share one layout file; interval is
-# the dataset's key.
+# the dataset's key, and r the dataset's local-area radius.
 LOCAL_MAPS = {"oracle": _oracle, "idw": _idw, "kriging": _kriging}
 
 
-def process_entry(dataset_dir, entries: list[dict], config: PipelineConfig) -> list[dict]:
+def process_entry(dataset_dir, entries: list[dict], config: PipelineConfig,
+                  r: float) -> list[dict]:
     """Run every configured interval of one layout group, the index entries
-    that share a layout file; returns their report rows."""
+    that share a layout file, with the dataset's local-area radius r;
+    returns their report rows."""
     construct = LOCAL_MAPS[config.reconstructor]
     rows = []
     todo = {}    # the dataset's interval key -> [(entry, scenario)]
@@ -216,22 +202,20 @@ def process_entry(dataset_dir, entries: list[dict], config: PipelineConfig) -> l
     for interval, members in todo.items():
         group, scenarios = [entry for entry, _ in members], [sc for _, sc in members]
         try:
-            maps = construct(dataset_dir, group, interval, scenarios, config)
+            maps = construct(dataset_dir, group, interval, scenarios, config, r)
         except Exception as exc:
             maps = [exc] * len(members)
         results = _each(lambda entry, scenario, local: _result_row(
-            entry, interval, scenario, local, config), group, scenarios, maps)
+            entry, interval, scenario, local, config, r), group, scenarios, maps)
         rows += [_error_row(entry, interval, row) if isinstance(row, Exception) else row
                  for entry, row in zip(group, results)]
     return rows
 
 
 def _result_row(entry: dict, interval, scenario, local: RadioMap,
-                config: PipelineConfig) -> dict:
-    sep = separate_sources(local, config.gamma, config.connectivity,
-                           config.r, config.area_factor)
-    preds = localize_all(sep, config.estimator)
-    ev = evaluate_scenario(preds.points, scenario.true_points(), config.g)
+                config: PipelineConfig, r: float) -> dict:
+    preds = localize_all(separate_sources(local, r=r), config.estimator)
+    ev = evaluate_scenario(preds.points, scenario.true_points())
     return {
         "id": entry["id"], "interval": str(interval), "split": entry["split"],
         **ev.as_dict(),
@@ -257,15 +241,21 @@ def run_pipeline(dataset_dir, config: PipelineConfig,
     One task per layout group, on up to config.jobs processes. Results are
     ordered by (scenario id, interval) regardless of worker scheduling; with
     out_dir set, per-scenario prediction CSVs and the report JSON are written.
+    The local-area radius r is the dataset's, index.json's config.r.
     """
     index = read_dataset_index(dataset_dir)
+    config_doc = index.get("config")
+    r = config_doc.get("r") if isinstance(config_doc, dict) else None
+    _check("config r", r, numbers.Real, "a finite number > 0",
+           lambda value: value > 0, error=lambda message: ValueError(
+               f"{Path(dataset_dir) / 'index.json'}: {message}"))
     if out_dir is not None:
         # an --out that cannot be a directory fails before any layout group runs
         (Path(out_dir) / "predictions").mkdir(parents=True, exist_ok=True)
     groups = {}
     for entry in sorted(index["entries"], key=lambda e: e["id"]):
         groups.setdefault(entry["layout"], []).append(entry)
-    tasks = [(dataset_dir, group, config) for group in groups.values()]
+    tasks = [(dataset_dir, group, config, r) for group in groups.values()]
     if config.jobs > 1:
         # more workers than layout groups would have nothing to do
         workers = max(1, min(config.jobs, len(tasks)))

@@ -58,7 +58,9 @@ class TestGenerate:
                                      # not finite: JSON's 1e400 reads as inf
                                      {"r": math.inf}, {"clear_radius": math.inf},
                                      {"speed": math.inf}, {"noise_sigma": math.inf},
-                                     {"min_spacing": math.nan}])
+                                     {"min_spacing": math.nan},
+                                     # no scenario at all, so no placement check
+                                     {"source_counts": []}])
     def test_bad_config_value_before_rasterization(self, doc, tmp_path, capsys,
                                                    monkeypatch):
         rasterized = []
@@ -143,6 +145,42 @@ class TestPipeline:
         assert report["aggregate"]["mdr"] == 0.0
         assert report["aggregate"]["mle"] <= 1.0
         assert (run / "predictions").is_dir()
+
+    def test_local_radius_is_the_datasets(self, tmp_path):
+        # the merged flag compares a component with the r of the dataset's
+        # local maps: a 3 m disk is no merged pair of 2 m disks
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"width": 80, "height": 80, "n_layouts": 1,
+                                   "n_buildings": 3, "source_counts": [1, 3],
+                                   "placements_per_count": 2, "intervals": [4],
+                                   "r": 3.0, "clear_radius": 3.0, "seed": 3,
+                                   "split": {"train": 1, "val": 0, "test": 0}}))
+        out, run = tmp_path / "ds", tmp_path / "run"
+        assert cli.main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert cli.main(["pipeline", "--dataset", str(out), "--out", str(run)]) == 0
+        results = json.loads((run / "report.json").read_text())["results"]
+        assert len(results) == 4
+        for row in results:
+            assert row["m_hat"] == row["m"]
+            assert not any(row["merged_flags"])
+
+    @pytest.mark.parametrize("r", [None, 0, "2", True], ids=["missing", "zero",
+                                                              "string", "true"])
+    def test_bad_dataset_radius_is_data_error(self, dataset, tmp_path, capsys, r):
+        _, _, out = dataset
+        copy = tmp_path / "ds"
+        shutil.copytree(out, copy)
+        index = json.loads((copy / "index.json").read_text())
+        index["config"].pop("r")
+        if r is not None:
+            index["config"]["r"] = r
+        (copy / "index.json").write_text(json.dumps(index))
+        run = tmp_path / "run"
+        code = cli.main(["pipeline", "--dataset", str(copy), "--out", str(run)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"{copy / 'index.json'}: config r must be a finite number > 0, not {r!r}"]
+        assert not run.exists()
 
     def test_interval_resolves_to_dataset_key_by_value(self, dataset, tmp_path):
         _, _, out = dataset
@@ -347,33 +385,12 @@ class TestPipeline:
         assert err["error"].startswith(f"{path}: ")
         assert f"rng_seed must be an integer >= 0, not {seed!r}" in err["error"]
 
-    @pytest.mark.parametrize("option,value", [("--r", "0"), ("--r", "-1"),
-                                              ("--g", "0"), ("--r", "inf"),
-                                              ("--g", "inf")])
-    def test_non_positive_r_or_g_fails_before_processing(self, dataset, tmp_path,
-                                                          capsys, option, value):
-        _, _, out = dataset
-        run = tmp_path / "run"
-        code = cli.main(["pipeline", "--dataset", str(out), "--out", str(run),
-                         "--reconstructor", "oracle", "--intervals", "4",
-                         option, value])
-        assert code == 1
-        assert not run.exists()
-        assert capsys.readouterr().err.splitlines() == \
-            [f"{option[2:]} must be a finite number > 0, not {float(value)!r}"]
-
     @pytest.mark.parametrize("option,value,message", [
         ("--jobs", "0", "jobs must be an integer >= 1, not 0"),
         ("--jobs", "-2", "jobs must be an integer >= 1, not -2"),
         ("--noise-sigma", "-1", "noise_sigma must be a finite number >= 0, not -1.0"),
         ("--noise-sigma", "nan", "noise_sigma must be a finite number >= 0, not nan"),
-        ("--delta-db", "-5", "delta_db must be a finite number >= 0, not -5.0"),
-        ("--area-factor", "0", "area_factor must be a finite number > 0, not 0.0"),
-        ("--gamma", "255", "gamma must be an integer in 0..254, not 255"),
-        ("--gamma", "-1", "gamma must be an integer in 0..254, not -1"),
         ("--noise-sigma", "inf", "noise_sigma must be a finite number >= 0, not inf"),
-        ("--delta-db", "inf", "delta_db must be a finite number >= 0, not inf"),
-        ("--area-factor", "inf", "area_factor must be a finite number > 0, not inf"),
         ("--noise-seed", "-1", "noise_seed must be an unsigned 64-bit integer, not -1"),
         ("--noise-seed", "18446744073709551616",
          "noise_seed must be an unsigned 64-bit integer, not 18446744073709551616"),
@@ -560,37 +577,6 @@ class TestEvaluate:
         assert report["aggregate"]["mle"] <= 1e-5
         assert report["aggregate"]["far"] == 0.0
 
-    def test_non_positive_g_is_usage_error(self, dataset, tmp_path, capsys):
-        _, _, out = dataset
-        preds = tmp_path / "preds"
-        preds.mkdir()
-        entry = read_dataset_index(out)["entries"][0]
-        (preds / f"{entry['id']}_4.csv").write_text(
-            predictions_to_csv([1], [(1.0, 1.0)], [False]))
-        report_path = tmp_path / "eval.json"
-        code = cli.main(["evaluate", "--dataset", str(out), "--predictions",
-                         str(preds), "--out", str(report_path), "--g", "0"])
-        assert code == 1
-        assert not report_path.exists()
-        assert capsys.readouterr().err.splitlines() == \
-            ["g must be a finite number > 0, not 0.0"]
-
-    def test_non_finite_g_is_usage_error(self, dataset, tmp_path, capsys):
-        # an infinite cutoff would write "ospa": NaN into the report
-        _, _, out = dataset
-        preds = tmp_path / "preds"
-        preds.mkdir()
-        entry = read_dataset_index(out)["entries"][0]
-        (preds / f"{entry['id']}_4.csv").write_text(
-            predictions_to_csv([1], [(1.0, 1.0)], [False]))
-        report_path = tmp_path / "eval.json"
-        code = cli.main(["evaluate", "--dataset", str(out), "--predictions",
-                         str(preds), "--out", str(report_path), "--g", "inf"])
-        assert code == 1
-        assert not report_path.exists()
-        assert capsys.readouterr().err.splitlines() == \
-            ["g must be a finite number > 0, not inf"]
-
     def test_malformed_predictions_csv_names_file_and_line(self, dataset,
                                                            tmp_path, capsys):
         _, _, out = dataset
@@ -755,11 +741,19 @@ class TestRender:
           (["nan"], "intervals must be finite numbers > 0, not 'nan'"),
           (["1", "-1"], "intervals must be finite numbers > 0, not '-1'"),
           (["inf"], "intervals must be finite numbers > 0, not 'inf'")]],
+    *[(json.dumps({"entries": [
+        {"id": "x", "split": "test", "layout": "l", "scenario": "s",
+         "local_map": "m", "samples": {"4": "a.csv"}, **fields}]}), message)
+      for fields, message in [
+          ({"layout": ["x"]}, "entry 0 layout is ['x'], not a path string"),
+          ({"layout": 7}, "entry 0 layout is 7, not a path string"),
+          ({"samples": {"4": 7}}, "entry 0 samples '4' is 7, not a path string")]],
 ], ids=["not-json", "not-an-object", "entry-keys-missing",
         "samples-key-not-a-number", "samples-a-list", "samples-a-string",
         "id-escapes", "id-backslash", "id-empty", "id-dot-dot", "id-not-a-string",
         "id-repeats", "samples-key-repeats", "samples-key-nan",
-        "samples-key-negative", "samples-key-inf"])
+        "samples-key-negative", "samples-key-inf", "layout-a-list",
+        "layout-a-number", "samples-path-a-number"])
 def test_malformed_index_is_data_error(tmp_path, capsys, command, text, message):
     dataset = tmp_path / "ds"
     dataset.mkdir()

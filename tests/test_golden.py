@@ -18,7 +18,10 @@ for each reconstructor, and DENSE_DIGESTS every file `rssloc generate` writes
 for CONFIG with one close source pair per scenario. Both were recorded before
 the close-pair placement became a mode of `place_sources`. The three
 report.json digests were re-recorded when `reconstructor_params` left
-`PipelineConfig`, and with it the report's echo; no prediction file changed.
+`PipelineConfig`, and with it the report's echo, and again when the
+separation and OSPA options (`r`, `gamma`, `connectivity`, `area_factor`,
+`delta_db`, `g`) left the echo; no prediction file changed either time, and
+the reports without their "pipeline" key kept their bytes.
 
 SHADOW_DIGESTS hold the float64 values of `rasterize_global` and the bitmap
 of `ground_truth_local` under 3 dB shadowing, which CONFIG (noise-free)
@@ -114,7 +117,7 @@ PIPELINE_DIGESTS = {
         "predictions/l01m03p00_4.csv":
             "966a6a720dfbfa4178ad187e485aab15200a2169e14280007ea2571ef41016de",
         "report.json":
-            "96e6cf8b9ffb34bfaffea1ba0c151c692beadb80112f023c7e85eb9c0c0d348a",
+            "badc617fa9af411e37ec409eaa92428b823839aabbe5214e8b6c9f74e64e2216",
     },
     "idw": {
         "predictions/l00m01p00_1.csv":
@@ -134,7 +137,7 @@ PIPELINE_DIGESTS = {
         "predictions/l01m03p00_4.csv":
             "09ec71d250aeab0f5f42635f0b927f4470aa60d5ca033eec905763ca6c6c50e6",
         "report.json":
-            "a7c69ca71777fb918fccc061dc6b38aa8086be3dfde8b9cd9c96e6ffbe9c2e7c",
+            "7e4ec5a8608d1cf74ab9aa2f7e490ae10aca8c2ad6674a0ccfef51aa4d0ae61a",
     },
     "kriging": {
         "predictions/l00m01p00_1.csv":
@@ -154,7 +157,7 @@ PIPELINE_DIGESTS = {
         "predictions/l01m03p00_4.csv":
             "6633bff443a7c2af416fbf610776ff004eba8df389fdbcc7dddcddf74b6d55fe",
         "report.json":
-            "2a1955e494c896b8a8bbb2a42b580542dcf257bc8114fa2ebb754e2e917406ba",
+            "fc8151d12a227fdc43ff61b931d7087951d3788882b6e506fea8eeaa90e4eb0e",
     },
 }
 

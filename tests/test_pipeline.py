@@ -11,13 +11,6 @@ from rssloc.pipeline import PipelineConfigError, process_entry
 
 
 class TestPipelineConfig:
-    @pytest.mark.parametrize("field", ["r", "g"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
-    def test_rejects_non_positive_radius_and_cutoff(self, field, value):
-        with pytest.raises(PipelineConfigError,
-                           match=f"^{field} must be a finite number > 0, not {value!r}$"):
-            PipelineConfig(**{field: value})
-
     @pytest.mark.parametrize("field,value,message", [
         ("jobs", 0, "jobs must be an integer >= 1, not 0"),
         ("jobs", -2, "jobs must be an integer >= 1, not -2"),
@@ -26,15 +19,16 @@ class TestPipelineConfig:
         ("jobs", "2", "jobs must be an integer >= 1, not '2'"),
         ("noise_sigma", -1.0, r"noise_sigma must be a finite number >= 0, not -1\.0"),
         ("noise_sigma", math.nan, "noise_sigma must be a finite number >= 0, not nan"),
-        ("delta_db", -5.0, r"delta_db must be a finite number >= 0, not -5\.0"),
-        ("delta_db", math.nan, "delta_db must be a finite number >= 0, not nan"),
-        ("area_factor", 0.0, r"area_factor must be a finite number > 0, not 0\.0"),
-        ("area_factor", -1.0, r"area_factor must be a finite number > 0, not -1\.0"),
-        ("area_factor", math.nan, "area_factor must be a finite number > 0, not nan"),
-        ("gamma", 255, "gamma must be an integer in 0..254, not 255"),
-        ("gamma", -1, "gamma must be an integer in 0..254, not -1"),
-        ("gamma", 127.0, r"gamma must be an integer in 0..254, not 127\.0"),
-        ("gamma", True, "gamma must be an integer in 0..254, not True"),
+        ("noise_sigma", math.inf, "noise_sigma must be a finite number >= 0, not inf"),
+        ("noise_sigma", "2", "noise_sigma must be a finite number >= 0, not '2'"),
+        ("noise_sigma", True, "noise_sigma must be a finite number >= 0, not True"),
+        ("noise_sigma", None, "noise_sigma must be a finite number >= 0, not None"),
+        ("noise_seed", "x", "noise_seed must be an unsigned 64-bit integer, not 'x'"),
+        ("noise_seed", 1.5, r"noise_seed must be an unsigned 64-bit integer, not 1\.5"),
+        ("noise_seed", True, "noise_seed must be an unsigned 64-bit integer, not True"),
+        ("noise_seed", -1, "noise_seed must be an unsigned 64-bit integer, not -1"),
+        ("noise_seed", 2**64, "noise_seed must be an unsigned 64-bit integer, "
+                              "not 18446744073709551616"),
         ("intervals", ("10", ""), "intervals must be finite numbers > 0, not ''"),
         ("intervals", ("abc",), "intervals must be finite numbers > 0, not 'abc'"),
         ("intervals", ("0",), "intervals must be finite numbers > 0, not '0'"),
@@ -45,38 +39,22 @@ class TestPipelineConfig:
         ("intervals", (True,), "intervals must be finite numbers > 0, not True"),
         ("intervals", ("4", "4"), "interval '4' repeats"),
         ("intervals", ("1", "4", "1.0"), "interval '1.0' repeats"),
-        ("noise_sigma", math.inf, "noise_sigma must be a finite number >= 0, not inf"),
-        ("delta_db", math.inf, "delta_db must be a finite number >= 0, not inf"),
-        ("area_factor", math.inf, "area_factor must be a finite number > 0, not inf"),
-        ("g", "2", "g must be a finite number > 0, not '2'"),
-        ("r", True, "r must be a finite number > 0, not True"),
-        ("noise_seed", "x", "noise_seed must be an unsigned 64-bit integer, not 'x'"),
-        ("noise_seed", 1.5, r"noise_seed must be an unsigned 64-bit integer, not 1\.5"),
-        ("noise_seed", True, "noise_seed must be an unsigned 64-bit integer, not True"),
-        ("noise_seed", -1, "noise_seed must be an unsigned 64-bit integer, not -1"),
-        ("noise_seed", 2**64, "noise_seed must be an unsigned 64-bit integer, "
-                              "not 18446744073709551616"),
-        ("connectivity", 6, "connectivity must be 4 or 8, not 6"),
     ])
     def test_rejects_out_of_range_options(self, field, value, message):
         with pytest.raises(PipelineConfigError, match=f"^{message}$"):
             PipelineConfig(**{field: value})
 
     def test_accepts_boundary_options(self):
-        PipelineConfig(jobs=1, noise_sigma=0.0, delta_db=0.0, area_factor=1e-9)
+        PipelineConfig(jobs=1, noise_sigma=0.0)
         PipelineConfig(intervals=("0.5", "1", "10"))
-        PipelineConfig(gamma=0)
-        PipelineConfig(gamma=254)
         PipelineConfig(reconstructor="kriging", noise_seed=0)
         PipelineConfig(reconstructor="kriging", noise_seed=2**64 - 1)
 
     def test_to_dict_lists_every_option(self):
         config = PipelineConfig(reconstructor="kriging", intervals=("1", "4"), jobs=2)
         assert config.to_dict() == {
-            "reconstructor": "kriging", "estimator": "com", "r": 2.0, "gamma": 127,
-            "g": 20.0, "connectivity": 8, "intervals": ["1", "4"], "noise_sigma": 0.0,
-            "noise_seed": 0, "area_factor": 1.6, "delta_db": 9.0,
-            "local_map_dir": None, "jobs": 2}
+            "reconstructor": "kriging", "estimator": "com", "intervals": ["1", "4"],
+            "noise_sigma": 0.0, "noise_seed": 0, "local_map_dir": None, "jobs": 2}
         assert PipelineConfig().to_dict()["intervals"] is None
 
     @pytest.mark.parametrize("reconstructor", ["idw", "kriging"])
@@ -160,11 +138,11 @@ class TestLayoutGroups:
         seen = stacks_seen(monkeypatch)
         for group in groups_of(entries):
             seen.clear()
-            grouped = process_entry(copy, group, KRIGING)
+            grouped = process_entry(copy, group, KRIGING, 2.0)
             counts = sorted(stack.shape[0] for stack in seen)
             assert counts == ([1, 2, 3] if entries[0] in group else [3, 3])
             solo = [row for entry in group
-                    for row in process_entry(copy, [entry], KRIGING)]
+                    for row in process_entry(copy, [entry], KRIGING, 2.0)]
             assert sorted(grouped, key=row_key) == sorted(solo, key=row_key)
             assert not any("error" in row for row in grouped)
 

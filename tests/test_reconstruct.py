@@ -261,7 +261,7 @@ class TestRegistry:
             scenarios = [load_scenario(out, entry) for entry in group]
             for name, local_map in LOCAL_MAPS.items():
                 config = PipelineConfig(reconstructor=name)
-                recs = local_map(out, group, "4", scenarios, config)
+                recs = local_map(out, group, "4", scenarios, config, 2.0)
                 assert len(recs) == len(group)
                 for rec, scenario in zip(recs, scenarios):
                     assert rec.values.shape == scenario.layout.cells.shape
