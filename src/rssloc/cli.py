@@ -26,6 +26,11 @@ EXIT_PARTIAL = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    # an unknown option is an error, not a prefix of a known one (--r of
+    # --reconstructor, --interval of --intervals)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")

@@ -125,16 +125,21 @@ def samples_to_csv(sample_set: SampleSet) -> str:
         rows.ravel().tolist())
 
 
-def _csv_rows(text: str, header: str, types) -> list[list]:
-    """Fields of every non-blank row after the header, converted by types;
-    a field that does not convert or is not finite (nan, inf) is an error
-    that names the 1-based line."""
+def _csv_lines(text: str, header: str) -> list[tuple[int, str]]:
+    """(1-based line number, stripped line) of every non-blank line after
+    the header, which must match exactly."""
     lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1)
              if ln.strip()]
     if not lines or lines[0][1] != header:
         raise ValueError(f"bad CSV header, expected {header!r}")
+    return lines[1:]
+
+
+def _csv_rows(lines: list[tuple[int, str]], types) -> list[list]:
+    """Fields of every line, converted by types; a field that does not
+    convert or is not finite (nan, inf) is an error that names the line."""
     rows = []
-    for n, ln in lines[1:]:
+    for n, ln in lines:
         fields = ln.split(",")
         if len(fields) != len(types):
             raise ValueError(f"line {n}: expected {len(types)} fields, "
@@ -150,8 +155,16 @@ def _csv_rows(text: str, header: str, types) -> list[list]:
 
 
 def samples_from_csv(text: str) -> SampleSet:
-    rows = np.array(_csv_rows(text, "x_m,y_m,rss_dbm", (float, float, float)),
-                    dtype=np.float64).reshape(-1, 3)
+    """numpy parses the fields as float() does; _csv_rows re-reads a file
+    that does not give finite rows of 3 fields, to name its bad line."""
+    lines = _csv_lines(text, "x_m,y_m,rss_dbm")
+    try:
+        rows = np.array([ln.split(",") for _, ln in lines], dtype=np.float64)
+    except ValueError:
+        rows = None
+    if rows is None or rows.shape != (len(lines), 3) or not np.isfinite(rows).all():
+        rows = np.array(_csv_rows(lines, (float, float, float)),
+                        dtype=np.float64).reshape(-1, 3)
     return SampleSet(positions=rows[:, :2], values=rows[:, 2])
 
 
@@ -163,7 +176,8 @@ def predictions_to_csv(component_ids, points, flags) -> str:
 
 
 def predictions_from_csv(text: str):
-    rows = _csv_rows(text, "component_id,x_m,y_m,flagged", (int, float, float, int))
+    rows = _csv_rows(_csv_lines(text, "component_id,x_m,y_m,flagged"),
+                     (int, float, float, int))
     return ([cid for cid, _, _, _ in rows], [(x, y) for _, x, y, _ in rows],
             [bool(flag) for _, _, _, flag in rows])
 

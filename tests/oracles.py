@@ -77,6 +77,25 @@ def disk_cells_every_cell(x, y, r, shape):
             if (j + 0.5 - x) ** 2 + (i + 0.5 - y) ** 2 <= r * r]
 
 
+def proxy_local_map_disk_cells(vals, delta_db, r):
+    """proxy_local_map's kept-pixel mask, each peak's disk from
+    scenario.disk_cells."""
+    from rssloc.scenario import disk_cells
+    h, w = vals.shape
+    work = vals.copy()
+    keep = np.zeros((h, w), dtype=bool)
+    floor = vals.max() - delta_db
+    for _ in range(64):
+        pi, pj = np.unravel_index(int(np.argmax(work)), (h, w))
+        peak = work[pi, pj]
+        if not np.isfinite(peak) or peak < floor:
+            break
+        disk = disk_cells(pj + 0.5, pi + 0.5, 3.0 * r, (h, w))
+        keep[disk] |= vals[disk] >= peak - delta_db
+        work[disk] = -np.inf
+    return keep
+
+
 def clip_building_length(a, b, cells):
     """Meters of a->b inside building cells by Liang-Barsky clipping per cell."""
     ax, ay = a

@@ -219,6 +219,18 @@ class TestPipeline:
         assert capsys.readouterr().err.splitlines() == \
             ["unknown estimator 'argmax'; registered: com"]
 
+    @pytest.mark.parametrize("option", [["--r", "3"], ["--interval", "1"]])
+    def test_option_prefix_is_usage_error(self, dataset, tmp_path, capsys, option):
+        # --r is not read as --reconstructor, nor --interval as --intervals
+        _, _, out = dataset
+        run = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["pipeline", "--dataset", str(out), "--out", str(run), *option])
+        assert exc.value.code == 1
+        assert not run.exists()
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            f"rssloc: error: unrecognized arguments: {' '.join(option)}"
+
     def test_help_lists_registries(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["pipeline", "--help"])

@@ -12,9 +12,9 @@ from rssloc import (AUGMENTATIONS, BuildingLayout, DatasetConfig, LrmfError,
                     generate_dataset, generate_scenario, ground_truth_local,
                     load_scenario, rasterize_global, read_dataset_index,
                     read_pgm, sample_along)
-from rssloc.dataset_io import (_derived_seed, predictions_from_csv,
-                               predictions_to_csv, samples_from_csv,
-                               samples_to_csv)
+from rssloc.dataset_io import (_csv_lines, _csv_rows, _derived_seed,
+                               predictions_from_csv, predictions_to_csv,
+                               samples_from_csv, samples_to_csv)
 
 from oracles import samples_to_csv_lines
 
@@ -126,6 +126,8 @@ class TestCsv:
     @pytest.mark.parametrize("row,message", [
         ("1.5,2.5", "line 3: expected 3 fields, found 2"),
         ("1.5,2.5,-60,7", "line 3: expected 3 fields, found 4"),
+        # 2 + 4 fields are 6 = 2 * 3 values, but no row of 3
+        ("1.5,2.5\n1.5,2.5,-60,7", "line 3: expected 3 fields, found 2"),
         ("1.5,north,-60", "line 3: non-numeric field in '1.5,north,-60'"),
         ("nan,nan,-50.0", "line 3: non-finite field in 'nan,nan,-50.0'"),
         ("1.5,2.5,-inf", "line 3: non-finite field in '1.5,2.5,-inf'"),
@@ -134,6 +136,34 @@ class TestCsv:
         text = f"x_m,y_m,rss_dbm\n1.0,2.0,-50.0\n{row}\n"
         with pytest.raises(ValueError, match=f"^{message}$"):
             samples_from_csv(text)
+
+    @pytest.mark.parametrize("text", [
+        "x_m,y_m,rss_dbm\n1.0,2.0,-50.0\n3.0,4.0,nan\n",
+        "x_m,y_m,rss_dbm\n1.0,inf,-50.0\n",
+        "x_m,y_m,rss_dbm\n\n1.0,2.0,-50.0\n   \n3.0,4.0,-60.0\n\n",
+        "x_m,y_m,rss_dbm\r\n1.0,2.0,-50.0\r\n3.0,4.0,-60.0\r\n",
+        "  x_m,y_m,rss_dbm  \n1.0, 2.0 ,-50.0\n",
+        "x_m, y_m, rss_dbm\n1.0,2.0,-50.0\n",
+        "x_m,y_m,rss_dbm\n1_0,2.0,-5_0.25\n",
+        "x_m,y_m,rss_dbm\n1.0,2.0\n3.0,4.0,-60.0,7\n",
+        "x_m,y_m,rss_dbm\n1.0,2.0,-50.0\n3.0,north,-60.0\n",
+        "x_m,y_m,rss_dbm\n",
+    ])
+    def test_samples_fast_path_agrees_with_field_parse(self, text):
+        # samples_from_csv parses with numpy and words its errors with
+        # _csv_rows: both give the same values or the same message
+        try:
+            want = np.array(_csv_rows(_csv_lines(text, "x_m,y_m,rss_dbm"),
+                                      (float, float, float))).reshape(-1, 3)
+            want = SampleSet(positions=want[:, :2], values=want[:, 2])
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                samples_from_csv(text)
+            assert str(got.value) == str(exc)
+            return
+        got = samples_from_csv(text)
+        assert got.positions.tobytes() == want.positions.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
 
     @pytest.mark.parametrize("row,message", [
         ("1,3.5,4.5", "line 4: expected 4 fields, found 3"),

@@ -4,8 +4,8 @@ scipy's, the run-based labeling, its bounding boxes and the 3x3 dilation
 against scipy.ndimage, route bridges against the loop oracle, the first
 occurrence of each sample position against a dict oracle, the rectangle
 cover of building cells, augmentation equivariance of separation and
-localization, and stacked kriging and IDW predictions against one call per
-value row."""
+localization, stacked kriging and IDW predictions against one call per
+value row, and the blocked squared distances against the broadcast formula."""
 
 import math
 
@@ -26,7 +26,8 @@ from rssloc.dataset_io import (predictions_from_csv, predictions_to_csv,
                                samples_from_csv, samples_to_csv)
 from rssloc.metrics import _cost_matrix, _lsap
 from rssloc.propagation import building_rectangles
-from rssloc.reconstruct import _PAIRS_PER_BLOCK, idw_predict, kriging_predict
+from rssloc.reconstruct import (_PAIRS_PER_BLOCK, _squared_distance_blocks,
+                                idw_predict, kriging_predict)
 from rssloc.sampling import RouteError, _bfs_path, first_occurrences
 from rssloc.scenario import dilate, label_by_bbox
 
@@ -379,3 +380,46 @@ def test_stacked_idw_equals_single_calls(problem):
     assert stacked.shape == (len(values), len(query))
     for row, got in zip(values, stacked):
         assert np.array_equal(got, idw_predict(positions, row.copy(), query))
+
+
+# coordinates that repeat, signed zeros among them
+_REPEATED = np.array([0.0, -0.0, 0.5, 1.5, 7.25, 199.5])
+
+
+@st.composite
+def distance_problems(draw):
+    """J positions and queries for _squared_distance_blocks: the free cells of
+    a grid with buildings, in the row-major order the reconstructors use, or
+    scattered queries whose coordinates repeat, numbering one or two blocks
+    plus one, minus one or none."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    j = draw(st.integers(1, 700))
+
+    def coordinates(n, share):
+        return np.where(rng.random((n, 2)) < share, rng.choice(_REPEATED, (n, 2)),
+                        rng.random((n, 2)) * 200.0)
+
+    positions = coordinates(j, 0.2)
+    if draw(st.booleans()):
+        h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+        ii, jj = np.nonzero(rng.random((h, w)) >= draw(st.floats(0.0, 0.5)))
+        query = np.column_stack([jj + 0.5, ii + 0.5])
+    else:
+        rows = _PAIRS_PER_BLOCK // j
+        n = max(1, draw(st.integers(1, 2)) * rows + draw(st.integers(-1, 1)))
+        query = coordinates(n, draw(st.floats(0.0, 1.0)))
+    return positions, query
+
+
+@FEW
+@given(distance_problems())
+def test_squared_distance_blocks_equal_broadcast_formula(problem):
+    positions, query = problem
+    rows = max(1, _PAIRS_PER_BLOCK // len(positions))
+    blocks = [(lo, d2.copy()) for lo, d2 in _squared_distance_blocks(positions, query)]
+    assert [lo for lo, _ in blocks] == list(range(0, len(query), rows))
+    for lo, d2 in blocks:
+        q = query[lo:lo + rows]
+        want = ((q[:, 0, None] - positions[:, 0]) ** 2
+                + (q[:, 1, None] - positions[:, 1]) ** 2)
+        assert d2.tobytes() == want.tobytes()

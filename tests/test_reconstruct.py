@@ -7,12 +7,12 @@ from rssloc import (LOCAL_MAPS, P_MIN_DBM, BuildingLayout, PipelineConfig,
                     ReconstructionError, SampleSet, idw_reconstruct, kriging_reconstruct, load_scenario,
                     proxy_local_map, rasterize_global, read_dataset_index)
 from rssloc import reconstruct
-from rssloc.reconstruct import (_PAIRS_PER_BLOCK, _kriging_matrix, idw_predict,
-                                kriging_predict)
+from rssloc.reconstruct import (_PAIRS_PER_BLOCK, _SOLVE_COLUMNS, _kriging_matrix,
+                                idw_predict, kriging_predict)
 
 from conftest import make_flat_scenario
 from oracles import (RANGE_M, SILL, idw_predict_hypot, kriging_matrix_hypot,
-                     kriging_predict_hypot, kriging_weights)
+                     kriging_predict_hypot, kriging_weights, proxy_local_map_disk_cells)
 
 
 def sample_set(positions, values):
@@ -160,6 +160,20 @@ class TestAgainstHypotOracle:
         np.fill_diagonal(gamma, 0.0)
         assert np.array_equal(got[:-1, :-1], gamma)
 
+    @pytest.mark.parametrize("j", [2, 40, 283])
+    def test_stacked_row_at_every_chunk_position(self, j):
+        # the rows share one LU, solved _SOLVE_COLUMNS at a time: at any place
+        # in a full or a partial chunk, among random rows, a row gets the
+        # bytes of a one-row call. That a column's solution does not depend
+        # on the others is true of OpenBLAS's solve, not promised by LAPACK.
+        rng, pos, row, query, _ = random_problem(5000 + j, j)
+        want = kriging_predict(pos, row, query)
+        for s in (_SOLVE_COLUMNS, 2 * _SOLVE_COLUMNS - 5):
+            for at in range(s - _SOLVE_COLUMNS, s):
+                values = rng.uniform(-100.0, -30.0, (s, j))
+                values[at] = row
+                assert np.array_equal(kriging_predict(pos, values, query)[at], want)
+
     @pytest.mark.parametrize("j", [2, 7, 150, 600])
     def test_idw(self, j):
         _, pos, vals, query, on_sample = random_problem(2000 + j, j)
@@ -238,6 +252,21 @@ class TestProxyLocalMap:
         dense = rasterize_global(make_flat_scenario([(30.5, 30.5)]), params)
         with pytest.raises(ValueError, match="r must be positive"):
             proxy_local_map(dense, 9.0, r=r)
+
+    @pytest.mark.parametrize("r", [2.0, 2.5, 3.0])
+    @pytest.mark.parametrize("at", [(0, 0), (0, 36), (30, 0), (30, 36),
+                                    (0, 17), (30, 17), (15, 0), (15, 36)])
+    def test_disk_stencil_matches_disk_cells(self, r, at):
+        # the first peak at a corner or an edge of the grid, the next ones
+        # anywhere: the clipped stencil keeps what disk_cells selects
+        from rssloc import RadioMap
+        rng = np.random.default_rng(at[0] * 100 + at[1])
+        vals = rng.uniform(-60.0, -41.0, (31, 37))
+        vals[at] = -40.0
+        local = proxy_local_map(RadioMap(vals), 9.0, r=r)
+        keep = proxy_local_map_disk_cells(vals, 9.0, r)
+        assert keep[at] and not keep.all()
+        assert np.array_equal(local.values > 0, keep)
 
     def test_deterministic(self, params):
         sc = make_flat_scenario([(15.5, 30.5), (45.5, 30.5)])
