@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import dataset_io, pipeline, render
@@ -127,19 +128,19 @@ def cmd_evaluate(args) -> int:
     rows, evals = [], []
     for entry in sorted(index["entries"], key=lambda e: e["id"]):
         truths = dataset_io.load_scenario(args.dataset, entry).true_points()
-        # the files the pipeline writes for the entry's intervals, by file name
-        for name, interval in sorted((f"{entry['id']}_{key}.csv", key)
-                                     for key in entry["samples"]):
+        # the files the pipeline writes for the entry's intervals, in its order
+        for interval in sorted(entry["samples"], key=float):
+            name = f"{entry['id']}_{interval}.csv"
             if (pred_dir / name).is_file():
                 _, points, _ = dataset_io.parse_file(pred_dir / name,
                                                      predictions_from_csv)
                 ev = evaluate_scenario(points, truths)
                 evals.append(ev)
                 rows.append({"id": entry["id"], "interval": interval,
-                             **ev.as_dict()})
+                             **asdict(ev)})
     if not rows:
         raise FileNotFoundError("no prediction files matched the dataset")
-    report = {"results": rows, "aggregate": aggregate(evals).as_dict()}
+    report = {"results": rows, "aggregate": asdict(aggregate(evals))}
     text = dataset_io.dumps_json(report)
     if args.out:
         Path(args.out).write_text(text)

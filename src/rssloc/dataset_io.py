@@ -190,21 +190,17 @@ def parse_file(path, parse):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def scenario_to_dict(scenario: Scenario, layout_ref: str | None = None,
-                     sampling: dict | None = None) -> dict:
-    doc = {
+def scenario_to_dict(scenario: Scenario, layout_ref: str, sampling: dict) -> dict:
+    return {
         "id": scenario.id,
         "width": scenario.layout.width,
         "height": scenario.layout.height,
         "seed": scenario.rng_seed,
         "sources": [{"x": s.x, "y": s.y, "tx_power_dbm": s.tx_power_dbm,
                      "gain_dbi": s.gain_dbi} for s in scenario.sources],
+        "layout": layout_ref,
+        "sampling": sampling,
     }
-    if layout_ref is not None:
-        doc["layout"] = layout_ref
-    if sampling is not None:
-        doc["sampling"] = sampling
-    return doc
 
 
 def scenario_from_dict(doc: dict, layout: BuildingLayout) -> Scenario:
@@ -296,9 +292,11 @@ class DatasetConfig:
     split: dict = field(default_factory=lambda: {"train": 1, "val": 0, "test": 1})
 
     def __post_init__(self):
-        for name in ("width", "height", "n_layouts", "n_buildings",
-                     "placements_per_count"):
-            _check(name, getattr(self, name), numbers.Integral, "an integer")
+        # name -> least value; a layout is at least 8 cells on a side
+        for name, least in (("width", 8), ("height", 8), ("n_layouts", 1),
+                            ("n_buildings", 0), ("placements_per_count", 1)):
+            _check(name, getattr(self, name), numbers.Integral,
+                   f"an integer >= {least}", lambda n: n >= least)
         _check("seed", self.seed, numbers.Integral, "an integer >= 0", lambda n: n >= 0)
         _check("min_spacing", self.min_spacing, numbers.Real, "a finite number")
         _check("r", self.r, numbers.Real, "positive and finite", lambda r: r > 0)

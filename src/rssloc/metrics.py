@@ -12,7 +12,7 @@ returns scipy's pairs, ties included, without importing `scipy.optimize`.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +35,6 @@ class ScenarioEval:
     mdr: float
     ospa: float
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class EvalReport:
@@ -51,9 +48,6 @@ class EvalReport:
     mdr_macro: float
     total_true: int
     total_pred: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _cost_matrix(pred, true, cutoff: float) -> np.ndarray:

@@ -218,7 +218,7 @@ def _result_row(entry: dict, interval, scenario, local: RadioMap,
     ev = evaluate_scenario(preds.points, scenario.true_points())
     return {
         "id": entry["id"], "interval": str(interval), "split": entry["split"],
-        **ev.as_dict(),
+        **asdict(ev),
         "merged_flags": list(preds.flags),
         "predictions_csv": predictions_to_csv(
             preds.component_ids, preds.points, preds.flags),
@@ -249,6 +249,8 @@ def run_pipeline(dataset_dir, config: PipelineConfig,
     _check("config r", r, numbers.Real, "a finite number > 0",
            lambda value: value > 0, error=lambda message: ValueError(
                f"{Path(dataset_dir) / 'index.json'}: {message}"))
+    if config.local_map_dir is not None and not Path(config.local_map_dir).is_dir():
+        raise FileNotFoundError(f"local map directory not found: {config.local_map_dir}")
     if out_dir is not None:
         # an --out that cannot be a directory fails before any layout group runs
         (Path(out_dir) / "predictions").mkdir(parents=True, exist_ok=True)
@@ -276,7 +278,7 @@ def run_pipeline(dataset_dir, config: PipelineConfig,
                                          mle=row["mle"], far=row["far"],
                                          mdr=row["mdr"], ospa=row["ospa"])
                             for row in selected])
-        return {**report.as_dict(), "scenarios": len(selected)}
+        return {**asdict(report), "scenarios": len(selected)}
 
     by_interval = {}
     for interval in sorted({row["interval"] for row in ok_rows}, key=float):

@@ -230,8 +230,7 @@ def kriging_reconstruct(sample_set: SampleSet, layout: BuildingLayout) -> list[R
     return _as_dense_maps(field, layout)
 
 
-def proxy_local_map(dense: RadioMap, delta_db: float = 9.0,
-                    r: float = 2.0) -> RadioMap:
+def proxy_local_map(dense: RadioMap, delta_db: float = 9.0, *, r: float) -> RadioMap:
     """Carve a local-area bitmap out of a dense reconstruction.
 
     Iteratively take the strongest unsuppressed pixel as a peak candidate,

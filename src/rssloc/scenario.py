@@ -128,10 +128,6 @@ class GenerationError(RuntimeError):
     """Generation could not satisfy its constraints for the config given."""
 
 
-class LayoutError(GenerationError):
-    """Layout generation could not satisfy its constraints."""
-
-
 class PlacementError(GenerationError):
     """Rejection sampling ran out of attempts while placing sources."""
 
@@ -212,32 +208,30 @@ class Scenario:
 
 
 def generate_layout(width: int, height: int, n_buildings: int, seed,
-                    min_side: int = 8, max_side: int = 48,
-                    min_free_fraction: float = 0.3,
-                    max_retries: int = 1000) -> BuildingLayout:
-    """Drop axis-aligned rectangles (union; overlaps allowed) onto a free grid.
+                    max_side: int = 48) -> BuildingLayout:
+    """Drop axis-aligned rectangles (union; overlaps allowed), with sides of
+    8..max_side cells, onto a free grid.
 
     A 1-cell free margin is kept at the border so routes always exist; the
-    whole placement is retried until at least ``min_free_fraction`` of the
+    whole placement is retried, up to 1000 times, until at least 30% of the
     grid stays free.
     """
     if n_buildings < 0:
         raise ValueError("n_buildings must be >= 0")
     rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(1000):
         cells = np.zeros((height, width), dtype=np.uint8)
         for _ in range(n_buildings):
-            bw = min(int(rng.integers(min_side, max_side + 1)), width - 2)
-            bh = min(int(rng.integers(min_side, max_side + 1)), height - 2)
+            bw = min(int(rng.integers(8, max_side + 1)), width - 2)
+            bh = min(int(rng.integers(8, max_side + 1)), height - 2)
             j0 = int(rng.integers(1, width - 1 - bw + 1))
             i0 = int(rng.integers(1, height - 1 - bh + 1))
             cells[i0:i0 + bh, j0:j0 + bw] = 1
         layout = BuildingLayout(cells)
-        if layout.free_fraction() >= min_free_fraction:
+        if layout.free_fraction() >= 0.3:
             return layout
-    raise LayoutError(
-        f"could not reach {min_free_fraction:.0%} free cells with "
-        f"{n_buildings} buildings after {max_retries} retries")
+    raise GenerationError(f"could not reach 30% free cells with {n_buildings} "
+                          "buildings after 1000 retries")
 
 
 def disk_cells(x: float, y: float, r: float, shape) -> tuple[np.ndarray, np.ndarray]:
@@ -332,16 +326,15 @@ def check_placement(m: int, clear_radius: float | None = None,
 
 def place_sources(layout: BuildingLayout, m: int, min_spacing: float, seed,
                   clear_radius: float | None = None,
-                  pair_spacing: float | None = None,
-                  max_attempts: int = 10000) -> list[Source]:
+                  pair_spacing: float | None = None) -> list[Source]:
     """Rejection-sample m sources on free cells, pairwise >= min_spacing apart.
 
     Coordinates are uniform within the chosen free cell. When clear_radius is
     given, each source's rasterized radius disk must additionally be a single
     8-connected free region, pairwise non-adjacent between sources, so the
     local areas stay separable. With pair_spacing given, sources 0 and 1
-    instead sit exactly pair_spacing apart with merged disks (_place_dense);
-    max_attempts bounds only the placement without a pair.
+    instead sit exactly pair_spacing apart with merged disks (_place_dense).
+    The placement without a pair makes at most 10000 attempts.
     """
     check_placement(m, clear_radius, pair_spacing)
     free = np.argwhere(layout.cells == 0)
@@ -353,14 +346,13 @@ def place_sources(layout: BuildingLayout, m: int, min_spacing: float, seed,
                             pair_spacing)
     placed: list[Source] = []
     blocked = np.zeros(layout.cells.shape, dtype=bool)
-    for _ in range(max_attempts):
+    for _ in range(10000):
         source = _draw(layout, free, rng, placed, min_spacing, clear_radius, blocked)
         if source is not None:
             placed.append(source)
             if len(placed) == m:
                 return placed
-    raise PlacementError(
-        f"placed {len(placed)}/{m} sources after {max_attempts} attempts")
+    raise PlacementError(f"placed {len(placed)}/{m} sources after 10000 attempts")
 
 
 def _place_dense(layout: BuildingLayout, free: np.ndarray, rng, m: int,
@@ -410,7 +402,6 @@ def _place_dense(layout: BuildingLayout, free: np.ndarray, rng, m: int,
 
 def generate_scenario(width: int, height: int, n_buildings: int, m: int, seed: int,
                       min_spacing: float = 5.0, clear_radius: float | None = 2.0,
-                      scenario_id: str | None = None,
                       dense_pair_spacing: float | None = None) -> Scenario:
     """One-call scenario synthesis: layout plus sources, fully seed-determined."""
     layout_seed = np.random.SeedSequence([int(seed), 1])
@@ -418,5 +409,4 @@ def generate_scenario(width: int, height: int, n_buildings: int, m: int, seed: i
     layout = generate_layout(width, height, n_buildings, layout_seed)
     sources = place_sources(layout, m, min_spacing, source_seed, clear_radius,
                             dense_pair_spacing)
-    return Scenario(layout=layout, sources=sources,
-                    id=scenario_id or f"s{seed}", rng_seed=int(seed))
+    return Scenario(layout=layout, sources=sources, id=f"s{seed}", rng_seed=int(seed))

@@ -17,7 +17,7 @@ from .scenario import expected_disk_area, label_by_bbox
 
 DEFAULT_GAMMA = 127
 DEFAULT_CONNECTIVITY = 8
-DEFAULT_AREA_FACTOR = 1.6
+AREA_FACTOR = 1.6
 
 
 @dataclass
@@ -74,21 +74,19 @@ def extract_single_source_maps(i_ms, labeling: Labeling) -> list[RadioMap]:
             for comp in labeling.components]
 
 
-def flag_merged(labeling: Labeling, r: float,
-                area_factor: float = DEFAULT_AREA_FACTOR) -> list[bool]:
-    """Flag components whose area exceeds area_factor times a single local area."""
+def flag_merged(labeling: Labeling, r: float) -> list[bool]:
+    """Flag components whose area exceeds AREA_FACTOR times a single local area."""
     if r <= 0:
         raise ValueError("r must be positive")
-    threshold = area_factor * expected_disk_area(r)
+    threshold = AREA_FACTOR * expected_disk_area(r)
     return [comp.area > threshold for comp in labeling.components]
 
 
 def separate_sources(i_ms, gamma: int = DEFAULT_GAMMA,
-                     connectivity: int = DEFAULT_CONNECTIVITY,
-                     r: float = 2.0,
-                     area_factor: float = DEFAULT_AREA_FACTOR) -> SeparationResult:
+                     connectivity: int = DEFAULT_CONNECTIVITY, *,
+                     r: float) -> SeparationResult:
     """Full separation pass: binarize, label, extract, flag merged components."""
     labeling = connected_components(binarize(i_ms, gamma), connectivity)
     return SeparationResult(single_source_maps=extract_single_source_maps(i_ms, labeling),
                             labeling=labeling,
-                            merged_flags=flag_merged(labeling, r, area_factor))
+                            merged_flags=flag_merged(labeling, r))

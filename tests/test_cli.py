@@ -60,7 +60,13 @@ class TestGenerate:
                                      {"speed": math.inf}, {"noise_sigma": math.inf},
                                      {"min_spacing": math.nan},
                                      # no scenario at all, so no placement check
-                                     {"source_counts": []}])
+                                     {"source_counts": []},
+                                     {"split": {"train": 0}, "n_layouts": 0},
+                                     {"placements_per_count": 0},
+                                     {"placements_per_count": -2},
+                                     # a layout is at least 8 cells on a side
+                                     {"width": -3}, {"width": 5}, {"height": 7},
+                                     {"n_buildings": -1}])
     def test_bad_config_value_before_rasterization(self, doc, tmp_path, capsys,
                                                    monkeypatch):
         rasterized = []
@@ -280,6 +286,15 @@ class TestPipeline:
         ra = json.loads((run_a / "report.json").read_text())["results"]
         rb = json.loads((run_b / "report.json").read_text())["results"]
         assert ra == rb
+
+    def test_missing_local_map_dir_fails_before_out(self, dataset, tmp_path, capsys):
+        _, _, out = dataset
+        missing, run = tmp_path / "missing", tmp_path / "run"
+        assert cli.main(["pipeline", "--dataset", str(out), "--out", str(run),
+                         "--local-map-dir", str(missing)]) == 2
+        assert capsys.readouterr().err.splitlines() == \
+            [f"local map directory not found: {missing}"]
+        assert not run.exists()
 
     @pytest.mark.parametrize("options,message", [
         (["--reconstructor", "kriging", "--local-map-dir", "ext"],
@@ -651,6 +666,18 @@ class TestEvaluate:
         report = json.loads(report_path.read_text())
         assert [(row["id"], row["interval"]) for row in report["results"]] == \
             [("x", "4"), ("x_b", "4")]
+
+    def test_rows_in_pipeline_order(self, dataset, tmp_path):
+        # intervals 4 and 10: by file name, x_10.csv would come before x_4.csv
+        _, _, out = dataset
+        run, report_path = tmp_path / "run", tmp_path / "eval.json"
+        assert cli.main(["pipeline", "--dataset", str(out), "--out", str(run)]) == 0
+        assert cli.main(["evaluate", "--dataset", str(out), "--predictions",
+                         str(run / "predictions"), "--out", str(report_path)]) == 0
+        pipeline_rows = json.loads((run / "report.json").read_text())["results"]
+        evaluate_rows = json.loads(report_path.read_text())["results"]
+        assert [(row["id"], row["interval"]) for row in evaluate_rows] == \
+            [(row["id"], row["interval"]) for row in pipeline_rows]
 
     def test_empty_predictions_dir(self, dataset, tmp_path):
         _, _, out = dataset

@@ -65,13 +65,13 @@ class TestCenterOfMass:
 class TestLocalizeAll:
     def test_three_components_three_predictions(self, params):
         sc = make_flat_scenario([(10.5, 10.5), (30.5, 30.5), (50.5, 10.5)])
-        result = separate_sources(ground_truth_local(sc, params, 2.0))
+        result = separate_sources(ground_truth_local(sc, params, 2.0), r=2.0)
         preds = localize_all(result, "com")
         assert len(preds) == 3
         assert preds.component_ids == [1, 2, 3]
 
     def test_zero_components_empty_predictions(self):
-        result = separate_sources(np.zeros((20, 20), dtype=np.uint8))
+        result = separate_sources(np.zeros((20, 20), dtype=np.uint8), r=2.0)
         preds = localize_all(result, "com")
         assert len(preds) == 0
 

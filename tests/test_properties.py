@@ -330,7 +330,7 @@ square_bitmaps = st.one_of(
 @given(square_bitmaps, st.sampled_from([4, 8]))
 def test_augmentation_equivariance(bitmap, connectivity):
     def run(grid):
-        sep = separate_sources(grid, connectivity=connectivity)
+        sep = separate_sources(grid, connectivity=connectivity, r=2.0)
         return np.reshape(localize_all(sep, "com").points, (-1, 2))
 
     n = bitmap.shape[0]

@@ -237,7 +237,7 @@ class TestProxyLocalMap:
         from rssloc import RadioMap
         flat = RadioMap(np.full((30, 30), -60.0))
         with pytest.raises(ValueError):
-            proxy_local_map(flat)
+            proxy_local_map(flat, r=2.0)
 
     def test_two_separated_sources_two_regions(self, params):
         sc = make_flat_scenario([(15.5, 30.5), (45.5, 30.5)])
@@ -271,8 +271,8 @@ class TestProxyLocalMap:
     def test_deterministic(self, params):
         sc = make_flat_scenario([(15.5, 30.5), (45.5, 30.5)])
         dense = rasterize_global(sc, params)
-        a = proxy_local_map(dense, 9.0)
-        b = proxy_local_map(dense, 9.0)
+        a = proxy_local_map(dense, 9.0, r=2.0)
+        b = proxy_local_map(dense, 9.0, r=2.0)
         assert np.array_equal(a.values, b.values)
 
 

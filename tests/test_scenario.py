@@ -67,7 +67,7 @@ def test_place_infeasible_layout():
     cells[4, 4] = 0
     layout = BuildingLayout(cells)
     with pytest.raises(PlacementError):
-        place_sources(layout, 2, 5.0, seed=1, max_attempts=500)
+        place_sources(layout, 2, 5.0, seed=1)
 
 
 def test_place_deterministic():
