@@ -93,7 +93,8 @@ def cmd_generate(args) -> int:
         raise FileNotFoundError(f"config file not found: {config_path}")
     try:
         doc = json.loads(config_path.read_text())
-        if args.seed is not None:
+        # from_dict names a document that is no object
+        if args.seed is not None and isinstance(doc, dict):
             doc["seed"] = args.seed
         config = DatasetConfig.from_dict(doc)
     except (TypeError, ValueError) as exc:

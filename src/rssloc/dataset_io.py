@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .propagation import PropagationParams, ground_truth_local, rasterize_global
-from .sampling import SampleSet, add_noise, build_routes, sample_along
+from .sampling import SampleSet, add_noise, build_routes, measure_at, sample_along
 from .scenario import BuildingLayout, GenerationError, Scenario, Source, _check, \
     check_placement, generate_layout, place_sources
 
@@ -273,6 +273,11 @@ def check_intervals(keys, error=ValueError) -> None:
         values.append(value)
 
 
+# the JSON name of each type json.loads returns, objects (dict) aside
+_JSON_TYPES = {list: "an array", str: "a string", int: "a number", float: "a number",
+               bool: "a boolean", type(None): "null"}
+
+
 @dataclass
 class DatasetConfig:
     width: int = 200
@@ -333,6 +338,9 @@ class DatasetConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DatasetConfig":
+        if not isinstance(doc, dict):
+            raise ValueError("config must be a JSON object, not "
+                             + _JSON_TYPES.get(type(doc), type(doc).__name__))
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(doc) - known
         if unknown:
@@ -362,6 +370,8 @@ def generate_dataset(config: DatasetConfig, out_dir) -> dict:
         layout = generate_layout(config.width, config.height, config.n_buildings,
                                  np.random.SeedSequence([config.seed, 1, li]))
         route = build_routes(layout)
+        # interval -> sample positions, which every scenario of the layout shares
+        positions = {}
         layout_name = f"l{li:02d}"
         files.append((f"layouts/{layout_name}.pgm", encode_pgm(layout.cells)))
         for m in config.source_counts:
@@ -392,7 +402,11 @@ def generate_dataset(config: DatasetConfig, out_dir) -> dict:
                 files.append((f"maps/local/{sid}.pgm", encode_pgm(local_map.values)))
                 sample_paths = {}
                 for ki, interval in enumerate(config.intervals):
-                    sset = sample_along(route, global_map, interval, config.speed)
+                    if interval in positions:
+                        sset = measure_at(global_map, positions[interval])
+                    else:
+                        sset = sample_along(route, global_map, interval, config.speed)
+                        positions[interval] = sset.positions
                     if config.noise_sigma > 0:
                         sset = add_noise(sset, config.noise_sigma,
                                          _derived_seed(config.seed, 3, li, m, pi, ki))
@@ -411,10 +425,10 @@ def generate_dataset(config: DatasetConfig, out_dir) -> dict:
     files.append(("index.json", dumps_json(index).encode()))
 
     out = Path(out_dir)
+    for folder in dict.fromkeys((out / rel).parent for rel, _ in files):
+        folder.mkdir(parents=True, exist_ok=True)
     for rel, payload in files:
-        path = out / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(payload)
+        (out / rel).write_bytes(payload)
     return index
 
 

@@ -128,18 +128,22 @@ def segment_building_lengths(start, ends, rects, shape) -> np.ndarray:
     the line: coordinate q lies in cell floor(q). The lengths agree with a
     traversal of every cell a segment crosses (tests/oracles.py:
     traverse_all_cells) to within 1e-9 m; the two round differently.
+
+    Ends that are all cell centres, filling at least half of their bounding
+    window of cells, are clipped per grid axis: the x slab of each window
+    column and the y slab of each window row, combined over the window. Each
+    end gets the bytes of its own one-end call either way.
     """
     a = np.asarray(start, dtype=np.float64).reshape(2)
-    d = np.asarray(ends, dtype=np.float64).reshape(-1, 2) - a
-    out = np.zeros(len(d))
-    if len(d) == 0 or len(rects) == 0:
-        return out
+    e = np.asarray(ends, dtype=np.float64).reshape(-1, 2)
+    if len(e) == 0 or len(rects) == 0:
+        return np.zeros(len(e))
 
     # bounds relative to start; a side on the grid border stands for
     # infinity. Clamped to the segments' bounding box widened by 1 m, a
     # rectangle clips them as before, and one left empty there meets none.
-    # min and max of each column as 1-D arrays: d.min(axis=0) is slower
-    dx, dy = d[:, 0], d[:, 1]
+    # dx and dy as 1-D arrays: the (N, 2) e - a and its min(axis=0) are slower
+    dx, dy = e[:, 0] - a[0], e[:, 1] - a[1]
     xlo, xhi = min(dx.min(), 0.0) - 1.0, max(dx.max(), 0.0) + 1.0
     ylo, yhi = min(dy.min(), 0.0) - 1.0, max(dy.max(), 0.0) + 1.0
     h, w = shape
@@ -148,25 +152,64 @@ def segment_building_lengths(start, ends, rects, shape) -> np.ndarray:
     x1 = np.clip(np.where(right == w, np.inf, right) - a[0], xlo, xhi)
     y0 = np.clip(np.where(top == 0, -np.inf, top) - a[1], ylo, yhi)
     y1 = np.clip(np.where(bottom == h, np.inf, bottom) - a[1], ylo, yhi)
-    keep = (x0 < x1) & (y0 < y1)
+    keep = np.flatnonzero((x0 < x1) & (y0 < y1))
 
+    cells = np.floor(e)
+    if (e - cells == 0.5).all():
+        col, row = cells[:, 0].astype(np.intp), cells[:, 1].astype(np.intp)
+        j0, i0 = col.min(), row.min()
+        width, height = int(col.max() - j0) + 1, int(row.max() - i0) + 1
+        # a window slab pays once it serves two ends, as the kriging x-table
+        if width * height <= 2 * len(e):
+            window = _window_lengths(np.arange(j0, j0 + width) + 0.5 - a[0],
+                                     np.arange(i0, i0 + height) + 0.5 - a[1],
+                                     x0[keep], x1[keep], y0[keep], y1[keep])
+            return window.ravel().take((row - i0) * width + (col - j0))
+
+    out = np.zeros(len(e))
     seg_len = np.hypot(dx, dy)
-    still = d == 0.0
-    step = np.where(still, 1.0, d)
-    for k in np.flatnonzero(keep):
-        t0, t1 = _slab(still[:, 0], step[:, 0], x0[k], x1[k], 0.0, 1.0)
-        t0, t1 = _slab(still[:, 1], step[:, 1], y0[k], y1[k], t0, t1)
+    x_still, y_still = dx == 0.0, dy == 0.0
+    x_step, y_step = np.where(x_still, 1.0, dx), np.where(y_still, 1.0, dy)
+    for k in keep:
+        lo, hi = _slab(x_still, x_step, x0[k], x1[k])
+        t0, t1 = np.maximum(0.0, lo), np.minimum(1.0, hi)
+        lo, hi = _slab(y_still, y_step, y0[k], y1[k])
+        t0, t1 = np.maximum(t0, lo), np.minimum(t1, hi)
         out += np.maximum(t1 - t0, 0.0) * seg_len
     return out
 
 
-def _slab(still, step, q0, q1, t0, t1):
-    """[t0, t1] narrowed to the t with q0 <= p t < q1 (Liang-Barsky), where
-    step is p, or 1 where p = 0 (still); for p = 0, to every t if
-    q0 <= 0 < q1 and to none otherwise."""
+def _window_lengths(dx, dy, x0, x1, y0, y1) -> np.ndarray:
+    """The clipped lengths of the segments from the origin to (dx[j], dy[i]),
+    a (len(dy), len(dx)) window, summed over the rectangles [x0, x1) x
+    [y0, y1) in order. Each rectangle is combined only over the block of rows
+    and columns whose slabs meet [0, 1]; outside it, each term is 0.0."""
+    seg_len = np.hypot(dx[None, :], dy[:, None])
+    out = np.zeros(seg_len.shape)
+    x_still, y_still = dx == 0.0, dy == 0.0
+    x_step, y_step = np.where(x_still, 1.0, dx), np.where(y_still, 1.0, dy)
+    for k in range(len(x0)):
+        lo, hi = _slab(x_still, x_step, x0[k], x1[k])
+        t0, t1 = np.maximum(0.0, lo), np.minimum(1.0, hi)
+        cols = np.flatnonzero(t0 < t1)
+        ylo, yhi = _slab(y_still, y_step, y0[k], y1[k])
+        rows = np.flatnonzero(np.maximum(0.0, ylo) < np.minimum(1.0, yhi))
+        if len(cols) == 0 or len(rows) == 0:
+            continue
+        c, r = slice(cols[0], cols[-1] + 1), slice(rows[0], rows[-1] + 1)
+        b0 = np.maximum(t0[c], ylo[r, None])
+        b1 = np.minimum(t1[c], yhi[r, None])
+        out[r, c] += np.maximum(b1 - b0, 0.0) * seg_len[r, c]
+    return out
+
+
+def _slab(still, step, q0, q1):
+    """The bounds (lo, hi) of the t with q0 <= p t < q1 (Liang-Barsky), where
+    step is p, or 1 where p = 0 (still); for p = 0, every t if q0 <= 0 < q1
+    and none otherwise."""
     ta = np.where(still, -np.inf if q0 <= 0.0 < q1 else np.inf, q0 / step)
     tb = np.where(still, np.inf, q1 / step)
-    return np.maximum(t0, np.minimum(ta, tb)), np.minimum(t1, np.maximum(ta, tb))
+    return np.minimum(ta, tb), np.maximum(ta, tb)
 
 
 def aggregate_rss(powers):

@@ -221,8 +221,6 @@ def sample_along(route: Route, global_map: RadioMap, interval_s: float,
         raise ValueError("interval_s must be positive")
     if speed <= 0:
         raise ValueError("speed must be positive")
-    if not global_map.is_dbm:
-        raise ValueError("sampling needs the dBm global map")
     cum = route.cumulative_lengths()
     step = interval_s * speed
     count = int(math.floor((cum[-1] + 1e-9) / step)) + 1
@@ -236,7 +234,16 @@ def sample_along(route: Route, global_map: RadioMap, interval_s: float,
     frac = (arc - cum[k]) / (cum[k + 1] - cum[k])
     p0 = pts[k]
     positions[inside] = p0 + frac[:, None] * (pts[k + 1] - p0)
-    positions = positions[first_occurrences(positions)]
+    return measure_at(global_map, positions[first_occurrences(positions)])
+
+
+def measure_at(global_map: RadioMap, positions: np.ndarray) -> SampleSet:
+    """The samples at the given (J, 2) positions: each reads the exact field
+    value at its containing cell's center. Positions depend only on the
+    route, interval and speed, so other maps of one layout read sample_along's
+    positions here."""
+    if not global_map.is_dbm:
+        raise ValueError("sampling needs the dBm global map")
     cells = np.floor(positions).astype(np.int64)
     values = global_map.values[cells[:, 1], cells[:, 0]].astype(np.float64)
     return SampleSet(positions=positions, values=values)

@@ -289,7 +289,9 @@ def _draw(layout: BuildingLayout, free: np.ndarray, rng, placed: list[Source],
     With r given, the free pixels of its radius-r disk must also be non-empty
     and 8-connected (so the rasterized local area is a single component), and
     none may be blocked, i.e. touch a placed source's disk; an accepted disk
-    is then blocked.
+    is then blocked. Only a disk that a building cuts is labeled: the row
+    runs of a whole disk, border-clipped or not, are nested about one
+    column, so a non-empty one is a single 4-connected set.
     """
     i, j = free[int(rng.integers(0, len(free)))]
     x = float(j) + float(rng.random())
@@ -297,8 +299,11 @@ def _draw(layout: BuildingLayout, free: np.ndarray, rng, placed: list[Source],
     if any(math.hypot(x - s.x, y - s.y) < min_spacing for s in placed):
         return None
     if r is not None:
-        disk = _free_disk(x, y, r, layout)
-        if not _connected(*disk) or blocked[disk].any():
+        rows, cols = disk_cells(x, y, r, layout.cells.shape)
+        clear = layout.cells[rows, cols] == 0
+        disk = rows[clear], cols[clear]
+        if not clear.any() or not (clear.all() or _connected(*disk)) \
+                or blocked[disk].any():
             return None
         _block(blocked, disk)
     return Source(x, y)

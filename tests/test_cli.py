@@ -66,23 +66,40 @@ class TestGenerate:
                                      {"placements_per_count": -2},
                                      # a layout is at least 8 cells on a side
                                      {"width": -3}, {"width": 5}, {"height": 7},
-                                     {"n_buildings": -1}])
+                                     {"n_buildings": -1},
+                                     # a document that is no object, written as is
+                                     "abc", [1, 2], 5, None])
     def test_bad_config_value_before_rasterization(self, doc, tmp_path, capsys,
                                                    monkeypatch):
         rasterized = []
         monkeypatch.setattr(dataset_io, "rasterize_global",
                             lambda *args: rasterized.append(args))
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"width": 40, "height": 40, "n_layouts": 1,
-                                   "n_buildings": 1, "source_counts": [1],
-                                   "placements_per_count": 1,
-                                   "split": {"train": 1, "val": 0, "test": 0},
-                                   **doc}))
+        base = {"width": 40, "height": 40, "n_layouts": 1, "n_buildings": 1,
+                "source_counts": [1], "placements_per_count": 1,
+                "split": {"train": 1, "val": 0, "test": 0}}
+        cfg.write_text(json.dumps({**base, **doc} if isinstance(doc, dict) else doc))
         out = tmp_path / "o"
         assert cli.main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
-        # the message starts with the field the row gets wrong, its last key
-        assert capsys.readouterr().err.startswith(f"bad config: {list(doc)[-1]} ")
+        err = capsys.readouterr().err
+        if isinstance(doc, dict):
+            # the message starts with the field the row gets wrong, its last key
+            assert err.startswith(f"bad config: {list(doc)[-1]} ")
+        else:
+            assert err.startswith("bad config: config must be a JSON object, not ")
+            assert err.count("\n") == 1
         assert rasterized == [] and not out.exists()
+
+    def test_config_not_an_object_with_seed(self, tmp_path, capsys):
+        # --seed is not applied to an array, whose error names the document
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        out = tmp_path / "o"
+        assert cli.main(["generate", "--config", str(cfg), "--out", str(out),
+                         "--seed", "3"]) == 2
+        assert capsys.readouterr().err == \
+            "bad config: config must be a JSON object, not an array\n"
+        assert not out.exists()
 
     def test_failed_placement_is_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

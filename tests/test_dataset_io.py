@@ -349,6 +349,14 @@ class TestGenerateDataset:
         assert doc["source_counts"] == [1, 3] and doc["intervals"] == [4, 10]
         assert DatasetConfig.from_dict(doc) == config
 
+    @pytest.mark.parametrize("doc,kind", [("abc", "a string"), ([1, 2], "an array"),
+                                          (5, "a number"), (None, "null"),
+                                          (True, "a boolean")])
+    def test_config_not_an_object_rejected(self, doc, kind):
+        with pytest.raises(ValueError,
+                           match=f"^config must be a JSON object, not {kind}$"):
+            DatasetConfig.from_dict(doc)
+
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             DatasetConfig.from_dict({"widht": 100})

@@ -7,6 +7,7 @@ from rssloc import (P_MAX_DBM, P_MIN_DBM, BuildingLayout, PropagationParams,
                     RadioMap, Scenario, Source, aggregate_rss, encode_bitmap,
                     generate_scenario, ground_truth_local, path_loss,
                     rasterize_global)
+from rssloc import propagation
 from rssloc.propagation import (building_rectangles, local_disk_mask,
                                 segment_building_lengths, source_dbm)
 
@@ -109,6 +110,42 @@ class TestPenetration:
         singles = [segment_building_lengths(a, [e], rects, cells.shape)[0]
                    for e in ends]
         assert batched.tobytes() == np.array(singles).tobytes()
+
+    @pytest.mark.parametrize("case", ["free cells", "border buildings",
+                                      "still rays", "one cell", "disk union"])
+    def test_batched_matches_single_at_cell_centres(self, case, monkeypatch):
+        # cell-centre ends that fill half their window are clipped per axis
+        # over it; the one-end calls clip each end on its own 1x1 window, and
+        # an off-centre end sends the whole batch down the per-end path
+        sc = generate_scenario(70, 70, 3, 2, seed=23)
+        cells, start = sc.layout.cells, sc.sources[0].position
+        if case in ("border buildings", "still rays"):
+            # rectangles with infinite sides on every border
+            cells = np.zeros((20, 24), dtype=np.uint8)
+            cells[:5, 3:9] = cells[12:, :4] = cells[8:11, 18:] = cells[16:, 12:] = 1
+            # on the centre row and column of cell (6, 7), which a ray ends at
+            start = (11.3, 6.7) if case == "border buildings" else (7.5, 6.5)
+        rows, cols = np.nonzero(cells == 0)
+        if case == "one cell":
+            rows, cols = rows[:1], cols[:1]
+        elif case == "disk union":
+            rows, cols = np.nonzero(local_disk_mask(sc, 2.0) & (cells == 0))
+        ends = np.column_stack([cols + 0.5, rows + 0.5])
+        rects = building_rectangles(cells)
+        windows = []
+        window_lengths = propagation._window_lengths
+        monkeypatch.setattr(propagation, "_window_lengths",
+                            lambda *args: windows.append(args) or window_lengths(*args))
+        batched = segment_building_lengths(start, ends, rects, cells.shape)
+        assert len(windows) == (case != "disk union")
+        singles = [segment_building_lengths(start, [e], rects, cells.shape)[0]
+                   for e in ends]
+        assert batched.tobytes() == np.array(singles).tobytes()
+        per_end = segment_building_lengths(start, np.vstack([ends, [[3.25, 4.0]]]),
+                                           rects, cells.shape)
+        assert batched.tobytes() == per_end[:-1].tobytes()
+        assert len(windows) == (case != "disk union") + len(ends)
+        assert_agrees(start, ends, cells)
 
 
 # the clip and the cell traversal are both exact, but round differently

@@ -29,7 +29,7 @@ from rssloc.propagation import building_rectangles
 from rssloc.reconstruct import (_PAIRS_PER_BLOCK, _squared_distance_blocks,
                                 idw_predict, kriging_predict)
 from rssloc.sampling import RouteError, _bfs_path, first_occurrences
-from rssloc.scenario import dilate, label_by_bbox
+from rssloc.scenario import dilate, disk_cells, label_by_bbox
 
 # small example counts keep the whole suite near a minute
 FEW = settings(max_examples=40, deadline=None)
@@ -298,6 +298,21 @@ def test_label_matches_ndimage(mask, connectivity):
          "anti-diagonal", "serpentine", "serpentine-gaps"])
 def test_label_matches_ndimage_on_edge_cases(mask, connectivity):
     _assert_label_matches_ndimage(mask, connectivity)
+
+
+# centres inside, on and beyond the grid, so that some disks are clipped by
+# the border; radii from under half a cell to wider than the grid
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(1, 30), st.integers(1, 30)),
+       st.floats(-5.0, 35.0), st.floats(-5.0, 35.0), st.floats(0.01, 40.0))
+def test_free_disk_is_one_4_connected_set(shape, x, y, r):
+    # scenario._draw labels only disks that a building cuts
+    rows, cols = disk_cells(x, y, r, shape)
+    assume(len(rows))
+    mask = np.zeros(shape, dtype=bool)
+    mask[rows, cols] = True
+    _, boxes = label_by_bbox(mask, 4)
+    assert len(boxes) == 1
 
 
 @FEW
