@@ -406,6 +406,8 @@ def generate_dataset(config: DatasetConfig, out_dir) -> dict:
                         sset = measure_at(global_map, positions[interval])
                     else:
                         sset = sample_along(route, global_map, interval, config.speed)
+                        # read-only: every later scenario of the layout holds it
+                        sset.positions.flags.writeable = False
                         positions[interval] = sset.positions
                     if config.noise_sigma > 0:
                         sset = add_noise(sset, config.noise_sigma,

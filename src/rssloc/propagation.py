@@ -129,10 +129,11 @@ def segment_building_lengths(start, ends, rects, shape) -> np.ndarray:
     traversal of every cell a segment crosses (tests/oracles.py:
     traverse_all_cells) to within 1e-9 m; the two round differently.
 
-    Ends that are all cell centres, filling at least half of their bounding
-    window of cells, are clipped per grid axis: the x slab of each window
-    column and the y slab of each window row, combined over the window. Each
-    end gets the bytes of its own one-end call either way.
+    Ends that are all centres of the grid's cells are clipped per grid axis
+    over their bounding window of cells, which the grid bounds: the x slab of
+    each window column and the y slab of each window row, combined over the
+    window. Other ends are clipped one by one. Each end gets the bytes of its
+    own one-end call either way.
     """
     a = np.asarray(start, dtype=np.float64).reshape(2)
     e = np.asarray(ends, dtype=np.float64).reshape(-1, 2)
@@ -155,16 +156,14 @@ def segment_building_lengths(start, ends, rects, shape) -> np.ndarray:
     keep = np.flatnonzero((x0 < x1) & (y0 < y1))
 
     cells = np.floor(e)
-    if (e - cells == 0.5).all():
-        col, row = cells[:, 0].astype(np.intp), cells[:, 1].astype(np.intp)
-        j0, i0 = col.min(), row.min()
-        width, height = int(col.max() - j0) + 1, int(row.max() - i0) + 1
-        # a window slab pays once it serves two ends, as the kriging x-table
-        if width * height <= 2 * len(e):
-            window = _window_lengths(np.arange(j0, j0 + width) + 0.5 - a[0],
-                                     np.arange(i0, i0 + height) + 0.5 - a[1],
-                                     x0[keep], x1[keep], y0[keep], y1[keep])
-            return window.ravel().take((row - i0) * width + (col - j0))
+    col, row = cells[:, 0], cells[:, 1]
+    j0, j1, i0, i1 = col.min(), col.max(), row.min(), row.max()
+    if (e - cells == 0.5).all() and 0 <= j0 and j1 < w and 0 <= i0 and i1 < h:
+        window = _window_lengths(np.arange(j0, j1 + 1) + 0.5 - a[0],
+                                 np.arange(i0, i1 + 1) + 0.5 - a[1],
+                                 x0[keep], x1[keep], y0[keep], y1[keep])
+        return window.ravel().take(((row - i0) * (j1 - j0 + 1)
+                                    + (col - j0)).astype(np.intp))
 
     out = np.zeros(len(e))
     seg_len = np.hypot(dx, dy)

@@ -265,10 +265,12 @@ def _connected(rows: np.ndarray, cols: np.ndarray) -> bool:
     return len(_run_components(*_runs(window), window.shape[1], 8)[1]) == 1
 
 
-def _free_disk(x, y, r, layout: BuildingLayout) -> tuple[np.ndarray, np.ndarray]:
+def _free_disk(x, y, r, layout: BuildingLayout):
+    """The (rows, cols) of the free cells of the radius-r disk, and whether
+    every cell of the disk is free."""
     rows, cols = disk_cells(x, y, r, layout.cells.shape)
     free = layout.cells[rows, cols] == 0
-    return rows[free], cols[free]
+    return (rows[free], cols[free]), bool(free.all())
 
 
 def _block(blocked: np.ndarray, disk) -> None:
@@ -299,10 +301,8 @@ def _draw(layout: BuildingLayout, free: np.ndarray, rng, placed: list[Source],
     if any(math.hypot(x - s.x, y - s.y) < min_spacing for s in placed):
         return None
     if r is not None:
-        rows, cols = disk_cells(x, y, r, layout.cells.shape)
-        clear = layout.cells[rows, cols] == 0
-        disk = rows[clear], cols[clear]
-        if not clear.any() or not (clear.all() or _connected(*disk)) \
+        disk, whole = _free_disk(x, y, r, layout)
+        if len(disk[0]) == 0 or not (whole or _connected(*disk)) \
                 or blocked[disk].any():
             return None
         _block(blocked, disk)
@@ -379,8 +379,8 @@ def _place_dense(layout: BuildingLayout, free: np.ndarray, rng, m: int,
         by = ay + pair_spacing * math.sin(theta)
         if not layout.is_free(ax, ay) or not layout.is_free(bx, by):
             continue
-        disk_a = _free_disk(ax, ay, r, layout)
-        disk_b = _free_disk(bx, by, r, layout)
+        disk_a, _ = _free_disk(ax, ay, r, layout)
+        disk_b, _ = _free_disk(bx, by, r, layout)
         # fully free unclipped disks keep the merged area comfortably above
         # the single-disk flagging threshold
         if len(disk_a[0]) < min_area or len(disk_b[0]) < min_area:

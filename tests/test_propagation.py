@@ -114,9 +114,9 @@ class TestPenetration:
     @pytest.mark.parametrize("case", ["free cells", "border buildings",
                                       "still rays", "one cell", "disk union"])
     def test_batched_matches_single_at_cell_centres(self, case, monkeypatch):
-        # cell-centre ends that fill half their window are clipped per axis
-        # over it; the one-end calls clip each end on its own 1x1 window, and
-        # an off-centre end sends the whole batch down the per-end path
+        # cell centres of the grid are clipped per axis over their window;
+        # the one-end calls clip each end on its own 1x1 window, and an
+        # off-centre end sends the whole batch down the per-end path
         sc = generate_scenario(70, 70, 3, 2, seed=23)
         cells, start = sc.layout.cells, sc.sources[0].position
         if case in ("border buildings", "still rays"):
@@ -137,14 +137,18 @@ class TestPenetration:
         monkeypatch.setattr(propagation, "_window_lengths",
                             lambda *args: windows.append(args) or window_lengths(*args))
         batched = segment_building_lengths(start, ends, rects, cells.shape)
-        assert len(windows) == (case != "disk union")
+        assert len(windows) == 1
         singles = [segment_building_lengths(start, [e], rects, cells.shape)[0]
                    for e in ends]
         assert batched.tobytes() == np.array(singles).tobytes()
-        per_end = segment_building_lengths(start, np.vstack([ends, [[3.25, 4.0]]]),
-                                           rects, cells.shape)
-        assert batched.tobytes() == per_end[:-1].tobytes()
-        assert len(windows) == (case != "disk union") + len(ends)
+        # an off-centre end, or a cell centre beyond the border, is clipped
+        # with the others one by one
+        h, w = cells.shape
+        for extra in ([3.25, 4.0], [w + 0.5, 0.5], [0.5, -0.5]):
+            per_end = segment_building_lengths(start, np.vstack([ends, [extra]]),
+                                               rects, cells.shape)
+            assert batched.tobytes() == per_end[:-1].tobytes()
+        assert len(windows) == 1 + len(ends)
         assert_agrees(start, ends, cells)
 
 
