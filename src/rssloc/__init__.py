@@ -23,8 +23,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from .scenario import (BuildingLayout, Source, Scenario, generate_layout,
-                       place_sources, generate_scenario,
-                       GenerationError, PlacementError)
+                       place_sources, GenerationError, PlacementError)
 from .propagation import (PropagationParams, RadioMap, P_MIN_DBM, P_MAX_DBM,
                           encode_bitmap, path_loss, aggregate_rss,
                           rasterize_global, ground_truth_local)

@@ -1,11 +1,11 @@
 """Received-power model and radio-map rasterization.
 
-`source_dbm` is the one forward model: the dBm field of one source at any
-points, log-distance path loss plus a capped per-meter penalty for the
-building interior that `segment_building_lengths(start, ends, rects, shape)`
-clips from each straight segment (exact, not ray tracing). Maps add
-shadowing per source and aggregate in linear milliwatts; they exist as dBm
-float grids and 8-bit bitmaps.
+`source_dbm` is the one forward model: the dBm field of one source at cell
+centres, log-distance path loss plus a capped per-meter penalty for the
+building interior, with both lengths from one exact clip of each straight
+segment, `segment_building_lengths(start, rows, cols, rects, shape)`. Maps
+add shadowing per source and aggregate in linear milliwatts; they exist as
+dBm float grids and 8-bit bitmaps.
 """
 
 from __future__ import annotations
@@ -114,92 +114,63 @@ def building_rectangles(cells: np.ndarray) -> np.ndarray:
     return np.column_stack([rows[first], rows[last] + 1, left[first], right[first]])
 
 
-def segment_building_lengths(start, ends, rects, shape) -> np.ndarray:
-    """Exact meters of building interior crossed by each segment start->ends[k].
+def segment_building_lengths(start, rows, cols, rects, shape):
+    """(segment length, building length) in meters of each segment from start,
+    any point on or off the grid, to the centre of cell (rows[k], cols[k]).
 
-    The sum, over rects (the building_rectangles of a grid of the given
-    shape), of each segment's length clipped to the rectangle (Liang-Barsky).
-    Every segment is clipped to every rectangle: a generated layout has few
-    (2-5 on a 100x100 grid with 3 buildings, 5-8 on 200x200 with 6), while a
-    noisy grid of thousands would be slow. A rectangle on the grid border
-    extends to infinity on that side, so the parts of a segment outside the
-    grid are charged to the edge row or column. A segment along a grid line,
-    or with no extent along an axis, takes the cells on the higher side of
-    the line: coordinate q lies in cell floor(q). The lengths agree with a
-    traversal of every cell a segment crosses (tests/oracles.py:
-    traverse_all_cells) to within 1e-9 m; the two round differently.
+    The building length sums the segment clipped (Liang-Barsky, exact) to
+    each of rects, the building_rectangles of a grid of the given shape. A
+    rectangle on the grid border extends to infinity on that side, so the
+    parts of a segment outside the grid are charged to the edge row or column.
+    A segment along a grid line, or with no extent along an axis, takes the
+    cells on the higher side of the line: coordinate q lies in cell floor(q).
+    The lengths agree with a traversal of every cell a segment crosses
+    (tests/oracles.py: traverse_all_cells) to within 1e-9 m; they round
+    differently.
 
-    Ends that are all centres of the grid's cells are clipped per grid axis
-    over their bounding window of cells, which the grid bounds: the x slab of
+    The clip runs per grid axis over the cells' bounding window: the x slab of
     each window column and the y slab of each window row, combined over the
-    window. Other ends are clipped one by one. Each end gets the bytes of its
-    own one-end call either way.
+    block whose slabs meet [0, 1]. Each of the few rectangles of a generated
+    layout (2-8) is clipped in turn; a noisy grid of thousands would be slow.
+    Each cell gets the bytes of its own one-cell call.
     """
     a = np.asarray(start, dtype=np.float64).reshape(2)
-    e = np.asarray(ends, dtype=np.float64).reshape(-1, 2)
-    if len(e) == 0 or len(rects) == 0:
-        return np.zeros(len(e))
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    if len(rows) == 0:
+        return np.zeros(0), np.zeros(0)
+    i0, j0 = rows.min(), cols.min()
+    dx = np.arange(j0, cols.max() + 1) + 0.5 - a[0]
+    dy = np.arange(i0, rows.max() + 1) + 0.5 - a[1]
+    seg_len = np.hypot(dx[None, :], dy[:, None])
+    out = np.zeros(seg_len.shape)
 
     # bounds relative to start; a side on the grid border stands for
-    # infinity. Clamped to the segments' bounding box widened by 1 m, a
-    # rectangle clips them as before, and one left empty there meets none.
-    # dx and dy as 1-D arrays: the (N, 2) e - a and its min(axis=0) are slower
-    dx, dy = e[:, 0] - a[0], e[:, 1] - a[1]
-    xlo, xhi = min(dx.min(), 0.0) - 1.0, max(dx.max(), 0.0) + 1.0
-    ylo, yhi = min(dy.min(), 0.0) - 1.0, max(dy.max(), 0.0) + 1.0
+    # infinity. Clamped to the window's box widened by 1 m, a rectangle clips
+    # as it would unclamped, and one left empty there meets none.
+    xlo, xhi = min(dx[0], 0.0) - 1.0, max(dx[-1], 0.0) + 1.0
+    ylo, yhi = min(dy[0], 0.0) - 1.0, max(dy[-1], 0.0) + 1.0
     h, w = shape
     top, bottom, left, right = rects.T
     x0 = np.clip(np.where(left == 0, -np.inf, left) - a[0], xlo, xhi)
     x1 = np.clip(np.where(right == w, np.inf, right) - a[0], xlo, xhi)
     y0 = np.clip(np.where(top == 0, -np.inf, top) - a[1], ylo, yhi)
     y1 = np.clip(np.where(bottom == h, np.inf, bottom) - a[1], ylo, yhi)
-    keep = np.flatnonzero((x0 < x1) & (y0 < y1))
-
-    cells = np.floor(e)
-    col, row = cells[:, 0], cells[:, 1]
-    j0, j1, i0, i1 = col.min(), col.max(), row.min(), row.max()
-    if (e - cells == 0.5).all() and 0 <= j0 and j1 < w and 0 <= i0 and i1 < h:
-        window = _window_lengths(np.arange(j0, j1 + 1) + 0.5 - a[0],
-                                 np.arange(i0, i1 + 1) + 0.5 - a[1],
-                                 x0[keep], x1[keep], y0[keep], y1[keep])
-        return window.ravel().take(((row - i0) * (j1 - j0 + 1)
-                                    + (col - j0)).astype(np.intp))
-
-    out = np.zeros(len(e))
-    seg_len = np.hypot(dx, dy)
     x_still, y_still = dx == 0.0, dy == 0.0
     x_step, y_step = np.where(x_still, 1.0, dx), np.where(y_still, 1.0, dy)
-    for k in keep:
+    for k in np.flatnonzero((x0 < x1) & (y0 < y1)):
         lo, hi = _slab(x_still, x_step, x0[k], x1[k])
         t0, t1 = np.maximum(0.0, lo), np.minimum(1.0, hi)
+        c = np.flatnonzero(t0 < t1)
         lo, hi = _slab(y_still, y_step, y0[k], y1[k])
-        t0, t1 = np.maximum(t0, lo), np.minimum(t1, hi)
-        out += np.maximum(t1 - t0, 0.0) * seg_len
-    return out
-
-
-def _window_lengths(dx, dy, x0, x1, y0, y1) -> np.ndarray:
-    """The clipped lengths of the segments from the origin to (dx[j], dy[i]),
-    a (len(dy), len(dx)) window, summed over the rectangles [x0, x1) x
-    [y0, y1) in order. Each rectangle is combined only over the block of rows
-    and columns whose slabs meet [0, 1]; outside it, each term is 0.0."""
-    seg_len = np.hypot(dx[None, :], dy[:, None])
-    out = np.zeros(seg_len.shape)
-    x_still, y_still = dx == 0.0, dy == 0.0
-    x_step, y_step = np.where(x_still, 1.0, dx), np.where(y_still, 1.0, dy)
-    for k in range(len(x0)):
-        lo, hi = _slab(x_still, x_step, x0[k], x1[k])
-        t0, t1 = np.maximum(0.0, lo), np.minimum(1.0, hi)
-        cols = np.flatnonzero(t0 < t1)
-        ylo, yhi = _slab(y_still, y_step, y0[k], y1[k])
-        rows = np.flatnonzero(np.maximum(0.0, ylo) < np.minimum(1.0, yhi))
-        if len(cols) == 0 or len(rows) == 0:
+        r = np.flatnonzero(np.maximum(0.0, lo) < np.minimum(1.0, hi))
+        if len(c) == 0 or len(r) == 0:
             continue
-        c, r = slice(cols[0], cols[-1] + 1), slice(rows[0], rows[-1] + 1)
-        b0 = np.maximum(t0[c], ylo[r, None])
-        b1 = np.minimum(t1[c], yhi[r, None])
+        c, r = slice(c[0], c[-1] + 1), slice(r[0], r[-1] + 1)
+        b0 = np.maximum(t0[c], lo[r, None])
+        b1 = np.minimum(t1[c], hi[r, None])
         out[r, c] += np.maximum(b1 - b0, 0.0) * seg_len[r, c]
-    return out
+    flat = (rows - i0) * len(dx) + (cols - j0)
+    return seg_len.ravel().take(flat), out.ravel().take(flat)
 
 
 def _slab(still, step, q0, q1):
@@ -237,16 +208,14 @@ def _shadow_grid(scenario: Scenario, source_index: int, sigma: float,
     return np.random.default_rng(ss).normal(0.0, sigma, size=shape)
 
 
-def source_dbm(source: Source, points, rects, shape,
+def source_dbm(source: Source, rows, cols, rects, shape,
                params: PropagationParams) -> np.ndarray:
-    """dBm field of one source at each (x, y) row of points, without
-    shadowing, on a grid of the given shape with building_rectangles rects.
-    Moving the source from a to b and reading at a instead of b gives the
-    same value (reciprocity)."""
-    p = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    d = np.hypot(p[:, 0] - source.x, p[:, 1] - source.y)
-    pen = np.minimum(params.penetration_cap, params.beta_penetration
-                     * segment_building_lengths(source.position, p, rects, shape))
+    """dBm field of one source at the centre of each cell (rows[k], cols[k]),
+    without shadowing, on a grid of the given shape with building_rectangles
+    rects. A source at the centre of cell a read at cell b gives the value of
+    a source at b read at a (reciprocity)."""
+    d, inside = segment_building_lengths(source.position, rows, cols, rects, shape)
+    pen = np.minimum(params.penetration_cap, params.beta_penetration * inside)
     return source.tx_power_dbm + source.gain_dbi - path_loss(d, params) - pen
 
 
@@ -257,12 +226,11 @@ def _per_source_dbm(scenario: Scenario, params: PropagationParams,
     Returns an (M, len(rows)) array; the caller picks the cells (all free
     cells for global maps, a disk union for local ones).
     """
-    points = np.column_stack([cols + 0.5, rows + 0.5])
     cells = scenario.layout.cells
     rects, shape = building_rectangles(cells), cells.shape
     out = np.empty((len(scenario.sources), len(rows)))
     for k, src in enumerate(scenario.sources):
-        out[k] = source_dbm(src, points, rects, shape, params)
+        out[k] = source_dbm(src, rows, cols, rects, shape, params)
         if params.sigma_shadow > 0:
             out[k] -= _shadow_grid(scenario, k, params.sigma_shadow, shape)[rows, cols]
     return out

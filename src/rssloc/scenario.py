@@ -403,15 +403,3 @@ def _place_dense(layout: BuildingLayout, free: np.ndarray, rng, m: int,
         else:
             return placed
     raise PlacementError("no valid dense pair after 20000 attempts")
-
-
-def generate_scenario(width: int, height: int, n_buildings: int, m: int, seed: int,
-                      min_spacing: float = 5.0, clear_radius: float | None = 2.0,
-                      dense_pair_spacing: float | None = None) -> Scenario:
-    """One-call scenario synthesis: layout plus sources, fully seed-determined."""
-    layout_seed = np.random.SeedSequence([int(seed), 1])
-    source_seed = np.random.SeedSequence([int(seed), 2])
-    layout = generate_layout(width, height, n_buildings, layout_seed)
-    sources = place_sources(layout, m, min_spacing, source_seed, clear_radius,
-                            dense_pair_spacing)
-    return Scenario(layout=layout, sources=sources, id=f"s{seed}", rng_seed=int(seed))

@@ -7,7 +7,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from rssloc import BuildingLayout, PropagationParams, Scenario, Source, cli
+from rssloc import (BuildingLayout, PropagationParams, Scenario, Source, cli,
+                    generate_layout, place_sources)
 
 
 @pytest.fixture
@@ -24,6 +25,18 @@ def make_flat_scenario(sources, size=60, sid="t", seed=0):
     layout = BuildingLayout(np.zeros((size, size), dtype=np.uint8))
     return Scenario(layout=layout, sources=[Source(*s) for s in sources],
                     id=sid, rng_seed=seed)
+
+
+def generate_scenario(width: int, height: int, n_buildings: int, m: int, seed: int,
+                      min_spacing: float = 5.0, clear_radius: float | None = 2.0,
+                      dense_pair_spacing: float | None = None) -> Scenario:
+    """One-call scenario synthesis: layout plus sources, fully seed-determined."""
+    layout_seed = np.random.SeedSequence([int(seed), 1])
+    source_seed = np.random.SeedSequence([int(seed), 2])
+    layout = generate_layout(width, height, n_buildings, layout_seed)
+    sources = place_sources(layout, m, min_spacing, source_seed, clear_radius,
+                            dense_pair_spacing)
+    return Scenario(layout=layout, sources=sources, id=f"s{seed}", rng_seed=int(seed))
 
 
 @pytest.fixture(scope="module")

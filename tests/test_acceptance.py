@@ -14,12 +14,13 @@ import pytest
 
 from rssloc import (PropagationParams, aggregate_rss,
                     add_noise, build_routes, cli, connected_components,
-                    evaluate_scenario, generate_scenario, ground_truth_local,
+                    evaluate_scenario, ground_truth_local,
                     kriging_reconstruct, localize_all, ospa,
                     optimal_assignment, proxy_local_map, rasterize_global,
                     SampleSet, sample_along, separate_sources)
 from rssloc.dataset_io import augment_grid, augment_points
 
+from conftest import generate_scenario
 from oracles import (brute_force_assignment_cost, brute_force_ospa,
                      flood_fill_partition, labeling_partition)
 

@@ -9,13 +9,14 @@ from rssloc import (AUGMENTATIONS, BuildingLayout, DatasetConfig, LrmfError,
                     PgmError, PropagationParams, SampleSet, Scenario, Source,
                     add_noise, augment_grid, augment_points, build_routes,
                     decode_lrmf, decode_pgm, encode_lrmf, encode_pgm,
-                    generate_dataset, generate_scenario, ground_truth_local,
+                    generate_dataset, ground_truth_local,
                     load_scenario, rasterize_global, read_dataset_index,
                     read_pgm, sample_along)
 from rssloc.dataset_io import (_csv_lines, _csv_rows, _derived_seed,
                                predictions_from_csv, predictions_to_csv,
                                samples_from_csv, samples_to_csv)
 
+from conftest import generate_scenario
 from oracles import samples_to_csv_lines
 
 

@@ -41,7 +41,9 @@ from rssloc.pipeline import PipelineConfig, run_pipeline
 from rssloc.propagation import (PropagationParams, ground_truth_local,
                                 rasterize_global)
 from rssloc.sampling import build_routes
-from rssloc.scenario import generate_layout, generate_scenario
+from rssloc.scenario import generate_layout
+
+from conftest import generate_scenario
 
 CONFIG = {"width": 60, "height": 60, "n_layouts": 2, "n_buildings": 2,
           "source_counts": [1, 3], "placements_per_count": 1,

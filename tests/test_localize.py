@@ -7,7 +7,7 @@ from rssloc import (EmptyMapError, ESTIMATORS, center_of_mass,
                     ground_truth_local, localize_all, separate_sources)
 from rssloc.dataset_io import augment_grid, augment_points
 
-from conftest import make_flat_scenario
+from conftest import generate_scenario, make_flat_scenario
 
 
 def disk_bitmap(ci=10, cj=10, size=24, value=230):
@@ -76,7 +76,6 @@ class TestLocalizeAll:
         assert len(preds) == 0
 
     def test_merged_flag_carried(self, params):
-        from rssloc import generate_scenario
         sc = generate_scenario(200, 200, 5, 3, seed=777, dense_pair_spacing=3.0)
         result = separate_sources(ground_truth_local(sc, params, 2.0), r=2.0)
         preds = localize_all(result, "com")

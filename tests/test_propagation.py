@@ -5,13 +5,11 @@ import pytest
 
 from rssloc import (P_MAX_DBM, P_MIN_DBM, BuildingLayout, PropagationParams,
                     RadioMap, Scenario, Source, aggregate_rss, encode_bitmap,
-                    generate_scenario, ground_truth_local, path_loss,
-                    rasterize_global)
-from rssloc import propagation
+                    ground_truth_local, path_loss, rasterize_global)
 from rssloc.propagation import (building_rectangles, local_disk_mask,
                                 segment_building_lengths, source_dbm)
 
-from conftest import make_flat_scenario
+from conftest import generate_scenario, make_flat_scenario
 from oracles import clip_building_length, traverse_all_cells
 
 
@@ -64,19 +62,29 @@ class TestParams:
                           beta_penetration=0, penetration_cap=0.0)
 
 
+def lengths(start, rows, cols, cells):
+    """segment_building_lengths from start to the centres of cells
+    (rows[k], cols[k]) of the grid cells."""
+    return segment_building_lengths(start, rows, cols, building_rectangles(cells),
+                                    cells.shape)
+
+
+def centres(rows, cols):
+    """The (x, y) centres of cells (rows[k], cols[k]), as the oracles take them."""
+    return np.column_stack([np.asarray(cols) + 0.5, np.asarray(rows) + 0.5])
+
+
 class TestPenetration:
     def test_free_segment(self, flat_layout):
-        cells = flat_layout.cells
-        length = segment_building_lengths((1.5, 1.5), [(40.5, 20.5)],
-                                          building_rectangles(cells), cells.shape)[0]
-        assert length == 0.0
+        d, inside = lengths((1.5, 1.5), [20], [40], flat_layout.cells)
+        assert inside[0] == 0.0
+        assert d[0] == math.hypot(39.0, 19.0)
 
     def test_three_meter_crossing(self):
         cells = np.zeros((20, 20), dtype=np.uint8)
         cells[5:8, 10] = 1  # 3 m tall, 1 m wide column
-        length = segment_building_lengths((10.5, 2.0), [(10.5, 12.0)],
-                                          building_rectangles(cells), cells.shape)[0]
-        assert length == pytest.approx(3.0, abs=1e-12)
+        assert lengths((10.5, 2.0), [12], [10], cells)[1][0] == \
+            pytest.approx(3.0, abs=1e-12)
 
     def test_cap_binds(self, params):
         cells = np.zeros((60, 60), dtype=np.uint8)
@@ -95,28 +103,24 @@ class TestPenetration:
         for _ in range(100):
             cells = (rng.random((24, 24)) < 0.3).astype(np.uint8)
             a = tuple(rng.random(2) * 24)
-            b = tuple(rng.random(2) * 24)
-            fast = segment_building_lengths(a, [b], building_rectangles(cells),
-                                            cells.shape)[0]
-            assert fast == pytest.approx(clip_building_length(a, b, cells), abs=1e-9)
+            i, j = rng.integers(0, 24, size=2)
+            fast = lengths(a, [i], [j], cells)[1][0]
+            assert fast == pytest.approx(
+                clip_building_length(a, (j + 0.5, i + 0.5), cells), abs=1e-9)
 
     def test_batched_matches_single(self, params):
+        # cells in no order, some repeated and some beyond the border
         rng = np.random.default_rng(7)
         cells = (rng.random((30, 30)) < 0.25).astype(np.uint8)
         a = (3.3, 4.4)
-        ends = rng.random((50, 2)) * 30
-        rects = building_rectangles(cells)
-        batched = segment_building_lengths(a, ends, rects, cells.shape)
-        singles = [segment_building_lengths(a, [e], rects, cells.shape)[0]
-                   for e in ends]
-        assert batched.tobytes() == np.array(singles).tobytes()
+        rows, cols = rng.integers(-3, 33, size=(2, 50))
+        assert_batch_is_single(a, rows, cols, cells)
 
     @pytest.mark.parametrize("case", ["free cells", "border buildings",
                                       "still rays", "one cell", "disk union"])
-    def test_batched_matches_single_at_cell_centres(self, case, monkeypatch):
-        # cell centres of the grid are clipped per axis over their window;
-        # the one-end calls clip each end on its own 1x1 window, and an
-        # off-centre end sends the whole batch down the per-end path
+    def test_batched_matches_single_at_cell_centres(self, case):
+        # a batch is clipped over its cells' window, a one-cell call over a
+        # 1x1 window
         sc = generate_scenario(70, 70, 3, 2, seed=23)
         cells, start = sc.layout.cells, sc.sources[0].position
         if case in ("border buildings", "still rays"):
@@ -130,36 +134,33 @@ class TestPenetration:
             rows, cols = rows[:1], cols[:1]
         elif case == "disk union":
             rows, cols = np.nonzero(local_disk_mask(sc, 2.0) & (cells == 0))
-        ends = np.column_stack([cols + 0.5, rows + 0.5])
-        rects = building_rectangles(cells)
-        windows = []
-        window_lengths = propagation._window_lengths
-        monkeypatch.setattr(propagation, "_window_lengths",
-                            lambda *args: windows.append(args) or window_lengths(*args))
-        batched = segment_building_lengths(start, ends, rects, cells.shape)
-        assert len(windows) == 1
-        singles = [segment_building_lengths(start, [e], rects, cells.shape)[0]
-                   for e in ends]
-        assert batched.tobytes() == np.array(singles).tobytes()
-        # an off-centre end, or a cell centre beyond the border, is clipped
-        # with the others one by one
+        assert_batch_is_single(start, rows, cols, cells)
+        # with cells up to 3 beyond each border, which widen the window
         h, w = cells.shape
-        for extra in ([3.25, 4.0], [w + 0.5, 0.5], [0.5, -0.5]):
-            per_end = segment_building_lengths(start, np.vstack([ends, [extra]]),
-                                               rects, cells.shape)
-            assert batched.tobytes() == per_end[:-1].tobytes()
-        assert len(windows) == 1 + len(ends)
-        assert_agrees(start, ends, cells)
+        rows = np.concatenate([rows, [-3, -1, h, h + 2, 0, h - 1]])
+        cols = np.concatenate([cols, [-2, w + 2, 0, w - 1, -3, w]])
+        assert_batch_is_single(start, rows, cols, cells)
+        assert_agrees(start, rows, cols, cells)
+
+
+def assert_batch_is_single(start, rows, cols, cells):
+    """Both lengths of each cell of a batch have the bytes of its own one-cell
+    call, and the segment length is the hypot of the centre offsets."""
+    batched = lengths(start, rows, cols, cells)
+    singles = [lengths(start, [i], [j], cells) for i, j in zip(rows, cols)]
+    for k, batch in enumerate(batched):
+        assert batch.tobytes() == np.concatenate([s[k] for s in singles]).tobytes()
+    offsets = centres(rows, cols) - start
+    assert batched[0].tobytes() == np.hypot(offsets[:, 0], offsets[:, 1]).tobytes()
 
 
 # the clip and the cell traversal are both exact, but round differently
 AGREEMENT_M = 1e-9
 
 
-def assert_agrees(start, ends, cells):
-    fast = segment_building_lengths(start, ends, building_rectangles(cells),
-                                    cells.shape)
-    full = traverse_all_cells(start, ends, cells)
+def assert_agrees(start, rows, cols, cells):
+    fast = lengths(start, rows, cols, cells)[1]
+    full = traverse_all_cells(start, centres(rows, cols), cells)
     assert np.abs(fast - full).max() <= AGREEMENT_M
 
 
@@ -173,42 +174,32 @@ class TestPrunedTraversal:
         for _ in range(40):
             h, w = rng.integers(8, 40, size=2)
             cells = (rng.random((h, w)) < density).astype(np.uint8)
-            assert_agrees(rng.random(2) * (w, h), rng.random((60, 2)) * (w, h),
-                          cells)
+            assert_agrees(rng.random(2) * (w, h), rng.integers(0, h, size=60),
+                          rng.integers(0, w, size=60), cells)
 
     def test_generated_layout_every_cell(self):
-        # every free cell centre of a generated layout, as rasterize_global
-        # sends them
+        # every free cell of a generated layout, as rasterize_global sends them
         sc = generate_scenario(70, 70, 3, 2, seed=23)
         rows, cols = np.nonzero(sc.layout.cells == 0)
-        ends = np.column_stack([cols + 0.5, rows + 0.5])
         for src in sc.sources:
-            assert_agrees(src.position, ends, sc.layout.cells)
-
-    def test_integer_endpoints(self):
-        rng = np.random.default_rng(31)
-        for _ in range(40):
-            cells = (rng.random((20, 20)) < 0.25).astype(np.uint8)
-            assert_agrees(rng.integers(0, 21, size=2).astype(float),
-                          rng.integers(0, 21, size=(60, 2)).astype(float), cells)
+            assert_agrees(src.position, rows, cols, sc.layout.cells)
 
     def test_axis_aligned_rays(self):
+        # starts on the centre line of column 12 and of row 7
         rng = np.random.default_rng(32)
         cells = (rng.random((25, 30)) < 0.2).astype(np.uint8)
-        a = np.array([12.3, 7.8])
-        t = rng.random(40) * 30
-        vertical = np.column_stack([np.full(40, a[0]), t * 25 / 30])
-        horizontal = np.column_stack([t, np.full(40, a[1])])
-        assert_agrees(a, np.vstack([vertical, horizontal]), cells)
+        assert_agrees((12.5, 7.8), rng.integers(0, 25, size=40), np.full(40, 12),
+                      cells)
+        assert_agrees((12.3, 7.5), np.full(40, 7), rng.integers(0, 30, size=40),
+                      cells)
 
     def test_start_on_grid_line(self):
         rng = np.random.default_rng(33)
         cells = (rng.random((24, 24)) < 0.3).astype(np.uint8)
         for start in [(6.0, 9.5), (6.5, 9.0), (6.0, 9.0),
                       (np.nextafter(6.0, 0.0), 9.5), (np.nextafter(6.0, 7.0), 9.5)]:
-            ends = np.vstack([rng.random((40, 2)) * 24,
-                              rng.integers(0, 25, size=(20, 2))])
-            assert_agrees(start, ends, cells)
+            rows, cols = rng.integers(0, 24, size=(2, 60))
+            assert_agrees(start, rows, cols, cells)
 
     def test_out_of_grid_endpoints(self):
         # clipped lookups charge the outside parts to the edge row or column
@@ -217,35 +208,39 @@ class TestPrunedTraversal:
             cells = (rng.random((16, 22)) < 0.2).astype(np.uint8)
             cells[:, 0] |= rng.random(16) < 0.5
             cells[:, -1] |= rng.random(16) < 0.5
-            assert_agrees(rng.random(2) * (42, 36) - 10,
-                          rng.random((60, 2)) * (42, 36) - 10, cells)
+            assert_agrees(rng.random(2) * (42, 36) - 10, rng.integers(-10, 26, size=60),
+                          rng.integers(-10, 32, size=60), cells)
 
     def test_one_ulp_off_grid_line(self):
-        # 4.5 m in column 5, up to the line x = 6; column 6 holds 2 m
+        # both segments stay in column 5, left of the line x = 6: 0.5 m of
+        # row 9, then the first eighth of the way to (5, 5); column 6 holds
+        # 3 m that neither enters
         cells = np.zeros((12, 12), dtype=np.uint8)
         cells[9, 5] = 1
-        cells[[5, 8], 6] = 1
-        start, end = (np.nextafter(6.0, 0.0), 9.5), (6.0, 5.0)
-        assert clip_building_length(start, end, cells) == pytest.approx(0.5, abs=1e-12)
-        assert segment_building_lengths(start, [end], building_rectangles(cells),
-                                        cells.shape)[0] == pytest.approx(0.5, abs=1e-12)
-        assert_agrees(start, [end], cells)
+        cells[[5, 8, 9], 6] = 1
+        start, rows, cols = (np.nextafter(6.0, 0.0), 9.5), [9, 5], [5, 5]
+        expected = [0.5, math.hypot(0.5, 4.0) / 8.0]
+        assert [clip_building_length(start, end, cells)
+                for end in centres(rows, cols)] == pytest.approx(expected, abs=1e-12)
+        assert lengths(start, rows, cols, cells)[1] == pytest.approx(expected,
+                                                                     abs=1e-12)
+        assert_agrees(start, rows, cols, cells)
 
     def test_one_ulp_below_row_line(self):
-        # each segment stays below the row line y until its end, so it lies in
-        # row y - 1; a point on it can round onto the line
+        # each segment starts one ulp below the row line y, in row y - 1,
+        # although a point on it can round onto the line; it ends in the row
+        # below the line or the row above it
         rng = np.random.default_rng(38)
         for _ in range(200):
             cells = (rng.random((20, 20)) < 0.5).astype(np.uint8)
-            y = float(rng.integers(1, 20))
-            start = (rng.random() * 20, np.nextafter(y, 0.0))
-            end = (rng.random() * 20, y)
-            expected = clip_building_length(start, end, cells)
-            assert abs(traverse_all_cells(start, [end], cells)[0] - expected) \
+            y = int(rng.integers(1, 20))
+            start = (rng.random() * 20, np.nextafter(float(y), 0.0))
+            i, j = y - int(rng.integers(0, 2)), int(rng.integers(0, 20))
+            expected = clip_building_length(start, (j + 0.5, i + 0.5), cells)
+            assert abs(traverse_all_cells(start, centres([i], [j]), cells)[0]
+                       - expected) <= AGREEMENT_M
+            assert abs(lengths(start, [i], [j], cells)[1][0] - expected) \
                 <= AGREEMENT_M
-            fast = segment_building_lengths(start, [end], building_rectangles(cells),
-                                            cells.shape)[0]
-            assert abs(fast - expected) <= AGREEMENT_M
 
     def test_out_of_grid_corners(self):
         # both coordinates outside: the corner cell stands for the quadrant
@@ -257,65 +252,66 @@ class TestPrunedTraversal:
             cells = (rng.random((h, w)) < 0.2).astype(np.uint8)
             cells[[0, 0, -1, -1], [0, -1, 0, -1]] = rng.random(4) < 0.7
             for start in corners:
-                ends = np.vstack([corners + rng.random((4, 2)) * 3 - 1.5,
-                                  rng.random((40, 2)) * (w, h)])
-                assert_agrees(start + rng.random(2), ends, cells)
+                # cells such as (-2, -3) near each corner, and cells of the grid
+                near = np.floor(corners).astype(int) + rng.integers(-1, 2, size=(4, 2))
+                rows = np.concatenate([near[:, 1], rng.integers(0, h, size=40)])
+                cols = np.concatenate([near[:, 0], rng.integers(0, w, size=40)])
+                assert_agrees(start + rng.random(2), rows, cols, cells)
 
     def test_corner_quadrant_is_corner_cell(self):
         cells = np.zeros((10, 10), dtype=np.uint8)
         cells[0, 0] = 1
-        lengths = segment_building_lengths((-3.0, -1.0), [(-1.0, -3.0), (0.5, 0.5),
-                                                          (-1.0, 5.0)],
-                                           building_rectangles(cells), cells.shape)
+        inside = lengths((-3.0, -1.0), [-3, 0, 5], [-2, 0, -1], cells)[1]
         # in the quadrant, to the corner cell's centre, then out at y = 1
-        assert lengths == pytest.approx([math.hypot(2.0, 2.0), math.hypot(3.5, 1.5),
-                                         2.0 / 6.0 * math.hypot(2.0, 6.0)], abs=1e-12)
+        assert inside == pytest.approx([math.hypot(1.5, 1.5), math.hypot(3.5, 1.5),
+                                        2.0 / 6.5 * math.hypot(2.5, 6.5)], abs=1e-12)
 
     def test_noisy_layout_every_cell(self):
         # about 1.9k rectangles, most of them one or two cells
         rng = np.random.default_rng(37)
         cells = (rng.random((100, 100)) < 0.3).astype(np.uint8)
         rows, cols = np.nonzero(cells == 0)
-        ends = np.column_stack([cols + 0.5, rows + 0.5])
         for start in [(50.3, 49.6), (0.7, 99.2), (-12.5, 37.1),
                       (cols[0] + 0.5, rows[0] + 0.5)]:
-            assert_agrees(start, ends, cells)
+            assert_agrees(start, rows, cols, cells)
 
     def test_out_of_grid_charges_edge_column(self):
         cells = np.zeros((10, 10), dtype=np.uint8)
         cells[4, 0] = 1
         cells[4, 6] = 1
-        length = segment_building_lengths((-3.0, 4.5), [(8.0, 4.5)],
-                                          building_rectangles(cells), cells.shape)[0]
-        # 3 m left of the grid, column 0 and column 6
-        assert length == pytest.approx(5.0, abs=1e-12)
+        # 3 m left of the grid, column 0 and column 6 on the way to (4, 7)
+        assert lengths((-3.0, 4.5), [4], [7], cells)[1][0] == \
+            pytest.approx(5.0, abs=1e-12)
 
 
 class TestSourceDbm:
-    """The one forward model, at arbitrary points."""
+    """The one forward model, at cell centres."""
 
     @pytest.mark.parametrize("seed", [41, 42, 43])
     def test_free_cells_equal_one_source_map(self, params, seed):
         sc = generate_scenario(70, 70, 3, 3, seed=seed)
         cells = sc.layout.cells
         rows, cols = np.nonzero(cells == 0)
-        points = np.column_stack([cols + 0.5, rows + 0.5])
         rects = building_rectangles(cells)
         for src in sc.sources + [Source(*sc.sources[0].position, 17.0, 3.0)]:
             single = Scenario(layout=sc.layout, sources=[src], id="t", rng_seed=0)
             expected = rasterize_global(single, params).values[rows, cols]
-            field = source_dbm(src, points, rects, cells.shape, params)
+            field = source_dbm(src, rows, cols, rects, cells.shape, params)
             assert field.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("seed", [44, 45, 46, 47])
     def test_reciprocity(self, params, seed):
+        # between the centres of two cells
         sc = generate_scenario(80, 60, 4, 1, seed=seed)
         cells = sc.layout.cells
         rects = building_rectangles(cells)
         rng = np.random.default_rng(seed)
-        for a, b in rng.random((200, 2, 2)) * (80, 60):
-            forward = source_dbm(Source(*a, 0.0, 0.0), [b], rects, cells.shape, params)
-            back = source_dbm(Source(*b, 0.0, 0.0), [a], rects, cells.shape, params)
+        for (ia, ib), (ja, jb) in zip(rng.integers(0, 60, size=(200, 2)),
+                                      rng.integers(0, 80, size=(200, 2))):
+            forward = source_dbm(Source(ja + 0.5, ia + 0.5, 0.0, 0.0), [ib], [jb],
+                                 rects, cells.shape, params)
+            back = source_dbm(Source(jb + 0.5, ib + 0.5, 0.0, 0.0), [ia], [ja],
+                              rects, cells.shape, params)
             assert abs(forward[0] - back[0]) <= 1e-9
 
 

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from rssloc import (BuildingLayout, Route, RouteError, SampleSet, add_noise,
-                    build_routes, generate_scenario, rasterize_global,
-                    sample_along)
+                    build_routes, rasterize_global, sample_along)
 
-from conftest import make_flat_scenario
+from conftest import generate_scenario, make_flat_scenario
 from oracles import first_occurrences_loop, sample_along_loop
 from rssloc.sampling import first_occurrences
 

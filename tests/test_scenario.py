@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from rssloc import (BuildingLayout, PlacementError, Source, Scenario,
-                    generate_layout, generate_scenario, place_sources)
+                    generate_layout, place_sources)
 from rssloc.scenario import _connected, disk_cells, expected_disk_area
 
+from conftest import generate_scenario
 from oracles import disk_cells_every_cell, flood_fill_partition
 
 

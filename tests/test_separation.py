@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from rssloc import (binarize, connected_components, expected_disk_area,
-                    extract_single_source_maps, flag_merged, generate_scenario,
+                    extract_single_source_maps, flag_merged,
                     ground_truth_local, separate_sources)
 
+from conftest import generate_scenario
 from oracles import flood_fill_partition, labeling_partition
 
 
