@@ -10,7 +10,7 @@ constructor sees all of them at once, per interval.
 from __future__ import annotations
 
 import numbers
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -24,6 +24,15 @@ from .reconstruct import idw_reconstruct, kriging_reconstruct, proxy_local_map
 from .sampling import SampleSet, add_noise
 from .scenario import _check
 from .separation import separate_sources
+
+
+def __getattr__(name):
+    # the process pool, and with it multiprocessing, loads on first use: only
+    # --jobs > 1 reads it, and a tracer may rebind it before that
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class PipelineConfigError(ValueError):
@@ -261,7 +270,9 @@ def run_pipeline(dataset_dir, config: PipelineConfig,
     if config.jobs > 1:
         # more workers than layout groups would have nothing to do
         workers = max(1, min(config.jobs, len(tasks)))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # read as a module attribute: a bare global name skips __getattr__
+        pool_class = sys.modules[__name__].ProcessPoolExecutor
+        with pool_class(max_workers=workers) as pool:
             per_group = list(pool.map(_process_star, tasks))
     else:
         per_group = [process_entry(*task) for task in tasks]

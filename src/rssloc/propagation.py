@@ -193,10 +193,13 @@ def aggregate_rss(powers):
     # exactly in floating point; added in order along the first axis, so a
     # list and each column of an array round alike
     pmax = p.max(axis=0)
-    linear = 10.0 ** ((p - pmax) / 10.0)
+    # 10 ** ((p - pmax) / 10) in one buffer: an (M, cells) temporary less
+    linear = p - pmax
+    linear /= 10.0
+    np.power(10.0, linear, out=linear)
     total = linear[0]
     for row in linear[1:]:
-        total = total + row
+        total += row
     out = pmax + 10.0 * np.log10(total)
     return float(out) if out.ndim == 0 else out
 

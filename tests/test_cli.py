@@ -90,6 +90,27 @@ class TestGenerate:
             assert err.count("\n") == 1
         assert rasterized == [] and not out.exists()
 
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_not_a_directory_before_rasterization(self, under, tmp_path, capsys,
+                                                       monkeypatch):
+        rasterized = []
+        monkeypatch.setattr(dataset_io, "rasterize_global",
+                            lambda *args: rasterized.append(args))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"width": 40, "height": 40, "n_layouts": 1,
+                                   "n_buildings": 1, "source_counts": [1],
+                                   "placements_per_count": 1,
+                                   "split": {"train": 1, "val": 0, "test": 0}}))
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        out = blocker / "ds" if under else blocker
+        assert cli.main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"--out {out}: {blocker} is not a directory\n"
+        assert rasterized == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "file"]
+        assert blocker.read_text() == "kept"
+
     def test_config_not_an_object_with_seed(self, tmp_path, capsys):
         # --seed is not applied to an array, whose error names the document
         cfg = tmp_path / "cfg.json"
@@ -906,6 +927,19 @@ def test_cli_runs_without_scipy(tmp_path):
                        capture_output=True, text=True, timeout=120, check=True)
     report = json.loads((run / "report.json").read_text())
     assert len(report["results"]) == 2 and report["errors"] == []
+
+
+def test_import_loads_no_process_pool():
+    # only --jobs > 1 runs a process pool; loading it cost every command
+    # about 1.3 MB and 15 ms of import
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, rssloc.cli; print(sorted(m for m in "
+         "sys.modules if m in ('concurrent.futures.process', 'multiprocessing')))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_usage_error_exit_code():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import shutil
 
@@ -175,6 +176,28 @@ class TestLayoutGroups:
                    for row in results if "error" in row)
         assert [row for row in results if "error" not in row] == \
             [row for row in clean if row_key(row) not in bad]
+
+
+class TestProcessPool:
+    def test_pool_class_is_the_stdlib_one(self):
+        # a tracer rebinds the attribute after checking it is this class
+        assert pipeline.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+
+    def test_jobs_use_the_module_attribute(self, group_dataset, monkeypatch):
+        made = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                made.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Recording)
+        serial = run_pipeline(group_dataset, PipelineConfig(jobs=1))
+        assert made == []
+        parallel = run_pipeline(group_dataset, PipelineConfig(jobs=2))
+        assert made == [2]
+        assert parallel["results"] == serial["results"]
+        assert parallel["errors"] == []
 
 
 class TestPipelineNoise:

@@ -358,6 +358,32 @@ class TestAggregate:
             assert total >= powers.max()
             assert total <= powers.max() + 10 * math.log10(len(powers))
 
+    def test_caller_array_unchanged(self):
+        powers = np.random.default_rng(4).uniform(-120, 0, size=(7, 50))
+        before = powers.copy()
+        aggregate_rss(powers)
+        assert powers.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_bytes_match_one_expression_form(self, m):
+        def one_expression(powers):
+            p = np.atleast_1d(np.asarray(powers, dtype=np.float64))
+            pmax = p.max(axis=0)
+            linear = 10.0 ** ((p - pmax) / 10.0)
+            total = linear[0]
+            for row in linear[1:]:
+                total = total + row
+            out = pmax + 10.0 * np.log10(total)
+            return float(out) if out.ndim == 0 else out
+
+        rng = np.random.default_rng(31 + m)
+        powers = rng.uniform(-120, 0, size=(m, 400))
+        assert aggregate_rss(powers).tobytes() == one_expression(powers).tobytes()
+        for column in powers.T[:50]:
+            listed = column.tolist()
+            assert np.float64(aggregate_rss(listed)).tobytes() == \
+                np.float64(one_expression(listed)).tobytes()
+
 
 class TestRasterizeGlobal:
     def test_single_source_monotone_with_distance(self, params):
