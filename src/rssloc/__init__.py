@@ -1,9 +1,9 @@
 """Multi-transmitter RSS localization toolkit.
 
 Synthesizes multi-source RSS scenarios over rasterized urban layouts and
-localizes the transmitters through local radio maps: binarization, connected
-component separation, and sub-pixel coordinate estimation, with a full
-evaluation suite (mLE, FAR, MDR, OSPA).
+localizes the transmitters through local radio maps: connected components of
+the pixels above a threshold, and sub-pixel coordinate estimation per
+component, with a full evaluation suite (mLE, FAR, MDR, OSPA).
 
 numpy's BLAS/LAPACK runs on one thread per process: importing rssloc sets
 OPENBLAS_NUM_THREADS and OMP_NUM_THREADS to 1 unless they are already set,
@@ -31,9 +31,9 @@ from .sampling import (Route, SampleSet, build_routes, sample_along, add_noise,
                        RouteError)
 from .reconstruct import (idw_reconstruct, kriging_reconstruct, proxy_local_map,
                           ReconstructionError)
-from .separation import (Component, Labeling, SeparationResult, binarize,
-                         connected_components, extract_single_source_maps,
-                         flag_merged, separate_sources, expected_disk_area)
+from .separation import (Component, Labeling, SeparationResult,
+                         connected_components, flag_merged, separate_sources,
+                         expected_disk_area)
 from .localize import (PredictionSet, ESTIMATORS, center_of_mass, localize_all,
                        EmptyMapError)
 from .metrics import (Matching, ScenarioEval, EvalReport, optimal_assignment,

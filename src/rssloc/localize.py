@@ -1,10 +1,12 @@
-"""Sub-pixel coordinate estimation on single-source local radio maps.
+"""Sub-pixel coordinate estimation for each component of a local radio map.
 
-An estimator takes a bitmap and returns (x, y) in meters. ESTIMATORS
-registers them by name so pipelines and the CLI can select one; it holds one
-non-learned entry, the intensity-weighted centroid (the expected position a
-numerical coordinate regression reads off a heatmap), and is where a learned
-regressor would plug in. Externally computed coordinates bypass it entirely.
+An estimator takes a map's value grid, a label grid (0 = background, each
+of labels 1..n one separated component) and n, and returns n points (x, y)
+in meters, the k-th for label k. ESTIMATORS registers them by name so
+pipelines and the CLI can select one; it holds one non-learned entry, the
+intensity-weighted centroid (the expected position a numerical coordinate
+regression reads off a heatmap), and is where a learned regressor would plug
+in. Externally computed coordinates bypass it entirely.
 """
 
 from __future__ import annotations
@@ -31,16 +33,21 @@ class PredictionSet:
         return len(self.points)
 
 
-def center_of_mass(single_map) -> tuple[float, float]:
-    """Intensity-weighted centroid of the nonzero pixels."""
-    vals = _grid(single_map)
-    if not vals.any():
-        raise EmptyMapError("map has no nonzero pixels")
-    ii, jj = np.nonzero(vals)
-    weights = vals[ii, jj].astype(np.float64)
-    total = weights.sum()
-    return (float((weights * (jj + 0.5)).sum() / total),
-            float((weights * (ii + 0.5)).sum() / total))
+def center_of_mass(values, labels, n: int) -> list[tuple[float, float]]:
+    """Intensity-weighted centroid of the pixels of each label 1..n.
+
+    On integer maps every weighted sum is exact in float64, so the centroids
+    do not depend on the order in which the pixels are summed.
+    """
+    ii, jj = np.nonzero(labels)
+    ids = labels[ii, jj]
+    weights = _grid(values)[ii, jj].astype(np.float64)
+    total = np.bincount(ids, weights, n + 1)[1:]
+    if (total == 0).any():
+        raise EmptyMapError("a label has no nonzero pixels")
+    x = np.bincount(ids, weights * (jj + 0.5), n + 1)[1:] / total
+    y = np.bincount(ids, weights * (ii + 0.5), n + 1)[1:] / total
+    return list(zip(x.tolist(), y.tolist()))
 
 
 ESTIMATORS = {"com": center_of_mass}
@@ -53,7 +60,8 @@ def localize_all(result: SeparationResult, estimator: str) -> PredictionSet:
     Merged components still contribute one estimate each; their flag rides
     along so reports can attribute the resulting miss.
     """
-    estimate = ESTIMATORS[estimator]
-    return PredictionSet(points=[estimate(single) for single in result.single_source_maps],
-                         component_ids=[comp.id for comp in result.labeling.components],
+    labeling = result.labeling
+    n = len(labeling.components)
+    return PredictionSet(points=ESTIMATORS[estimator](result.values, labeling.labels, n),
+                         component_ids=[comp.id for comp in labeling.components],
                          flags=list(result.merged_flags))

@@ -12,9 +12,12 @@ returns scipy's pairs, ties included, without importing `scipy.optimize`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .scenario import _check
 
 DEFAULT_OSPA_CUTOFF = 20.0
 
@@ -119,7 +122,7 @@ def _lsap(cost: np.ndarray) -> tuple[list[int], list[int]]:
 def optimal_assignment(pred, true, cutoff: float = math.inf) -> Matching:
     """Minimum total min(cutoff, d)^2 matching over min(|pred|, |true|) pairs,
     listed in prediction order."""
-    if cutoff <= 0:
+    if not cutoff > 0:
         raise ValueError("cutoff must be positive")
     rows, cols = _lsap(_cost_matrix(pred, true, cutoff))
     return Matching(pairs=list(zip(rows, cols)),
@@ -156,8 +159,7 @@ def ospa(pred, true, g: float = DEFAULT_OSPA_CUTOFF) -> float:
     of min(g, d)^2 over m pairs + g^2 (n - m)) / n. Empty vs empty is 0,
     empty vs non-empty is g.
     """
-    if g <= 0:
-        raise ValueError("g must be positive")
+    _check("g", g, numbers.Real, "positive", lambda g: g > 0)
     np_, nt = len(pred), len(true)
     if np_ == 0 and nt == 0:
         return 0.0

@@ -264,8 +264,7 @@ def ground_truth_local(scenario: Scenario, params: PropagationParams, r: float,
     When no precomputed global map is supplied, the field is evaluated only at
     the in-disk cells, which is equivalent and much cheaper.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
+    _check("r", r, numbers.Real, "positive", lambda r: r > 0)
     layout = scenario.layout
     mask = local_disk_mask(scenario, r)
     bitmap = np.zeros((layout.height, layout.width), dtype=np.uint8)

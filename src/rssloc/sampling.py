@@ -217,10 +217,8 @@ def sample_along(route: Route, global_map: RadioMap, interval_s: float,
     exact field value at its containing cell's center; add_noise perturbs the
     readings. Larger intervals mean fewer samples.
     """
-    if interval_s <= 0:
-        raise ValueError("interval_s must be positive")
-    if speed <= 0:
-        raise ValueError("speed must be positive")
+    _check("interval_s", interval_s, numbers.Real, "positive", lambda v: v > 0)
+    _check("speed", speed, numbers.Real, "positive", lambda v: v > 0)
     cum = route.cumulative_lengths()
     step = interval_s * speed
     count = int(math.floor((cum[-1] + 1e-9) / step)) + 1
@@ -257,8 +255,7 @@ def add_noise(sample_set: SampleSet, sigma: float, seed: int,
     id and interval) draws from its own stream of the seed.
     """
     _check("seed", seed, numbers.Integral, "an integer >= 0", lambda n: n >= 0)
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    _check("sigma", sigma, numbers.Real, ">= 0", lambda s: s >= 0)
     values = sample_set.values.copy()
     if sigma > 0:
         entropy = [int(seed), _NOISE_TAG]

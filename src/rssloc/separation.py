@@ -1,19 +1,20 @@
 """Multi-source separation on local radio maps.
 
-Binarize the 8-bit map at a fixed threshold, label the foreground's
-connected components (scenario.label_by_bbox, which labels row runs), cut
-one single-source map per component, and flag components whose area says
-two local areas merged.
+Label the connected components of the pixels above a fixed threshold
+(scenario.label_by_bbox, which labels row runs) and flag components whose
+area says two local areas merged. The result keeps the input grid and the
+one label grid; each label is a single-source task for localize.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .propagation import RadioMap, _grid
-from .scenario import expected_disk_area, label_by_bbox
+from .propagation import _grid
+from .scenario import _check, expected_disk_area, label_by_bbox
 
 DEFAULT_GAMMA = 127
 DEFAULT_CONNECTIVITY = 8
@@ -37,16 +38,9 @@ class Labeling:
 
 @dataclass
 class SeparationResult:
-    single_source_maps: list[RadioMap]
+    values: np.ndarray    # the input grid, not a copy
     labeling: Labeling
     merged_flags: list[bool]
-
-
-def binarize(bitmap, gamma: int = DEFAULT_GAMMA) -> RadioMap:
-    """255 where the pixel exceeds gamma, 0 otherwise (gamma itself maps to 0)."""
-    vals = _grid(bitmap)
-    out = np.where(vals > gamma, 255, 0).astype(np.uint8)
-    return RadioMap(out)
 
 
 def connected_components(binary, connectivity: int = DEFAULT_CONNECTIVITY) -> Labeling:
@@ -67,26 +61,20 @@ def connected_components(binary, connectivity: int = DEFAULT_CONNECTIVITY) -> La
     return Labeling(labels=labels, components=components)
 
 
-def extract_single_source_maps(i_ms, labeling: Labeling) -> list[RadioMap]:
-    """Mask the multi-source map down to one map per connected component."""
-    vals = _grid(i_ms)
-    return [RadioMap(np.where(labeling.labels == comp.id, vals, 0).astype(vals.dtype))
-            for comp in labeling.components]
-
-
 def flag_merged(labeling: Labeling, r: float) -> list[bool]:
     """Flag components whose area exceeds AREA_FACTOR times a single local area."""
-    if r <= 0:
-        raise ValueError("r must be positive")
+    _check("r", r, numbers.Real, "positive", lambda r: r > 0)
     threshold = AREA_FACTOR * expected_disk_area(r)
     return [comp.area > threshold for comp in labeling.components]
 
 
+# perfbench/tracer.py reads the i_ms and gamma arguments by name, and the
+# result's labeling.components and merged_flags
 def separate_sources(i_ms, gamma: int = DEFAULT_GAMMA,
                      connectivity: int = DEFAULT_CONNECTIVITY, *,
                      r: float) -> SeparationResult:
-    """Full separation pass: binarize, label, extract, flag merged components."""
-    labeling = connected_components(binarize(i_ms, gamma), connectivity)
-    return SeparationResult(single_source_maps=extract_single_source_maps(i_ms, labeling),
-                            labeling=labeling,
-                            merged_flags=flag_merged(labeling, r))
+    """Full separation pass: label the pixels above gamma (gamma itself is
+    background), flag merged components."""
+    values = _grid(i_ms)
+    labeling = connected_components(values > gamma, connectivity)
+    return SeparationResult(values, labeling, flag_merged(labeling, r))

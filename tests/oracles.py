@@ -12,8 +12,11 @@ package's squared-distance blocks replace, `kriging_matrix_hypot`, the
 variogram of `np.hypot` distances that the package's in-place build from
 squared distances replaces, `bfs_path_loop`, the Python-loop
 breadth-first search whose paths the package's level-synchronous numpy
-search must repeat cell for cell, and `samples_to_csv_lines`, the f-string
-per line whose bytes the package's one %-format over every row must repeat.
+search must repeat cell for cell, `samples_to_csv_lines`, the f-string
+per line whose bytes the package's one %-format over every row must repeat,
+and `center_of_mass_per_map`, a masked full-grid copy of the map per
+component whose centroids the package's weighted bincounts over one label
+grid must repeat bit for bit.
 """
 
 import itertools
@@ -67,6 +70,22 @@ def labeling_partition(labels):
         ii, jj = np.nonzero(labels == lab)
         parts.add(frozenset(zip(ii.tolist(), jj.tolist())))
     return parts
+
+
+def center_of_mass_per_map(values, labels, n):
+    """The (x, y) centroid of each label 1..n, each from its own copy of the
+    map zeroed outside the label: the weighted sums of its nonzero pixels'
+    cell-centre coordinates over their weight."""
+    values = np.asarray(values)
+    points = []
+    for k in range(1, n + 1):
+        single = np.where(labels == k, values, 0).astype(values.dtype)
+        ii, jj = np.nonzero(single)
+        weights = single[ii, jj].astype(np.float64)
+        total = weights.sum()
+        points.append((float((weights * (jj + 0.5)).sum() / total),
+                       float((weights * (ii + 0.5)).sum() / total)))
+    return points
 
 
 def disk_cells_every_cell(x, y, r, shape):

@@ -114,7 +114,7 @@ def test_a5_merged_component_failure_mode():
         sep = separate_sources(local, r=2.0)
         preds = localize_all(sep, "com")
         ev = evaluate_scenario(preds.points, sc.true_points())
-        if len(sep.single_source_maps) == m - 1:
+        if len(sep.labeling.components) == m - 1:
             count_ok += 1
         if any(sep.merged_flags):
             flagged += 1

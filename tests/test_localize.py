@@ -19,21 +19,34 @@ def disk_bitmap(ci=10, cj=10, size=24, value=230):
     return grid
 
 
+def centroid(estimate, grid):
+    """The one point an estimator returns for the nonzero pixels as label 1."""
+    [point] = estimate(grid, grid != 0, 1)
+    return point
+
+
 class TestCenterOfMass:
     def test_symmetric_disk_exact(self):
-        assert center_of_mass(disk_bitmap()) == (10.5, 10.5)
+        assert centroid(center_of_mass, disk_bitmap()) == (10.5, 10.5)
 
     def test_two_pixel_arithmetic(self):
         grid = np.zeros((3, 3), dtype=np.uint8)
         grid[1, 0] = 1
         grid[1, 1] = 3
-        x, y = center_of_mass(grid)
+        x, y = centroid(center_of_mass, grid)
         assert x == pytest.approx(1.25)
         assert y == pytest.approx(1.5)
 
     def test_all_zero_is_error(self):
         with pytest.raises(EmptyMapError):
-            center_of_mass(np.zeros((5, 5), dtype=np.uint8))
+            centroid(center_of_mass, np.zeros((5, 5), dtype=np.uint8))
+
+    def test_zero_weight_label_is_error(self):
+        grid = disk_bitmap()
+        labels = (grid != 0).astype(np.int32)
+        labels[0, 0] = 2
+        with pytest.raises(EmptyMapError):
+            center_of_mass(grid, labels, 2)
 
     def test_inside_convex_hull(self):
         rng = np.random.default_rng(8)
@@ -42,7 +55,7 @@ class TestCenterOfMass:
                 rng.integers(1, 256, (16, 16)).astype(np.uint8)
             if not grid.any():
                 continue
-            x, y = center_of_mass(grid)
+            x, y = centroid(center_of_mass, grid)
             ii, jj = np.nonzero(grid)
             assert jj.min() + 0.5 - 1e-9 <= x <= jj.max() + 0.5 + 1e-9
             assert ii.min() + 0.5 - 1e-9 <= y <= ii.max() + 0.5 + 1e-9
@@ -56,7 +69,7 @@ class TestCenterOfMass:
                 u, v = (iu + 0.5) / 7, (iv + 0.5) / 7
                 sc = make_flat_scenario([(30 + u, 30 + v)])
                 local = ground_truth_local(sc, params, 2.0)
-                x, y = center_of_mass(local.values)
+                x, y = centroid(center_of_mass, local.values)
                 worst = max(worst, math.hypot(x - 30 - u, y - 30 - v))
         assert worst <= 1.0
         assert worst <= 0.26  # frozen from the dense sweep
@@ -92,10 +105,10 @@ class TestEquivariance:
         est = ESTIMATORS[name]
         grid = disk_bitmap(ci=8, cj=6, size=28)
         grid[8, 6] = 255
-        base = est(grid)
+        base = centroid(est, grid)
         shifted = np.zeros_like(grid)
         shifted[3:, 5:] = grid[:-3, :-5]
-        x, y = est(shifted)
+        x, y = centroid(est, shifted)
         assert x == pytest.approx(base[0] + 5, abs=1e-9)
         assert y == pytest.approx(base[1] + 3, abs=1e-9)
 
@@ -109,7 +122,7 @@ class TestEquivariance:
         for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1), (1, 1), (-1, -1)):
             grid[9 + di, 7 + dj] = int(rng.integers(100, 250))
         transformed = augment_grid(grid, aug)
-        expected = augment_points([est(grid)], aug, 20, 20)[0]
-        got = est(transformed)
+        expected = augment_points([centroid(est, grid)], aug, 20, 20)[0]
+        got = centroid(est, transformed)
         assert got[0] == pytest.approx(expected[0], abs=1e-9)
         assert got[1] == pytest.approx(expected[1], abs=1e-9)

@@ -4,7 +4,8 @@ scipy's, the run-based labeling, its bounding boxes and the 3x3 dilation
 against scipy.ndimage, route bridges against the loop oracle, the first
 occurrence of each sample position against a dict oracle, the rectangle
 cover of building cells, augmentation equivariance of separation and
-localization, stacked kriging and IDW predictions against one call per
+localization, the centroids of every component against one masked map per
+component and against scipy.ndimage, stacked kriging and IDW predictions against one call per
 value row, and the blocked squared distances against the broadcast formula."""
 
 import math
@@ -17,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 from scipy.optimize import linear_sum_assignment
 
-from oracles import bfs_path_loop, first_occurrences_loop
+from oracles import bfs_path_loop, center_of_mass_per_map, first_occurrences_loop
 from rssloc import (AUGMENTATIONS, LrmfError, PgmError, SampleSet, augment_grid,
                     augment_points, decode_lrmf, decode_pgm, encode_lrmf,
                     encode_pgm, evaluate_scenario, localize_all, ospa,
@@ -357,6 +358,32 @@ def test_augmentation_equivariance(bitmap, connectivity):
         dist = np.linalg.norm(got[:, None] - expected[None], axis=2)
         rows, cols = linear_sum_assignment(dist)
         assert (dist[rows, cols] <= 1e-9).all()
+
+
+# uint8 maps and int64 maps of 0..255; the seeded uniform ones have many
+# components
+shapes = st.tuples(st.integers(1, 24), st.integers(1, 24))
+integer_bitmaps = st.one_of(
+    arrays(np.uint8, shapes),
+    arrays(np.int64, shapes, elements=st.integers(0, 255)),
+    st.builds(lambda shape, dtype, seed: np.random.default_rng(seed).integers(
+        0, 256, shape).astype(dtype), shapes, st.sampled_from([np.uint8, np.int64]),
+        st.integers(0, 2**32 - 1)))
+
+
+@FEW
+@given(integer_bitmaps, st.integers(0, 254), st.sampled_from([4, 8]))
+def test_centroids_match_per_map_formula(bitmap, gamma, connectivity):
+    sep = separate_sources(bitmap, gamma, connectivity, r=2.0)
+    n = len(sep.labeling.components)
+    points = localize_all(sep, "com").points
+    assert len(points) == n
+    # bit for bit: every weighted sum is exact in float64
+    assert points == center_of_mass_per_map(bitmap, sep.labeling.labels, n)
+    if n:
+        centres = ndimage.center_of_mass(bitmap, sep.labeling.labels, range(1, n + 1))
+        expected = [(col + 0.5, row + 0.5) for row, col in centres]
+        assert np.allclose(points, expected, rtol=0, atol=1e-12)
 
 
 @st.composite

@@ -245,7 +245,7 @@ class TestProxyLocalMap:
         local = proxy_local_map(dense, 9.0, r=2.0)
         from rssloc import separate_sources
         result = separate_sources(local, r=2.0)
-        assert len(result.single_source_maps) == 2
+        assert len(result.labeling.components) == 2
 
     @pytest.mark.parametrize("r", [0.0, -1.0, math.nan])
     def test_rejects_non_positive_r(self, params, r):

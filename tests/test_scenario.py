@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from rssloc import (BuildingLayout, PlacementError, Source, Scenario,
-                    generate_layout, place_sources)
+from rssloc import (BuildingLayout, PlacementError, Route, SampleSet, Source,
+                    Scenario, add_noise, connected_components, flag_merged,
+                    generate_layout, ground_truth_local, optimal_assignment,
+                    ospa, place_sources, rasterize_global, sample_along)
 from rssloc.scenario import _connected, disk_cells, expected_disk_area
 
-from conftest import generate_scenario
+from conftest import generate_scenario, make_flat_scenario
 from oracles import disk_cells_every_cell, flood_fill_partition
 
 
@@ -225,3 +227,33 @@ def test_generate_scenario_deterministic():
     b = generate_scenario(120, 120, 5, 3, seed=99)
     assert np.array_equal(a.layout.cells, b.layout.cells)
     assert [(s.x, s.y) for s in a.sources] == [(s.x, s.y) for s in b.sources]
+
+
+def _flat_global(params):
+    return rasterize_global(make_flat_scenario([(30.5, 30.5)]), params)
+
+
+ROUTE = Route(waypoints=[(0.5, 5.5), (10.5, 5.5)])
+
+
+# a NaN fails every comparison, so a check written as "error if value < 0"
+# lets it through; each check must name its parameter
+@pytest.mark.parametrize("call,message", [
+    (lambda params: add_noise(SampleSet(np.array([[1.0, 1.0]]), np.array([-60.0])),
+                              math.nan, 0), "sigma must be >= 0"),
+    (lambda params: ospa([(1.0, 1.0)], [], math.nan), "g must be positive"),
+    (lambda params: optimal_assignment([(1.0, 1.0)], [(2.0, 2.0)], math.nan),
+     "cutoff must be positive"),
+    (lambda params: sample_along(ROUTE, _flat_global(params), math.nan),
+     "interval_s must be positive"),
+    (lambda params: sample_along(ROUTE, _flat_global(params), 1.0, math.nan),
+     "speed must be positive"),
+    (lambda params: ground_truth_local(make_flat_scenario([(30.5, 30.5)]), params,
+                                       math.nan), "r must be positive"),
+    (lambda params: flag_merged(connected_components(np.zeros((4, 4), np.uint8)),
+                                math.nan), "r must be positive"),
+], ids=["add_noise", "ospa", "optimal_assignment", "sample_along-interval_s",
+        "sample_along-speed", "ground_truth_local", "flag_merged"])
+def test_sign_checks_reject_nan(params, call, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call(params)

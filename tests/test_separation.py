@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from rssloc import (binarize, connected_components, expected_disk_area,
-                    extract_single_source_maps, flag_merged,
+from rssloc import (connected_components, expected_disk_area, flag_merged,
                     ground_truth_local, separate_sources)
 
 from conftest import generate_scenario
@@ -10,24 +9,37 @@ from oracles import flood_fill_partition, labeling_partition
 
 
 class TestBinarize:
+    """separate_sources binarizes at gamma: a pixel is foreground when it
+    exceeds gamma."""
+
     def test_above_threshold(self):
-        out = binarize(np.array([[128]], dtype=np.uint8), 127)
-        assert out.values[0, 0] == 255
+        result = separate_sources(np.array([[128]], dtype=np.uint8), 127, r=2.0)
+        assert len(result.labeling.components) == 1
+        assert result.labeling.labels[0, 0] == 1
 
     def test_at_threshold_is_background(self):
-        out = binarize(np.array([[127]], dtype=np.uint8), 127)
-        assert out.values[0, 0] == 0
+        result = separate_sources(np.array([[127]], dtype=np.uint8), 127, r=2.0)
+        assert result.labeling.components == []
+        assert result.labeling.labels[0, 0] == 0
 
     def test_all_zero(self):
-        out = binarize(np.zeros((8, 8), dtype=np.uint8))
-        assert not out.values.any()
+        result = separate_sources(np.zeros((8, 8), dtype=np.uint8), r=2.0)
+        assert result.labeling.components == []
+        assert not result.labeling.labels.any()
 
     def test_idempotent(self):
+        # labeling the binarized map again gives the same labels
         rng = np.random.default_rng(1)
         bm = rng.integers(0, 256, size=(32, 32)).astype(np.uint8)
-        once = binarize(bm)
-        twice = binarize(once)
-        assert np.array_equal(once.values, twice.values)
+        once = separate_sources(bm, r=2.0)
+        binary = np.where(bm > 127, 255, 0).astype(np.uint8)
+        twice = separate_sources(binary, r=2.0)
+        assert np.array_equal(once.labeling.labels, twice.labeling.labels)
+
+    def test_values_are_the_input_grid(self):
+        bm = np.zeros((6, 6), dtype=np.uint8)
+        bm[2:4, 2:4] = 200
+        assert separate_sources(bm, r=2.0).values is bm
 
 
 class TestConnectedComponents:
@@ -95,33 +107,6 @@ class TestConnectedComponents:
         assert lab.labels.dtype == np.int32
 
 
-class TestExtract:
-    def test_disjoint_supports_and_reconstruction(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            bm = (rng.random((32, 32)) < 0.35).astype(np.uint8) * \
-                rng.integers(128, 256, size=(32, 32)).astype(np.uint8)
-            labeling = connected_components(binarize(bm))
-            maps = extract_single_source_maps(bm, labeling)
-            total = np.zeros_like(bm)
-            seen = np.zeros_like(bm, dtype=bool)
-            for single in maps:
-                support = single.values > 0
-                assert not (seen & support).any()
-                seen |= support
-                total = total + single.values
-            foreground = binarize(bm).values == 255
-            assert np.array_equal(total[foreground], bm[foreground])
-            assert not total[~foreground].any()
-
-    def test_single_component_identity(self):
-        bm = np.zeros((12, 12), dtype=np.uint8)
-        bm[4:7, 4:7] = 210
-        labeling = connected_components(binarize(bm))
-        [single] = extract_single_source_maps(bm, labeling)
-        assert np.array_equal(single.values, bm)
-
-
 class TestFlagMerged:
     def test_disk_area_count(self):
         assert expected_disk_area(2.0) == 13
@@ -146,7 +131,7 @@ class TestFlagMerged:
         sc = generate_scenario(200, 200, 6, 2, seed=404, dense_pair_spacing=3.0)
         local = ground_truth_local(sc, params, 2.0)
         result = separate_sources(local, r=2.0)
-        assert len(result.single_source_maps) == 1
+        assert len(result.labeling.components) == 1
         assert result.merged_flags == [True]
 
     def test_rejects_nonpositive_radius(self):
@@ -163,4 +148,4 @@ def test_disjoint_disks_give_exact_count(params):
                                min_spacing=6.0, clear_radius=2.0)
         local = ground_truth_local(sc, params, 2.0)
         result = separate_sources(local, r=2.0)
-        assert len(result.single_source_maps) == len(sc.sources)
+        assert len(result.labeling.components) == len(sc.sources)
