@@ -39,8 +39,7 @@ from .localize import (PredictionSet, ESTIMATORS, center_of_mass, localize_all,
 from .metrics import (Matching, ScenarioEval, EvalReport, optimal_assignment,
                       mle, far_mdr, ospa, evaluate_scenario, aggregate)
 from .dataset_io import (DatasetConfig, generate_dataset, read_dataset_index,
-                         load_scenario, augment_grid, augment_points,
-                         AUGMENTATIONS, read_pgm, encode_pgm, decode_pgm,
+                         load_scenario, read_pgm, encode_pgm, decode_pgm,
                          encode_lrmf, decode_lrmf, PgmError, LrmfError)
 from .pipeline import LOCAL_MAPS, PipelineConfig, run_pipeline, process_entry
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .propagation import PropagationParams, ground_truth_local, rasterize_global
-from .sampling import SampleSet, add_noise, build_routes, measure_at, sample_along
+from .sampling import SampleSet, add_noise, build_routes, sample_along
 from .scenario import BuildingLayout, GenerationError, Scenario, Source, _check, \
     check_placement, generate_layout, place_sources
 
@@ -214,44 +214,6 @@ def dumps_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-# -------------------------------------------------------------- augmentation
-
-def _rotation(k: int):
-    def rotate(grid):
-        if grid.shape[0] != grid.shape[1]:
-            raise ValueError("rotations need a square grid")
-        return np.rot90(grid, k)
-    return rotate
-
-
-# name -> (grid transform, (x, y, width, height) -> transformed (x, y))
-_AUGMENTATIONS = {
-    "identity": (lambda grid: grid, lambda x, y, w, h: (x, y)),
-    "flip_h": (np.fliplr, lambda x, y, w, h: (w - x, y)),
-    "flip_v": (np.flipud, lambda x, y, w, h: (x, h - y)),
-    "rot90": (_rotation(1), lambda x, y, w, h: (y, w - x)),
-    "rot180": (_rotation(2), lambda x, y, w, h: (w - x, h - y)),
-    "rot270": (_rotation(3), lambda x, y, w, h: (h - y, x)),
-}
-AUGMENTATIONS = tuple(_AUGMENTATIONS)
-
-
-def _augmentation(aug: str):
-    if aug not in _AUGMENTATIONS:
-        raise ValueError(f"unknown augmentation {aug!r}")
-    return _AUGMENTATIONS[aug]
-
-
-def augment_grid(grid: np.ndarray, aug: str) -> np.ndarray:
-    return _augmentation(aug)[0](grid).copy()
-
-
-def augment_points(points, aug: str, width: int, height: int):
-    """Transform continuous (x, y) coordinates consistently with augment_grid."""
-    move = _augmentation(aug)[1]
-    return [move(x, y, width, height) for x, y in points]
-
-
 # ---------------------------------------------------------- dataset generation
 
 _SPLITS = ("train", "val", "test")
@@ -370,8 +332,6 @@ def generate_dataset(config: DatasetConfig, out_dir) -> dict:
         layout = generate_layout(config.width, config.height, config.n_buildings,
                                  np.random.SeedSequence([config.seed, 1, li]))
         route = build_routes(layout)
-        # interval -> sample positions, which every scenario of the layout shares
-        positions = {}
         layout_name = f"l{li:02d}"
         files.append((f"layouts/{layout_name}.pgm", encode_pgm(layout.cells)))
         for m in config.source_counts:
@@ -402,13 +362,7 @@ def generate_dataset(config: DatasetConfig, out_dir) -> dict:
                 files.append((f"maps/local/{sid}.pgm", encode_pgm(local_map.values)))
                 sample_paths = {}
                 for ki, interval in enumerate(config.intervals):
-                    if interval in positions:
-                        sset = measure_at(global_map, positions[interval])
-                    else:
-                        sset = sample_along(route, global_map, interval, config.speed)
-                        # read-only: every later scenario of the layout holds it
-                        sset.positions.flags.writeable = False
-                        positions[interval] = sset.positions
+                    sset = sample_along(route, global_map, interval, config.speed)
                     if config.noise_sigma > 0:
                         sset = add_noise(sset, config.noise_sigma,
                                          _derived_seed(config.seed, 3, li, m, pi, ki))

@@ -30,12 +30,13 @@ solve per row by at most 3e-11 dB; the pipeline's outputs keep their bytes.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
 from .propagation import P_MIN_DBM, RadioMap, encode_bitmap
 from .sampling import SampleSet, first_occurrences
-from .scenario import BuildingLayout
+from .scenario import BuildingLayout, _check
 
 _PAIRS_PER_BLOCK = 1 << 15
 # kriging_predict solves its value rows this many at a time, zero-padded, so
@@ -241,8 +242,8 @@ def proxy_local_map(dense: RadioMap, delta_db: float = 9.0, *, r: float) -> Radi
     """
     if not dense.is_dbm:
         raise ValueError("proxy_local_map expects a dBm map")
-    if not r > 0:
-        raise ValueError("r must be positive")
+    _check("r", r, numbers.Real, "positive", lambda v: v > 0)
+    _check("delta_db", delta_db, numbers.Real, ">= 0", lambda v: v >= 0)
     vals = dense.values.astype(np.float64)
     if vals.max() - vals.min() < 1e-12:
         raise ValueError("degenerate (constant) dense map")

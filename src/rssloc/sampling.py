@@ -35,12 +35,13 @@ class RouteError(GenerationError):
 @dataclass
 class Route:
     """Ordered free-cell centers (meters) the vehicle drives through. Their
-    (K, 2) array and arc lengths are built once, read-only, for every
-    interval and scenario of a layout; routes compare by waypoints alone."""
+    (K, 2) array, arc lengths and sample positions per step are built once,
+    read-only, for every scenario of a layout; routes compare by waypoints."""
 
     waypoints: list[tuple[float, float]]
     _points: np.ndarray = field(init=False, repr=False, compare=False)
     _lengths: np.ndarray = field(init=False, repr=False, compare=False)
+    _positions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._points = pts = np.asarray(self.waypoints, dtype=np.float64).reshape(-1, 2)
@@ -56,8 +57,8 @@ class Route:
 class SampleSet:
     """Sparse measurements {(S_j, rss_j)}, at least one.
 
-    Positions may repeat here; sample_along reads each distinct position
-    once, and kriging rejects repeats (first_occurrences finds them).
+    Positions may repeat here, and kriging rejects repeats (first_occurrences
+    finds them); a (J, 2) float64 array is kept as given, not copied.
 
     values may also stack S value rows on the same J positions, one per
     scenario measured along the same route; len() is J either way.
@@ -67,7 +68,8 @@ class SampleSet:
     values: np.ndarray       # (J,) or (S, J) dBm
 
     def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=np.float64).reshape(-1, 2)
+        pos = np.asarray(self.positions, dtype=np.float64)
+        self.positions = pos if pos.shape[1:] == (2,) else pos.reshape(-1, 2)
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             self.values = self.values.ravel()
@@ -113,8 +115,6 @@ def _trace_ring(ring: np.ndarray, start: tuple[int, int]) -> list[tuple[int, int
             if nxt == second and nback == second_back:
                 return loop
         cell, back = scan(cell, back)
-        if cell is None:
-            return loop + [start]
     raise RouteError("ring trace did not close")
 
 
@@ -215,33 +215,29 @@ def sample_along(route: Route, global_map: RadioMap, interval_s: float,
 
     Each distinct position is read once, in order of first occurrence, as the
     exact field value at its containing cell's center; add_noise perturbs the
-    readings. Larger intervals mean fewer samples.
+    readings. The route keeps each step's positions for later calls.
     """
     _check("interval_s", interval_s, numbers.Real, "positive", lambda v: v > 0)
     _check("speed", speed, numbers.Real, "positive", lambda v: v > 0)
-    cum = route.cumulative_lengths()
-    step = interval_s * speed
-    count = int(math.floor((cum[-1] + 1e-9) / step)) + 1
-    arcs = np.arange(count) * step
-    pts = route._points
-    # arcs past either end of the route clamp to its first or last waypoint
-    positions = np.where((arcs <= 0)[:, None], pts[0], pts[-1])
-    inside = np.flatnonzero((arcs > 0) & (arcs < cum[-1]))
-    arc = arcs[inside]
-    k = np.searchsorted(cum, arc, side="right") - 1
-    frac = (arc - cum[k]) / (cum[k + 1] - cum[k])
-    p0 = pts[k]
-    positions[inside] = p0 + frac[:, None] * (pts[k + 1] - p0)
-    return measure_at(global_map, positions[first_occurrences(positions)])
-
-
-def measure_at(global_map: RadioMap, positions: np.ndarray) -> SampleSet:
-    """The samples at the given (J, 2) positions: each reads the exact field
-    value at its containing cell's center. Positions depend only on the
-    route, interval and speed, so other maps of one layout read sample_along's
-    positions here."""
     if not global_map.is_dbm:
         raise ValueError("sampling needs the dBm global map")
+    step = interval_s * speed
+    positions = route._positions.get(step)
+    if positions is None:
+        cum = route.cumulative_lengths()
+        count = int(math.floor((cum[-1] + 1e-9) / step)) + 1
+        arcs = np.arange(count) * step
+        pts = route._points
+        # arcs past either end of the route clamp to its first or last waypoint
+        positions = np.where((arcs <= 0)[:, None], pts[0], pts[-1])
+        inside = np.flatnonzero((arcs > 0) & (arcs < cum[-1]))
+        arc = arcs[inside]
+        k = np.searchsorted(cum, arc, side="right") - 1
+        frac = (arc - cum[k]) / (cum[k + 1] - cum[k])
+        p0 = pts[k]
+        positions[inside] = p0 + frac[:, None] * (pts[k + 1] - p0)
+        positions = route._positions[step] = positions[first_occurrences(positions)]
+        positions.flags.writeable = False
     cells = np.floor(positions).astype(np.int64)
     values = global_map.values[cells[:, 1], cells[:, 0]].astype(np.float64)
     return SampleSet(positions=positions, values=values)

@@ -17,6 +17,10 @@ per line whose bytes the package's one %-format over every row must repeat,
 and `center_of_mass_per_map`, a masked full-grid copy of the map per
 component whose centroids the package's weighted bincounts over one label
 grid must repeat bit for bit.
+
+The augmentations at the end (`AUGMENTATIONS`, `augment_grid`,
+`augment_points`) are no oracle: they are the flips and quarter rotations
+that A9 and the equivariance tests apply to grids and to coordinates alike.
 """
 
 import itertools
@@ -370,3 +374,41 @@ def brute_force_ospa(pred, true, g):
     n, m = max(n_pred, n_true), min(n_pred, n_true)
     matched = brute_force_assignment_cost(pred, true, cutoff=g)
     return math.sqrt((matched + g * g * (n - m)) / n)
+
+
+# augmentations of the equivariance tests
+
+def _rotation(k: int):
+    def rotate(grid):
+        if grid.shape[0] != grid.shape[1]:
+            raise ValueError("rotations need a square grid")
+        return np.rot90(grid, k)
+    return rotate
+
+
+# name -> (grid transform, (x, y, width, height) -> transformed (x, y))
+_AUGMENTATIONS = {
+    "identity": (lambda grid: grid, lambda x, y, w, h: (x, y)),
+    "flip_h": (np.fliplr, lambda x, y, w, h: (w - x, y)),
+    "flip_v": (np.flipud, lambda x, y, w, h: (x, h - y)),
+    "rot90": (_rotation(1), lambda x, y, w, h: (y, w - x)),
+    "rot180": (_rotation(2), lambda x, y, w, h: (w - x, h - y)),
+    "rot270": (_rotation(3), lambda x, y, w, h: (h - y, x)),
+}
+AUGMENTATIONS = tuple(_AUGMENTATIONS)
+
+
+def _augmentation(aug: str):
+    if aug not in _AUGMENTATIONS:
+        raise ValueError(f"unknown augmentation {aug!r}")
+    return _AUGMENTATIONS[aug]
+
+
+def augment_grid(grid: np.ndarray, aug: str) -> np.ndarray:
+    return _augmentation(aug)[0](grid).copy()
+
+
+def augment_points(points, aug: str, width: int, height: int):
+    """Transform continuous (x, y) coordinates consistently with augment_grid."""
+    move = _augmentation(aug)[1]
+    return [move(x, y, width, height) for x, y in points]

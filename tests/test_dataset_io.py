@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from rssloc import (AUGMENTATIONS, BuildingLayout, DatasetConfig, LrmfError,
+from rssloc import (BuildingLayout, DatasetConfig, LrmfError,
                     PgmError, PropagationParams, SampleSet, Scenario, Source,
-                    add_noise, augment_grid, augment_points, build_routes,
-                    decode_lrmf, decode_pgm, encode_lrmf, encode_pgm,
-                    generate_dataset, ground_truth_local,
+                    add_noise, build_routes, decode_lrmf, decode_pgm,
+                    encode_lrmf, encode_pgm, generate_dataset, ground_truth_local,
                     load_scenario, rasterize_global, read_dataset_index,
                     read_pgm, sample_along)
 from rssloc.dataset_io import (_csv_lines, _csv_rows, _derived_seed,
@@ -17,7 +16,8 @@ from rssloc.dataset_io import (_csv_lines, _csv_rows, _derived_seed,
                                samples_from_csv, samples_to_csv)
 
 from conftest import generate_scenario
-from oracles import samples_to_csv_lines
+from oracles import (AUGMENTATIONS, augment_grid, augment_points,
+                     samples_to_csv_lines)
 
 
 class TestPgm:

@@ -23,6 +23,13 @@ separation and OSPA options (`r`, `gamma`, `connectivity`, `area_factor`,
 `delta_db`, `g`) left the echo; no prediction file changed either time, and
 the reports without their "pipeline" key kept their bytes.
 
+RECONSTRUCTED_DIGESTS hold the float64 dense maps that `idw_reconstruct` and
+`kriging_reconstruct` return on CONFIG's samples, one stacked call per layout
+and interval as the pipeline makes it. The pipeline's bitmaps survive a
+last-bit change of these maps, and these digests do not: they were recorded
+with `reconstruct._PAIRS_PER_BLOCK` at 1 << 15, and 1 << 14 or 1 << 16 changes
+them.
+
 SHADOW_DIGESTS hold the float64 values of `rasterize_global` and the bitmap
 of `ground_truth_local` under 3 dB shadowing, which CONFIG (noise-free)
 leaves out. They were recorded before the field of one source became
@@ -36,12 +43,13 @@ import pytest
 from scipy import ndimage
 
 from rssloc import reconstruct
-from rssloc.dataset_io import DatasetConfig, generate_dataset
+from rssloc.dataset_io import (DatasetConfig, generate_dataset, parse_file,
+                               read_dataset_index, read_pgm, samples_from_csv)
 from rssloc.pipeline import PipelineConfig, run_pipeline
 from rssloc.propagation import (PropagationParams, ground_truth_local,
                                 rasterize_global)
-from rssloc.sampling import build_routes
-from rssloc.scenario import generate_layout
+from rssloc.sampling import SampleSet, build_routes
+from rssloc.scenario import BuildingLayout, generate_layout
 
 from conftest import generate_scenario
 
@@ -253,6 +261,51 @@ def test_kriging_matrix_built_once_per_layout_and_interval(golden_dataset, tmp_p
                  out_dir=tmp_path)
     assert len(calls) == CONFIG["n_layouts"] * len(CONFIG["intervals"])
     assert _digests(tmp_path) == PIPELINE_DIGESTS["kriging"]
+
+
+# reconstructor -> (layout, interval) -> sha256 of the float64 dense maps of
+# the layout's scenarios, in index order, from one stacked call
+RECONSTRUCTED_DIGESTS = {
+    "idw": {
+        ("layouts/l00.pgm", "1"):
+            "e445b864eae38afcce7a28b49f51b7f87da4b9ce32ae179a28901b51aa9d1bf9",
+        ("layouts/l00.pgm", "4"):
+            "4c761bec522c236d4250715fedad485a9fbeccd72d3d36a1296e237bc03d90f8",
+        ("layouts/l01.pgm", "1"):
+            "19ea83a70c3650714a232803f4ba6fa6a595ab56e83900a5bf86e175623d13a7",
+        ("layouts/l01.pgm", "4"):
+            "9b992cadff19dc66b435d2e517f1b75cd278c7ee7b8dcbb9d4d14c031b57ca54",
+    },
+    "kriging": {
+        ("layouts/l00.pgm", "1"):
+            "0665221b73dc17c9460ec63e0305873e1284d7f0ca713da080074debe97031a0",
+        ("layouts/l00.pgm", "4"):
+            "77213b9778de8c6f51530b014bdc0de240ad2f95e1f947056ca9e60becf87dd7",
+        ("layouts/l01.pgm", "1"):
+            "bc8430a7a2ee32dcc4a2bcf88d75669b9c6f50c91ce25fc34c2b751b23cea46e",
+        ("layouts/l01.pgm", "4"):
+            "1df34d41e7cfc5f652d61d992d62cb2b9f017a9af1d97c96e70b4c84e00036c2",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECONSTRUCTED_DIGESTS))
+def test_reconstructed_maps_match_golden_digests(golden_dataset, name):
+    reconstructor = getattr(reconstruct, f"{name}_reconstruct")
+    groups = {}
+    for entry in read_dataset_index(golden_dataset)["entries"]:
+        groups.setdefault(entry["layout"], []).append(entry)
+    digests = {}
+    for layout_ref, entries in groups.items():
+        layout = BuildingLayout(read_pgm(golden_dataset / layout_ref))
+        for interval in map(str, CONFIG["intervals"]):
+            sets = [parse_file(golden_dataset / entry["samples"][interval],
+                               samples_from_csv) for entry in entries]
+            stack = SampleSet(sets[0].positions, [s.values for s in sets])
+            maps = reconstructor(stack, layout)
+            digests[layout_ref, interval] = hashlib.sha256(b"".join(
+                m.values.tobytes() for m in maps)).hexdigest()
+    assert digests == RECONSTRUCTED_DIGESTS[name]
 
 
 def test_dense_generated_files_match_golden_digests(tmp_path):

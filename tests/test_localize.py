@@ -5,9 +5,9 @@ import pytest
 
 from rssloc import (EmptyMapError, ESTIMATORS, center_of_mass,
                     ground_truth_local, localize_all, separate_sources)
-from rssloc.dataset_io import augment_grid, augment_points
 
 from conftest import generate_scenario, make_flat_scenario
+from oracles import augment_grid, augment_points
 
 
 def disk_bitmap(ci=10, cj=10, size=24, value=230):

@@ -18,11 +18,11 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 from scipy.optimize import linear_sum_assignment
 
-from oracles import bfs_path_loop, center_of_mass_per_map, first_occurrences_loop
-from rssloc import (AUGMENTATIONS, LrmfError, PgmError, SampleSet, augment_grid,
-                    augment_points, decode_lrmf, decode_pgm, encode_lrmf,
-                    encode_pgm, evaluate_scenario, localize_all, ospa,
-                    mle, separate_sources)
+from oracles import (AUGMENTATIONS, augment_grid, augment_points, bfs_path_loop,
+                     center_of_mass_per_map, first_occurrences_loop)
+from rssloc import (LrmfError, PgmError, SampleSet, decode_lrmf, decode_pgm,
+                    encode_lrmf, encode_pgm, evaluate_scenario, localize_all,
+                    ospa, mle, separate_sources)
 from rssloc.dataset_io import (predictions_from_csv, predictions_to_csv,
                                samples_from_csv, samples_to_csv)
 from rssloc.metrics import _cost_matrix, _lsap

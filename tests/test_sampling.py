@@ -185,6 +185,28 @@ class TestSampleAlong:
         assert keep.tolist() == list(expected)
         assert keep.tolist() == first_occurrences_loop(positions).tolist()
 
+    def test_route_keeps_positions_per_step(self, params, flat_global):
+        # the scenarios of a layout share one route: the positions of a step
+        # (interval * speed) are computed once and every map is read at them
+        route = straight_route(101)
+        other = rasterize_global(make_flat_scenario([(70.5, 5.5)], size=120), params)
+        first = sample_along(route, flat_global, 2)
+        second = sample_along(route, other, 2)
+        assert second.positions is first.positions
+        assert not first.positions.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first.positions[0, 0] = 0.0
+        cols, rows = second.positions.astype(np.int64).T
+        assert second.values.tobytes() == other.values[rows, cols].tobytes()
+        assert second.values.tobytes() != first.values.tobytes()
+        assert sample_along(route, other, 1, 2.0).positions is first.positions
+        coarse = sample_along(route, flat_global, 4)
+        assert coarse.positions is not first.positions
+        assert not coarse.positions.flags.writeable
+        assert len(coarse) == 26 and len(first) == 51
+        assert sample_along(route, flat_global, 4).positions is coarse.positions
+        assert route == straight_route(101)
+
     def test_rejects_bad_interval(self, flat_global):
         with pytest.raises(ValueError):
             sample_along(straight_route(10), flat_global, 0)

@@ -6,7 +6,8 @@ import pytest
 from rssloc import (BuildingLayout, PlacementError, Route, SampleSet, Source,
                     Scenario, add_noise, connected_components, flag_merged,
                     generate_layout, ground_truth_local, optimal_assignment,
-                    ospa, place_sources, rasterize_global, sample_along)
+                    ospa, place_sources, proxy_local_map, rasterize_global,
+                    sample_along)
 from rssloc.scenario import _connected, disk_cells, expected_disk_area
 
 from conftest import generate_scenario, make_flat_scenario
@@ -252,8 +253,21 @@ ROUTE = Route(waypoints=[(0.5, 5.5), (10.5, 5.5)])
                                        math.nan), "r must be positive"),
     (lambda params: flag_merged(connected_components(np.zeros((4, 4), np.uint8)),
                                 math.nan), "r must be positive"),
+    (lambda params: proxy_local_map(_flat_global(params), r=math.inf),
+     "r must be positive"),
+    (lambda params: proxy_local_map(_flat_global(params), r=True),
+     "r must be positive"),
+    (lambda params: proxy_local_map(_flat_global(params), math.nan, r=2.0),
+     "delta_db must be >= 0"),
+    (lambda params: proxy_local_map(_flat_global(params), -1.0, r=2.0),
+     "delta_db must be >= 0"),
+    (lambda params: proxy_local_map(_flat_global(params), math.inf, r=2.0),
+     "delta_db must be >= 0"),
 ], ids=["add_noise", "ospa", "optimal_assignment", "sample_along-interval_s",
-        "sample_along-speed", "ground_truth_local", "flag_merged"])
+        "sample_along-speed", "ground_truth_local", "flag_merged",
+        "proxy_local_map-r-inf", "proxy_local_map-r-True",
+        "proxy_local_map-delta_db-nan", "proxy_local_map-delta_db-negative",
+        "proxy_local_map-delta_db-inf"])
 def test_sign_checks_reject_nan(params, call, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         call(params)
