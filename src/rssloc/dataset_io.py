@@ -11,7 +11,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+import shutil
 import struct
+import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -318,22 +321,42 @@ def _derived_seed(*parts) -> int:
 
 
 def generate_dataset(config: DatasetConfig, out_dir) -> dict:
-    """Generate every scenario, map, and sample file, then write the tree.
+    """Generate every scenario, map, and sample file and write the tree.
 
-    Files are produced fully in memory first so a failing scenario leaves no
-    partial dataset behind; the raised error names the failing scenario.
+    A failing run, whose error names the failing scenario, leaves nothing: a
+    new out_dir is written in place and its highest new directory removed; an
+    existing one gets its files from a staging directory once all are written.
     """
+    out = Path(out_dir)
+    new = next((p for p in (*reversed(out.parents), out) if not p.exists()), None)
+    root = out if new else Path(tempfile.mkdtemp(dir=out, prefix=".generate-"))
+    try:
+        index, written = _write_layouts(config, root)
+        if not new:
+            for rel in written:
+                (out / rel).parent.mkdir(parents=True, exist_ok=True)
+                os.replace(root / rel, out / rel)
+            shutil.rmtree(root)
+    except BaseException:
+        shutil.rmtree(new or root, ignore_errors=True)
+        raise
+    return index
+
+
+def _write_layouts(config: DatasetConfig, root: Path) -> tuple[dict, list[str]]:
+    """Write each layout's files under root once the layout is done, then
+    index.json; the index and the paths written, in that order."""
     params = PropagationParams()
     # layout li's split: the train layouts first, then val, then test
     splits = [name for name in _SPLITS for _ in range(config.split.get(name, 0))]
-    files: list[tuple[str, bytes]] = []
+    written: list[str] = []
     entries = []
     for li in range(config.n_layouts):
         layout = generate_layout(config.width, config.height, config.n_buildings,
                                  np.random.SeedSequence([config.seed, 1, li]))
         route = build_routes(layout)
         layout_name = f"l{li:02d}"
-        files.append((f"layouts/{layout_name}.pgm", encode_pgm(layout.cells)))
+        files = [(f"layouts/{layout_name}.pgm", encode_pgm(layout.cells))]
         for m in config.source_counts:
             for pi in range(config.placements_per_count):
                 sid = f"{layout_name}m{m:02d}p{pi:02d}"
@@ -377,15 +400,14 @@ def generate_dataset(config: DatasetConfig, out_dir) -> dict:
                     "local_map": f"maps/local/{sid}.pgm",
                     "samples": sample_paths,
                 })
+        for folder in dict.fromkeys((root / rel).parent for rel, _ in files):
+            folder.mkdir(parents=True, exist_ok=True)
+        for rel, payload in files:
+            (root / rel).write_bytes(payload)
+        written += [rel for rel, _ in files]
     index = {"config": config.to_dict(), "entries": entries}
-    files.append(("index.json", dumps_json(index).encode()))
-
-    out = Path(out_dir)
-    for folder in dict.fromkeys((out / rel).parent for rel, _ in files):
-        folder.mkdir(parents=True, exist_ok=True)
-    for rel, payload in files:
-        (out / rel).write_bytes(payload)
-    return index
+    (root / "index.json").write_bytes(dumps_json(index).encode())
+    return index, [*written, "index.json"]
 
 
 _ENTRY_KEYS = ("id", "split", "layout", "scenario", "local_map", "samples")

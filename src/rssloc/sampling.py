@@ -58,7 +58,8 @@ class SampleSet:
     """Sparse measurements {(S_j, rss_j)}, at least one.
 
     Positions may repeat here, and kriging rejects repeats (first_occurrences
-    finds them); a (J, 2) float64 array is kept as given, not copied.
+    finds them); a (J, 2) float64 array is kept as given, not copied, and
+    positions of any other shape are a ValueError.
 
     values may also stack S value rows on the same J positions, one per
     scenario measured along the same route; len() is J either way.
@@ -68,8 +69,10 @@ class SampleSet:
     values: np.ndarray       # (J,) or (S, J) dBm
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=np.float64)
-        self.positions = pos if pos.shape[1:] == (2,) else pos.reshape(-1, 2)
+        self.positions = np.asarray(self.positions, dtype=np.float64)
+        if self.positions.ndim != 2 or self.positions.shape[1] != 2:
+            raise ValueError("sample positions must have shape (J, 2), not "
+                             f"{self.positions.shape}")
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             self.values = self.values.ravel()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -37,6 +38,13 @@ def generate_scenario(width: int, height: int, n_buildings: int, m: int, seed: i
     sources = place_sources(layout, m, min_spacing, source_seed, clear_radius,
                             dense_pair_spacing)
     return Scenario(layout=layout, sources=sources, id=f"s{seed}", rng_seed=int(seed))
+
+
+def tree_digests(root) -> dict:
+    """The sha256 of every file under root, and None for every directory."""
+    return {str(path.relative_to(root)):
+            hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else None
+            for path in root.rglob("*")}
 
 
 @pytest.fixture(scope="module")

@@ -12,6 +12,9 @@ import pytest
 from rssloc import PipelineConfig, cli, dataset_io, encode_pgm, pipeline, read_pgm
 from rssloc.dataset_io import predictions_to_csv, read_dataset_index
 from rssloc.render import encode_ppm, render_map
+from rssloc.scenario import GenerationError
+
+from conftest import tree_digests
 
 
 class TestGenerate:
@@ -163,6 +166,50 @@ class TestGenerate:
         with pytest.raises(ZeroDivisionError):
             cli.main(["generate", "--config", str(cfg), "--out", str(out)])
         assert not out.exists()
+
+    @staticmethod
+    def fail_in_layout_1(monkeypatch):
+        # the dataset fixture's layouts hold 2 scenarios each: the 4th
+        # placement is layout 1's second scenario
+        placed, place = [], dataset_io.place_sources
+
+        def place_sources(*args):
+            placed.append(args)
+            if len(placed) == 4:
+                raise GenerationError("no room left")
+            return place(*args)
+
+        monkeypatch.setattr(dataset_io, "place_sources", place_sources)
+
+    def test_failed_run_removes_its_new_directories(self, dataset, tmp_path, capsys,
+                                                    monkeypatch):
+        _, cfg, _ = dataset
+        self.fail_in_layout_1(monkeypatch)
+        out = tmp_path / "a" / "b" / "o"
+        assert cli.main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "scenario l01m02p00 failed: no room left\n"
+        assert not (tmp_path / "a").exists()
+
+    def test_rerun_into_existing_out(self, dataset, tmp_path, capsys, monkeypatch):
+        # a failed rerun changes no file; a successful one writes the same
+        # bytes, mends a damaged file and a deleted folder, keeps an unrelated
+        # file and leaves no staging directory
+        _, cfg, ds = dataset
+        out = tmp_path / "ds"
+        shutil.copytree(ds, out)
+        (out / "notes.txt").write_text("not generated")
+        before = tree_digests(out)
+        self.fail_in_layout_1(monkeypatch)
+        argv = ["generate", "--config", str(cfg), "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "scenario l01m02p00 failed: no room left\n"
+        assert tree_digests(out) == before
+        monkeypatch.undo()
+        (out / "index.json").write_text("{}")
+        shutil.rmtree(out / "samples" / "10")
+        assert cli.main(argv) == 0
+        assert tree_digests(out) == before
+        assert list(out.glob(".generate-*")) == []
 
     def test_seed_override_changes_bytes(self, dataset, tmp_path):
         _, cfg, out = dataset
@@ -940,6 +987,40 @@ def test_import_loads_no_process_pool():
          "sys.modules if m in ('concurrent.futures.process', 'multiprocessing')))"],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+_PEAK_AFTER_GENERATE = """
+import sys
+from rssloc import cli
+code = cli.main(sys.argv[1:])
+with open("/proc/self/status") as f:
+    print(code, next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads VmHWM from /proc/self/status")
+def test_generate_peak_does_not_grow_with_layouts(tmp_path):
+    # generate holds one layout's files at a time: with the whole tree in
+    # memory, 6 layouts peaked about 4 MB above 1, with streaming about 0.2 MB
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    peaks_kb = []
+    for n in (1, 6):
+        config = tmp_path / f"config{n}.json"
+        config.write_text(json.dumps({
+            "width": 200, "height": 200, "n_layouts": n, "n_buildings": 6,
+            "source_counts": [1, 3, 5, 7], "placements_per_count": 1,
+            "split": {"train": n, "val": 0, "test": 0}}))
+        done = subprocess.run([sys.executable, "-c", _PEAK_AFTER_GENERATE, "generate",
+                               "--config", str(config), "--out", str(tmp_path / f"ds{n}")],
+                              env=env, capture_output=True, text=True, timeout=300,
+                              check=True)
+        code, peak_kb = done.stdout.splitlines()[-1].split()
+        assert code == "0"
+        peaks_kb.append(int(peak_kb))
+    assert peaks_kb[1] - peaks_kb[0] < 3 * 1024, peaks_kb
 
 
 def test_usage_error_exit_code():

@@ -7,7 +7,7 @@ import pytest
 
 from rssloc import (BuildingLayout, DatasetConfig, LrmfError,
                     PgmError, PropagationParams, SampleSet, Scenario, Source,
-                    add_noise, build_routes, decode_lrmf, decode_pgm,
+                    add_noise, build_routes, dataset_io, decode_lrmf, decode_pgm,
                     encode_lrmf, encode_pgm, generate_dataset, ground_truth_local,
                     load_scenario, rasterize_global, read_dataset_index,
                     read_pgm, sample_along)
@@ -15,7 +15,7 @@ from rssloc.dataset_io import (_csv_lines, _csv_rows, _derived_seed,
                                predictions_from_csv, predictions_to_csv,
                                samples_from_csv, samples_to_csv)
 
-from conftest import generate_scenario
+from conftest import generate_scenario, tree_digests
 from oracles import (AUGMENTATIONS, augment_grid, augment_points,
                      samples_to_csv_lines)
 
@@ -284,6 +284,49 @@ class TestGenerateDataset:
         for rel in files_a:
             assert (tmp_path / "a" / rel).read_bytes() == \
                 (tmp_path / "b" / rel).read_bytes()
+
+    def test_layout_written_before_next_layout_starts(self, tmp_path, monkeypatch):
+        # memory holds one layout's files: layout 0's are on disk when layout 1
+        # is routed, and index.json is not yet
+        config, out = self.config(), tmp_path / "ds"
+        layout0 = ["layouts/l00.pgm"] + [
+            f"{folder}/l00m{m:02d}p{pi:02d}.{ext}"
+            for m in config.source_counts for pi in range(config.placements_per_count)
+            for folder, ext in [("scenarios", "json"), ("maps/global", "lrmf"),
+                                ("maps/local", "pgm"),
+                                *((f"samples/{t}", "csv") for t in config.intervals)]]
+        routed = []
+
+        def build_routes_after_layout_0(layout):
+            if routed:
+                assert [rel for rel in layout0 if not (out / rel).is_file()] == []
+                assert not (out / "index.json").exists()
+            routed.append(layout)
+            return build_routes(layout)
+
+        monkeypatch.setattr(dataset_io, "build_routes", build_routes_after_layout_0)
+        generate_dataset(config, out)
+        assert len(routed) == 2 and len(layout0) == 21
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    def test_interrupt_leaves_out_as_it_was(self, existing, tmp_path, monkeypatch):
+        # any exception, KeyboardInterrupt too, takes the run's files with it
+        out = tmp_path / "a" / "ds"
+        if existing:
+            generate_dataset(self.config(seed=5), out)
+        before = tree_digests(tmp_path)
+        routed = []
+
+        def interrupted_at_layout_1(layout):
+            if routed:
+                raise KeyboardInterrupt
+            routed.append(layout)
+            return build_routes(layout)
+
+        monkeypatch.setattr(dataset_io, "build_routes", interrupted_at_layout_1)
+        with pytest.raises(KeyboardInterrupt):
+            generate_dataset(self.config(), out)
+        assert tree_digests(tmp_path) == before
 
     def test_different_seed_different_bytes(self, tmp_path):
         generate_dataset(self.config(seed=77), tmp_path / "a")

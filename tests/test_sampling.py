@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from rssloc import (BuildingLayout, Route, RouteError, SampleSet, add_noise,
 
 from conftest import generate_scenario, make_flat_scenario
 from oracles import first_occurrences_loop, sample_along_loop
+from rssloc.reconstruct import ReconstructionError, kriging_predict
 from rssloc.sampling import first_occurrences
 
 
@@ -271,3 +273,15 @@ class TestSampleSet:
     def test_empty_sample_set_rejected(self):
         with pytest.raises(ValueError):
             SampleSet(positions=np.empty((0, 2)), values=np.empty(0))
+
+    @pytest.mark.parametrize("shape", [(4, 3), (4,), (2, 2, 2), (3, 1)],
+                             ids=["three-columns", "flat", "three-d", "one-column"])
+    def test_positions_not_j_by_2_rejected(self, shape):
+        # no reshape rereads a third column, or a flat array, as (x, y) pairs
+        positions = np.arange(math.prod(shape), dtype=float).reshape(shape)
+        values = np.zeros(positions.size // 2)
+        message = re.escape(f"sample positions must have shape (J, 2), not {shape}")
+        with pytest.raises(ValueError, match=message):
+            SampleSet(positions, values)
+        with pytest.raises(ReconstructionError, match=message):
+            kriging_predict(positions, values, np.zeros((1, 2)))
