@@ -99,12 +99,6 @@ def cmd_generate(args) -> int:
         config = DatasetConfig.from_dict(doc)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad config: {exc}") from None
-    # an --out that cannot be a directory fails before any scenario is
-    # computed, and without creating anything
-    out = Path(args.out)
-    existing = next(path for path in (out, *out.parents) if path.exists())
-    if not existing.is_dir():
-        raise NotADirectoryError(f"--out {out}: {existing} is not a directory")
     index = dataset_io.generate_dataset(config, args.out)
     print(f"wrote {len(index['entries'])} scenarios to {args.out}")
     return EXIT_OK

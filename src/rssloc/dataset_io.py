@@ -299,6 +299,8 @@ class DatasetConfig:
         for m in self.source_counts:
             _check("source_counts", m, numbers.Integral, "integers")
             check_placement(m, self.clear_radius, self.dense_pair_spacing)
+        if len(set(self.source_counts)) != len(self.source_counts):
+            raise ValueError("source_counts must not repeat")
         self.source_counts = tuple(map(int, self.source_counts))
 
     @classmethod
@@ -323,12 +325,16 @@ def _derived_seed(*parts) -> int:
 def generate_dataset(config: DatasetConfig, out_dir) -> dict:
     """Generate every scenario, map, and sample file and write the tree.
 
-    A failing run, whose error names the failing scenario, leaves nothing: a
-    new out_dir is written in place and its highest new directory removed; an
-    existing one gets its files from a staging directory once all are written.
+    An out_dir that cannot be a directory fails before any work. A failing
+    run, whose error names the failing scenario, leaves nothing: a new out_dir
+    is written in place and its highest new directory removed; an existing
+    one gets its files from a staging directory once all are written.
     """
     out = Path(out_dir)
     new = next((p for p in (*reversed(out.parents), out) if not p.exists()), None)
+    existing = new.parent if new else out
+    if not existing.is_dir():
+        raise NotADirectoryError(f"--out {out}: {existing} is not a directory")
     root = out if new else Path(tempfile.mkdtemp(dir=out, prefix=".generate-"))
     try:
         index, written = _write_layouts(config, root)

@@ -1,11 +1,12 @@
 """Received-power model and radio-map rasterization.
 
-`source_dbm` is the one forward model: the dBm field of one source at cell
-centres, log-distance path loss plus a capped per-meter penalty for the
-building interior, with both lengths from one exact clip of each straight
-segment, `segment_building_lengths(start, rows, cols, rects, shape)`. Maps
-add shadowing per source and aggregate in linear milliwatts; they exist as
-dBm float grids and 8-bit bitmaps.
+`source_dbm` is the one forward model: the dBm block of one source at the
+cell centres of a row axis and a column axis, log-distance path loss plus a
+capped per-meter penalty for the building interior, with both lengths from
+one exact clip of each segment, `segment_building_lengths(start, rows, cols,
+rects, shape)`. Maps read the cells of a mask from the block at its rows and
+columns, add shadowing per source and aggregate in linear milliwatts; they
+exist as dBm float grids and 8-bit bitmaps.
 """
 
 from __future__ import annotations
@@ -115,37 +116,36 @@ def building_rectangles(cells: np.ndarray) -> np.ndarray:
 
 
 def segment_building_lengths(start, rows, cols, rects, shape):
-    """(segment length, building length) in meters of each segment from start,
-    any point on or off the grid, to the centre of cell (rows[k], cols[k]).
+    """(segment length, building length) blocks in meters, each of shape
+    (len(rows), len(cols)): [i, j] is the segment from start to the centre of
+    cell (rows[i], cols[j]), for sorted index vectors rows and cols.
 
-    The building length sums the segment clipped (Liang-Barsky, exact) to
-    each of rects, the building_rectangles of a grid of the given shape. A
-    rectangle on the grid border extends to infinity on that side, so the
-    parts of a segment outside the grid are charged to the edge row or column.
-    A segment along a grid line, or with no extent along an axis, takes the
-    cells on the higher side of the line: coordinate q lies in cell floor(q).
-    The lengths agree with a traversal of every cell a segment crosses
-    (tests/oracles.py: traverse_all_cells) to within 1e-9 m; they round
-    differently.
+    Start and cells may lie on or off the grid. The building length sums the
+    segment clipped (Liang-Barsky, exact) to each of rects, the
+    building_rectangles of a grid of the given shape. A rectangle on the grid
+    border extends to infinity on that side, so the parts of a segment
+    outside the grid are charged to the edge row or column. A segment along a
+    grid line, or with no extent along an axis, takes the cells on the higher
+    side of the line: coordinate q lies in cell floor(q). The lengths agree
+    with a traversal of every cell a segment crosses (tests/oracles.py:
+    traverse_all_cells) to within 1e-9 m; they round differently.
 
-    The clip runs per grid axis over the cells' bounding window: the x slab of
-    each window column and the y slab of each window row, combined over the
-    block whose slabs meet [0, 1]. Each of the few rectangles of a generated
-    layout (2-8) is clipped in turn; a noisy grid of thousands would be slow.
-    Each cell gets the bytes of its own one-cell call.
+    The clip runs per axis: the x slab of each column and the y slab of each
+    row, combined over the block whose slabs meet [0, 1]; on a sorted axis
+    the cells one rectangle meets are one run. The few rectangles of a
+    generated layout (2-8) are clipped in turn; a noisy grid of thousands
+    would be slow. Each cell gets the bytes of its own one-cell call.
     """
     a = np.asarray(start, dtype=np.float64).reshape(2)
-    rows, cols = np.asarray(rows), np.asarray(cols)
-    if len(rows) == 0:
-        return np.zeros(0), np.zeros(0)
-    i0, j0 = rows.min(), cols.min()
-    dx = np.arange(j0, cols.max() + 1) + 0.5 - a[0]
-    dy = np.arange(i0, rows.max() + 1) + 0.5 - a[1]
+    dx = np.asarray(cols) + 0.5 - a[0]
+    dy = np.asarray(rows) + 0.5 - a[1]
     seg_len = np.hypot(dx[None, :], dy[:, None])
     out = np.zeros(seg_len.shape)
+    if out.size == 0:
+        return seg_len, out
 
     # bounds relative to start; a side on the grid border stands for
-    # infinity. Clamped to the window's box widened by 1 m, a rectangle clips
+    # infinity. Clamped to the axes' box widened by 1 m, a rectangle clips
     # as it would unclamped, and one left empty there meets none.
     xlo, xhi = min(dx[0], 0.0) - 1.0, max(dx[-1], 0.0) + 1.0
     ylo, yhi = min(dy[0], 0.0) - 1.0, max(dy[-1], 0.0) + 1.0
@@ -169,8 +169,7 @@ def segment_building_lengths(start, rows, cols, rects, shape):
         b0 = np.maximum(t0[c], lo[r, None])
         b1 = np.minimum(t1[c], hi[r, None])
         out[r, c] += np.maximum(b1 - b0, 0.0) * seg_len[r, c]
-    flat = (rows - i0) * len(dx) + (cols - j0)
-    return seg_len.ravel().take(flat), out.ravel().take(flat)
+    return seg_len, out
 
 
 def _slab(still, step, q0, q1):
@@ -213,7 +212,7 @@ def _shadow_grid(scenario: Scenario, source_index: int, sigma: float,
 
 def source_dbm(source: Source, rows, cols, rects, shape,
                params: PropagationParams) -> np.ndarray:
-    """dBm field of one source at the centre of each cell (rows[k], cols[k]),
+    """dBm block of one source at the cell centres of sorted rows and cols,
     without shadowing, on a grid of the given shape with building_rectangles
     rects. A source at the centre of cell a read at cell b gives the value of
     a source at b read at a (reciprocity)."""
@@ -223,19 +222,19 @@ def source_dbm(source: Source, rows, cols, rects, shape,
 
 
 def _per_source_dbm(scenario: Scenario, params: PropagationParams,
-                    rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """dBm field of each source at the given cell centers, shadowing included.
-
-    Returns an (M, len(rows)) array; the caller picks the cells (all free
-    cells for global maps, a disk union for local ones).
-    """
+                    mask: np.ndarray) -> np.ndarray:
+    """dBm field of each source at the cell centres of a boolean mask,
+    shadowing included: an (M, mask cells) array, in row-major order, read
+    from the block at the rows and columns that hold a mask cell."""
     cells = scenario.layout.cells
     rects, shape = building_rectangles(cells), cells.shape
-    out = np.empty((len(scenario.sources), len(rows)))
+    rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+    inner = mask[np.ix_(rows, cols)]
+    out = np.empty((len(scenario.sources), np.count_nonzero(mask)))
     for k, src in enumerate(scenario.sources):
-        out[k] = source_dbm(src, rows, cols, rects, shape, params)
+        out[k] = source_dbm(src, rows, cols, rects, shape, params)[inner]
         if params.sigma_shadow > 0:
-            out[k] -= _shadow_grid(scenario, k, params.sigma_shadow, shape)[rows, cols]
+            out[k] -= _shadow_grid(scenario, k, params.sigma_shadow, shape)[mask]
     return out
 
 
@@ -244,8 +243,8 @@ def rasterize_global(scenario: Scenario, params: PropagationParams) -> RadioMap:
     P_MIN_DBM."""
     layout = scenario.layout
     vals = np.full((layout.height, layout.width), P_MIN_DBM, dtype=np.float64)
-    rows, cols = np.nonzero(layout.cells == 0)
-    vals[rows, cols] = aggregate_rss(_per_source_dbm(scenario, params, rows, cols))
+    free = layout.cells == 0
+    vals[free] = aggregate_rss(_per_source_dbm(scenario, params, free))
     return RadioMap(vals)
 
 
@@ -273,7 +272,6 @@ def ground_truth_local(scenario: Scenario, params: PropagationParams, r: float,
             raise ValueError("global map must be in dBm")
         bitmap[mask] = encode_bitmap(global_map.values[mask])
         return RadioMap(bitmap)
-    rows, cols = np.nonzero(mask & (layout.cells == 0))
-    bitmap[rows, cols] = encode_bitmap(
-        aggregate_rss(_per_source_dbm(scenario, params, rows, cols)))
+    mask &= layout.cells == 0
+    bitmap[mask] = encode_bitmap(aggregate_rss(_per_source_dbm(scenario, params, mask)))
     return RadioMap(bitmap)

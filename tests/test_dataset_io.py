@@ -328,6 +328,21 @@ class TestGenerateDataset:
             generate_dataset(self.config(), out)
         assert tree_digests(tmp_path) == before
 
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    def test_out_not_a_directory_before_any_work(self, under, tmp_path, monkeypatch):
+        rasterized = []
+        monkeypatch.setattr(dataset_io, "rasterize_global",
+                            lambda *args: rasterized.append(args))
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        out = blocker / "a" / "ds" if under else blocker
+        with pytest.raises(NotADirectoryError) as excinfo:
+            generate_dataset(self.config(), out)
+        assert str(excinfo.value) == f"--out {out}: {blocker} is not a directory"
+        assert rasterized == []
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert blocker.read_text() == "kept"
+
     def test_different_seed_different_bytes(self, tmp_path):
         generate_dataset(self.config(seed=77), tmp_path / "a")
         generate_dataset(self.config(seed=78), tmp_path / "b")
@@ -445,6 +460,7 @@ class TestGenerateDataset:
         ({"clear_radius": -1.0}, "clear_radius must be > 0 or null, not -1.0"),
         ({"source_counts": [2], "clear_radius": -1.0, "dense_pair_spacing": 1.0},
          "clear_radius must be > 0 or null, not -1.0"),
+        ({"source_counts": [3, 1, 3]}, "^source_counts must not repeat$"),
     ])
     def test_bad_config_value_rejected(self, doc, message):
         with pytest.raises(ValueError, match=message):

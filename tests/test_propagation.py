@@ -64,9 +64,13 @@ class TestParams:
 
 def lengths(start, rows, cols, cells):
     """segment_building_lengths from start to the centres of cells
-    (rows[k], cols[k]) of the grid cells."""
-    return segment_building_lengths(start, rows, cols, building_rectangles(cells),
-                                    cells.shape)
+    (rows[k], cols[k]) of the grid cells, each read from the block at the
+    sorted distinct rows and columns, which skips the rows and columns
+    between them."""
+    rows, i = np.unique(rows, return_inverse=True)
+    cols, j = np.unique(cols, return_inverse=True)
+    return tuple(block[i, j] for block in segment_building_lengths(
+        start, rows, cols, building_rectangles(cells), cells.shape))
 
 
 def centres(rows, cols):
@@ -119,8 +123,8 @@ class TestPenetration:
     @pytest.mark.parametrize("case", ["free cells", "border buildings",
                                       "still rays", "one cell", "disk union"])
     def test_batched_matches_single_at_cell_centres(self, case):
-        # a batch is clipped over its cells' window, a one-cell call over a
-        # 1x1 window
+        # a batch is clipped over the block of its cells' rows and columns,
+        # a one-cell call over a 1x1 block
         sc = generate_scenario(70, 70, 3, 2, seed=23)
         cells, start = sc.layout.cells, sc.sources[0].position
         if case in ("border buildings", "still rays"):
@@ -135,7 +139,7 @@ class TestPenetration:
         elif case == "disk union":
             rows, cols = np.nonzero(local_disk_mask(sc, 2.0) & (cells == 0))
         assert_batch_is_single(start, rows, cols, cells)
-        # with cells up to 3 beyond each border, which widen the window
+        # with cells up to 3 beyond each border, on axes off the grid
         h, w = cells.shape
         rows = np.concatenate([rows, [-3, -1, h, h + 2, 0, h - 1]])
         cols = np.concatenate([cols, [-2, w + 2, 0, w - 1, -3, w]])
@@ -293,10 +297,12 @@ class TestSourceDbm:
         cells = sc.layout.cells
         rows, cols = np.nonzero(cells == 0)
         rects = building_rectangles(cells)
+        h, w = cells.shape
         for src in sc.sources + [Source(*sc.sources[0].position, 17.0, 3.0)]:
             single = Scenario(layout=sc.layout, sources=[src], id="t", rng_seed=0)
             expected = rasterize_global(single, params).values[rows, cols]
-            field = source_dbm(src, rows, cols, rects, cells.shape, params)
+            field = source_dbm(src, np.arange(h), np.arange(w), rects, cells.shape,
+                               params)[rows, cols]
             assert field.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("seed", [44, 45, 46, 47])

@@ -3,7 +3,8 @@ the invariants of the evaluation metrics, the assignment solver against
 scipy's, the run-based labeling, its bounding boxes and the 3x3 dilation
 against scipy.ndimage, route bridges against the loop oracle, the first
 occurrence of each sample position against a dict oracle, the rectangle
-cover of building cells, augmentation equivariance of separation and
+cover of building cells, the clip's block at strided axes against its
+contiguous window, augmentation equivariance of separation and
 localization, the centroids of every component against one masked map per
 component and against scipy.ndimage, stacked kriging and IDW predictions against one call per
 value row, and the blocked squared distances against the broadcast formula."""
@@ -26,7 +27,7 @@ from rssloc import (LrmfError, PgmError, SampleSet, decode_lrmf, decode_pgm,
 from rssloc.dataset_io import (predictions_from_csv, predictions_to_csv,
                                samples_from_csv, samples_to_csv)
 from rssloc.metrics import _cost_matrix, _lsap
-from rssloc.propagation import building_rectangles
+from rssloc.propagation import building_rectangles, segment_building_lengths
 from rssloc.reconstruct import (_PAIRS_PER_BLOCK, _squared_distance_blocks,
                                 idw_predict, kriging_predict)
 from rssloc.sampling import RouteError, _bfs_path, first_occurrences
@@ -333,6 +334,41 @@ def test_building_rectangles_partition(cells):
         assert 0 <= left < right <= cells.shape[1]
         cover[top:bottom, left:right] += 1
     assert np.array_equal(cover, cells != 0)
+
+
+@st.composite
+def strided_clips(draw):
+    """A random grid, a start anywhere within 4 m of it, on a cell centre or
+    on grid lines or neither, and sorted subsets of the row and the column
+    indices, up to 3 beyond each border."""
+    h, w = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = (rng.random((h, w)) < draw(st.floats(0.0, 0.8))).astype(np.uint8)
+    x, y = draw(st.floats(-4.0, w + 4.0)), draw(st.floats(-4.0, h + 4.0))
+    snap = draw(st.sampled_from(["centre", "lines", None]))
+    if snap == "centre":
+        x, y = math.floor(x) + 0.5, math.floor(y) + 0.5
+    elif snap == "lines":
+        x, y = float(round(x)), float(round(y))
+    rows = sorted(draw(st.sets(st.integers(-3, h + 2), min_size=1)))
+    cols = sorted(draw(st.sets(st.integers(-3, w + 2), min_size=1)))
+    return cells, (x, y), np.array(rows), np.array(cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(strided_clips())
+def test_strided_block_equals_window_block(clip):
+    # the rows and columns between the axes' cells change no byte
+    cells, start, rows, cols = clip
+    rects = building_rectangles(cells)
+    block = segment_building_lengths(start, rows, cols, rects, cells.shape)
+    window = segment_building_lengths(start, np.arange(rows[0], rows[-1] + 1),
+                                      np.arange(cols[0], cols[-1] + 1), rects,
+                                      cells.shape)
+    at = np.ix_(rows - rows[0], cols - cols[0])
+    for strided, full in zip(block, window):
+        assert strided.shape == (len(rows), len(cols))
+        assert strided.tobytes() == full[at].tobytes()
 
 
 # square, for the rotations; the seeded uniform bitmaps have many components
